@@ -134,3 +134,226 @@ fn chrome_trace_matches_golden_file() {
     let golden = include_str!("golden/chrome_trace.json");
     assert_eq!(rendered, golden);
 }
+
+/// One event of every [`Event`] variant, chosen to reach each branch of
+/// the `events.jsonl` and Chrome-trace writers: a `request_completed`
+/// with no matching dispatch, request/cap/power-cap/brake spans still
+/// open at the end of the log, an `uncap` with no open cap, a NaN watts
+/// reading (which must render as `null`), timestamps that format with
+/// long shortest-round-trip digits, and an SLO detail that needs every
+/// kind of JSON escape.
+fn every_event_variant() -> Vec<Event> {
+    vec![
+        Event::PowerSample {
+            t: 0.0,
+            watts: 100_000.0,
+        },
+        Event::RequestQueued {
+            t: 0.3,
+            request: 2,
+            priority: "low",
+        },
+        Event::RequestDispatched {
+            t: 0.5,
+            server: 0,
+            request: 1,
+            priority: "high",
+        },
+        Event::RequestDispatched {
+            t: 0.7,
+            server: 2,
+            request: 2,
+            priority: "low",
+        },
+        Event::CapApplied {
+            t: 1.0,
+            server: 0,
+            mhz: 1110.0,
+        },
+        Event::OobCommandSent {
+            t: 1.0,
+            server: 1,
+            command: 7,
+            effective_at: 1.25,
+        },
+        Event::OobCommandLost {
+            t: 1.1,
+            server: 3,
+            command: 8,
+        },
+        Event::RequestCompleted {
+            t: 1.5,
+            server: 0,
+            request: 1,
+            priority: "high",
+            latency_s: 1.0,
+        },
+        Event::RequestCompleted {
+            t: 1.6,
+            server: 4,
+            request: 99,
+            priority: "low",
+            latency_s: 0.1 + 0.2,
+        },
+        Event::RequestRejected {
+            t: 1.7,
+            request: 3,
+            priority: "low",
+        },
+        Event::PowerCapApplied {
+            t: 1.8,
+            server: 1,
+            watts: 4_500.5,
+        },
+        Event::BrakeEngaged {
+            t: 2.0,
+            server: 1,
+            on: true,
+        },
+        Event::PowerCapCleared { t: 2.2, server: 1 },
+        Event::PowerCapApplied {
+            t: 2.4,
+            server: 5,
+            watts: 4_000.0,
+        },
+        Event::BrakeEngaged {
+            t: 2.5,
+            server: 1,
+            on: false,
+        },
+        Event::BrakeEngaged {
+            t: 2.6,
+            server: 6,
+            on: true,
+        },
+        Event::ControllerTransition {
+            t: 2.7,
+            from: "uncapped",
+            to: "t1",
+        },
+        Event::Uncap { t: 3.0, server: 0 },
+        Event::CapApplied {
+            t: 3.1,
+            server: 7,
+            mhz: 1305.0,
+        },
+        Event::Uncap { t: 3.2, server: 8 },
+        Event::PowerSample {
+            t: 4.0,
+            watts: f64::NAN,
+        },
+        Event::FleetPowerSample {
+            t: 4.0,
+            row: 2,
+            watts: 190_250.5,
+        },
+        Event::BudgetViolation {
+            t: 4.0,
+            scope: "pdu",
+            unit: 1,
+            watts: 250_000.0,
+            budget_watts: 240_000.0,
+        },
+        Event::SloViolation {
+            t: 6.125,
+            detail: "p50 \"high\" \\ 1.2 > 1.01\nnext\u{1}".to_string(),
+        },
+    ]
+}
+
+fn one_annotation() -> Vec<polca_obs::Annotation> {
+    vec![polca_obs::Annotation {
+        t: 5.0,
+        name: "alert:row-power-high".to_string(),
+        detail: "0.97 of \"provisioned\"".to_string(),
+    }]
+}
+
+/// A `RunArtifacts` carrying [`every_event_variant`], two request
+/// records (one with a non-finite field) and one energy-ledger row, so
+/// `trace.json` gains the pid-2 request lanes and the pid-3 energy
+/// lanes.
+fn artifacts_with_lanes() -> polca_obs::RunArtifacts {
+    use polca_obs::{
+        CarbonSignal, EnergyAccum, EnergyPlan, MetricsRegistry, ProfSnapshot, ReqSpan, SpanStats,
+    };
+
+    let mut long = ReqSpan {
+        first_token_s: Some(12.0),
+        last_token_s: Some(20.0),
+        tbt_max_s: 0.5,
+        prefill_s: 2.0,
+        decode_s: 8.0,
+        recompute_s: 0.3,
+        recompute_tokens: 128.0,
+        preemptions: 1,
+        kv_hops: 2,
+        kv_ship_s: 0.1 + 0.2,
+        joules: 4000.0,
+    }
+    .finish(7, "high", 3, 9.0, 10.0, 20.0, 1024, 81);
+    long.co2e_g = 0.0123;
+    long.pue_applied = 1.25;
+    let mut short = ReqSpan::default().finish(11, "low", 0, 0.1, 0.2, 0.7, 16, 1);
+    short.joules_per_token = f64::INFINITY;
+
+    let plan = EnergyPlan::new(CarbonSignal::diurnal_default()).with_pue(&[1.25]);
+    let mut acc = EnergyAccum::new(plan, 0.0, 120.0, 80.0, &[("aggregated", 200.0)]);
+    acc.tick(900.0, 150.0, 90.0, &[("aggregated", 240.0)]);
+    acc.tick(1800.0, 110.0, 70.0, &[("aggregated", 180.0)]);
+    acc.add_tokens(true, 500);
+    acc.add_tokens(false, 1500);
+
+    polca_obs::RunArtifacts {
+        level: ObsLevel::Full,
+        events: every_event_variant(),
+        metrics: MetricsRegistry::new(),
+        spans: SpanStats::default(),
+        requests: vec![long, short],
+        req_trace: true,
+        energy_rows: vec![acc.finish(1800.0, 3000.0)],
+        prof: ProfSnapshot::default(),
+    }
+}
+
+/// Byte-for-byte pin of `events.jsonl` and `trace.json` over every
+/// event variant (plus one watch-style annotation). The goldens were
+/// rendered by the per-line writers these artifacts used before they
+/// were streamed into one buffer; regenerate them only for a deliberate
+/// format change.
+#[test]
+fn every_event_variant_matches_golden_files() {
+    let run = polca_obs::RunArtifacts {
+        events: every_event_variant(),
+        req_trace: false,
+        requests: Vec::new(),
+        energy_rows: Vec::new(),
+        ..artifacts_with_lanes()
+    };
+    assert_eq!(
+        run.events_jsonl(),
+        include_str!("golden/every_event.jsonl")
+    );
+    assert_eq!(
+        run.chrome_trace_json_with(&one_annotation()),
+        include_str!("golden/every_event_trace.json")
+    );
+}
+
+/// Byte-for-byte pin of `requests.jsonl`, `latency.csv`, `power.csv`
+/// and the `trace.json` that carries the request (pid 2) and energy
+/// (pid 3) lanes after the annotation.
+#[test]
+fn run_artifacts_with_lanes_match_golden_files() {
+    let run = artifacts_with_lanes();
+    assert_eq!(
+        run.requests_jsonl(),
+        include_str!("golden/lanes_requests.jsonl")
+    );
+    assert_eq!(run.latency_csv(), include_str!("golden/lanes_latency.csv"));
+    assert_eq!(run.power_csv(), include_str!("golden/lanes_power.csv"));
+    assert_eq!(
+        run.chrome_trace_json_with(&one_annotation()),
+        include_str!("golden/lanes_trace.json")
+    );
+}

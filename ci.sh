@@ -3,7 +3,7 @@
 # environment — run this before pushing). Mirrors the checks a hosted
 # workflow would run, entirely offline:
 #
-#   ./ci.sh          # fmt + clippy + full test suite
+#   ./ci.sh          # fmt + clippy + full workspace test suite
 #   ./ci.sh quick    # fmt + clippy + unit tests only (skips the
 #                    # multi-day end-to-end simulations)
 set -euo pipefail
@@ -19,8 +19,22 @@ echo "== cargo test =="
 if [[ "${1:-}" == "quick" ]]; then
     cargo test -q --offline --workspace --lib --bins
 else
-    cargo test -q --offline
+    cargo test -q --offline --workspace
 fi
+
+echo "== bench-digest (polca-benchmark vs benchmark/expected.json) =="
+# Every rep of every benchmark workload must reproduce the outcome
+# digests pinned in benchmark/expected.json, which cover the simulated
+# outcome and the bytes of the pinned artifacts. The last stdout line
+# of each run is its verdict.
+for workload in row_6wk site_day serve_day replay_obs; do
+    verdict="$(cargo run --release --offline --quiet \
+        --manifest-path benchmark/Cargo.toml --bin polca-benchmark -- \
+        --workload "$workload" --seed 17 --seconds 1 --trace 0 | tail -n 1)" || :
+    [[ "$verdict" == *'"correct":true'* ]] \
+        || { echo "bench-digest: $workload drifted from benchmark/expected.json: $verdict"; exit 1; }
+    echo "  $workload: correct"
+done
 
 echo "== cargo bench --no-run =="
 cargo bench --offline --no-run -q

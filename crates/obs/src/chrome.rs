@@ -16,11 +16,10 @@
 //! the end of the log are closed at the last observed timestamp.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use crate::event::Event;
-use crate::json::{esc, num};
-
-const PID: u32 = 1;
+use crate::json::{push_esc, push_num};
 
 /// An extra "instant" marker merged into the trace on the cluster
 /// track — how the watch plane overlays alert firings and incident
@@ -44,36 +43,50 @@ pub fn trace_json(events: &[Event]) -> String {
 /// the cluster track (tid 0). With an empty slice the output is
 /// byte-identical to [`trace_json`].
 pub fn trace_json_annotated(events: &[Event], annotations: &[Annotation]) -> String {
-    trace_json_with_extra(events, annotations, &[])
+    let mut out = String::with_capacity(capacity(events.len()));
+    write_trace(&mut out, events, annotations, |_| {});
+    out
 }
 
-/// Like [`trace_json_annotated`] but also appends pre-rendered
-/// trace-event lines (the polca-req request lanes) after the
-/// annotations. With empty slices the output is byte-identical to
-/// [`trace_json`].
-pub fn trace_json_with_extra(
+/// A generous estimate of a trace document's size: most events render
+/// as one line of roughly a hundred bytes. Capacity that is never
+/// written stays untouched virtual memory.
+pub(crate) fn capacity(lines: usize) -> usize {
+    128 * (lines + 16)
+}
+
+/// Appends the whole trace document for `events` to `out`: the
+/// `polca-sim` process (pid 1), then `annotations` on the cluster
+/// track, then whatever `lanes` appends before the document closes
+/// (the polca-req and polca-energy processes). `lanes` starts each
+/// event it appends with [`begin_event`].
+pub(crate) fn write_trace(
+    out: &mut String,
     events: &[Event],
     annotations: &[Annotation],
-    extra: &[String],
-) -> String {
-    let mut out: Vec<String> = Vec::new();
+    lanes: impl FnOnce(&mut String),
+) {
     let t_end = events.iter().map(Event::t).fold(0.0_f64, f64::max);
 
     // Metadata: process name plus one named thread per referenced server.
-    out.push(format!(
-        "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"polca-sim\"}}}}"
-    ));
-    out.push(format!(
-        "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\"name\":\"thread_name\",\"args\":{{\"name\":\"cluster\"}}}}"
-    ));
+    out.push_str("{\"traceEvents\":[\n");
+    out.push_str(
+        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"polca-sim\"}}",
+    );
+    begin_event(out);
+    out.push_str(
+        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"cluster\"}}",
+    );
     let mut servers: Vec<usize> = events.iter().filter_map(Event::server).collect();
     servers.sort_unstable();
     servers.dedup();
-    for s in &servers {
-        out.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"server-{s}\"}}}}",
-            tid(*s)
-        ));
+    for s in servers {
+        begin_event(out);
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"server-{s}\"}}}}",
+            tid(s)
+        );
     }
 
     // Open-span state, keyed for deterministic flush order at the end.
@@ -102,44 +115,20 @@ pub fn trace_json_with_extra(
                 let (t0, srv, pri) = open_requests
                     .remove(request)
                     .unwrap_or((*t, *server, priority));
-                out.push(complete_span(
-                    "req",
-                    "request",
-                    tid(srv),
-                    t0,
-                    *t,
-                    &format!("{{\"request\":{request},\"priority\":\"{}\"}}", esc(pri)),
-                ));
+                request_span(out, tid(srv), t0, *t, *request, pri);
             }
             Event::RequestQueued { t, request, .. } => {
-                out.push(instant(
-                    "queued",
-                    0,
-                    *t,
-                    &format!("{{\"request\":{request}}}"),
-                ));
+                instant(out, "queued", 0, *t, |out| request_args(out, *request));
             }
             Event::RequestRejected { t, request, .. } => {
-                out.push(instant(
-                    "rejected",
-                    0,
-                    *t,
-                    &format!("{{\"request\":{request}}}"),
-                ));
+                instant(out, "rejected", 0, *t, |out| request_args(out, *request));
             }
             Event::CapApplied { t, server, mhz } => {
                 open_caps.entry(*server).or_insert((*t, *mhz));
             }
             Event::Uncap { t, server } => {
                 if let Some((t0, mhz)) = open_caps.remove(server) {
-                    out.push(complete_span(
-                        "cap",
-                        "power",
-                        tid(*server),
-                        t0,
-                        *t,
-                        &format!("{{\"mhz\":{}}}", num(mhz)),
-                    ));
+                    cap_span(out, *server, t0, *t, mhz);
                 }
             }
             Event::PowerCapApplied { t, server, watts } => {
@@ -147,72 +136,60 @@ pub fn trace_json_with_extra(
             }
             Event::PowerCapCleared { t, server } => {
                 if let Some((t0, watts)) = open_power_caps.remove(server) {
-                    out.push(complete_span(
-                        "powercap",
-                        "power",
-                        tid(*server),
-                        t0,
-                        *t,
-                        &format!("{{\"watts\":{}}}", num(watts)),
-                    ));
+                    power_cap_span(out, *server, t0, *t, watts);
                 }
             }
             Event::BrakeEngaged { t, server, on } => {
                 if *on {
                     open_brakes.entry(*server).or_insert(*t);
                 } else if let Some(t0) = open_brakes.remove(server) {
-                    out.push(complete_span("brake", "power", tid(*server), t0, *t, "{}"));
+                    brake_span(out, *server, t0, *t);
                 }
             }
             Event::OobCommandSent {
                 t, server, command, ..
             } => {
-                out.push(instant(
-                    "oob_sent",
-                    tid(*server),
-                    *t,
-                    &format!("{{\"command\":{command}}}"),
-                ));
+                instant(out, "oob_sent", tid(*server), *t, |out| {
+                    command_args(out, *command)
+                });
             }
             Event::OobCommandLost {
                 t, server, command, ..
             } => {
-                out.push(instant(
-                    "oob_lost",
-                    tid(*server),
-                    *t,
-                    &format!("{{\"command\":{command}}}"),
-                ));
+                instant(out, "oob_lost", tid(*server), *t, |out| {
+                    command_args(out, *command)
+                });
             }
             Event::PowerSample { t, watts } => {
-                out.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":{PID},\"name\":\"row_power_w\",\"ts\":{},\"args\":{{\"watts\":{}}}}}",
-                    us(*t),
-                    num(*watts)
-                ));
+                begin_event(out);
+                out.push_str("{\"ph\":\"C\",\"pid\":1,\"name\":\"row_power_w\",\"ts\":");
+                push_us(out, *t);
+                out.push_str(",\"args\":{\"watts\":");
+                push_num(out, *watts);
+                out.push_str("}}");
             }
             Event::ControllerTransition { t, from, to } => {
-                out.push(instant(
-                    "controller",
-                    0,
-                    *t,
-                    &format!("{{\"from\":\"{}\",\"to\":\"{}\"}}", esc(from), esc(to)),
-                ));
+                instant(out, "controller", 0, *t, |out| {
+                    out.push_str("{\"from\":\"");
+                    push_esc(out, from);
+                    out.push_str("\",\"to\":\"");
+                    push_esc(out, to);
+                    out.push_str("\"}");
+                });
             }
             Event::SloViolation { t, detail } => {
-                out.push(instant(
-                    "slo_violation",
-                    0,
-                    *t,
-                    &format!("{{\"detail\":\"{}\"}}", esc(detail)),
-                ));
+                instant(out, "slo_violation", 0, *t, |out| detail_args(out, detail));
             }
             Event::FleetPowerSample { t, row, watts } => {
-                out.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":{PID},\"name\":\"fleet_row{row}_power_w\",\"ts\":{},\"args\":{{\"watts\":{}}}}}",
-                    us(*t),
-                    num(*watts)
-                ));
+                begin_event(out);
+                let _ = write!(
+                    out,
+                    "{{\"ph\":\"C\",\"pid\":1,\"name\":\"fleet_row{row}_power_w\",\"ts\":"
+                );
+                push_us(out, *t);
+                out.push_str(",\"args\":{\"watts\":");
+                push_num(out, *watts);
+                out.push_str("}}");
             }
             Event::BudgetViolation {
                 t,
@@ -221,17 +198,15 @@ pub fn trace_json_with_extra(
                 watts,
                 budget_watts,
             } => {
-                out.push(instant(
-                    "budget_violation",
-                    0,
-                    *t,
-                    &format!(
-                        "{{\"scope\":\"{}\",\"unit\":{unit},\"watts\":{},\"budget_watts\":{}}}",
-                        esc(scope),
-                        num(*watts),
-                        num(*budget_watts)
-                    ),
-                ));
+                instant(out, "budget_violation", 0, *t, |out| {
+                    out.push_str("{\"scope\":\"");
+                    push_esc(out, scope);
+                    let _ = write!(out, "\",\"unit\":{unit},\"watts\":");
+                    push_num(out, *watts);
+                    out.push_str(",\"budget_watts\":");
+                    push_num(out, *budget_watts);
+                    out.push('}');
+                });
             }
         }
     }
@@ -239,87 +214,124 @@ pub fn trace_json_with_extra(
     // Close anything still open at the final timestamp so the spans
     // render instead of vanishing.
     for (request, (t0, srv, pri)) in open_requests {
-        out.push(complete_span(
-            "req",
-            "request",
-            tid(srv),
-            t0,
-            t_end,
-            &format!("{{\"request\":{request},\"priority\":\"{}\"}}", esc(pri)),
-        ));
+        request_span(out, tid(srv), t0, t_end, request, pri);
     }
     for (server, (t0, mhz)) in open_caps {
-        out.push(complete_span(
-            "cap",
-            "power",
-            tid(server),
-            t0,
-            t_end,
-            &format!("{{\"mhz\":{}}}", num(mhz)),
-        ));
+        cap_span(out, server, t0, t_end, mhz);
     }
     for (server, (t0, watts)) in open_power_caps {
-        out.push(complete_span(
-            "powercap",
-            "power",
-            tid(server),
-            t0,
-            t_end,
-            &format!("{{\"watts\":{}}}", num(watts)),
-        ));
+        power_cap_span(out, server, t0, t_end, watts);
     }
     for (server, t0) in open_brakes {
-        out.push(complete_span(
-            "brake",
-            "power",
-            tid(server),
-            t0,
-            t_end,
-            "{}",
-        ));
+        brake_span(out, server, t0, t_end);
     }
 
     for a in annotations {
-        out.push(instant(
-            &a.name,
-            0,
-            a.t,
-            &format!("{{\"detail\":\"{}\"}}", esc(&a.detail)),
-        ));
+        instant(out, &a.name, 0, a.t, |out| detail_args(out, &a.detail));
     }
 
-    out.extend(extra.iter().cloned());
+    lanes(out);
 
-    let mut doc = String::from("{\"traceEvents\":[\n");
-    doc.push_str(&out.join(",\n"));
-    doc.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    doc
+    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
+}
+
+/// Starts the next trace event of a document [`write_trace`] is
+/// writing. Events are separated by `,\n`, and the document's first
+/// event (the `polca-sim` process name) is always written before any
+/// other, so every later one opens with the separator.
+pub(crate) fn begin_event(out: &mut String) {
+    out.push_str(",\n");
 }
 
 fn tid(server: usize) -> u32 {
     server as u32 + 1
 }
 
-fn us(t: f64) -> String {
-    num(t * 1e6)
+/// Appends simulation seconds as trace microseconds.
+pub(crate) fn push_us(out: &mut String, t: f64) {
+    push_num(out, t * 1e6);
 }
 
-fn complete_span(name: &str, cat: &str, tid: u32, t0: f64, t1: f64, args: &str) -> String {
-    format!(
-        "{{\"ph\":\"X\",\"pid\":{PID},\"tid\":{tid},\"name\":\"{}\",\"cat\":\"{}\",\"ts\":{},\"dur\":{},\"args\":{args}}}",
-        esc(name),
-        esc(cat),
-        us(t0),
-        us((t1 - t0).max(0.0)),
-    )
+fn request_span(out: &mut String, tid: u32, t0: f64, t1: f64, request: u64, priority: &str) {
+    complete_span(out, "req", "request", tid, t0, t1, |out| {
+        let _ = write!(out, "{{\"request\":{request},\"priority\":\"");
+        push_esc(out, priority);
+        out.push_str("\"}");
+    });
 }
 
-fn instant(name: &str, tid: u32, t: f64, args: &str) -> String {
-    format!(
-        "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{tid},\"name\":\"{}\",\"s\":\"t\",\"ts\":{},\"args\":{args}}}",
-        esc(name),
-        us(t),
-    )
+fn cap_span(out: &mut String, server: usize, t0: f64, t1: f64, mhz: f64) {
+    complete_span(out, "cap", "power", tid(server), t0, t1, |out| {
+        out.push_str("{\"mhz\":");
+        push_num(out, mhz);
+        out.push('}');
+    });
+}
+
+fn power_cap_span(out: &mut String, server: usize, t0: f64, t1: f64, watts: f64) {
+    complete_span(out, "powercap", "power", tid(server), t0, t1, |out| {
+        out.push_str("{\"watts\":");
+        push_num(out, watts);
+        out.push('}');
+    });
+}
+
+fn brake_span(out: &mut String, server: usize, t0: f64, t1: f64) {
+    complete_span(out, "brake", "power", tid(server), t0, t1, |out| {
+        out.push_str("{}")
+    });
+}
+
+fn request_args(out: &mut String, request: u64) {
+    let _ = write!(out, "{{\"request\":{request}}}");
+}
+
+fn command_args(out: &mut String, command: u64) {
+    let _ = write!(out, "{{\"command\":{command}}}");
+}
+
+fn detail_args(out: &mut String, detail: &str) {
+    out.push_str("{\"detail\":\"");
+    push_esc(out, detail);
+    out.push_str("\"}");
+}
+
+/// Appends a complete (`"X"`) event on pid 1; `args` writes its args
+/// object.
+fn complete_span(
+    out: &mut String,
+    name: &str,
+    cat: &str,
+    tid: u32,
+    t0: f64,
+    t1: f64,
+    args: impl FnOnce(&mut String),
+) {
+    begin_event(out);
+    let _ = write!(out, "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"name\":\"");
+    push_esc(out, name);
+    out.push_str("\",\"cat\":\"");
+    push_esc(out, cat);
+    out.push_str("\",\"ts\":");
+    push_us(out, t0);
+    out.push_str(",\"dur\":");
+    push_us(out, (t1 - t0).max(0.0));
+    out.push_str(",\"args\":");
+    args(out);
+    out.push('}');
+}
+
+/// Appends an instant (`"i"`) event on pid 1; `args` writes its args
+/// object.
+fn instant(out: &mut String, name: &str, tid: u32, t: f64, args: impl FnOnce(&mut String)) {
+    begin_event(out);
+    let _ = write!(out, "{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"name\":\"");
+    push_esc(out, name);
+    out.push_str("\",\"s\":\"t\",\"ts\":");
+    push_us(out, t);
+    out.push_str(",\"args\":");
+    args(out);
+    out.push('}');
 }
 
 #[cfg(test)]

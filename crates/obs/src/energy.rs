@@ -30,7 +30,8 @@
 //! from per-row [`RowEnergy`] results in canonical row order, so the
 //! exported artifacts obey the repo's determinism contract.
 
-use crate::json::{esc, num};
+use crate::chrome::{begin_event, push_us};
+use crate::json::{esc, num, push_num};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -90,10 +91,12 @@ impl CarbonTrace {
     }
 
     /// Parse a carbon-intensity CSV with header `hour,carbon_g_per_kwh`
-    /// (times in hours). RFC-4180 quoting is honoured; blank lines are
-    /// skipped; errors carry 1-based line numbers. Dependency-free, in
-    /// the style of `polca-ingest`.
+    /// (times in hours). RFC-4180 quoting is honoured; a leading UTF-8
+    /// byte-order mark is ignored; blank lines are skipped; errors carry
+    /// 1-based line numbers. Dependency-free, in the style of
+    /// `polca-ingest`.
     pub fn from_csv_str(text: &str) -> Result<Self, String> {
+        let text = text.strip_prefix('\u{feff}').unwrap_or(text);
         let mut points = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let line_no = idx + 1;
@@ -717,17 +720,16 @@ impl EnergyLedger {
     /// Render `energy.csv`: the merged site timeseries with header
     /// `t_s,it_wh,facility_wh,co2e_g,g_per_kwh`.
     pub fn series_csv(&self) -> String {
-        let mut out = String::from("t_s,it_wh,facility_wh,co2e_g,g_per_kwh\n");
-        for (t, it, fac, co2, gpk) in self.merged_series() {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{}",
-                num(t),
-                num(it),
-                num(fac),
-                num(co2),
-                num(gpk)
-            );
+        let series = self.merged_series();
+        let mut out = String::with_capacity(40 + 96 * series.len());
+        out.push_str("t_s,it_wh,facility_wh,co2e_g,g_per_kwh\n");
+        for (t, it, fac, co2, gpk) in series {
+            push_num(&mut out, t);
+            for v in [it, fac, co2, gpk] {
+                out.push(',');
+                push_num(&mut out, v);
+            }
+            out.push('\n');
         }
         out
     }
@@ -897,34 +899,37 @@ impl EnergyLedger {
         out
     }
 
-    /// Chrome-trace counter lanes (`"ph":"C"`, pid 3) for the merged
-    /// site timeseries: an `energy_wh` lane (IT vs facility) and a
-    /// `carbon` lane (cumulative grams + instantaneous intensity).
-    pub fn chrome_counter_lanes(&self) -> Vec<String> {
-        const PID: u32 = 3;
+    /// Appends Chrome-trace counter lanes (`"ph":"C"`, pid 3) for the
+    /// merged site timeseries: an `energy_wh` lane (IT vs facility) and
+    /// a `carbon` lane (cumulative grams + instantaneous intensity).
+    /// These are the lanes [`RunArtifacts`](crate::RunArtifacts) adds to
+    /// `trace.json`; an empty ledger appends nothing.
+    pub(crate) fn write_chrome_counter_lanes(&self, out: &mut String) {
         if self.is_empty() {
-            return Vec::new();
+            return;
         }
-        let us = |t: f64| num(t * 1e6);
-        let mut out = Vec::new();
-        out.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"polca-energy\"}}}}"
-        ));
+        begin_event(out);
+        out.push_str(
+            "{\"ph\":\"M\",\"pid\":3,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"polca-energy\"}}",
+        );
         for (t, it, fac, co2, gpk) in self.merged_series() {
-            out.push(format!(
-                "{{\"ph\":\"C\",\"pid\":{PID},\"tid\":0,\"name\":\"energy_wh\",\"ts\":{},\"args\":{{\"it\":{},\"facility\":{}}}}}",
-                us(t),
-                num(it),
-                num(fac)
-            ));
-            out.push(format!(
-                "{{\"ph\":\"C\",\"pid\":{PID},\"tid\":0,\"name\":\"carbon\",\"ts\":{},\"args\":{{\"co2e_g\":{},\"g_per_kwh\":{}}}}}",
-                us(t),
-                num(co2),
-                num(gpk)
-            ));
+            begin_event(out);
+            out.push_str("{\"ph\":\"C\",\"pid\":3,\"tid\":0,\"name\":\"energy_wh\",\"ts\":");
+            push_us(out, t);
+            out.push_str(",\"args\":{\"it\":");
+            push_num(out, it);
+            out.push_str(",\"facility\":");
+            push_num(out, fac);
+            out.push_str("}}");
+            begin_event(out);
+            out.push_str("{\"ph\":\"C\",\"pid\":3,\"tid\":0,\"name\":\"carbon\",\"ts\":");
+            push_us(out, t);
+            out.push_str(",\"args\":{\"co2e_g\":");
+            push_num(out, co2);
+            out.push_str(",\"g_per_kwh\":");
+            push_num(out, gpk);
+            out.push_str("}}");
         }
-        out
     }
 }
 
@@ -975,6 +980,15 @@ mod tests {
         // …and wrap modulo the span.
         assert_eq!(trace.g_per_kwh(3.0 * 3600.0), 100.0);
         assert_eq!(trace.g_per_kwh(4.5 * 3600.0), 200.0);
+        // A UTF-8 byte-order mark is not mistaken for a header: the
+        // first data row of a headerless file survives it.
+        let bom = CarbonTrace::from_csv_str("\u{feff}0,300\n12,500\n").unwrap();
+        assert_eq!(bom.len(), 2);
+        assert_eq!(bom.g_per_kwh(0.0), 300.0);
+        assert_eq!(
+            CarbonTrace::from_csv_str(&format!("\u{feff}{csv}")).unwrap(),
+            trace
+        );
     }
 
     #[test]
@@ -1119,14 +1133,22 @@ mod tests {
         // Samples at 900 s stride; the horizon coincides with the last
         // stride sample, so no extra seal row is added.
         assert_eq!(csv.lines().count() - 1, 4);
-        let lanes = ledger.chrome_counter_lanes();
+        let mut out = String::new();
+        ledger.write_chrome_counter_lanes(&mut out);
+        // Every lane event is appended after a `,\n` separator: the process name,
+        // then an energy and a carbon counter per series row.
+        let lanes: Vec<&str> = out.strip_prefix(",\n").unwrap().split(",\n").collect();
+        assert_eq!(lanes.len(), 1 + 2 * 4, "{out}");
+        assert!(lanes.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
         assert!(lanes[0].contains("polca-energy"));
-        assert!(lanes.iter().any(|l| l.contains("\"name\":\"energy_wh\"")));
-        assert!(lanes.iter().any(|l| l.contains("\"name\":\"carbon\"")));
+        assert!(lanes[1].contains("\"name\":\"energy_wh\""));
+        assert!(lanes[2].contains("\"name\":\"carbon\""));
         // Empty ledger exports nothing.
         let empty = EnergyLedger::from_rows(&[]);
         assert!(empty.prometheus().is_empty());
-        assert!(empty.chrome_counter_lanes().is_empty());
+        let mut none = String::new();
+        empty.write_chrome_counter_lanes(&mut none);
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! wall-clock time, pointers, or any other run-to-run varying data, so
 //! a fixed seed produces a byte-identical event log.
 
-use crate::json::{esc, num};
+use std::fmt::Write;
+
+use crate::json::{push_esc, push_num, push_num_field};
 
 /// One structured trace event.
 ///
@@ -227,14 +229,13 @@ impl Event {
         }
     }
 
-    /// Serializes the event as a single JSON object (one JSONL line,
-    /// without the trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
+    /// Appends the event to `s` as a single JSON object (one JSONL
+    /// line, without the trailing newline).
+    pub fn write_json(&self, s: &mut String) {
         s.push_str("{\"ev\":\"");
         s.push_str(self.kind());
         s.push_str("\",\"t\":");
-        s.push_str(&num(self.t()));
+        push_num(s, self.t());
         match self {
             Event::RequestDispatched {
                 server,
@@ -242,9 +243,9 @@ impl Event {
                 priority,
                 ..
             } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_u64(&mut s, "request", *request);
-                push_field_str(&mut s, "priority", priority);
+                push_field_usize(s, "server", *server);
+                push_field_u64(s, "request", *request);
+                push_field_str(s, "priority", priority);
             }
             Event::RequestQueued {
                 request, priority, ..
@@ -252,8 +253,8 @@ impl Event {
             | Event::RequestRejected {
                 request, priority, ..
             } => {
-                push_field_u64(&mut s, "request", *request);
-                push_field_str(&mut s, "priority", priority);
+                push_field_u64(s, "request", *request);
+                push_field_str(s, "priority", priority);
             }
             Event::RequestCompleted {
                 server,
@@ -262,24 +263,24 @@ impl Event {
                 latency_s,
                 ..
             } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_u64(&mut s, "request", *request);
-                push_field_str(&mut s, "priority", priority);
-                push_field_f64(&mut s, "latency_s", *latency_s);
+                push_field_usize(s, "server", *server);
+                push_field_u64(s, "request", *request);
+                push_field_str(s, "priority", priority);
+                push_num_field(s, "latency_s", *latency_s);
             }
             Event::CapApplied { server, mhz, .. } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_f64(&mut s, "mhz", *mhz);
+                push_field_usize(s, "server", *server);
+                push_num_field(s, "mhz", *mhz);
             }
             Event::Uncap { server, .. } | Event::PowerCapCleared { server, .. } => {
-                push_field_usize(&mut s, "server", *server);
+                push_field_usize(s, "server", *server);
             }
             Event::PowerCapApplied { server, watts, .. } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_f64(&mut s, "watts", *watts);
+                push_field_usize(s, "server", *server);
+                push_num_field(s, "watts", *watts);
             }
             Event::BrakeEngaged { server, on, .. } => {
-                push_field_usize(&mut s, "server", *server);
+                push_field_usize(s, "server", *server);
                 s.push_str(",\"on\":");
                 s.push_str(if *on { "true" } else { "false" });
             }
@@ -289,29 +290,29 @@ impl Event {
                 effective_at,
                 ..
             } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_u64(&mut s, "command", *command);
-                push_field_f64(&mut s, "effective_at", *effective_at);
+                push_field_usize(s, "server", *server);
+                push_field_u64(s, "command", *command);
+                push_num_field(s, "effective_at", *effective_at);
             }
             Event::OobCommandLost {
                 server, command, ..
             } => {
-                push_field_usize(&mut s, "server", *server);
-                push_field_u64(&mut s, "command", *command);
+                push_field_usize(s, "server", *server);
+                push_field_u64(s, "command", *command);
             }
             Event::PowerSample { watts, .. } => {
-                push_field_f64(&mut s, "watts", *watts);
+                push_num_field(s, "watts", *watts);
             }
             Event::ControllerTransition { from, to, .. } => {
-                push_field_str(&mut s, "from", from);
-                push_field_str(&mut s, "to", to);
+                push_field_str(s, "from", from);
+                push_field_str(s, "to", to);
             }
             Event::SloViolation { detail, .. } => {
-                push_field_str(&mut s, "detail", detail);
+                push_field_str(s, "detail", detail);
             }
             Event::FleetPowerSample { row, watts, .. } => {
-                push_field_usize(&mut s, "row", *row);
-                push_field_f64(&mut s, "watts", *watts);
+                push_field_usize(s, "row", *row);
+                push_num_field(s, "watts", *watts);
             }
             Event::BudgetViolation {
                 scope,
@@ -320,14 +321,13 @@ impl Event {
                 budget_watts,
                 ..
             } => {
-                push_field_str(&mut s, "scope", scope);
-                push_field_usize(&mut s, "unit", *unit);
-                push_field_f64(&mut s, "watts", *watts);
-                push_field_f64(&mut s, "budget_watts", *budget_watts);
+                push_field_str(s, "scope", scope);
+                push_field_usize(s, "unit", *unit);
+                push_num_field(s, "watts", *watts);
+                push_num_field(s, "budget_watts", *budget_watts);
             }
         }
         s.push('}');
-        s
     }
 }
 
@@ -335,22 +335,15 @@ fn push_field_str(s: &mut String, key: &str, value: &str) {
     s.push_str(",\"");
     s.push_str(key);
     s.push_str("\":\"");
-    s.push_str(&esc(value));
+    push_esc(s, value);
     s.push('"');
-}
-
-fn push_field_f64(s: &mut String, key: &str, value: f64) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(&num(value));
 }
 
 fn push_field_u64(s: &mut String, key: &str, value: u64) {
     s.push_str(",\"");
     s.push_str(key);
     s.push_str("\":");
-    s.push_str(&value.to_string());
+    let _ = write!(s, "{value}");
 }
 
 fn push_field_usize(s: &mut String, key: &str, value: usize) {
@@ -360,6 +353,12 @@ fn push_field_usize(s: &mut String, key: &str, value: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn json(e: &Event) -> String {
+        let mut s = String::new();
+        e.write_json(&mut s);
+        s
+    }
 
     #[test]
     fn timestamps_round_trip() {
@@ -381,7 +380,7 @@ mod tests {
             watts: 190250.5,
         };
         assert_eq!(
-            e.to_json(),
+            json(&e),
             r#"{"ev":"fleet_power_sample","t":4,"row":2,"watts":190250.5}"#
         );
         assert_eq!(e.server(), None);
@@ -394,7 +393,7 @@ mod tests {
             budget_watts: 240000.0,
         };
         assert_eq!(
-            e.to_json(),
+            json(&e),
             r#"{"ev":"budget_violation","t":6,"scope":"pdu","unit":1,"watts":250000,"budget_watts":240000}"#
         );
         assert_eq!(e.t(), 6.0);
@@ -406,17 +405,14 @@ mod tests {
             t: 2.0,
             watts: 180000.0,
         };
-        assert_eq!(e.to_json(), r#"{"ev":"power_sample","t":2,"watts":180000}"#);
+        assert_eq!(json(&e), r#"{"ev":"power_sample","t":2,"watts":180000}"#);
 
         let e = Event::BrakeEngaged {
             t: 0.25,
             server: 7,
             on: true,
         };
-        assert_eq!(
-            e.to_json(),
-            r#"{"ev":"brake","t":0.25,"server":7,"on":true}"#
-        );
+        assert_eq!(json(&e), r#"{"ev":"brake","t":0.25,"server":7,"on":true}"#);
     }
 
     #[test]
@@ -426,7 +422,7 @@ mod tests {
             detail: "p50 \"bad\"\n".to_string(),
         };
         assert_eq!(
-            e.to_json(),
+            json(&e),
             r#"{"ev":"slo_violation","t":1,"detail":"p50 \"bad\"\n"}"#
         );
     }

@@ -28,6 +28,7 @@
 //!
 //! [`Recorder`]: crate::Recorder
 
+use std::fmt::Write;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -35,7 +36,7 @@ use std::path::{Path, PathBuf};
 use crate::chrome;
 use crate::energy::{EnergyLedger, RowEnergy};
 use crate::event::Event;
-use crate::json::num;
+use crate::json::push_num;
 use crate::metrics::MetricsRegistry;
 use crate::prof::ProfSnapshot;
 use crate::recorder::ObsLevel;
@@ -111,9 +112,9 @@ pub struct RunArtifacts {
 impl RunArtifacts {
     /// The event log as JSON Lines (one event per line).
     pub fn events_jsonl(&self) -> String {
-        let mut s = String::new();
+        let mut s = String::with_capacity(96 * self.events.len());
         for ev in &self.events {
-            s.push_str(&ev.to_json());
+            ev.write_json(&mut s);
             s.push('\n');
         }
         s
@@ -143,10 +144,19 @@ impl RunArtifacts {
 
     /// The aggregate power timeseries as CSV (`t_s,watts`).
     pub fn power_csv(&self) -> String {
-        let mut s = String::from("t_s,watts\n");
+        let rows = self
+            .events
+            .iter()
+            .filter(|ev| matches!(ev, Event::PowerSample { .. }))
+            .count();
+        let mut s = String::with_capacity(16 + 48 * rows);
+        s.push_str("t_s,watts\n");
         for ev in &self.events {
             if let Event::PowerSample { t, watts } = ev {
-                s.push_str(&format!("{},{}\n", num(*t), num(*watts)));
+                push_num(&mut s, *t);
+                s.push(',');
+                push_num(&mut s, *watts);
+                s.push('\n');
             }
         }
         s
@@ -155,7 +165,13 @@ impl RunArtifacts {
     /// Per-request completion latencies as CSV
     /// (`t_s,server,priority,latency_s`).
     pub fn latency_csv(&self) -> String {
-        let mut s = String::from("t_s,server,priority,latency_s\n");
+        let rows = self
+            .events
+            .iter()
+            .filter(|ev| matches!(ev, Event::RequestCompleted { .. }))
+            .count();
+        let mut s = String::with_capacity(32 + 64 * rows);
+        s.push_str("t_s,server,priority,latency_s\n");
         for ev in &self.events {
             if let Event::RequestCompleted {
                 t,
@@ -165,11 +181,10 @@ impl RunArtifacts {
                 ..
             } = ev
             {
-                s.push_str(&format!(
-                    "{},{server},{priority},{}\n",
-                    num(*t),
-                    num(*latency_s)
-                ));
+                push_num(&mut s, *t);
+                let _ = write!(s, ",{server},{priority},");
+                push_num(&mut s, *latency_s);
+                s.push('\n');
             }
         }
         s
@@ -185,25 +200,23 @@ impl RunArtifacts {
     /// tracing captured records, per-request lanes ride along on a
     /// dedicated `polca-req` process.
     pub fn chrome_trace_json(&self) -> String {
-        chrome::trace_json_with_extra(&self.events, &[], &self.request_lanes())
+        self.chrome_trace_json_with(&[])
     }
 
     /// Chrome trace-event JSON with extra instant markers merged onto
     /// the cluster track (the watch plane's incident annotations).
     pub fn chrome_trace_json_with(&self, annotations: &[chrome::Annotation]) -> String {
-        chrome::trace_json_with_extra(&self.events, annotations, &self.request_lanes())
-    }
-
-    fn request_lanes(&self) -> Vec<String> {
-        let mut lanes = if self.req_trace {
-            req::chrome_request_lanes(&self.requests)
-        } else {
-            Vec::new()
-        };
-        if !self.energy_rows.is_empty() {
-            lanes.extend(self.energy_ledger().chrome_counter_lanes());
-        }
-        lanes
+        let lines = self.events.len() + annotations.len() + 2 * self.requests.len();
+        let mut out = String::with_capacity(chrome::capacity(lines));
+        chrome::write_trace(&mut out, &self.events, annotations, |out| {
+            if self.req_trace {
+                req::write_chrome_request_lanes(&self.requests, out);
+            }
+            if !self.energy_rows.is_empty() {
+                self.energy_ledger().write_chrome_counter_lanes(out);
+            }
+        });
+        out
     }
 
     /// Wall-clock span timings as JSON.

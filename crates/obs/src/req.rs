@@ -30,7 +30,10 @@
 //! canonical cell order, so `requests.jsonl` is byte-identical at a
 //! fixed seed regardless of `--jobs`.
 
-use crate::json::{esc, num};
+use std::fmt::Write;
+
+use crate::chrome::{begin_event, push_us};
+use crate::json::{push_esc, push_num_field};
 
 /// Request-tracing configuration carried by a
 /// [`Recorder`](crate::Recorder).
@@ -199,102 +202,104 @@ pub struct ReqRecord {
 }
 
 impl ReqRecord {
-    /// Serializes the record as a single JSON object (one
+    /// Appends the record to `s` as a single JSON object (one
     /// `requests.jsonl` line, without the trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push('{');
-        s.push_str(&format!("\"id\":{}", self.id));
-        s.push_str(&format!(",\"priority\":\"{}\"", esc(self.priority)));
-        s.push_str(&format!(",\"server\":{}", self.server));
-        s.push_str(&format!(",\"arrival_s\":{}", num(self.arrival_s)));
-        s.push_str(&format!(",\"started_s\":{}", num(self.started_s)));
-        s.push_str(&format!(",\"first_token_s\":{}", num(self.first_token_s)));
-        s.push_str(&format!(",\"completed_s\":{}", num(self.completed_s)));
-        s.push_str(&format!(",\"input_tokens\":{}", self.input_tokens));
-        s.push_str(&format!(",\"output_tokens\":{}", self.output_tokens));
-        s.push_str(&format!(",\"queue_s\":{}", num(self.queue_s)));
-        s.push_str(&format!(",\"ttft_s\":{}", num(self.ttft_s)));
-        s.push_str(&format!(",\"tbt_mean_s\":{}", num(self.tbt_mean_s)));
-        s.push_str(&format!(",\"tbt_max_s\":{}", num(self.tbt_max_s)));
-        s.push_str(&format!(",\"prefill_s\":{}", num(self.prefill_s)));
-        s.push_str(&format!(",\"decode_s\":{}", num(self.decode_s)));
-        s.push_str(&format!(",\"preemptions\":{}", self.preemptions));
-        s.push_str(&format!(
-            ",\"recompute_tokens\":{}",
-            num(self.recompute_tokens)
-        ));
-        s.push_str(&format!(",\"recompute_s\":{}", num(self.recompute_s)));
-        s.push_str(&format!(",\"kv_hops\":{}", self.kv_hops));
-        s.push_str(&format!(",\"kv_ship_s\":{}", num(self.kv_ship_s)));
-        s.push_str(&format!(",\"joules\":{}", num(self.joules)));
-        s.push_str(&format!(
-            ",\"joules_per_token\":{}",
-            num(self.joules_per_token)
-        ));
-        s.push_str(&format!(",\"co2e_g\":{}", num(self.co2e_g)));
-        s.push_str(&format!(",\"pue_applied\":{}", num(self.pue_applied)));
+    pub fn write_json(&self, s: &mut String) {
+        let _ = write!(s, "{{\"id\":{},\"priority\":\"", self.id);
+        push_esc(s, self.priority);
+        let _ = write!(s, "\",\"server\":{}", self.server);
+        push_num_field(s, "arrival_s", self.arrival_s);
+        push_num_field(s, "started_s", self.started_s);
+        push_num_field(s, "first_token_s", self.first_token_s);
+        push_num_field(s, "completed_s", self.completed_s);
+        let _ = write!(
+            s,
+            ",\"input_tokens\":{},\"output_tokens\":{}",
+            self.input_tokens, self.output_tokens
+        );
+        push_num_field(s, "queue_s", self.queue_s);
+        push_num_field(s, "ttft_s", self.ttft_s);
+        push_num_field(s, "tbt_mean_s", self.tbt_mean_s);
+        push_num_field(s, "tbt_max_s", self.tbt_max_s);
+        push_num_field(s, "prefill_s", self.prefill_s);
+        push_num_field(s, "decode_s", self.decode_s);
+        let _ = write!(s, ",\"preemptions\":{}", self.preemptions);
+        push_num_field(s, "recompute_tokens", self.recompute_tokens);
+        push_num_field(s, "recompute_s", self.recompute_s);
+        let _ = write!(s, ",\"kv_hops\":{}", self.kv_hops);
+        push_num_field(s, "kv_ship_s", self.kv_ship_s);
+        push_num_field(s, "joules", self.joules);
+        push_num_field(s, "joules_per_token", self.joules_per_token);
+        push_num_field(s, "co2e_g", self.co2e_g);
+        push_num_field(s, "pue_applied", self.pue_applied);
         s.push('}');
-        s
     }
 }
 
 /// Renders records as JSON Lines (the `requests.jsonl` body).
 pub fn requests_jsonl(records: &[ReqRecord]) -> String {
-    let mut s = String::new();
+    let mut s = String::with_capacity(512 * records.len());
     for r in records {
-        s.push_str(&r.to_json());
+        r.write_json(&mut s);
         s.push('\n');
     }
     s
 }
 
-/// Renders records as Chrome trace-event lines on a dedicated
+/// Appends records as Chrome trace-event lines on a dedicated
 /// `polca-req` process (pid 2): one lane per serving server, a
 /// complete span per request from admission to completion, and an
-/// instant marker at the first token. Merged into `trace.json` by
-/// [`RunArtifacts`](crate::RunArtifacts) when request tracing is on.
-pub fn chrome_request_lanes(records: &[ReqRecord]) -> Vec<String> {
-    const PID: u32 = 2;
+/// instant marker at the first token. These are the lanes
+/// [`RunArtifacts`](crate::RunArtifacts) adds to `trace.json` when
+/// request tracing is on; no records append nothing.
+pub(crate) fn write_chrome_request_lanes(records: &[ReqRecord], out: &mut String) {
     if records.is_empty() {
-        return Vec::new();
+        return;
     }
-    let us = |t: f64| num(t * 1e6);
-    let mut out = Vec::new();
-    out.push(format!(
-        "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"polca-req\"}}}}"
-    ));
+    begin_event(out);
+    out.push_str(
+        "{\"ph\":\"M\",\"pid\":2,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"polca-req\"}}",
+    );
     let mut servers: Vec<usize> = records.iter().map(|r| r.server).collect();
     servers.sort_unstable();
     servers.dedup();
-    for s in &servers {
-        out.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{PID},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"req-server-{s}\"}}}}",
+    for s in servers {
+        begin_event(out);
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":2,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"req-server-{s}\"}}}}",
             s + 1
-        ));
+        );
     }
     for r in records {
         let tid = r.server + 1;
-        out.push(format!(
-            "{{\"ph\":\"X\",\"pid\":{PID},\"tid\":{tid},\"name\":\"req-{}\",\"cat\":\"request\",\"ts\":{},\"dur\":{},\"args\":{{\"priority\":\"{}\",\"ttft_s\":{},\"tbt_mean_s\":{},\"tbt_max_s\":{},\"preemptions\":{},\"joules\":{},\"joules_per_token\":{}}}}}",
-            r.id,
-            us(r.started_s),
-            us((r.completed_s - r.started_s).max(0.0)),
-            esc(r.priority),
-            num(r.ttft_s),
-            num(r.tbt_mean_s),
-            num(r.tbt_max_s),
-            r.preemptions,
-            num(r.joules),
-            num(r.joules_per_token),
-        ));
-        out.push(format!(
-            "{{\"ph\":\"i\",\"pid\":{PID},\"tid\":{tid},\"name\":\"first_token\",\"s\":\"t\",\"ts\":{},\"args\":{{\"request\":{}}}}}",
-            us(r.first_token_s),
-            r.id,
-        ));
+        begin_event(out);
+        let _ = write!(
+            out,
+            "{{\"ph\":\"X\",\"pid\":2,\"tid\":{tid},\"name\":\"req-{}\",\"cat\":\"request\",\"ts\":",
+            r.id
+        );
+        push_us(out, r.started_s);
+        out.push_str(",\"dur\":");
+        push_us(out, (r.completed_s - r.started_s).max(0.0));
+        out.push_str(",\"args\":{\"priority\":\"");
+        push_esc(out, r.priority);
+        out.push('"');
+        push_num_field(out, "ttft_s", r.ttft_s);
+        push_num_field(out, "tbt_mean_s", r.tbt_mean_s);
+        push_num_field(out, "tbt_max_s", r.tbt_max_s);
+        let _ = write!(out, ",\"preemptions\":{}", r.preemptions);
+        push_num_field(out, "joules", r.joules);
+        push_num_field(out, "joules_per_token", r.joules_per_token);
+        out.push_str("}}");
+        begin_event(out);
+        let _ = write!(
+            out,
+            "{{\"ph\":\"i\",\"pid\":2,\"tid\":{tid},\"name\":\"first_token\",\"s\":\"t\",\"ts\":"
+        );
+        push_us(out, r.first_token_s);
+        let _ = write!(out, ",\"args\":{{\"request\":{}}}}}", r.id);
     }
-    out
 }
 
 #[cfg(test)]
@@ -348,7 +353,8 @@ mod tests {
     #[test]
     fn json_has_the_schema_fields_in_order() {
         let r = span().finish(7, "high", 3, 9.0, 10.0, 20.0, 1024, 81);
-        let j = r.to_json();
+        let mut j = String::new();
+        r.write_json(&mut j);
         assert!(j.starts_with("{\"id\":7,\"priority\":\"high\",\"server\":3,"));
         for field in [
             "arrival_s",
@@ -368,19 +374,24 @@ mod tests {
         // The carbon fields sit last, in stable order, with ledger-off
         // defaults.
         assert!(j.ends_with(",\"co2e_g\":0,\"pue_applied\":1}"), "{j}");
-        assert_eq!(requests_jsonl(&[r]).lines().count(), 1);
+        assert_eq!(requests_jsonl(&[r]), j + "\n");
     }
 
     #[test]
     fn chrome_lanes_pair_span_and_first_token() {
         let r = span().finish(7, "high", 3, 9.0, 10.0, 20.0, 1024, 81);
-        let lanes = chrome_request_lanes(&[r]);
-        assert!(lanes.iter().any(|l| l.contains("\"name\":\"polca-req\"")));
-        assert!(lanes
-            .iter()
-            .any(|l| l.contains("\"name\":\"req-server-3\"")));
-        assert!(lanes.iter().any(|l| l.contains("\"name\":\"req-7\"")));
-        assert!(lanes.iter().any(|l| l.contains("\"name\":\"first_token\"")));
-        assert!(chrome_request_lanes(&[]).is_empty());
+        let mut out = String::new();
+        write_chrome_request_lanes(&[r], &mut out);
+        // Every lane event is appended after a `,\n` separator.
+        let lanes: Vec<&str> = out.strip_prefix(",\n").unwrap().split(",\n").collect();
+        assert_eq!(lanes.len(), 4, "{out}");
+        assert!(lanes.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
+        assert!(lanes[0].contains("\"name\":\"polca-req\""));
+        assert!(lanes[1].contains("\"name\":\"req-server-3\""));
+        assert!(lanes[2].contains("\"name\":\"req-7\""));
+        assert!(lanes[3].contains("\"name\":\"first_token\""));
+        let mut none = String::new();
+        write_chrome_request_lanes(&[], &mut none);
+        assert!(none.is_empty());
     }
 }

@@ -318,9 +318,8 @@ fn artifacts_with_lanes() -> polca_obs::RunArtifacts {
 
 /// Byte-for-byte pin of `events.jsonl` and `trace.json` over every
 /// event variant (plus one watch-style annotation). The goldens were
-/// rendered by the per-line writers these artifacts used before they
-/// were streamed into one buffer; regenerate them only for a deliberate
-/// format change.
+/// rendered by an earlier, independent implementation of the writers;
+/// regenerate them only for a deliberate format change.
 #[test]
 fn every_event_variant_matches_golden_files() {
     let run = polca_obs::RunArtifacts {
@@ -330,10 +329,7 @@ fn every_event_variant_matches_golden_files() {
         energy_rows: Vec::new(),
         ..artifacts_with_lanes()
     };
-    assert_eq!(
-        run.events_jsonl(),
-        include_str!("golden/every_event.jsonl")
-    );
+    assert_eq!(run.events_jsonl(), include_str!("golden/every_event.jsonl"));
     assert_eq!(
         run.chrome_trace_json_with(&one_annotation()),
         include_str!("golden/every_event_trace.json")

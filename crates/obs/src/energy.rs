@@ -1135,8 +1135,9 @@ mod tests {
         assert_eq!(csv.lines().count() - 1, 4);
         let mut out = String::new();
         ledger.write_chrome_counter_lanes(&mut out);
-        // Every lane event is appended after a `,\n` separator: the process name,
-        // then an energy and a carbon counter per series row.
+        // Every lane event is appended after a `,\n` separator: the
+        // process name, then an energy and a carbon counter per series
+        // row.
         let lanes: Vec<&str> = out.strip_prefix(",\n").unwrap().split(",\n").collect();
         assert_eq!(lanes.len(), 1 + 2 * 4, "{out}");
         assert!(lanes.iter().all(|l| l.starts_with('{') && l.ends_with('}')));

@@ -14,28 +14,19 @@ use std::fmt::Write;
 /// Appends `s` to `out`, escaped for inclusion inside a JSON string
 /// literal.
 pub fn push_esc(out: &mut String, s: &str) {
-    // Every byte that needs escaping is ASCII, so it never splits a
-    // multi-byte character and the unescaped runs between them can be
-    // copied as whole slices.
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        run = i + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
+            c => out.push(c),
         }
     }
-    out.push_str(&s[run..]);
 }
 
 /// Escapes a string for inclusion inside a JSON string literal.

@@ -22,6 +22,12 @@ else
     cargo test -q --offline --workspace
 fi
 
+echo "== polca-benchmark tests =="
+# The benchmark is a package of its own, outside the workspace: its
+# tests (digest stability, traced == untraced digests, the
+# conservation check) run against its own manifest.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== bench-digest (polca-benchmark vs benchmark/expected.json) =="
 # Every rep of every benchmark workload must reproduce the outcome
 # digests pinned in benchmark/expected.json, which cover the simulated
@@ -183,52 +189,14 @@ cargo run -q --offline --release -p polca-cli -- \
 grep -q '^carbon_mean_g_per_kwh ' "$energy_trace_out/metrics.prom" \
     || { echo "carbon trace run emitted no mean intensity"; exit 1; }
 
-echo "== bench-smoke (polca-cli profile vs committed BENCH_*.json) =="
-# The committed BENCH_sim.json / BENCH_watch.json / BENCH_ingest.json /
-# BENCH_serve.json / BENCH_fleet.json / BENCH_energy.json at the
-# repository root are the perf-trajectory baseline, written by:
-#
-#   cargo run --release -p polca-cli -- profile --bench-out .
-#
-# The gate re-measures with the same command and fails when a
-# throughput metric drops more than POLCA_BENCH_TOLERANCE_PCT below
-# its committed value. The default tolerance is 20% — wide enough to
-# absorb scheduler noise on a quiet machine (the profile command
-# already takes best-of-N internally), tight enough to catch a real
-# hot-path regression. Absolute numbers are machine-dependent:
-# re-baseline with the command above when CI hardware changes, or
-# raise the tolerance via the environment for shared/noisy runners.
-bench_out="$(scratch)"
+echo "== polca-cli profile smoke test =="
+# The self-profiler must still account for the quick-demo run: the
+# attribution table ends in its `accounted:` line. Simulator speed is
+# gated by polca-benchmark (see benchmark/README.md), not here.
+profile_out="$(scratch)"
 cargo run -q --offline --release -p polca-cli -- \
-    profile --reps 3 --bench-out "$bench_out" > "$bench_out/profile.txt"
-grep -q '^accounted: ' "$bench_out/profile.txt" \
+    profile --reps 1 > "$profile_out/profile.txt"
+grep -q '^accounted: ' "$profile_out/profile.txt" \
     || { echo "profile printed no attribution table"; exit 1; }
-tol="${POLCA_BENCH_TOLERANCE_PCT:-20}"
-bench_value() { # <file> <key> — extract one top-level metric
-    awk -v key="$2" -F'[:,]' \
-        '$0 ~ "\"" key "\":" { gsub(/[ ",]/, "", $2); print $2; exit }' "$1"
-}
-check_bench() { # <name> <throughput-key>
-    local name="$1" key="$2" committed fresh
-    [[ -f "BENCH_${name}.json" ]] \
-        || { echo "missing committed baseline BENCH_${name}.json"; exit 1; }
-    committed="$(bench_value "BENCH_${name}.json" "$key")"
-    fresh="$(bench_value "$bench_out/BENCH_${name}.json" "$key")"
-    [[ -n "$committed" && -n "$fresh" ]] \
-        || { echo "bench-smoke: $key missing from BENCH_${name}.json"; exit 1; }
-    if ! awk -v c="$committed" -v f="$fresh" -v t="$tol" \
-        'BEGIN { exit !(f >= c * (1 - t / 100)) }'; then
-        echo "bench-smoke: ${name}.${key} regressed >${tol}%:" \
-             "fresh $fresh vs baseline $committed"
-        exit 1
-    fi
-    echo "  ${name}.${key}: $fresh vs baseline $committed (tolerance ${tol}%)"
-}
-check_bench sim sim_s_per_s
-check_bench watch watch_runs_per_s
-check_bench ingest rows_per_s
-check_bench serve serve_sim_s_per_s
-check_bench fleet fleet_sim_s_per_s
-check_bench energy energy_runs_per_s
 
 echo "CI OK"

@@ -5,12 +5,7 @@
 //! CSV path users ingest, so the parse bench sees realistic row shapes
 //! (full-precision timestamps, four columns, ~5k rows).
 
-use std::time::Instant;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-
-use polca_bench::write_bench_report;
-use polca_obs::BenchReport;
 
 use polca_ingest::{
     requests_to_csv, IngestedTrace, ReplayOptions, TraceCalibration, TraceReplay, TraceStats,
@@ -75,51 +70,11 @@ fn ingest_replay(c: &mut Criterion) {
     });
 }
 
-/// Emits the machine-readable `BENCH_ingest.json` report (best-of-3
-/// wall times per stage over the shared corpus).
-fn ingest_report(_c: &mut Criterion) {
-    let csv = corpus();
-    let rows = csv.lines().count().saturating_sub(1);
-    let (mut parse_s, mut stats_s, mut calibrate_s, mut replay_s) =
-        (f64::MAX, f64::MAX, f64::MAX, f64::MAX);
-    for _ in 0..3 {
-        let start = Instant::now();
-        let trace = IngestedTrace::from_reader(csv.as_bytes()).unwrap();
-        parse_s = parse_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let stats = black_box(TraceStats::from_trace(&trace).unwrap());
-        stats_s = stats_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let _ = black_box(TraceCalibration::fit_with_stats(&trace, &stats).unwrap());
-        calibrate_s = calibrate_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let replay = TraceReplay::with_options(
-            &trace,
-            ReplayOptions {
-                rate_scale: 1.3,
-                ..ReplayOptions::default()
-            },
-        );
-        let _ = black_box(replay.count());
-        replay_s = replay_s.min(start.elapsed().as_secs_f64());
-    }
-    write_bench_report(
-        &BenchReport::new("ingest")
-            .metric("rows_per_s", rows as f64 / parse_s)
-            .metric("parse_s", parse_s)
-            .metric("stats_s", stats_s)
-            .metric("calibrate_s", calibrate_s)
-            .metric("replay_s", replay_s)
-            .metric_u64("rows", rows as u64),
-    );
-}
-
 criterion_group!(
     benches,
     ingest_parse,
     ingest_stats,
     ingest_calibrate,
-    ingest_replay,
-    ingest_report
+    ingest_replay
 );
 criterion_main!(benches);

@@ -1,101 +1,54 @@
 //! `serve_throughput`: wall-clock throughput of the continuous-batching
-//! serving engine (`polca-serve`) driven through `EngineKind::Batched`.
-//!
-//! Mirrors `sim_throughput`'s dense half hour on a small row so the
-//! two engines' rate lines are directly comparable, and adds the
-//! split-pool topology (disaggregated prefill/decode with KV transfer
-//! over the interconnect). The `BENCH_serve.json` report carries the
-//! `serve_sim_s_per_s` metric that `ci.sh`'s bench-smoke step gates.
+//! serving engine (`polca-serve`) in the split-pool topology
+//! (disaggregated prefill/decode with KV transfer over the
+//! interconnect), driven through `EngineKind::Batched` on a dense half
+//! hour on a small row. The aggregated-pool engine is measured end to
+//! end by `polca-benchmark`'s `serve_day` workload (see
+//! `benchmark/README.md`).
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use polca::DisaggregationConfig;
-use polca_bench::write_bench_report;
 use polca_cluster::{ClusterSim, NoopController, RowConfig, SimConfig, SimReport};
-use polca_obs::{BenchReport, ObsLevel, ProfCounter, Recorder};
 use polca_sim::SimTime;
 use polca_trace::{ArrivalGenerator, TraceConfig};
 
-/// The `sim_throughput` half hour, served by the batched engine
-/// (aggregated pools or split prefill/decode).
-fn run_row(split: bool, recorder: Recorder) -> SimReport {
+/// A dense half hour on a small row, served by split prefill/decode
+/// pools.
+fn run_split_row() -> SimReport {
     let mut row = RowConfig::paper_inference_row();
     row.base_servers = 4;
     let config = TraceConfig::paper_mix(5, SimTime::from_mins(30.0)).scaled(0.12);
     let sim_config = SimConfig {
-        engine: DisaggregationConfig::default().batched_engine(split),
-        recorder,
+        engine: DisaggregationConfig::default().batched_engine(true),
         ..SimConfig::default()
     };
     ClusterSim::new(row, sim_config, NoopController)
         .run(ArrivalGenerator::new(&config), SimTime::from_mins(30.0))
 }
 
-fn print_rate(name: &str, simulated_s: f64, events: u64, wall_s: f64) {
-    println!(
-        "throughput {name:<24} {:>12.0} simulated-seconds/sec  {:>12.0} events/sec  \
-         ({events} events over {simulated_s:.0} simulated s in {wall_s:.3} s)",
-        simulated_s / wall_s,
-        events as f64 / wall_s,
-    );
-}
-
-fn batched_engine(c: &mut Criterion) {
-    let start = Instant::now();
-    let report = run_row(false, Recorder::disabled());
-    let wall = start.elapsed().as_secs_f64();
-    print_rate(
-        "serve_batched",
-        report.duration.as_secs(),
-        report.events_processed,
-        wall,
-    );
-    // A second, fully-instrumented pass supplies the serve phase and
-    // counter breakdown; the throughput numbers stay uninstrumented.
-    let rec = Recorder::new(ObsLevel::Full);
-    let _ = run_row(false, rec.clone());
-    let snap = rec.prof().snapshot();
-    write_bench_report(
-        &BenchReport::new("serve")
-            .metric("serve_sim_s_per_s", report.duration.as_secs() / wall)
-            .metric("events_per_s", report.events_processed as f64 / wall)
-            .metric("wall_s", wall)
-            .metric_u64("events", report.events_processed)
-            .metric_u64("peak_batch", snap.counter(ProfCounter::ServePeakBatch))
-            .metric_u64(
-                "kv_peak_blocks",
-                snap.counter(ProfCounter::ServeKvPeakBlocks),
-            )
-            .metric_u64("preemptions", snap.counter(ProfCounter::ServePreemptions))
-            .phases(&snap),
-    );
-    let mut group = c.benchmark_group("serve_throughput");
-    group.sample_size(10);
-    group.bench_function("batched_row_30min", |b| {
-        b.iter(|| black_box(run_row(false, Recorder::disabled()).completed))
-    });
-    group.finish();
-}
-
 fn split_pools(c: &mut Criterion) {
     let start = Instant::now();
-    let report = run_row(true, Recorder::disabled());
+    let report = run_split_row();
     let wall = start.elapsed().as_secs_f64();
-    print_rate(
+    let simulated_s = report.duration.as_secs();
+    println!(
+        "throughput {:<24} {:>12.0} simulated-seconds/sec  {:>12.0} events/sec  \
+         ({} events over {simulated_s:.0} simulated s in {wall:.3} s)",
         "serve_split_pools",
-        report.duration.as_secs(),
+        simulated_s / wall,
+        report.events_processed as f64 / wall,
         report.events_processed,
-        wall,
     );
     let mut group = c.benchmark_group("serve_throughput");
     group.sample_size(10);
     group.bench_function("split_pools_row_30min", |b| {
-        b.iter(|| black_box(run_row(true, Recorder::disabled()).completed))
+        b.iter(|| black_box(run_split_row().completed))
     });
     group.finish();
 }
 
-criterion_group!(serve_throughput, batched_engine, split_pools);
+criterion_group!(serve_throughput, split_pools);
 criterion_main!(serve_throughput);

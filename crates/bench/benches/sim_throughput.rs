@@ -1,128 +1,16 @@
-//! `sim_throughput`: wall-clock throughput of the simulation engine and
-//! the parallel sweep runner.
+//! `sim_throughput`: wall-clock scaling of the parallel sweep runner.
 //!
 //! The offline criterion stand-in has no `Throughput` API, so this
-//! bench prints its own rate lines next to the timing output:
-//!
-//! * `row_engine` / `fleet_engine` — simulated-seconds/sec and
-//!   events/sec of one row and of a 4-row fleet (the
-//!   `SimReport::events_processed` counter divided by wall time),
-//! * `sweep` — a multi-policy `OversubscriptionStudy` sweep at
-//!   `jobs=1` vs `jobs=4`, with the speedup factor.
+//! bench prints its own rate line next to the timing output: a
+//! multi-policy `OversubscriptionStudy` sweep at `jobs=1` vs `jobs=4`,
+//! with the speedup factor. End-to-end engine speed is measured by
+//! `polca-benchmark` (see `benchmark/README.md`).
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use polca::{OversubscriptionStudy, PolicyKind};
-use polca_bench::write_bench_report;
-use polca_cluster::{
-    ClusterSim, FleetConfig, FleetSim, NoopController, RowConfig, SimConfig, SimReport,
-};
-use polca_obs::{BenchReport, ObsLevel, ProfCounter, Recorder};
-use polca_sim::SimTime;
-use polca_trace::{ArrivalGenerator, TraceConfig};
-
-/// A dense half hour on a small row (same shape as the
-/// `cluster_sim_event_kernel` bench, kept separate so rate lines and
-/// timings stay comparable across runs).
-fn run_row() -> SimReport {
-    run_row_with(Recorder::disabled())
-}
-
-/// The same half hour with an attached recorder (the polca-prof pass
-/// behind the emitted `BENCH_sim.json` phase breakdown).
-fn run_row_with(recorder: Recorder) -> SimReport {
-    let mut row = RowConfig::paper_inference_row();
-    row.base_servers = 4;
-    let config = TraceConfig::paper_mix(5, SimTime::from_mins(30.0)).scaled(0.12);
-    let sim_config = SimConfig {
-        recorder,
-        ..SimConfig::default()
-    };
-    ClusterSim::new(row, sim_config, NoopController)
-        .run(ArrivalGenerator::new(&config), SimTime::from_mins(30.0))
-}
-
-/// The same half hour across a 4-row fleet (2 rows per PDU), budgets
-/// monitored.
-fn run_fleet() -> polca_cluster::FleetReport {
-    let mut row = RowConfig::paper_inference_row();
-    row.base_servers = 4;
-    let config = TraceConfig::paper_mix(5, SimTime::from_mins(30.0)).scaled(0.48);
-    let mut fleet = FleetConfig::with_rows(4);
-    fleet.rows_per_pdu = 2;
-    FleetSim::new(
-        row,
-        fleet,
-        |_, _| NoopController,
-        ArrivalGenerator::new(&config),
-        SimTime::from_mins(30.0),
-    )
-    .run()
-}
-
-fn print_rate(name: &str, simulated_s: f64, events: u64, wall_s: f64) {
-    println!(
-        "throughput {name:<24} {:>12.0} simulated-seconds/sec  {:>12.0} events/sec  \
-         ({events} events over {simulated_s:.0} simulated s in {wall_s:.3} s)",
-        simulated_s / wall_s,
-        events as f64 / wall_s,
-    );
-}
-
-fn row_engine(c: &mut Criterion) {
-    let start = Instant::now();
-    let report = run_row();
-    let wall = start.elapsed().as_secs_f64();
-    print_rate(
-        "row_engine",
-        report.duration.as_secs(),
-        report.events_processed,
-        wall,
-    );
-    // A second, fully-instrumented pass supplies the per-phase ns and
-    // queue counters; the throughput numbers above stay uninstrumented.
-    let rec = Recorder::new(ObsLevel::Full);
-    let _ = run_row_with(rec.clone());
-    let snap = rec.prof().snapshot();
-    write_bench_report(
-        &BenchReport::new("sim")
-            .metric("sim_s_per_s", report.duration.as_secs() / wall)
-            .metric("events_per_s", report.events_processed as f64 / wall)
-            .metric("wall_s", wall)
-            .metric_u64("events", report.events_processed)
-            .metric_u64(
-                "peak_queue_depth",
-                snap.counter(ProfCounter::PeakQueueDepth),
-            )
-            .phases(&snap),
-    );
-    let mut group = c.benchmark_group("sim_throughput");
-    group.sample_size(10);
-    group.bench_function("row_engine_30min", |b| {
-        b.iter(|| black_box(run_row().completed))
-    });
-    group.finish();
-}
-
-fn fleet_engine(c: &mut Criterion) {
-    let start = Instant::now();
-    let report = run_fleet();
-    let wall = start.elapsed().as_secs_f64();
-    print_rate(
-        "fleet_engine_4rows",
-        report.duration.as_secs(),
-        report.events_processed(),
-        wall,
-    );
-    let mut group = c.benchmark_group("sim_throughput");
-    group.sample_size(10);
-    group.bench_function("fleet_engine_4rows_30min", |b| {
-        b.iter(|| black_box(run_fleet().completed()))
-    });
-    group.finish();
-}
 
 fn sweep_scaling(c: &mut Criterion) {
     // A multi-policy study: all four Figure 17 policies at two
@@ -154,5 +42,5 @@ fn sweep_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(sim_throughput, row_engine, fleet_engine, sweep_scaling);
+criterion_group!(sim_throughput, sweep_scaling);
 criterion_main!(sim_throughput);

@@ -18,7 +18,6 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use polca_obs::BenchReport;
 use polca_stats::TimeSeries;
 
 /// Reads an `f64` environment knob with a default.
@@ -108,31 +107,6 @@ pub fn obs_out_arg() -> Option<PathBuf> {
         }
     }
     std::env::var_os("POLCA_OBS_OUT").map(PathBuf::from)
-}
-
-/// Where Criterion benches drop their machine-readable `BENCH_*.json`
-/// reports: `POLCA_BENCH_OUT` if set, else `target/bench/`.
-///
-/// The *committed* baselines at the repository root are written by
-/// `polca-cli profile --bench-out .` instead; the bench-emitted copies
-/// are point-in-time measurements for local comparison.
-pub fn bench_out_dir() -> PathBuf {
-    std::env::var_os("POLCA_BENCH_OUT")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            // Bench binaries run with the package dir as CWD; anchor
-            // the default on the workspace-level target directory.
-            PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/bench"))
-        })
-}
-
-/// Writes `report` into [`bench_out_dir`], printing the path (or the
-/// error — a bench run must not fail over a perf-report write).
-pub fn write_bench_report(report: &BenchReport) {
-    match report.write(&bench_out_dir()) {
-        Ok(path) => println!("bench report: {}", path.display()),
-        Err(e) => eprintln!("bench report BENCH_{}.json not written: {e}", report.name()),
-    }
 }
 
 /// The shared table writer for the figure/table binaries.

@@ -16,12 +16,13 @@
 //! * `plan` — sweep oversubscription levels and report the SLO-safe
 //!   maximum (Figure 13's workflow),
 //! * `profile` — self-profile the simulator with polca-prof on the
-//!   quick-demo study, print the per-component attribution table, and
-//!   emit the `BENCH_*.json` perf-trajectory baselines.
+//!   quick-demo study and print the per-component attribution table.
 //!
 //! The parser is hand-rolled (`--flag value` pairs plus positional
 //! arguments) to keep the dependency set minimal; [`parse_args`] is
-//! exposed for testing.
+//! exposed for testing. [`run`] rejects any flag its subcommand does
+//! not read, and every numeric value a library constructor would
+//! refuse is caught here as a [`CliError::BadValue`] first.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -29,18 +30,18 @@ use std::path::Path;
 use std::time::Instant;
 
 use polca::{
-    CostModel, DisaggregationConfig, NoCapController, OversubscriptionStudy, PolcaController,
-    PolcaPolicy, PolicyKind, SingleThresholdController, TraceEvaluation,
+    CostModel, DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind,
+    TraceEvaluation,
 };
-use polca_cluster::{EngineKind, PowerController, RowConfig, SiteConfig, SiteReport, SiteSim};
+use polca_cluster::{EngineKind, RowConfig, SiteConfig, SiteReport, SiteSim};
 use polca_gpu::{Gpu, GpuSpec};
 use polca_ingest::{
     requests_to_csv, IngestedTrace, ReplayOptions, TraceCalibration, TraceReplay, TraceStats,
 };
 use polca_llm::{InferenceConfig, InferenceModel, ModelSpec};
 use polca_obs::{
-    BenchReport, CarbonSignal, CarbonTrace, EnergyLedger, EnergyPlan, ObsLevel, ProfCounter,
-    Recorder, ReqTraceConfig,
+    CarbonSignal, CarbonTrace, EnergyLedger, EnergyPlan, ObsLevel, ProfCounter, Recorder,
+    ReqTraceConfig,
 };
 use polca_sim::{SimRng, SimTime};
 use polca_telemetry::{merge_tick_columns, RowPowerTaps, RowTickBuffer};
@@ -69,9 +70,16 @@ pub enum CliError {
     MissingCommand,
     /// Unknown subcommand.
     UnknownCommand(String),
+    /// A flag the subcommand does not read.
+    UnknownFlag {
+        /// The subcommand.
+        command: String,
+        /// The flag, without its leading `--`.
+        flag: String,
+    },
     /// A `--flag` had no value.
     MissingValue(String),
-    /// A value failed to parse.
+    /// A value failed to parse or lies outside what the flag accepts.
     BadValue {
         /// The flag.
         flag: String,
@@ -91,9 +99,12 @@ impl fmt::Display for CliError {
         match self {
             CliError::MissingCommand => write!(f, "missing subcommand; try `polca-cli help`"),
             CliError::UnknownCommand(c) => write!(f, "unknown subcommand `{c}`"),
+            CliError::UnknownFlag { command, flag } => {
+                write!(f, "`{command}` has no flag `--{flag}`")
+            }
             CliError::MissingValue(flag) => write!(f, "flag `{flag}` needs a value"),
             CliError::BadValue { flag, value } => {
-                write!(f, "cannot parse `{value}` for `{flag}`")
+                write!(f, "invalid value `{value}` for `--{flag}`")
             }
             CliError::UnknownModel(m) => write!(f, "unknown model `{m}`; see `tab03_model_zoo`"),
             CliError::Io(e) => write!(f, "cannot write artifacts: {e}"),
@@ -181,6 +192,54 @@ impl Invocation {
             }),
         }
     }
+
+    /// Reads an option with a default like [`get`](Self::get), and
+    /// also rejects a given value that `valid` refuses.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::BadValue`] on parse failure or an invalid
+    /// value.
+    fn get_valid<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        default: T,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<T, CliError> {
+        Ok(self.get_opt_valid(flag, valid)?.unwrap_or(default))
+    }
+
+    /// Reads an optional option like [`get_opt`](Self::get_opt), and
+    /// also rejects a value that `valid` refuses.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::BadValue`] on parse failure or an invalid
+    /// value.
+    fn get_opt_valid<T: std::str::FromStr>(
+        &self,
+        flag: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, CliError> {
+        match self.get_opt(flag)? {
+            Some(v) if !valid(&v) => Err(CliError::BadValue {
+                flag: flag.to_string(),
+                value: self.options[flag].clone(),
+            }),
+            v => Ok(v),
+        }
+    }
+}
+
+/// Valid durations and scale factors: finite and above zero.
+fn positive(x: &f64) -> bool {
+    x.is_finite() && *x > 0.0
+}
+
+/// Valid added-server, oversubscription, and noise amounts: finite and
+/// not below zero.
+fn non_negative(x: &f64) -> bool {
+    x.is_finite() && *x >= 0.0
 }
 
 /// Resolves a model by (case-insensitive) name.
@@ -340,40 +399,77 @@ COMMANDS
                 [--out DIR] write the full obs artifact set including
                 prof.json, prof.folded (load in speedscope), and
                 prof.trace.json (open in Perfetto)
-                [--bench-out DIR] write the BENCH_sim.json,
-                BENCH_watch.json, BENCH_ingest.json, BENCH_serve.json,
-                BENCH_fleet.json, BENCH_energy.json perf baselines that
-                ci.sh's bench-smoke step gates against
+                (simulator speed is measured by polca-benchmark; see
+                benchmark/README.md)
   help          print this text
 ";
+
+/// A subcommand's entry point.
+type Handler = fn(&Invocation) -> Result<(), CliError>;
+
+/// Every subcommand with its entry point and the flags it reads (the
+/// ones [`HELP`] documents), space-separated.
+const COMMANDS: &[(&str, Handler, &str)] = &[
+    (
+        "characterize",
+        characterize,
+        "model input output batch lock cap",
+    ),
+    (
+        "trace",
+        trace,
+        "days seed csv-out rate amplitude peak-hour noise bursts-per-day",
+    ),
+    ("ingest", ingest, "csv seed extrapolate-days"),
+    (
+        "evaluate",
+        evaluate,
+        "policy added days seed power-scale obs-out obs-level engine split-pools profile \
+         req-trace req-sample carbon-trace carbon-diurnal pue carbon-budget carbon-per-token \
+         watch watch-rules rows datacenters rows-per-pdu enforce-budgets fleet-threads \
+         site-budget-mw oversub-dc oversub-site jobs trace-csv rate-scale time-scale servers",
+    ),
+    ("plan", plan, "days seed servers jobs"),
+    ("profile", profile, "seed reps out"),
+];
 
 /// Runs an invocation, writing human-readable output to stdout.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] on unknown commands or malformed values.
+/// Returns [`CliError`] on unknown commands, flags the command does not
+/// read, or malformed values.
 pub fn run(inv: &Invocation) -> Result<(), CliError> {
-    match inv.command.as_str() {
-        "help" | "--help" | "-h" => {
-            print!("{HELP}");
-            Ok(())
-        }
-        "characterize" => characterize(inv),
-        "trace" => trace(inv),
-        "ingest" => ingest(inv),
-        "evaluate" => evaluate(inv),
-        "plan" => plan(inv),
-        "profile" => profile(inv),
-        other => Err(CliError::UnknownCommand(other.to_string())),
+    if matches!(inv.command.as_str(), "help" | "--help" | "-h") {
+        print!("{HELP}");
+        return Ok(());
     }
+    let &(command, handler, flags) = COMMANDS
+        .iter()
+        .find(|(name, _, _)| *name == inv.command)
+        .ok_or_else(|| CliError::UnknownCommand(inv.command.clone()))?;
+    // The smallest unknown flag, so the error does not depend on the
+    // option map's iteration order.
+    if let Some(flag) = inv
+        .options
+        .keys()
+        .filter(|f| !flags.split_whitespace().any(|known| known == f.as_str()))
+        .min()
+    {
+        return Err(CliError::UnknownFlag {
+            command: command.to_string(),
+            flag: flag.clone(),
+        });
+    }
+    handler(inv)
 }
 
 fn characterize(inv: &Invocation) -> Result<(), CliError> {
     let model_name: String = inv.get("model", "BLOOM".to_string())?;
     let model = find_model(&model_name)?;
-    let input: u32 = inv.get("input", 2048)?;
-    let output: u32 = inv.get("output", 256)?;
-    let batch: u32 = inv.get("batch", 1)?;
+    let input: u32 = inv.get_valid("input", 2048, |n| *n > 0)?;
+    let output: u32 = inv.get_valid("output", 256, |n| *n > 0)?;
+    let batch: u32 = inv.get_valid("batch", 1, |n| *n > 0)?;
     let lock: Option<f64> = inv.get_opt("lock")?;
     let cap: Option<f64> = inv.get_opt("cap")?;
 
@@ -419,7 +515,7 @@ fn characterize(inv: &Invocation) -> Result<(), CliError> {
 }
 
 fn trace(inv: &Invocation) -> Result<(), CliError> {
-    let days: f64 = inv.get("days", 1.0)?;
+    let days: f64 = inv.get_valid("days", 1.0, positive)?;
     let seed: u64 = inv.get("seed", 17)?;
     if let Some(path) = inv.get_opt::<String>("csv-out")? {
         return trace_csv_out(inv, &path, days, seed);
@@ -450,10 +546,14 @@ const CSV_OUT_STREAM: u64 = 0xC5F0;
 
 fn trace_csv_out(inv: &Invocation, path: &str, days: f64, seed: u64) -> Result<(), CliError> {
     let pattern = DiurnalPattern {
-        base_rate: inv.get("rate", DiurnalPattern::default().base_rate)?,
+        base_rate: inv.get_valid("rate", DiurnalPattern::default().base_rate, non_negative)?,
         daily_amplitude: inv.get("amplitude", DiurnalPattern::default().daily_amplitude)?,
         peak_hour: inv.get("peak-hour", DiurnalPattern::default().peak_hour)?,
-        short_term_noise: inv.get("noise", DiurnalPattern::default().short_term_noise)?,
+        short_term_noise: inv.get_valid(
+            "noise",
+            DiurnalPattern::default().short_term_noise,
+            non_negative,
+        )?,
         bursts_per_day: inv.get("bursts-per-day", DiurnalPattern::default().bursts_per_day)?,
         ..DiurnalPattern::default()
     };
@@ -484,7 +584,7 @@ fn ingest(inv: &Invocation) -> Result<(), CliError> {
         .or_else(|| inv.options.get("csv").cloned())
         .ok_or_else(|| CliError::Ingest("usage: polca-cli ingest <trace.csv>".into()))?;
     let seed: u64 = inv.get("seed", 17)?;
-    let days: f64 = inv.get("extrapolate-days", 42.0)?;
+    let days: f64 = inv.get_valid("extrapolate-days", 42.0, positive)?;
     let trace = IngestedTrace::from_csv_path(Path::new(&path))
         .map_err(|e| CliError::Ingest(e.to_string()))?;
     println!("ingested {path}:");
@@ -771,29 +871,6 @@ fn write_watch_artifacts(
     Ok(())
 }
 
-/// The per-row policy controller for the fleet paths, mirroring the
-/// Figure 17 panel construction.
-fn fleet_controller(
-    kind: PolicyKind,
-    policy: &PolcaPolicy,
-    obs: &Recorder,
-) -> Box<dyn PowerController> {
-    match kind {
-        PolicyKind::Polca => {
-            Box::new(PolcaController::new(policy.clone()).with_recorder(obs.clone()))
-        }
-        PolicyKind::OneThreshLowPri => Box::new(
-            SingleThresholdController::low_priority_only(policy.clone()).with_recorder(obs.clone()),
-        ),
-        PolicyKind::OneThreshAll => Box::new(
-            SingleThresholdController::all_workloads(policy.clone()).with_recorder(obs.clone()),
-        ),
-        PolicyKind::NoCap => {
-            Box::new(NoCapController::new(policy.clone()).with_recorder(obs.clone()))
-        }
-    }
-}
-
 /// Flags that, when present, show the caller is aware of the site
 /// level; their absence on a multi-row run triggers the
 /// compatibility note in [`parse_site_config`].
@@ -829,7 +906,7 @@ fn parse_site_config(
     let mut site = SiteConfig {
         datacenters,
         rows_per_datacenter: rows,
-        rows_per_pdu: inv.get("rows-per-pdu", 2)?,
+        rows_per_pdu: inv.get_valid("rows-per-pdu", 2, |n| *n > 0)?,
         enforce_budgets: inv.options.contains_key("enforce-budgets"),
         ..SiteConfig::default()
     };
@@ -842,10 +919,10 @@ fn parse_site_config(
     if let Some(mw) = inv.get_opt::<f64>("site-budget-mw")? {
         site.site_budget_watts = Some(mw * 1e6);
     }
-    if let Some(pct) = inv.get_opt::<f64>("oversub-dc")? {
+    if let Some(pct) = inv.get_opt_valid("oversub-dc", non_negative)? {
         site.datacenter_oversubscription = Some(pct / 100.0);
     }
-    if let Some(pct) = inv.get_opt::<f64>("oversub-site")? {
+    if let Some(pct) = inv.get_opt_valid("oversub-site", non_negative)? {
         site.site_oversubscription = Some(pct / 100.0);
     }
     if rows > 1 && datacenters == 1 && !SITE_FLAGS.iter().any(|f| inv.options.contains_key(*f)) {
@@ -1042,10 +1119,10 @@ fn evaluate(inv: &Invocation) -> Result<(), CliError> {
     }
     let policy_name: String = inv.get("policy", "polca".to_string())?;
     let kind = find_policy(&policy_name)?;
-    let added: f64 = inv.get("added", 30.0)?;
-    let days: f64 = inv.get("days", 2.0)?;
+    let added: f64 = inv.get_valid("added", 30.0, non_negative)?;
+    let days: f64 = inv.get_valid("days", 2.0, positive)?;
     let seed: u64 = inv.get("seed", 17)?;
-    let power_scale: f64 = inv.get("power-scale", 1.0)?;
+    let power_scale: f64 = inv.get_valid("power-scale", 1.0, positive)?;
     let obs_out: Option<String> = inv.get_opt("obs-out")?;
     let profiling = inv.options.contains_key("profile");
     // The watch plane's count rules and burn tracker ride the event
@@ -1159,10 +1236,10 @@ fn parse_obs_level(inv: &Invocation, obs_out: &Option<String>) -> Result<ObsLeve
 fn evaluate_fleet(inv: &Invocation, rows: usize, datacenters: usize) -> Result<(), CliError> {
     let policy_name: String = inv.get("policy", "polca".to_string())?;
     let kind = find_policy(&policy_name)?;
-    let added: f64 = inv.get("added", 30.0)?;
-    let days: f64 = inv.get("days", 2.0)?;
+    let added: f64 = inv.get_valid("added", 30.0, non_negative)?;
+    let days: f64 = inv.get_valid("days", 2.0, positive)?;
     let seed: u64 = inv.get("seed", 17)?;
-    let power_scale: f64 = inv.get("power-scale", 1.0)?;
+    let power_scale: f64 = inv.get_valid("power-scale", 1.0, positive)?;
     let mut site = parse_site_config(inv, rows, datacenters)?;
     let obs_out: Option<String> = inv.get_opt("obs-out")?;
     let req_trace = parse_req_trace(inv)?;
@@ -1214,7 +1291,7 @@ fn evaluate_fleet(inv: &Invocation, rows: usize, datacenters: usize) -> Result<(
     let sim = SiteSim::new(
         row.clone(),
         site,
-        |_, rec| fleet_controller(kind, &policy, rec),
+        |_, rec| kind.controller(&policy, rec),
         source,
         horizon,
     );
@@ -1272,13 +1349,13 @@ const FLEET_DRAIN_S: f64 = 1800.0;
 fn evaluate_trace(inv: &Invocation) -> Result<(), CliError> {
     let path = inv.options.get("trace-csv").cloned().expect("checked");
     let seed: u64 = inv.get("seed", 17)?;
-    let rate_scale: f64 = inv.get("rate-scale", 1.0)?;
-    let time_scale: f64 = inv.get("time-scale", 1.0)?;
-    let servers: usize = inv.get("servers", 40)?;
-    let added: f64 = inv.get("added", 30.0)?;
+    let rate_scale: f64 = inv.get_valid("rate-scale", 1.0, positive)?;
+    let time_scale: f64 = inv.get_valid("time-scale", 1.0, positive)?;
+    let servers: usize = inv.get_valid("servers", 40, |n| *n > 0)?;
+    let added: f64 = inv.get_valid("added", 30.0, non_negative)?;
     let rows: usize = inv.get("rows", 1)?;
     let datacenters: usize = inv.get("datacenters", 1)?;
-    let jobs: usize = inv.get("jobs", 1)?;
+    let jobs: usize = inv.get_valid("jobs", 1, |n| *n > 0)?;
     let obs_out: Option<String> = inv.get_opt("obs-out")?;
     let req_trace = parse_req_trace(inv)?;
     let energy = parse_energy(inv)?;
@@ -1346,7 +1423,7 @@ fn evaluate_trace(inv: &Invocation) -> Result<(), CliError> {
         let sim = SiteSim::new(
             row.clone(),
             site,
-            |_, rec| fleet_controller(kind, &policy, rec),
+            |_, rec| kind.controller(&policy, rec),
             requests.into_iter(),
             horizon,
         );
@@ -1476,10 +1553,10 @@ fn evaluate_trace(inv: &Invocation) -> Result<(), CliError> {
 }
 
 fn plan(inv: &Invocation) -> Result<(), CliError> {
-    let days: f64 = inv.get("days", 2.0)?;
+    let days: f64 = inv.get_valid("days", 2.0, positive)?;
     let seed: u64 = inv.get("seed", 17)?;
-    let servers: usize = inv.get("servers", 40)?;
-    let jobs: usize = inv.get("jobs", 1)?;
+    let servers: usize = inv.get_valid("servers", 40, |n| *n > 0)?;
+    let jobs: usize = inv.get_valid("jobs", 1, |n| *n > 0)?;
     let mut row = RowConfig::paper_inference_row();
     row.base_servers = servers;
     let mut study = OversubscriptionStudy::new(row, PolcaPolicy::default(), days, seed);
@@ -1523,7 +1600,8 @@ fn plan(inv: &Invocation) -> Result<(), CliError> {
 /// The `profile` subcommand: self-profiles the simulator with
 /// polca-prof on the quick-demo oversubscription study, prints the
 /// per-component attribution table, and (on request) writes the
-/// profiling artifact set and the `BENCH_*.json` perf baselines.
+/// profiling artifact set. Simulator speed itself is measured by
+/// `polca-benchmark` (see `benchmark/README.md`).
 ///
 /// The reference run and the arrival-trace cache are warmed by an
 /// un-instrumented run first, so the timed repetitions measure
@@ -1533,9 +1611,7 @@ fn profile(inv: &Invocation) -> Result<(), CliError> {
     let seed: u64 = inv.get("seed", 17)?;
     let reps: usize = inv.get("reps", 3)?.max(1);
     let out: Option<String> = inv.get_opt("out")?;
-    let bench_out: Option<String> = inv.get_opt("bench-out")?;
 
-    // --- sim: the quick-demo study under POLCA, fully instrumented ---
     let mut study = OversubscriptionStudy::quick_demo(seed);
     study.set_record_power(false);
     let _ = study.run(PolicyKind::Polca, 0.30, 1.0); // warm caches
@@ -1564,161 +1640,6 @@ fn profile(inv: &Invocation) -> Result<(), CliError> {
     );
     print!("{}", snap.attribution_table(wall_ns));
 
-    // --- watch: attach cost of the online alerting plane ---
-    // Best-of-N on both sides: the quick-demo run is milliseconds
-    // long, so single samples are too noisy for the ci.sh gate.
-    let mut base_s = f64::MAX;
-    let mut watch_s = f64::MAX;
-    let (mut alerts, mut incidents) = (0, 0);
-    for _ in 0..reps {
-        base_s = base_s.min(profile_study_run(&mut study));
-        let rec = Recorder::new(ObsLevel::Full);
-        study.set_recorder(rec.clone());
-        let plane = WatchPlane::new(WatchConfig::new(study.row().provisioned_watts()));
-        let mut taps = RowPowerTaps::new();
-        plane.attach(&mut taps, &rec);
-        study.set_oob_taps(taps);
-        let start = Instant::now();
-        let _ = study.run(PolicyKind::Polca, 0.30, 1.0);
-        watch_s = watch_s.min(start.elapsed().as_secs_f64());
-        rec.clear_tap();
-        study.set_oob_taps(RowPowerTaps::new());
-        let artifacts = plane.finalize(SimTime::from_days(study.days()));
-        alerts = artifacts.alerts().len();
-        incidents = artifacts.incidents().len();
-    }
-    let watch_overhead_pct = if base_s > 0.0 {
-        (watch_s - base_s) / base_s * 100.0
-    } else {
-        0.0
-    };
-    println!(
-        "watch plane: baseline {base_s:.3} s, with watch {watch_s:.3} s \
-         ({watch_overhead_pct:+.1}% — {alerts} alert(s), {incidents} incident(s))"
-    );
-
-    // --- ingest: CSV parse / stats / calibrate / replay pipeline ---
-    let csv = profile_ingest_corpus(seed);
-    let rows = csv.lines().count().saturating_sub(1);
-    let (mut parse_s, mut stats_s, mut calibrate_s, mut replay_s) =
-        (f64::MAX, f64::MAX, f64::MAX, f64::MAX);
-    for _ in 0..reps {
-        let start = Instant::now();
-        let trace = IngestedTrace::from_reader(csv.as_bytes())
-            .map_err(|e| CliError::Ingest(e.to_string()))?;
-        parse_s = parse_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let stats = TraceStats::from_trace(&trace).map_err(|e| CliError::Ingest(e.to_string()))?;
-        stats_s = stats_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let _ = TraceCalibration::fit_with_stats(&trace, &stats)
-            .map_err(|e| CliError::Ingest(e.to_string()))?;
-        calibrate_s = calibrate_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        let replay = TraceReplay::with_options(
-            &trace,
-            ReplayOptions {
-                rate_scale: 1.3,
-                ..ReplayOptions::default()
-            },
-        );
-        let _ = replay.count();
-        replay_s = replay_s.min(start.elapsed().as_secs_f64());
-    }
-    let rows_per_s = rows as f64 / parse_s;
-    println!(
-        "ingest: {rows} rows — parse {:.1} us ({rows_per_s:.0} rows/sec), \
-         stats {:.1} us, calibrate {:.1} us, replay {:.1} us",
-        parse_s * 1e6,
-        stats_s * 1e6,
-        calibrate_s * 1e6,
-        replay_s * 1e6
-    );
-
-    // --- serve: the continuous-batching engine on the same study ---
-    let mut serve_study = OversubscriptionStudy::quick_demo(seed);
-    serve_study.set_record_power(false);
-    serve_study.set_engine(DisaggregationConfig::default().batched_engine(false));
-    let _ = serve_study.run(PolicyKind::Polca, 0.30, 1.0); // warm caches
-    let serve_rec = Recorder::new(ObsLevel::Full);
-    serve_study.set_recorder(serve_rec.clone());
-    let mut serve_wall = f64::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let _ = serve_study.run(PolicyKind::Polca, 0.30, 1.0);
-        serve_wall = serve_wall.min(start.elapsed().as_secs_f64());
-    }
-    let serve_snap = serve_rec.prof().snapshot();
-    let serve_sim_rate = serve_study.days() * 86_400.0 / serve_wall;
-    println!(
-        "serve engine (batched): {serve_sim_rate:.0} simulated-seconds/sec — \
-         peak batch {}, peak KV blocks {}, {} preemption(s)",
-        serve_snap.counter(ProfCounter::ServePeakBatch),
-        serve_snap.counter(ProfCounter::ServeKvPeakBlocks),
-        serve_snap.counter(ProfCounter::ServePreemptions),
-    );
-
-    // --- fleet: the site simulator, sequential vs all-core stepping ---
-    let fleet_dcs = FLEET_BENCH_DCS;
-    let fleet_rows = FLEET_BENCH_ROWS_PER_DC;
-    let fleet_horizon_s = FLEET_BENCH_HORIZON_S;
-    let fleet_requests = profile_fleet_requests(seed, fleet_horizon_s);
-    let threads_max = std::thread::available_parallelism().map_or(1, usize::from);
-    let fleet_best = |threads: usize| -> f64 {
-        let mut best = f64::MAX;
-        for _ in 0..reps {
-            best = best.min(profile_fleet_run(seed, threads, &fleet_requests));
-        }
-        best
-    };
-    let fleet_seq = fleet_best(1);
-    let fleet_par = if threads_max > 1 {
-        fleet_best(threads_max)
-    } else {
-        fleet_seq
-    };
-    let fleet_wall = fleet_seq.min(fleet_par);
-    let fleet_speedup = fleet_seq / fleet_par;
-    let fleet_rate = fleet_horizon_s / fleet_wall;
-    println!(
-        "fleet (site sim): {fleet_dcs} datacenters × {fleet_rows} rows, \
-         {fleet_horizon_s:.0} simulated s — 1 thread {fleet_seq:.3} s, \
-         {threads_max} thread(s) {fleet_par:.3} s ({fleet_speedup:.2}×, \
-         {fleet_rate:.0} simulated-seconds/sec)"
-    );
-
-    // --- energy: ledger-attach cost on the same study ---
-    // Best-of-N on both sides like the watch pair; the baseline runs at
-    // the same metrics level so the delta isolates the ledger itself.
-    let mut energy_base_s = f64::MAX;
-    let mut energy_s = f64::MAX;
-    let (mut ledger_wh, mut ledger_g) = (0.0, 0.0);
-    for _ in 0..reps {
-        let rec = Recorder::new(ObsLevel::Metrics);
-        study.set_recorder(rec);
-        let start = Instant::now();
-        let _ = study.run(PolicyKind::Polca, 0.30, 1.0);
-        energy_base_s = energy_base_s.min(start.elapsed().as_secs_f64());
-        let rec = Recorder::new(ObsLevel::Metrics)
-            .with_energy(EnergyPlan::new(CarbonSignal::diurnal_default()));
-        study.set_recorder(rec.clone());
-        let start = Instant::now();
-        let _ = study.run(PolicyKind::Polca, 0.30, 1.0);
-        energy_s = energy_s.min(start.elapsed().as_secs_f64());
-        let ledger = rec.artifacts().energy_ledger();
-        ledger_wh = ledger.site.facility_wh;
-        ledger_g = ledger.site.co2e_g;
-    }
-    let energy_overhead_pct = if energy_base_s > 0.0 {
-        (energy_s - energy_base_s) / energy_base_s * 100.0
-    } else {
-        0.0
-    };
-    println!(
-        "energy ledger: baseline {energy_base_s:.3} s, with ledger {energy_s:.3} s \
-         ({energy_overhead_pct:+.1}% — {ledger_wh:.1} facility Wh, {ledger_g:.1} gCO2e)"
-    );
-
     if let Some(dir) = &out {
         let files = recorder
             .write_dir(Path::new(dir))
@@ -1729,166 +1650,7 @@ fn profile(inv: &Invocation) -> Result<(), CliError> {
             dir.trim_end_matches('/')
         );
     }
-    if let Some(dir) = &bench_out {
-        let dir_path = Path::new(dir);
-        let sim = BenchReport::new("sim")
-            .metric("sim_s_per_s", sim_rate)
-            .metric("events_per_s", event_rate)
-            .metric("wall_s", wall_s)
-            .metric("ns_per_event", wall_ns as f64 / events.max(1) as f64)
-            .metric("coverage_pct", snap.coverage(wall_ns) * 100.0)
-            .metric_u64("events", events)
-            .metric_u64(
-                "peak_queue_depth",
-                snap.counter(ProfCounter::PeakQueueDepth),
-            )
-            .phases(&snap);
-        let watch = BenchReport::new("watch")
-            .metric("watch_runs_per_s", 1.0 / watch_s.max(1e-9))
-            .metric("wall_s_baseline", base_s)
-            .metric("wall_s_watch", watch_s)
-            .metric("overhead_pct", watch_overhead_pct)
-            .metric_u64("alerts", alerts as u64)
-            .metric_u64("incidents", incidents as u64);
-        let ingest = BenchReport::new("ingest")
-            .metric("rows_per_s", rows_per_s)
-            .metric("parse_s", parse_s)
-            .metric("stats_s", stats_s)
-            .metric("calibrate_s", calibrate_s)
-            .metric("replay_s", replay_s)
-            .metric_u64("rows", rows as u64);
-        let serve = BenchReport::new("serve")
-            .metric("serve_sim_s_per_s", serve_sim_rate)
-            .metric("wall_s", serve_wall)
-            .metric_u64(
-                "peak_batch",
-                serve_snap.counter(ProfCounter::ServePeakBatch),
-            )
-            .metric_u64(
-                "kv_peak_blocks",
-                serve_snap.counter(ProfCounter::ServeKvPeakBlocks),
-            )
-            .metric_u64(
-                "preemptions",
-                serve_snap.counter(ProfCounter::ServePreemptions),
-            );
-        let fleet = BenchReport::new("fleet")
-            .metric("fleet_sim_s_per_s", fleet_rate)
-            .metric("fleet_parallel_speedup", fleet_speedup)
-            .metric("wall_s_threads_1", fleet_seq)
-            .metric("wall_s_threads_max", fleet_par)
-            .metric_u64("threads_max", threads_max as u64)
-            .metric_u64("datacenters", fleet_dcs as u64)
-            .metric_u64("rows_per_datacenter", fleet_rows as u64);
-        let energy = BenchReport::new("energy")
-            .metric("energy_runs_per_s", 1.0 / energy_s.max(1e-9))
-            .metric("wall_s_baseline", energy_base_s)
-            .metric("wall_s_energy", energy_s)
-            .metric("overhead_pct", energy_overhead_pct)
-            .metric("site_facility_wh", ledger_wh)
-            .metric("site_co2e_g", ledger_g);
-        for report in [&sim, &watch, &ingest, &serve, &fleet, &energy] {
-            let path = report
-                .write(dir_path)
-                .map_err(|e| CliError::Io(e.to_string()))?;
-            println!("wrote {}", path.display());
-        }
-    }
     Ok(())
-}
-
-/// One timed, fully-instrumented quick-demo run on a fresh recorder
-/// (the watch-overhead baseline).
-fn profile_study_run(study: &mut OversubscriptionStudy) -> f64 {
-    let rec = Recorder::new(ObsLevel::Full);
-    study.set_recorder(rec.clone());
-    let start = Instant::now();
-    let _ = study.run(PolicyKind::Polca, 0.30, 1.0);
-    start.elapsed().as_secs_f64()
-}
-
-/// RNG stream for the `profile` ingest corpus (mirrors the
-/// `ingest` Criterion bench so their row shapes match).
-const PROFILE_CORPUS_STREAM: u64 = 0xBE7C;
-
-/// A one-hour synthetic trace exported through the user-facing CSV
-/// path — the corpus the ingest pipeline is profiled on.
-fn profile_ingest_corpus(seed: u64) -> String {
-    let pattern = DiurnalPattern {
-        base_rate: 1.5,
-        ..DiurnalPattern::default()
-    };
-    let horizon_s = 3_600.0;
-    let mut rng = SimRng::from_seed_stream(seed, PROFILE_CORPUS_STREAM);
-    let config = TraceConfig {
-        seed,
-        horizon: SimTime::from_secs(horizon_s),
-        schedule: pattern.schedule(horizon_s, 60.0, &mut rng),
-        mix: WorkloadClass::table6(),
-    };
-    let requests: Vec<_> = ArrivalGenerator::new(&config).collect();
-    requests_to_csv(&requests)
-}
-
-/// Shape of the `profile` fleet pass / `BENCH_fleet.json` workload: a
-/// 100-row site (25 datacenters × 4 rows) of small rows. The horizon is
-/// sized so one rep takes ~100 ms — long enough that per-run setup
-/// jitter stays well inside the bench-smoke tolerance, short enough for
-/// ci-smoke territory.
-const FLEET_BENCH_DCS: usize = 25;
-/// Rows per datacenter in the fleet bench workload.
-const FLEET_BENCH_ROWS_PER_DC: usize = 4;
-/// Simulated horizon of one fleet bench run, in seconds.
-const FLEET_BENCH_HORIZON_S: f64 = 8640.0;
-/// RNG stream for the fleet bench arrival schedule.
-const FLEET_BENCH_STREAM: u64 = 0xF1EE;
-
-/// The small row every fleet bench run simulates.
-fn profile_fleet_row() -> RowConfig {
-    let mut row = RowConfig::paper_inference_row();
-    row.base_servers = 4;
-    row
-}
-
-/// Pre-materializes the fleet bench arrival stream once (synthesis is
-/// not what the bench measures), sized to keep all 100 rows busy.
-fn profile_fleet_requests(seed: u64, horizon_s: f64) -> Vec<polca_cluster::Request> {
-    let pattern = DiurnalPattern {
-        base_rate: 20.0,
-        ..DiurnalPattern::default()
-    };
-    let mut rng = SimRng::from_seed_stream(seed, FLEET_BENCH_STREAM);
-    let config = TraceConfig {
-        seed,
-        horizon: SimTime::from_secs(horizon_s),
-        schedule: pattern.schedule(horizon_s, 60.0, &mut rng),
-        mix: WorkloadClass::table6(),
-    };
-    ArrivalGenerator::new(&config).collect()
-}
-
-/// One timed fleet bench run at `threads` worker threads.
-fn profile_fleet_run(seed: u64, threads: usize, requests: &[polca_cluster::Request]) -> f64 {
-    let mut site = SiteConfig {
-        datacenters: FLEET_BENCH_DCS,
-        rows_per_datacenter: FLEET_BENCH_ROWS_PER_DC,
-        rows_per_pdu: 2,
-        threads,
-        ..SiteConfig::default()
-    };
-    site.base.seed = seed;
-    site.base.record_power_series = false;
-    let policy = PolcaPolicy::default();
-    let sim = SiteSim::new(
-        profile_fleet_row(),
-        site,
-        |_, rec| fleet_controller(PolicyKind::Polca, &policy, rec),
-        requests.iter().copied(),
-        SimTime::from_secs(FLEET_BENCH_HORIZON_S),
-    );
-    let start = Instant::now();
-    let _ = sim.run();
-    start.elapsed().as_secs_f64()
 }
 
 #[cfg(test)]
@@ -1995,7 +1757,93 @@ mod tests {
         assert!(HELP.contains("--trace-csv"));
         assert!(HELP.contains("--datacenters"));
         assert!(HELP.contains("--fleet-threads"));
-        assert!(HELP.contains("BENCH_fleet.json"));
+        assert!(HELP.contains("polca-benchmark"));
+    }
+
+    #[test]
+    fn out_of_domain_values_and_unknown_flags_are_typed_errors() {
+        let csv = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/sample_trace.csv"
+        );
+        let csv_out =
+            std::env::temp_dir().join(format!("polca-cli-domain-{}.csv", std::process::id()));
+        let csv_out = csv_out.to_str().unwrap();
+        // Every argv ends in the offending `--flag value` pair. Each
+        // value here reaches a library assert if the CLI lets it
+        // through.
+        let bad_values: &[&[&str]] = &[
+            &["evaluate", "--rows", "2", "--rows-per-pdu", "0"],
+            &["evaluate", "--rows", "2", "--oversub-dc", "-150"],
+            &["evaluate", "--rows", "2", "--oversub-site", "-150"],
+            &["plan", "--jobs", "0"],
+            &["evaluate", "--trace-csv", csv, "--jobs", "0"],
+            &["evaluate", "--days", "0"],
+            &["evaluate", "--rows", "2", "--days", "0"],
+            &["evaluate", "--added", "-200"],
+            &["evaluate", "--power-scale", "nan"],
+            &["evaluate", "--trace-csv", csv, "--time-scale", "0"],
+            &["evaluate", "--trace-csv", csv, "--rate-scale", "-1"],
+            &["trace", "--days", "0"],
+            &["trace", "--days", "inf"],
+            &["trace", "--csv-out", csv_out, "--noise", "nan"],
+            &["trace", "--csv-out", csv_out, "--rate", "inf"],
+            &["ingest", csv, "--extrapolate-days", "0"],
+            &["plan", "--servers", "0"],
+            &["characterize", "--batch", "0"],
+            &["characterize", "--input", "0"],
+            &["characterize", "--output", "0"],
+        ];
+        // Each flag here is one its subcommand does not read.
+        let unknown_flags: &[&[&str]] = &[
+            &["characterize", "--modle", "BLOOM"],
+            &["trace", "--dayz", "1"],
+            &["ingest", csv, "--extrapolate", "3"],
+            &["evaluate", "--polcy", "nocap"],
+            &["plan", "--day", "0.01"],
+            &["profile", "--rep", "1"],
+            &["profile", "--bench-out", "x"],
+        ];
+        let check = |argv: &[&str], unknown: bool| {
+            let [command, .., flag, value] = argv else {
+                panic!("{argv:?} ends in a flag and its value")
+            };
+            let expected = if unknown {
+                CliError::UnknownFlag {
+                    command: command.to_string(),
+                    flag: flag[2..].to_string(),
+                }
+            } else {
+                CliError::BadValue {
+                    flag: flag[2..].to_string(),
+                    value: value.to_string(),
+                }
+            };
+            let err = run(&parse_args(args(argv)).unwrap()).unwrap_err();
+            assert!(err.to_string().contains(flag), "{err}");
+            assert_eq!(err, expected, "{argv:?}");
+        };
+        for argv in bad_values {
+            check(argv, false);
+        }
+        for argv in unknown_flags {
+            check(argv, true);
+        }
+        assert!(!Path::new(csv_out).exists(), "a refused run wrote no CSV");
+    }
+
+    #[test]
+    fn profile_prints_the_table_and_writes_prof_artifacts() {
+        let dir =
+            std::env::temp_dir().join(format!("polca-cli-profile-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.to_string_lossy().to_string();
+        let inv = parse_args(args(&["profile", "--reps", "1", "--out", &out])).unwrap();
+        run(&inv).unwrap();
+        for file in ["prof.json", "prof.folded", "prof.trace.json"] {
+            assert!(dir.join(file).exists(), "{file} missing");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -26,13 +26,12 @@
 //!   is factored into the resumable [`sim::RowSim`] engine, which
 //!   supports `step_until`-style incremental execution and drives
 //!   either serving engine,
-//! * [`fleet`] — [`fleet::FleetSim`]: N rows stepped in lockstep under
-//!   the per-PDU and datacenter budgets of [`hierarchy::PowerHierarchy`]
-//!   (a 1-datacenter site since the site refactor),
 //! * [`site`] — [`site::SiteSim`]: N datacenters of M rows each under a
-//!   [`hierarchy::SiteHierarchy`], stepped in lockstep telemetry
-//!   windows by an optional scoped thread pool with a deterministic
-//!   canonical-order merge at every boundary,
+//!   [`hierarchy::SiteHierarchy`] (per-PDU, datacenter, and site
+//!   budgets), stepped in lockstep telemetry windows by an optional
+//!   scoped thread pool with a deterministic canonical-order merge at
+//!   every boundary; its default shape, one datacenter of one row,
+//!   reproduces the single-row path bit for bit,
 //! * [`training`] — the synchronized training-cluster power model behind
 //!   Table 4's training column.
 //!
@@ -49,7 +48,6 @@
 
 #![deny(missing_docs)]
 
-pub mod fleet;
 pub mod hierarchy;
 pub mod request;
 pub mod row;
@@ -59,7 +57,6 @@ pub mod sim;
 pub mod site;
 pub mod training;
 
-pub use fleet::{row_seed, FleetConfig, FleetReport, FleetSim};
 pub use hierarchy::{PowerHierarchy, RackLayout, SiteHierarchy};
 pub use request::{CompletedRequest, Priority, Request};
 pub use row::RowConfig;
@@ -69,5 +66,5 @@ pub use sim::{
     ClusterSim, ControlRequest, ControlTarget, EngineKind, NoopController, PowerController,
     RequestSource, RowContext, RowSim, SimConfig, SimReport,
 };
-pub use site::{SiteConfig, SiteReport, SiteSim};
+pub use site::{row_seed, SiteConfig, SiteReport, SiteSim};
 pub use training::TrainingCluster;

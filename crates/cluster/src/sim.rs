@@ -1039,7 +1039,7 @@ impl<P: PowerController> ClusterSim<P> {
 /// A `RowSim` owns one row's complete simulation state — servers, event
 /// queue, OOB control plane, delayed telemetry signal, RNG streams —
 /// and advances it in bounded time slices instead of straight to the
-/// horizon. That is what lets `FleetSim` interleave N rows in lockstep
+/// horizon. That is what lets `SiteSim` interleave N rows in lockstep
 /// (stepping each row one telemetry window at a time and inspecting
 /// aggregate power between windows) while each row replays *exactly*
 /// the event sequence it would have seen in a solo

@@ -40,10 +40,23 @@
 //! row's private recorder, and a row's trajectory over a window is a
 //! pure function of its state at the previous boundary (plus injected
 //! commands, which are decided in step 4 from merged state only). So
-//! `threads = 1` and `threads = K` produce byte-identical artifacts,
-//! and a 1-datacenter site is bit-identical to the historical
-//! single-datacenter `FleetSim` — both are pinned by proptests in
-//! `tests/site_sim.rs`.
+//! `threads = 1` and `threads = K` produce byte-identical artifacts
+//! (pinned by proptests in `tests/site_sim.rs`).
+//!
+//! # The 1-row site
+//!
+//! A default [`SiteConfig`] is one datacenter of one row, and that
+//! shape is the legacy single-row path:
+//!
+//! * arrivals are split across rows by a deterministic round-robin
+//!   dispatcher that preserves per-row arrival order, so a 1-row site
+//!   feeds its single row the unmodified source stream;
+//! * per-row seeds come from [`row_seed`], whose row-0 value is the
+//!   site seed itself;
+//! * budget *monitoring* is passive by default, so a 1-row site run is
+//!   bit-identical (events.jsonl and all) to the single-row
+//!   [`ClusterSim`] path (pinned by `tests/fleet_sweep.rs`). Active
+//!   enforcement is opt-in via [`SiteConfig::enforce_budgets`].
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -53,7 +66,6 @@ use polca_obs::{Event, Label, Phase, ProfCounter, Recorder};
 use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
 
-use crate::fleet::row_seed;
 use crate::hierarchy::SiteHierarchy;
 use crate::request::{Priority, Request};
 use crate::row::RowConfig;
@@ -65,7 +77,24 @@ use crate::sim::{
 /// Aggregate power must fall below this fraction of a budget before an
 /// enforcement brake releases (hysteresis against brake/unbrake limit
 /// cycles at the breaker threshold). Shared by every hierarchy level.
-pub(crate) const RELEASE_FRACTION: f64 = 0.95;
+const RELEASE_FRACTION: f64 = 0.95;
+
+/// Derives the seed for site row `row` (global index) from the site
+/// seed.
+///
+/// The mix is a splitmix64-style finalizer over the row index with no
+/// additive constants, so `row_seed(seed, 0) == seed` — the first row
+/// of a site replays exactly the RNG streams of a single-row run with
+/// the same seed — while distinct rows land on well-separated streams.
+pub fn row_seed(site_seed: u64, row: usize) -> u64 {
+    let mut x = (row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
+    site_seed ^ x
+}
 
 /// Each row consumes its pre-split share of the arrival stream: an
 /// owned iterator, so rows can step on worker threads without sharing
@@ -162,8 +191,7 @@ impl Default for SiteConfig {
 impl SiteConfig {
     /// Whether this config engages the site level at all: more than
     /// one datacenter, or an explicit site budget/oversubscription.
-    /// When inactive, no site-scoped gauges or events are emitted and
-    /// the run is bit-identical to the single-datacenter fleet path.
+    /// When inactive, no site-scoped gauges or events are emitted.
     pub fn site_active(&self) -> bool {
         self.datacenters > 1
             || self.site_budget_watts.is_some()
@@ -871,6 +899,157 @@ mod tests {
     }
 
     #[test]
+    fn row_seed_is_identity_for_row_zero() {
+        assert_eq!(row_seed(42, 0), 42);
+        assert_eq!(row_seed(0, 0), 0);
+        assert_eq!(row_seed(u64::MAX, 0), u64::MAX);
+        let seeds: std::collections::BTreeSet<u64> = (0..64).map(|r| row_seed(42, r)).collect();
+        assert_eq!(seeds.len(), 64, "row seeds must be distinct");
+    }
+
+    #[test]
+    fn one_row_site_is_bit_identical_to_cluster_sim() {
+        let reqs = mixed_requests(50);
+        let solo_rec = Recorder::new(ObsLevel::Full);
+        let solo_cfg = SimConfig {
+            recorder: solo_rec.clone(),
+            ..SimConfig::default()
+        };
+        let solo =
+            ClusterSim::new(small_row(), solo_cfg, NoopController).run(reqs.clone(), t(1000.0));
+
+        let mut cfg = SiteConfig::default();
+        cfg.base.recorder = Recorder::new(ObsLevel::Full);
+        let site = SiteSim::new(
+            small_row(),
+            cfg,
+            |_, _: &Recorder| NoopController,
+            reqs.into_iter(),
+            t(1000.0),
+        )
+        .run();
+
+        assert_eq!(site.rows.len(), 1);
+        let row = &site.rows[0];
+        assert_eq!(row.offered, solo.offered);
+        assert_eq!(row.completed, solo.completed);
+        assert_eq!(row.rejected, solo.rejected);
+        assert_eq!(row.low_latencies_s, solo.low_latencies_s);
+        assert_eq!(row.high_latencies_s, solo.high_latencies_s);
+        assert_eq!(row.peak_row_watts, solo.peak_row_watts);
+        assert_eq!(row.mean_row_watts, solo.mean_row_watts);
+        assert_eq!(row.events_processed, solo.events_processed);
+        assert_eq!(row.row_power.values(), solo.row_power.values());
+        // The row's event log is byte-for-byte the single-row log.
+        assert_eq!(
+            site.row_recorders[0].artifacts().events_jsonl(),
+            solo_rec.artifacts().events_jsonl()
+        );
+    }
+
+    #[test]
+    fn round_robin_dispatch_splits_arrivals_evenly() {
+        let cfg = SiteConfig {
+            rows_per_datacenter: 2,
+            rows_per_pdu: 2,
+            ..SiteConfig::default()
+        };
+        let site = SiteSim::new(
+            small_row(),
+            cfg,
+            |_, _: &Recorder| NoopController,
+            mixed_requests(50).into_iter(),
+            t(1000.0),
+        )
+        .run();
+        assert_eq!(site.rows[0].offered, 25);
+        assert_eq!(site.rows[1].offered, 25);
+        assert_eq!(site.offered(), 50);
+        assert_eq!(
+            site.completed(),
+            site.rows[0].completed + site.rows[1].completed
+        );
+        assert!(site.events_processed() > 0);
+        assert_eq!(
+            site.latencies(Priority::Low).len(),
+            site.rows[0].low_latencies_s.len() + site.rows[1].low_latencies_s.len()
+        );
+    }
+
+    #[test]
+    fn budget_monitoring_counts_violations_without_intervening() {
+        let cfg = SiteConfig {
+            rows_per_datacenter: 2,
+            rows_per_pdu: 2,
+            pdu_budget_watts: Some(1.0), // violated at every boundary
+            datacenter_budget_watts: Some(1.0),
+            base: SimConfig {
+                recorder: Recorder::new(ObsLevel::Events),
+                ..SimConfig::default()
+            },
+            ..SiteConfig::default()
+        };
+        let obs = cfg.base.recorder.clone();
+        let monitored = SiteSim::new(
+            small_row(),
+            cfg,
+            |_, _: &Recorder| NoopController,
+            mixed_requests(50).into_iter(),
+            t(100.0),
+        );
+        assert_eq!(monitored.n_rows(), 2);
+        assert_eq!(monitored.hierarchy().n_pdus(), 1);
+        let report = monitored.run();
+        assert_eq!(report.pdu_violation_samples, 50); // 100 s / 2 s windows
+        assert_eq!(report.datacenter_violation_samples, 50);
+        assert_eq!(report.fleet_brake_engagements, 0);
+        assert_eq!(report.rows[0].brake_engagements, 0);
+        assert!(report.datacenter_peak_watts[0] > report.datacenter_budget_watts);
+        assert!(report.datacenter_peak_utilization(0) > 1.0);
+        let kinds: std::collections::BTreeSet<&str> =
+            obs.artifacts().events.iter().map(Event::kind).collect();
+        assert!(kinds.contains("fleet_power_sample"), "kinds: {kinds:?}");
+        assert!(kinds.contains("budget_violation"), "kinds: {kinds:?}");
+    }
+
+    #[test]
+    fn enforcement_brakes_rows_behind_an_overloaded_pdu() {
+        let reqs = mixed_requests(50);
+        let mut cfg = SiteConfig {
+            rows_per_datacenter: 2,
+            rows_per_pdu: 2,
+            pdu_budget_watts: Some(1.0), // always over; brake never releases
+            ..SiteConfig::default()
+        };
+        let free = SiteSim::new(
+            small_row(),
+            cfg.clone(),
+            |_, _: &Recorder| NoopController,
+            reqs.clone().into_iter(),
+            t(1000.0),
+        )
+        .run();
+        cfg.enforce_budgets = true;
+        let braked = SiteSim::new(
+            small_row(),
+            cfg,
+            |_, _: &Recorder| NoopController,
+            reqs.into_iter(),
+            t(1000.0),
+        )
+        .run();
+        assert_eq!(braked.fleet_brake_engagements, 1);
+        assert_eq!(braked.rows[0].brake_engagements, 1);
+        assert_eq!(braked.rows[1].brake_engagements, 1);
+        assert!(
+            braked.mean_site_watts() < free.mean_site_watts(),
+            "{} vs {}",
+            braked.mean_site_watts(),
+            free.mean_site_watts()
+        );
+    }
+
+    #[test]
     fn parallel_stepping_is_byte_identical_to_sequential() {
         let seq_cfg = site_config(2, 2, 1);
         let par_cfg = site_config(2, 2, 4);
@@ -932,9 +1111,8 @@ mod tests {
 
     #[test]
     fn datacenter_enforcement_brakes_every_row() {
-        // The historical FleetSim documented datacenter-budget
-        // enforcement but only ever enforced at the PDU breaker; the
-        // site monitor closes that gap.
+        // Datacenter-budget enforcement brakes every row of the
+        // datacenter, not only the rows behind an overloaded PDU.
         let mut free_cfg = site_config(1, 2, 1);
         free_cfg.datacenter_budget_watts = Some(1.0);
         let free = run_site(free_cfg.clone(), 900.0);

@@ -10,15 +10,12 @@
 
 use std::sync::OnceLock;
 
-use polca_cluster::{
-    ClusterSim, EngineKind, NoopController, PowerController, Request, RowConfig, SimConfig,
-};
+use polca_cluster::{ClusterSim, EngineKind, NoopController, Request, RowConfig, SimConfig};
 use polca_obs::Recorder;
 use polca_sim::SimTime;
 use polca_stats::Quantiles;
 use polca_telemetry::RowPowerTaps;
 
-use crate::controller::{NoCapController, PolcaController, SingleThresholdController};
 use crate::experiment::PolicyKind;
 use crate::policy::PolcaPolicy;
 
@@ -176,28 +173,6 @@ impl TraceEvaluation {
         })
     }
 
-    /// The policy controller instance for `kind`, recording into `obs`.
-    ///
-    /// Public so fleet-scale drivers can hand each row its own
-    /// controller built from this evaluation's policy parameters.
-    pub fn controller(&self, kind: PolicyKind, obs: Recorder) -> Box<dyn PowerController> {
-        match kind {
-            PolicyKind::Polca => {
-                Box::new(PolcaController::new(self.policy.clone()).with_recorder(obs))
-            }
-            PolicyKind::OneThreshLowPri => Box::new(
-                SingleThresholdController::low_priority_only(self.policy.clone())
-                    .with_recorder(obs),
-            ),
-            PolicyKind::OneThreshAll => Box::new(
-                SingleThresholdController::all_workloads(self.policy.clone()).with_recorder(obs),
-            ),
-            PolicyKind::NoCap => {
-                Box::new(NoCapController::new(self.policy.clone()).with_recorder(obs))
-            }
-        }
-    }
-
     /// Replays the stream under `kind` and normalizes against the
     /// cached un-capped reference.
     pub fn run(&mut self, kind: PolicyKind) -> ReplayOutcome {
@@ -213,7 +188,7 @@ impl TraceEvaluation {
     /// worker threads.
     pub fn run_cell(&self, kind: PolicyKind, obs: &Recorder, taps: &RowPowerTaps) -> ReplayOutcome {
         let (ref_low, ref_high) = self.reference();
-        let controller = self.controller(kind, obs.clone());
+        let controller = kind.controller(&self.policy, obs);
         let provisioned = self.row.provisioned_watts();
         let mut config = self.sim_config(obs.clone());
         config.oob_taps = taps.clone();

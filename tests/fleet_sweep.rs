@@ -1,14 +1,15 @@
 //! Fleet-scale refactor guarantees (ISSUE 4 acceptance criteria):
 //!
-//! * a 1-row [`FleetSim`] is a *bit-identical* re-packaging of the
-//!   legacy single-row `ClusterSim` path — same report, same
-//!   `events.jsonl` bytes — at any seed,
+//! * a 1-row [`SiteSim`] (one datacenter of one row, the default
+//!   [`SiteConfig`]) is a *bit-identical* re-packaging of the legacy
+//!   single-row `ClusterSim` path — same report, same `events.jsonl`
+//!   bytes — at any seed,
 //! * the deterministic sweep runner produces byte-identical artifacts
 //!   (`events.jsonl`, `metrics.json`) and identical outcomes whether
 //!   it runs on 1 worker thread or 4.
 
 use polca::{OversubscriptionStudy, PolcaController, PolcaPolicy, PolicyKind};
-use polca_cluster::{ClusterSim, FleetConfig, FleetSim, Request, RowConfig, SimConfig};
+use polca_cluster::{ClusterSim, Request, RowConfig, SimConfig, SiteConfig, SiteSim};
 use polca_obs::{ObsLevel, Recorder};
 use polca_sim::SimTime;
 use polca_trace::{ArrivalGenerator, TraceConfig};
@@ -32,7 +33,7 @@ const HORIZON: f64 = 20.0 * 60.0 + 600.0;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Tentpole invariant: wrapping the row engine in a 1-row fleet
+    /// Tentpole invariant: wrapping the row engine in a 1-row site
     /// changes nothing — not the report, not a single event byte.
     #[test]
     fn one_row_fleet_reproduces_the_legacy_path_bit_for_bit(seed in 0u64..500) {
@@ -51,19 +52,19 @@ proptest! {
         let solo = ClusterSim::new(small_row(), solo_cfg, solo_controller)
             .run(requests.clone(), until);
 
-        let mut fleet_cfg = FleetConfig::with_rows(1);
-        fleet_cfg.base.seed = seed;
-        fleet_cfg.base.recorder = Recorder::new(ObsLevel::Events);
-        let fleet = FleetSim::new(
+        let mut site_cfg = SiteConfig::default();
+        site_cfg.base.seed = seed;
+        site_cfg.base.recorder = Recorder::new(ObsLevel::Events);
+        let site = SiteSim::new(
             small_row(),
-            fleet_cfg,
+            site_cfg,
             |_, rec| PolcaController::new(policy.clone()).with_recorder(rec.clone()),
             requests.into_iter(),
             until,
         )
         .run();
 
-        let row = &fleet.rows[0];
+        let row = &site.rows[0];
         prop_assert_eq!(row.offered, solo.offered);
         prop_assert_eq!(row.completed, solo.completed);
         prop_assert_eq!(row.rejected, solo.rejected);
@@ -75,10 +76,10 @@ proptest! {
         prop_assert_eq!(row.commands_issued, solo.commands_issued);
         prop_assert_eq!(row.events_processed, solo.events_processed);
         // The per-row event log is byte-identical to the solo run's.
-        let fleet_events = fleet.row_recorders[0].artifacts().events_jsonl();
+        let site_events = site.row_recorders[0].artifacts().events_jsonl();
         let solo_events = solo_rec.artifacts().events_jsonl();
-        prop_assert!(!fleet_events.is_empty());
-        prop_assert_eq!(fleet_events, solo_events);
+        prop_assert!(!site_events.is_empty());
+        prop_assert_eq!(site_events, solo_events);
     }
 
     /// Sweep-runner invariant: `--jobs 4` and `--jobs 1` produce the

@@ -6,14 +6,12 @@
 //!   `incidents.jsonl` to the same site stepped sequentially, at any
 //!   seed — even with budget enforcement injecting brake commands
 //!   mid-run,
-//! * a 1-datacenter [`SiteSim`] is a bit-identical re-packaging of
-//!   the pre-refactor [`FleetSim`] path,
 //! * hierarchy budget math: a parent-level `BudgetViolation` is never
 //!   emitted unless the sum of its children's powers at that sample
 //!   actually exceeds the parent cap, for randomized site shapes.
 
 use polca::{PolcaController, PolcaPolicy};
-use polca_cluster::{FleetConfig, FleetSim, Request, RowConfig, SiteConfig, SiteSim};
+use polca_cluster::{Request, RowConfig, SiteConfig, SiteSim};
 use polca_obs::{Event, ObsLevel, Recorder, ReqTraceConfig};
 use polca_sim::SimTime;
 use polca_telemetry::{merge_tick_columns, RowPowerTaps, RowTickBuffer};
@@ -134,53 +132,6 @@ proptest! {
             prop_assert_eq!(&seq.row_requests[i], &par.row_requests[i]);
         }
         prop_assert_eq!(&seq.incidents, &par.incidents);
-    }
-
-    /// A 1-datacenter site is the pre-refactor fleet, bit for bit.
-    #[test]
-    fn one_datacenter_site_matches_the_fleet_wrapper(seed in 0u64..500) {
-        let site_rec = Recorder::new(ObsLevel::Events);
-        let mut site = FleetConfig::with_rows(2).into_site();
-        site.rows_per_pdu = 2;
-        site.enforce_budgets = true;
-        site.base.seed = seed;
-        site.base.recorder = site_rec.clone();
-        let policy = PolcaPolicy::default();
-        let site_report = SiteSim::new(
-            small_row(),
-            site,
-            |_, rec| PolcaController::new(policy.clone()).with_recorder(rec.clone()),
-            arrivals(seed).into_iter(),
-            SimTime::from_secs(HORIZON),
-        )
-        .run();
-
-        let legacy_rec = Recorder::new(ObsLevel::Events);
-        let mut cfg = FleetConfig::with_rows(2);
-        cfg.rows_per_pdu = 2;
-        cfg.enforce_budgets = true;
-        cfg.base.seed = seed;
-        cfg.base.recorder = legacy_rec.clone();
-        let legacy = FleetSim::new(
-            small_row(),
-            cfg,
-            |_, rec| PolcaController::new(policy.clone()).with_recorder(rec.clone()),
-            arrivals(seed).into_iter(),
-            SimTime::from_secs(HORIZON),
-        )
-        .run();
-        prop_assert_eq!(legacy.rows.len(), site_report.rows.len());
-        for (a, b) in legacy.rows.iter().zip(&site_report.rows) {
-            prop_assert_eq!(a.offered, b.offered);
-            prop_assert_eq!(a.completed, b.completed);
-            prop_assert_eq!(a.peak_row_watts, b.peak_row_watts);
-            prop_assert_eq!(a.brake_engagements, b.brake_engagements);
-        }
-        prop_assert_eq!(legacy.fleet_brake_engagements, site_report.fleet_brake_engagements);
-        prop_assert_eq!(legacy.datacenter_peak_watts, site_report.datacenter_peak_watts[0]);
-        let legacy_events = legacy_rec.artifacts().events_jsonl();
-        prop_assert!(!legacy_events.is_empty());
-        prop_assert_eq!(legacy_events, site_rec.artifacts().events_jsonl());
     }
 
     /// Hierarchy budget math: a parent violation is only ever emitted

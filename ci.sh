@@ -95,6 +95,28 @@ for row in 0 1 2 3 4 5; do
 done
 grep -q 'datacenter="2"' "$site_seq/metrics.prom" \
     || { echo "no per-datacenter series in site metrics.prom"; exit 1; }
+# The same site under a 0.30 MW site budget, where site brakes fire:
+# around every brake the site falls back to one-window epochs
+# (lockstep), and the artifacts still must not depend on
+# --fleet-threads.
+brake_seq="$(scratch)"
+brake_par="$(scratch)"
+cargo run -q --offline --release -p polca-cli -- \
+    evaluate --trace-csv tests/golden/sample_trace.csv \
+    --rows 2 --datacenters 3 --servers 10 --enforce-budgets \
+    --site-budget-mw 0.30 --fleet-threads 1 --obs-out "$brake_seq" > /dev/null
+cargo run -q --offline --release -p polca-cli -- \
+    evaluate --trace-csv tests/golden/sample_trace.csv \
+    --rows 2 --datacenters 3 --servers 10 --enforce-budgets \
+    --site-budget-mw 0.30 --fleet-threads 2 --obs-out "$brake_par" > /dev/null
+cmp "$brake_seq/events.jsonl" "$brake_par/events.jsonl" \
+    || { echo "braked site events.jsonl differs across --fleet-threads"; exit 1; }
+for row in 0 1 2 3 4 5; do
+    cmp "$brake_seq/row$row/events.jsonl" "$brake_par/row$row/events.jsonl" \
+        || { echo "braked row$row events.jsonl differs across --fleet-threads"; exit 1; }
+done
+grep -q '"ev":"budget_violation","t":[^,]*,"scope":"site"' "$brake_seq/events.jsonl" \
+    || { echo "no site budget violation under --site-budget-mw 0.30"; exit 1; }
 # --jobs (sweep workers) and --fleet-threads (row workers) nest: the
 # four-policy panel path must still run with both set.
 cargo run -q --offline --release -p polca-cli -- \

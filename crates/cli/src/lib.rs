@@ -371,9 +371,9 @@ COMMANDS
                 [--rows-per-pdu 2] sets the PDU fan-in,
                 [--enforce-budgets] brakes every row behind an
                 overloaded PDU, datacenter, or site,
-                [--fleet-threads K] steps rows on K worker threads
-                (0 = all cores); artifacts are byte-identical
-                whatever K is;
+                [--fleet-threads K] steps rows on K threads, each
+                owning a chunk of rows (0 = all cores); artifacts are
+                byte-identical whatever K is;
                 [--site-budget-mw X] caps the site at X megawatts,
                 [--oversub-dc PCT] / [--oversub-site PCT] derive the
                 datacenter / site budget from an oversubscription

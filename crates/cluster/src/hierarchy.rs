@@ -181,6 +181,12 @@ impl PowerHierarchy {
     }
 }
 
+/// Sums `watts` in order from zero, exactly as accumulating each entry
+/// into a zeroed total would.
+fn sum_in_order(watts: &[f64]) -> f64 {
+    watts.iter().fold(0.0, |total, &w| total + w)
+}
+
 /// A multi-datacenter site: `datacenters` identical copies of one
 /// [`PowerHierarchy`] fed by a single site bus (a utility substation in
 /// the 100 MW-scale deployments of the related provisioning work).
@@ -368,12 +374,25 @@ impl SiteHierarchy {
     ///
     /// Panics if `row_watts` does not hold exactly one entry per row.
     pub fn pdu_powers(&self, row_watts: &[f64]) -> Vec<f64> {
-        assert_eq!(row_watts.len(), self.n_rows(), "one power entry per row");
-        let mut powers = vec![0.0; self.n_pdus()];
-        for (row, &w) in row_watts.iter().enumerate() {
-            powers[self.pdu_of(row)] += w;
-        }
+        let mut powers = Vec::new();
+        self.write_pdu_powers(row_watts, &mut powers);
         powers
+    }
+
+    /// [`pdu_powers`](Self::pdu_powers) into a caller-owned buffer,
+    /// which it overwrites (no allocation once `out` has capacity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_watts` does not hold exactly one entry per row.
+    pub(crate) fn write_pdu_powers(&self, row_watts: &[f64], out: &mut Vec<f64>) {
+        assert_eq!(row_watts.len(), self.n_rows(), "one power entry per row");
+        out.clear();
+        // Rows run contiguously within PDUs and PDUs within
+        // datacenters, so each PDU sums a run of rows in row order.
+        for dc_rows in row_watts.chunks(self.per_dc.n_rows) {
+            out.extend(dc_rows.chunks(self.per_dc.rows_per_pdu).map(sum_in_order));
+        }
     }
 
     /// Per-datacenter aggregate power for the given per-row powers.
@@ -382,12 +401,21 @@ impl SiteHierarchy {
     ///
     /// Panics if `row_watts` does not hold exactly one entry per row.
     pub fn datacenter_powers(&self, row_watts: &[f64]) -> Vec<f64> {
-        assert_eq!(row_watts.len(), self.n_rows(), "one power entry per row");
-        let mut powers = vec![0.0; self.datacenters];
-        for (row, &w) in row_watts.iter().enumerate() {
-            powers[self.datacenter_of(row)] += w;
-        }
+        let mut powers = Vec::new();
+        self.write_datacenter_powers(row_watts, &mut powers);
         powers
+    }
+
+    /// [`datacenter_powers`](Self::datacenter_powers) into a
+    /// caller-owned buffer, which it overwrites.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_watts` does not hold exactly one entry per row.
+    pub(crate) fn write_datacenter_powers(&self, row_watts: &[f64], out: &mut Vec<f64>) {
+        assert_eq!(row_watts.len(), self.n_rows(), "one power entry per row");
+        out.clear();
+        out.extend(row_watts.chunks(self.per_dc.n_rows).map(sum_in_order));
     }
 
     /// Total site power for the given per-row powers.

@@ -28,10 +28,11 @@
 //!   either serving engine,
 //! * [`site`] — [`site::SiteSim`]: N datacenters of M rows each under a
 //!   [`hierarchy::SiteHierarchy`] (per-PDU, datacenter, and site
-//!   budgets), stepped in lockstep telemetry windows by an optional
-//!   scoped thread pool with a deterministic canonical-order merge at
-//!   every boundary; its default shape, one datacenter of one row,
-//!   reproduces the single-row path bit for bit,
+//!   budgets), stepped by an optional scoped thread pool in epochs of
+//!   telemetry windows that a power ceiling proves brake-free, with a
+//!   deterministic canonical-order replay of every boundary; its
+//!   default shape, one datacenter of one row, reproduces the
+//!   single-row path bit for bit,
 //! * [`training`] — the synchronized training-cluster power model behind
 //!   Table 4's training column.
 //!
@@ -66,5 +67,5 @@ pub use sim::{
     ClusterSim, ControlRequest, ControlTarget, EngineKind, NoopController, PowerController,
     RequestSource, RowContext, RowSim, SimConfig, SimReport,
 };
-pub use site::{row_seed, SiteConfig, SiteReport, SiteSim};
+pub use site::{row_seed, PowerCeiling, SiteConfig, SiteReport, SiteSim};
 pub use training::TrainingCluster;

@@ -252,15 +252,33 @@ impl InferenceServer {
 
     /// Instantaneous server power in watts.
     pub fn power_watts(&self) -> f64 {
-        let gpu = &self.spec.gpu;
         let intensity = match &self.state {
             None => HOT_IDLE_INTENSITY,
             Some((_, _, active, _)) => active.intensity,
         };
-        let per_gpu = gpu.idle_watts
-            + (gpu.transient_peak_watts - gpu.idle_watts)
-                * intensity
-                * self.dvfs.power_scale(self.clock_ratio());
+        self.power_at(intensity, self.dvfs.power_scale(self.clock_ratio()))
+    }
+
+    /// The most this server can draw while serving: workload intensity
+    /// 1 at the full clock. Phase intensities lie in `[0, 1]` and the
+    /// DVFS scale never exceeds 1, so no request, lock or brake can
+    /// push [`power_watts`](Self::power_watts) above it.
+    pub(crate) fn max_serving_watts(&self) -> f64 {
+        self.power_at(1.0, 1.0)
+    }
+
+    /// The most this server can draw while idle: hot-idle intensity at
+    /// the full clock.
+    pub(crate) fn max_idle_watts(&self) -> f64 {
+        self.power_at(HOT_IDLE_INTENSITY, 1.0)
+    }
+
+    /// Server power at workload `intensity` with the GPUs' dynamic
+    /// power scaled by `dvfs_scale`.
+    fn power_at(&self, intensity: f64, dvfs_scale: f64) -> f64 {
+        let gpu = &self.spec.gpu;
+        let per_gpu =
+            gpu.idle_watts + (gpu.transient_peak_watts - gpu.idle_watts) * intensity * dvfs_scale;
         let gpu_watts = per_gpu * self.deployment.n_gpus() as f64;
         // GPUs not hosting the deployment idle.
         let spare = self.spec.n_gpus.saturating_sub(self.deployment.n_gpus()) as f64;

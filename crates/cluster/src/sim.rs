@@ -94,8 +94,8 @@ impl<I: Iterator<Item = Request>> RequestSource for I {
 ///
 /// Controllers must be [`Send`]: a multi-datacenter [`SiteSim`]
 /// (`crate::site`) steps its rows on a scoped thread pool, carrying
-/// each row's controller to whichever worker claims the row that
-/// window. Controllers are plain decision state (no shared interior
+/// each row's controller to the worker whose chunk of rows holds it.
+/// Controllers are plain decision state (no shared interior
 /// mutability), so this is not a restriction in practice.
 pub trait PowerController: Send {
     /// Reacts to a telemetry tick, returning control requests to issue
@@ -1039,9 +1039,10 @@ impl<P: PowerController> ClusterSim<P> {
 /// A `RowSim` owns one row's complete simulation state — servers, event
 /// queue, OOB control plane, delayed telemetry signal, RNG streams —
 /// and advances it in bounded time slices instead of straight to the
-/// horizon. That is what lets `SiteSim` interleave N rows in lockstep
-/// (stepping each row one telemetry window at a time and inspecting
-/// aggregate power between windows) while each row replays *exactly*
+/// horizon. That is what lets `SiteSim` interleave N rows (stepping
+/// each row boundary by boundary through an epoch of telemetry windows
+/// and inspecting aggregate power at every boundary) while each row
+/// replays *exactly*
 /// the event sequence it would have seen in a solo
 /// [`ClusterSim::run`]: stepping to `t1` then `t2` processes the same
 /// events in the same order as stepping to `t2` directly, so the
@@ -1170,14 +1171,19 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
         self.sim.row_power_watts
     }
 
+    /// The arrival source still to be drawn from (read-only). The next
+    /// arrival has already left it: it waits in the event queue.
+    pub(crate) fn source(&self) -> &S {
+        &self.source
+    }
+
     /// Timestamp of the next queued event, or `None` when the queue is
     /// drained (the row will never act again unless a command is
     /// [`inject`](Self::inject)ed).
     ///
-    /// A site-level window scheduler uses this to build its per-window
-    /// work deque: a row whose next event lies beyond the window
-    /// boundary needs no `step_until` call at all — by construction it
-    /// would process zero events.
+    /// The site stepper uses this to skip idle rows: a row whose next
+    /// event lies beyond a window boundary needs no `step_until` call
+    /// there at all — by construction it would process zero events.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.sim.queue.peek_time()
     }

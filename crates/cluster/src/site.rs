@@ -7,41 +7,71 @@
 //! [`SiteHierarchy`], with budget monitoring — and optional active
 //! enforcement — at the PDU, datacenter, *and* site level.
 //!
-//! # Window/merge protocol
+//! # Epoch protocol
 //!
 //! Rows are resumable [`RowSim`] engines with fully independent state:
 //! their own event queue, RNG stream ([`row_seed`]), recorder cell,
-//! and OOB control plane. The site steps them in lockstep telemetry
-//! windows:
+//! and OOB control plane. The one thing that couples them is the
+//! budget enforcer, which reads every row's power at each telemetry
+//! boundary and may inject brake commands there. The site therefore
+//! steps rows in *epochs* of K telemetry windows and synchronises once
+//! per epoch, not once per window:
 //!
-//! 1. **Plan.** From the cached next-event time of every row, build
-//!    the window's work deque: only rows with an event due at or
-//!    before the boundary are listed (an idle row costs nothing — see
-//!    `ProfCounter::FleetRowsSkipped`).
-//! 2. **Step.** Workers on a scoped thread pool claim due rows off an
-//!    atomic cursor and run `step_until(boundary)`. Rows share no
-//!    mutable state, so any claim order yields the same per-row
-//!    result; with `threads == 1` the main thread just walks the
-//!    deque in order.
-//! 3. **Merge** (`fleet.merge` phase). After a barrier, the main
-//!    thread alone refreshes the per-row caches (next event time,
-//!    instantaneous power) in canonical row order.
-//! 4. **Observe** (`fleet.power_aggregation` / `site.aggregate`
-//!    phases). Still single-threaded, aggregate row power up the
-//!    hierarchy, record gauges and violation events in canonical
-//!    order, and evaluate enforcement; brake commands are injected
-//!    back into the affected rows' queues before the next window.
+//! 1. **Plan** (main thread). Pick the largest K ≤ 64 for which every
+//!    row's [`PowerCeiling`] proves that no enforced PDU, datacenter or
+//!    site budget can be exceeded at any boundary before the epoch's
+//!    last one. While a level is braked, or once the headroom is gone,
+//!    K = 1: the lockstep protocol.
+//! 2. **Step.** Each thread owns a fixed contiguous chunk of rows;
+//!    workers are spawned once per run and the main thread steps the
+//!    last chunk. A thread walks each of its rows through all K
+//!    boundaries, calling `step_until(boundary)` only where the row
+//!    has an event due (an idle row costs nothing — see
+//!    `ProfCounter::FleetRowsSkipped`), and records the row's power
+//!    and due flag at every boundary.
+//! 3. **Replay** (main thread, after the epoch's barrier). For every
+//!    boundary in order, merge the recorded samples in canonical row
+//!    order (`fleet.merge` phase), then observe them
+//!    (`fleet.power_aggregation` / `site.aggregate` phases): aggregate
+//!    up the hierarchy, record gauges and violation events, evaluate
+//!    enforcement. Brake toggles are injected into the affected rows'
+//!    queues only at the epoch's last boundary, where lockstep would
+//!    inject them too; the replay asserts, in release builds as well,
+//!    that no earlier boundary produced one.
+//!
+//! A panic on any thread is caught there, so every thread still
+//! reaches the epoch's barrier, and resumed on the caller's thread.
 //!
 //! # Determinism argument
 //!
-//! Everything emitted into the *site-level* recorder happens in steps
-//! 3–4 on the main thread, in row/PDU/datacenter index order — the
-//! thread pool never touches it. Everything a *row* emits goes to that
-//! row's private recorder, and a row's trajectory over a window is a
-//! pure function of its state at the previous boundary (plus injected
-//! commands, which are decided in step 4 from merged state only). So
-//! `threads = 1` and `threads = K` produce byte-identical artifacts
-//! (pinned by proptests in `tests/site_sim.rs`).
+//! Everything emitted into the *site-level* recorder happens in the
+//! replay on the main thread, in row/PDU/datacenter index order — the
+//! workers never touch it. Everything a *row* emits goes to that row's
+//! private recorder, and a row's trajectory between two boundaries is
+//! a pure function of its state at the first one plus the commands
+//! injected there, which are decided from merged state only. Lockstep
+//! decides those commands at every boundary; within an epoch the
+//! ceiling proves that every boundary but the last decides none, so
+//! stepping a row through K boundaries without a stop processes the
+//! same events in the same order. Hence any thread count and any epoch
+//! length produce byte-identical artifacts (pinned against the K = 1
+//! reference in this module's tests and across thread counts by
+//! proptests in `tests/site_sim.rs`).
+//!
+//! The ceiling is sound because of how rows draw power. A legacy
+//! server draws more than hot-idle power only while serving, and it
+//! starts serving only from its buffer or on an arrival; phase
+//! intensities lie in `[0, 1]` and the DVFS scale never exceeds 1. So
+//! counting the servers busy or buffered now, plus the arrivals due by
+//! a boundary, bounds how many can be serving there — whatever the
+//! row's controller or the OOB plane does. Counting arrivals matters:
+//! bounding each row by its provisioned watts would admit no lookahead
+//! at all on a 10 %-oversubscribed site. A batched row moves work
+//! between servers without arrivals, so every server counts at its
+//! peak. Ceilings are compared with budgets under a small relative
+//! margin because row power is an incrementally maintained sum. A
+//! monitor-only site can never toggle a brake, so its epochs always
+//! span 64 windows.
 //!
 //! # The 1-row site
 //!
@@ -58,9 +88,11 @@
 //!   [`ClusterSim`] path (pinned by `tests/fleet_sweep.rs`). Active
 //!   enforcement is opt-in via [`SiteConfig::enforce_budgets`].
 
+use std::any::Any;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex, MutexGuard};
 
 use polca_obs::{Event, Label, Phase, ProfCounter, Recorder};
 use polca_sim::SimTime;
@@ -69,6 +101,7 @@ use polca_telemetry::ControlAction;
 use crate::hierarchy::SiteHierarchy;
 use crate::request::{Priority, Request};
 use crate::row::RowConfig;
+use crate::server::InferenceServer;
 use crate::sim::{
     ClusterSim, ControlRequest, ControlTarget, PowerController, RequestSource, RowSim, SimConfig,
     SimReport,
@@ -78,6 +111,15 @@ use crate::sim::{
 /// enforcement brake releases (hysteresis against brake/unbrake limit
 /// cycles at the breaker threshold). Shared by every hierarchy level.
 const RELEASE_FRACTION: f64 = 0.95;
+
+/// Most telemetry windows one epoch may span. It bounds the per-row
+/// tick buffers (a power and a due flag per row and window).
+const MAX_EPOCH_WINDOWS: usize = 64;
+
+/// Relative margin between a level's summed ceilings and its budget:
+/// row power is an incrementally maintained sum, so it may sit a few
+/// ulps above the exact sum of its servers' draws.
+const CEILING_MARGIN: f64 = 1e-6;
 
 /// Derives the seed for site row `row` (global index) from the site
 /// seed.
@@ -126,6 +168,83 @@ fn brake_request(on: bool) -> ControlRequest {
     }
 }
 
+/// A sound upper bound on one row's power over the coming telemetry
+/// windows: the lookahead that lets [`SiteSim`] step rows through a
+/// whole epoch between synchronisations.
+///
+/// Taken from a row at its current instant `t`, [`at(u)`](Self::at)
+/// bounds the row's power at every instant in `[t, u]`, whatever the
+/// row's controller, its OOB plane or injected brakes do:
+///
+/// * **legacy engine** — `m·P_max + (n − m)·P_idle` over `n` servers,
+///   where `m = min(n, busy + buffered + 1 + arrivals due by u)`
+///   bounds the servers that can be serving (a server leaves hot idle
+///   only to serve a buffered request or a new arrival; the 1 is the
+///   arrival already waiting in the event queue), `P_max` is a
+///   server's draw at workload intensity 1 and the full clock, and
+///   `P_idle` its hot-idle draw at the full clock;
+/// * **batched engine** — `n·P_max`: split pools move work between
+///   servers without arrivals, so arrivals bound nothing there.
+#[derive(Debug, Clone)]
+pub struct PowerCeiling<'a> {
+    servers: usize,
+    serving_watts: f64,
+    idle_watts: f64,
+    /// Servers that may serve before any further arrival.
+    committed: usize,
+    /// Arrivals still in the row's feed, in arrival order.
+    pending: &'a [Request],
+    /// How many of `pending` arrive by the latest `u` asked about.
+    arrived: usize,
+}
+
+impl<'a> PowerCeiling<'a> {
+    /// The ceiling of `row` from its current instant on.
+    pub fn new<P: PowerController>(row: &'a RowSim<P, std::vec::IntoIter<Request>>) -> Self {
+        if let Some(engine) = row.batched_row() {
+            let n = engine.n_servers();
+            return PowerCeiling {
+                servers: n,
+                serving_watts: engine.max_server_power_watts(),
+                idle_watts: 0.0,
+                committed: n,
+                pending: &[],
+                arrived: 0,
+            };
+        }
+        let servers = row.servers();
+        let busy_or_buffered: usize = servers
+            .iter()
+            .map(|s| usize::from(!s.is_idle()) + s.queue_len())
+            .sum();
+        let max_of =
+            |watts: fn(&InferenceServer) -> f64| servers.iter().map(watts).fold(0.0, f64::max);
+        PowerCeiling {
+            servers: servers.len(),
+            serving_watts: max_of(InferenceServer::max_serving_watts),
+            idle_watts: max_of(InferenceServer::max_idle_watts),
+            committed: busy_or_buffered + 1,
+            pending: row.source().as_slice(),
+            arrived: 0,
+        }
+    }
+
+    /// Upper bound, in watts, on the row's power at every instant up
+    /// to `u`. A `u` earlier than one already asked about gets the
+    /// (looser, still sound) bound of the latest.
+    pub fn at(&mut self, u: SimTime) -> f64 {
+        while self
+            .pending
+            .get(self.arrived)
+            .is_some_and(|r| r.arrival <= u)
+        {
+            self.arrived += 1;
+        }
+        let serving = self.servers.min(self.committed + self.arrived);
+        serving as f64 * self.serving_watts + (self.servers - serving) as f64 * self.idle_watts
+    }
+}
+
 /// Site-level simulator knobs, wrapping the per-row [`SimConfig`].
 ///
 /// A default config is a 1-datacenter, 1-row, single-threaded site —
@@ -158,9 +277,9 @@ pub struct SiteConfig {
     /// hysteresis at [`RELEASE_FRACTION`]); when `false` (default)
     /// budgets are monitored only.
     pub enforce_budgets: bool,
-    /// Worker threads for parallel row stepping (clamped to the row
-    /// count; `0` or `1` means sequential). Artifacts are
-    /// byte-identical at any value.
+    /// Threads stepping rows, each owning a contiguous chunk of them
+    /// (clamped to the row count; `0` or `1` steps every row on the
+    /// calling thread). Artifacts are byte-identical at any value.
     pub threads: usize,
     /// The per-row configuration template. `seed` is stream-split per
     /// row via [`row_seed`]; `recorder` becomes the *site-level*
@@ -321,7 +440,7 @@ impl SiteReport {
 
 /// Boundary-time monitor state: hierarchy roll-up, peaks, violation
 /// counters, and per-level brake hysteresis. Only ever touched by the
-/// main thread, between windows.
+/// main thread, between epochs.
 struct SiteMonitor {
     obs: Recorder,
     hierarchy: SiteHierarchy,
@@ -341,6 +460,36 @@ struct SiteMonitor {
     dc_violations: u64,
     site_violations: u64,
     brakes: u64,
+    /// Each PDU's budget, in watts.
+    pdu_budgets: Vec<f64>,
+    /// Roll-up and brake-toggle buffers reused by every boundary and
+    /// every ceiling check, so neither allocates.
+    levels: LevelWatts,
+    toggles: Vec<(usize, bool)>,
+}
+
+/// Power summed per PDU (global order), per datacenter and for the
+/// site.
+#[derive(Default)]
+struct LevelWatts {
+    pdu: Vec<f64>,
+    dc: Vec<f64>,
+    site: f64,
+}
+
+impl LevelWatts {
+    /// Rolls `row_watts` up `hierarchy`, overwriting the sums.
+    fn roll_up(&mut self, hierarchy: &SiteHierarchy, row_watts: &[f64]) {
+        hierarchy.write_pdu_powers(row_watts, &mut self.pdu);
+        hierarchy.write_datacenter_powers(row_watts, &mut self.dc);
+        self.site = self.dc.iter().sum();
+    }
+}
+
+/// Whether a level whose rows draw at most `watts` in total stays
+/// within `budget`, by [`CEILING_MARGIN`].
+fn fits(watts: f64, budget: f64) -> bool {
+    watts * (1.0 + CEILING_MARGIN) <= budget
 }
 
 impl SiteMonitor {
@@ -352,6 +501,7 @@ impl SiteMonitor {
         );
         SiteMonitor {
             obs,
+            pdu_budgets: (0..n_pdus).map(|p| hierarchy.pdu_budget_watts(p)).collect(),
             hierarchy,
             enforce,
             site_active,
@@ -366,6 +516,8 @@ impl SiteMonitor {
             dc_violations: 0,
             site_violations: 0,
             brakes: 0,
+            levels: LevelWatts::default(),
+            toggles: Vec::with_capacity(n_rows),
         }
     }
 
@@ -384,7 +536,7 @@ impl SiteMonitor {
     /// site metrics/events, tracks peaks and violations, and (in
     /// enforcement mode) decides per-row brake toggles, returned in
     /// canonical row order for the caller to inject.
-    fn observe(&mut self, now: SimTime, row_watts: &[f64], stepped: usize) -> Vec<(usize, bool)> {
+    fn observe(&mut self, now: SimTime, row_watts: &[f64], stepped: usize) -> &[(usize, bool)] {
         let _p = self.obs.prof().time(Phase::PowerAggregation);
         self.obs.prof().count(ProfCounter::FleetWindows, 1);
         self.obs
@@ -395,7 +547,8 @@ impl SiteMonitor {
             (row_watts.len() - stepped) as u64,
         );
         let t = now.as_secs();
-        let mut toggles = Vec::new();
+        let mut toggles = std::mem::take(&mut self.toggles);
+        toggles.clear();
         for (i, &w) in row_watts.iter().enumerate() {
             self.obs.gauge("fleet.row_power_w", Label::Row(i), w);
             self.obs.record(Event::FleetPowerSample {
@@ -404,10 +557,11 @@ impl SiteMonitor {
                 watts: w,
             });
         }
-        let pdu_powers = self.hierarchy.pdu_powers(row_watts);
+        let mut levels = std::mem::take(&mut self.levels);
+        levels.roll_up(&self.hierarchy, row_watts);
         let mut any_pdu_violation = false;
-        for (pdu, &w) in pdu_powers.iter().enumerate() {
-            let budget = self.hierarchy.pdu_budget_watts(pdu);
+        for (pdu, &w) in levels.pdu.iter().enumerate() {
+            let budget = self.pdu_budgets[pdu];
             self.obs.gauge("fleet.pdu_power_w", Label::Pdu(pdu), w);
             if w > self.pdu_peak[pdu] {
                 self.pdu_peak[pdu] = w;
@@ -430,7 +584,6 @@ impl SiteMonitor {
         if any_pdu_violation {
             self.pdu_violations += 1;
         }
-        let dc_powers = self.hierarchy.datacenter_powers(row_watts);
         let dc_budget = self.hierarchy.datacenter_budget_watts();
         let _site_phase = if self.site_active {
             self.obs.prof().time(Phase::SiteAggregation)
@@ -438,7 +591,7 @@ impl SiteMonitor {
             None
         };
         let mut any_dc_violation = false;
-        for (d, &w) in dc_powers.iter().enumerate() {
+        for (d, &w) in levels.dc.iter().enumerate() {
             let label = self.dc_label(d);
             self.obs.gauge("fleet.datacenter_power_w", label, w);
             if w > self.dc_peak[d] {
@@ -462,7 +615,8 @@ impl SiteMonitor {
         if any_dc_violation {
             self.dc_violations += 1;
         }
-        let site_w: f64 = dc_powers.iter().sum();
+        let site_w = levels.site;
+        self.levels = levels;
         if site_w > self.site_peak {
             self.site_peak = site_w;
         }
@@ -484,7 +638,30 @@ impl SiteMonitor {
                 self.enforce_site(site_w, site_budget, &mut toggles);
             }
         }
-        toggles
+        self.toggles = toggles;
+        &self.toggles
+    }
+
+    /// Whether some hierarchy level holds a brake. A held brake may
+    /// release at any boundary, so it rules out lookahead.
+    fn braking(&self) -> bool {
+        self.site_braked || self.pdu_braked.contains(&true) || self.dc_braked.contains(&true)
+    }
+
+    /// Rolls the rows' ceilings up the hierarchy and reports whether
+    /// every enforced level [`fits`] its budget. With no level braking,
+    /// a boundary where no row draws more than its ceiling can toggle
+    /// no brake.
+    fn within_budgets(&mut self, row_ceilings: &[f64]) -> bool {
+        self.levels.roll_up(&self.hierarchy, row_ceilings);
+        let c = &self.levels;
+        let dc_budget = self.hierarchy.datacenter_budget_watts();
+        c.pdu
+            .iter()
+            .zip(&self.pdu_budgets)
+            .all(|(&w, &b)| fits(w, b))
+            && c.dc.iter().all(|&w| fits(w, dc_budget))
+            && (!self.site_active || fits(c.site, self.hierarchy.site_budget_watts()))
     }
 
     /// PDU-scoped brake with hysteresis: engage above budget, release
@@ -572,40 +749,108 @@ impl SiteMonitor {
     }
 }
 
-/// A window's work deque: the boundary time plus the rows with a due
-/// event, claimed index-by-index off an atomic cursor by the workers.
-struct WindowPlan {
-    target: SimTime,
-    due: Vec<usize>,
+/// One thread's fixed share of the site: a contiguous run of rows and
+/// what each recorded at every boundary of the current epoch.
+struct Chunk<P> {
+    rows: Vec<RowEngine<P>>,
+    /// The current epoch's boundaries, in order.
+    bounds: Vec<SimTime>,
+    /// Row power after each boundary, row-major with stride
+    /// [`MAX_EPOCH_WINDOWS`].
+    watts: Vec<f64>,
+    /// Whether the row had an event due at each boundary (same layout).
+    due: Vec<bool>,
 }
 
-/// Claims due rows off the shared cursor and steps each to the window
-/// boundary. Runs on every pool thread, main included.
-fn drain_due<P: PowerController>(
-    cells: &[Mutex<RowEngine<P>>],
-    plan: &Mutex<WindowPlan>,
-    cursor: &AtomicUsize,
-) {
-    loop {
-        let k = cursor.fetch_add(1, Ordering::Relaxed);
-        let (target, row) = {
-            let p = plan.lock().expect("window plan poisoned");
-            match p.due.get(k) {
-                Some(&row) => (p.target, row),
-                None => break,
+impl<P: PowerController> Chunk<P> {
+    fn new(rows: Vec<RowEngine<P>>) -> Self {
+        let ticks = rows.len() * MAX_EPOCH_WINDOWS;
+        Chunk {
+            rows,
+            bounds: Vec::with_capacity(MAX_EPOCH_WINDOWS),
+            watts: vec![0.0; ticks],
+            due: vec![false; ticks],
+        }
+    }
+
+    /// Steps every row through the epoch's boundaries, stepping a row
+    /// only where it has an event due, and records its power and due
+    /// flag at each boundary.
+    fn step_epoch(&mut self) {
+        for (r, row) in self.rows.iter_mut().enumerate() {
+            for (j, &boundary) in self.bounds.iter().enumerate() {
+                let due = row.next_event_time().is_some_and(|at| at <= boundary);
+                if due {
+                    row.step_until(boundary);
+                }
+                self.watts[r * MAX_EPOCH_WINDOWS + j] = row.row_power_watts();
+                self.due[r * MAX_EPOCH_WINDOWS + j] = due;
             }
-        };
-        cells[row]
-            .lock()
-            .expect("row engine poisoned")
-            .step_until(target);
+        }
     }
 }
 
-/// N datacenters of M lockstep row engines under the site power
-/// hierarchy, optionally stepped by a scoped worker pool.
+/// A panic caught on a stepping thread, waiting to be resumed on the
+/// caller's thread.
+type PanicSlot = Mutex<Option<Box<dyn Any + Send>>>;
+
+/// Steps `chunk` through its epoch. A panic is caught and parked in
+/// `panicked`, so this thread still reaches the epoch's barrier (a
+/// thread that died before it would leave the others waiting forever).
+fn step_chunk<P: PowerController>(chunk: &Mutex<Chunk<P>>, panicked: &PanicSlot) {
+    let stepped = panic::catch_unwind(AssertUnwindSafe(|| {
+        chunk.lock().expect("row chunk poisoned").step_epoch();
+    }));
+    if let Err(payload) = stepped {
+        panicked
+            .lock()
+            .expect("panic slot poisoned")
+            .get_or_insert(payload);
+    }
+}
+
+/// Locks every chunk, in order. Only the main thread does, between
+/// epochs, so the locks are never contended.
+fn lock_all<P>(chunks: &[Mutex<Chunk<P>>]) -> Vec<MutexGuard<'_, Chunk<P>>> {
+    chunks
+        .iter()
+        .map(|c| c.lock().expect("row chunk poisoned"))
+        .collect()
+}
+
+/// Global row `row` among contiguous chunks.
+fn row_mut<'c, P>(
+    chunks: &'c mut [MutexGuard<'_, Chunk<P>>],
+    mut row: usize,
+) -> &'c mut RowEngine<P> {
+    for chunk in chunks {
+        if row < chunk.rows.len() {
+            return &mut chunk.rows[row];
+        }
+        row -= chunk.rows.len();
+    }
+    panic!("row index out of range")
+}
+
+/// Releases the workers waiting at the epoch-start barrier when the
+/// main thread leaves the epoch loop, at the horizon or by unwinding,
+/// so the thread scope can join them.
+struct ReleaseWorkers<'a> {
+    done: &'a AtomicBool,
+    barrier: &'a Barrier,
+}
+
+impl Drop for ReleaseWorkers<'_> {
+    fn drop(&mut self) {
+        self.done.store(true, Ordering::Release);
+        self.barrier.wait();
+    }
+}
+
+/// N datacenters of M row engines under the site power hierarchy,
+/// stepped in epochs by a fixed set of threads.
 ///
-/// See the [module docs](self) for the window/merge protocol and the
+/// See the [module docs](self) for the epoch protocol and the
 /// determinism contract. Controller construction is a factory so every
 /// row gets an independent policy instance (policies carry mutable
 /// per-row state).
@@ -616,6 +861,9 @@ pub struct SiteSim<P> {
     window: SimTime,
     horizon: SimTime,
     threads: usize,
+    /// Most windows one epoch may span: [`MAX_EPOCH_WINDOWS`], or 1
+    /// for the lockstep reference in this module's tests.
+    max_epoch_windows: usize,
 }
 
 impl<P: PowerController> SiteSim<P> {
@@ -678,6 +926,7 @@ impl<P: PowerController> SiteSim<P> {
             window: SimTime::from_secs(site.base.telemetry_interval_s),
             horizon,
             threads: site.threads,
+            max_epoch_windows: MAX_EPOCH_WINDOWS,
         }
     }
 
@@ -694,18 +943,16 @@ impl<P: PowerController> SiteSim<P> {
     /// Runs every row to the horizon, aggregating power at each
     /// telemetry-window boundary, and returns the site report.
     pub fn run(mut self) -> SiteReport {
-        let threads = self.threads.clamp(1, self.rows.len());
-        if threads > 1 {
-            self.run_windows_parallel(threads);
-        } else {
-            self.run_windows_sequential();
-        }
+        self.run_epochs();
+        self.into_report()
+    }
+
+    fn into_report(self) -> SiteReport {
         let h = &self.monitor.hierarchy;
-        let pdu_budget_watts: Vec<f64> = (0..h.n_pdus()).map(|p| h.pdu_budget_watts(p)).collect();
         SiteReport {
             datacenters: h.n_datacenters(),
             rows_per_datacenter: h.rows_per_datacenter(),
-            pdu_budget_watts,
+            pdu_budget_watts: self.monitor.pdu_budgets,
             datacenter_budget_watts: h.datacenter_budget_watts(),
             site_budget_watts: h.site_budget_watts(),
             rows: self.rows.into_iter().map(RowSim::finish).collect(),
@@ -721,121 +968,167 @@ impl<P: PowerController> SiteSim<P> {
         }
     }
 
-    /// The single-threaded window loop: walk the due deque in row
-    /// order, then merge and observe.
-    fn run_windows_sequential(&mut self) {
+    /// The epoch loop: plan, step, replay, until the horizon. Spawns
+    /// `threads - 1` workers once for the whole run; each epoch costs
+    /// every thread two barrier waits. Returns how many epochs spanned
+    /// one window and how many spanned more.
+    fn run_epochs(&mut self) -> (usize, usize) {
         let n = self.rows.len();
-        let mut next_at: Vec<Option<SimTime>> =
-            self.rows.iter().map(RowSim::next_event_time).collect();
-        let mut row_watts: Vec<f64> = self.rows.iter().map(RowSim::row_power_watts).collect();
-        let mut due: Vec<usize> = Vec::with_capacity(n);
-        let mut t = SimTime::ZERO;
-        loop {
-            let target = (t + self.window).min(self.horizon);
-            due.clear();
-            due.extend((0..n).filter(|&i| next_at[i].is_some_and(|at| at <= target)));
-            for &i in &due {
-                self.rows[i].step_until(target);
+        let threads = self.threads.clamp(1, n);
+        let mut rows = std::mem::take(&mut self.rows).into_iter();
+        let chunks: Vec<Mutex<Chunk<P>>> = (0..threads)
+            .map(|c| {
+                let len = (c + 1) * n / threads - c * n / threads;
+                Mutex::new(Chunk::new(rows.by_ref().take(len).collect()))
+            })
+            .collect();
+        let (own, workers) = chunks.split_last().expect("a site has at least one row");
+        let barrier = Barrier::new(threads);
+        let done = AtomicBool::new(false);
+        let panicked: PanicSlot = Mutex::new(None);
+        let mut bounds = Vec::with_capacity(MAX_EPOCH_WINDOWS);
+        let mut row_watts = vec![0.0; n];
+        let mut row_ceilings = Vec::with_capacity(n);
+        let mut epochs = (0, 0);
+        std::thread::scope(|s| {
+            for chunk in workers {
+                let (barrier, done, panicked) = (&barrier, &done, &panicked);
+                s.spawn(move || loop {
+                    barrier.wait();
+                    // Acquire pairs with the Release store that
+                    // `ReleaseWorkers` makes before the same barrier.
+                    if done.load(Ordering::Acquire) {
+                        return;
+                    }
+                    step_chunk(chunk, panicked);
+                    barrier.wait();
+                });
             }
-            {
-                let _m = self.monitor.obs.prof().time(Phase::FleetMerge);
-                for &i in &due {
-                    next_at[i] = self.rows[i].next_event_time();
-                    row_watts[i] = self.rows[i].row_power_watts();
+            let _release = ReleaseWorkers {
+                done: &done,
+                barrier: &barrier,
+            };
+            let mut t = SimTime::ZERO;
+            loop {
+                {
+                    let mut guards = lock_all(&chunks);
+                    let rows = guards.iter().flat_map(|g| &g.rows);
+                    self.plan_epoch(rows, t, &mut bounds, &mut row_ceilings);
+                    for g in &mut guards {
+                        g.bounds.clone_from(&bounds);
+                    }
+                }
+                barrier.wait();
+                step_chunk(own, &panicked);
+                barrier.wait();
+                let payload = panicked.lock().expect("panic slot poisoned").take();
+                if let Some(payload) = payload {
+                    panic::resume_unwind(payload);
+                }
+                self.replay_epoch(&mut lock_all(&chunks), &bounds, &mut row_watts);
+                if bounds.len() == 1 {
+                    epochs.0 += 1;
+                } else {
+                    epochs.1 += 1;
+                }
+                t = *bounds.last().expect("an epoch spans a window");
+                if t >= self.horizon {
+                    break;
                 }
             }
-            t = target;
-            for (row, on) in self.monitor.observe(t, &row_watts, due.len()) {
-                self.rows[row].inject(t, brake_request(on));
-                next_at[row] = self.rows[row].next_event_time();
+        });
+        self.rows = chunks
+            .into_iter()
+            .flat_map(|c| c.into_inner().expect("row chunk poisoned").rows)
+            .collect();
+        epochs
+    }
+
+    /// Fills `bounds` with the next epoch's boundaries after `t`, each
+    /// `(previous + window).min(horizon)`: up to `max_epoch_windows` of
+    /// them, ending at the horizon or at the first boundary where the
+    /// rows' ceilings no longer prove that every brake stays as it is.
+    fn plan_epoch<'r>(
+        &mut self,
+        rows: impl Iterator<Item = &'r RowEngine<P>>,
+        t: SimTime,
+        bounds: &mut Vec<SimTime>,
+        row_ceilings: &mut Vec<f64>,
+    ) where
+        P: 'r,
+    {
+        // Brakes toggle only under enforcement, and a held one may
+        // release at any boundary.
+        let enforced = self.monitor.enforce;
+        let lockstep = enforced && self.monitor.braking();
+        let mut ceilings: Vec<PowerCeiling<'r>> = Vec::new();
+        if enforced && !lockstep {
+            ceilings.extend(rows.map(PowerCeiling::new));
+        }
+        bounds.clear();
+        let mut boundary = t;
+        loop {
+            boundary = (boundary + self.window).min(self.horizon);
+            bounds.push(boundary);
+            if lockstep || boundary >= self.horizon || bounds.len() >= self.max_epoch_windows {
+                return;
             }
-            if t >= self.horizon {
-                break;
+            if !enforced {
+                continue;
+            }
+            // The epoch may run past `boundary` only if no brake can
+            // toggle there.
+            row_ceilings.clear();
+            row_ceilings.extend(ceilings.iter_mut().map(|c| c.at(boundary)));
+            if !self.monitor.within_budgets(row_ceilings) {
+                return;
             }
         }
     }
 
-    /// The pooled window loop: `threads - 1` persistent scoped workers
-    /// plus the main thread claim due rows off an atomic cursor each
-    /// window, rendezvousing at barriers so merge/observe stay
-    /// single-threaded. Spawning once for the whole run (not per
-    /// window) keeps the per-window cost at two barrier waits.
-    fn run_windows_parallel(&mut self, threads: usize) {
-        let n = self.rows.len();
-        let window = self.window;
-        let horizon = self.horizon;
-        let mut cells: Vec<Mutex<RowEngine<P>>> = self.rows.drain(..).map(Mutex::new).collect();
-        let mut next_at: Vec<Option<SimTime>> = cells
-            .iter_mut()
-            .map(|c| c.get_mut().expect("row engine poisoned").next_event_time())
-            .collect();
-        let mut row_watts: Vec<f64> = cells
-            .iter_mut()
-            .map(|c| c.get_mut().expect("row engine poisoned").row_power_watts())
-            .collect();
-        let plan = Mutex::new(WindowPlan {
-            target: SimTime::ZERO,
-            due: Vec::new(),
-        });
-        let cursor = AtomicUsize::new(0);
-        let done = AtomicBool::new(false);
-        let barrier = Barrier::new(threads);
-        let monitor = &mut self.monitor;
-        {
-            let (cells, plan, cursor, done, barrier) = (&cells, &plan, &cursor, &done, &barrier);
-            std::thread::scope(|s| {
-                for _ in 1..threads {
-                    s.spawn(move || loop {
-                        barrier.wait();
-                        if done.load(Ordering::Acquire) {
-                            return;
-                        }
-                        drain_due(cells, plan, cursor);
-                        barrier.wait();
-                    });
+    /// Observes every boundary of the epoch just stepped, in order,
+    /// from the samples the chunks recorded, then injects the last
+    /// boundary's brake toggles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a boundary before the last toggles a brake: the
+    /// ceiling that admitted the epoch was wrong, and the run would
+    /// silently diverge from lockstep.
+    fn replay_epoch(
+        &mut self,
+        chunks: &mut [MutexGuard<'_, Chunk<P>>],
+        bounds: &[SimTime],
+        row_watts: &mut [f64],
+    ) {
+        for (j, &boundary) in bounds.iter().enumerate() {
+            let mut stepped = 0;
+            {
+                let _m = self.monitor.obs.prof().time(Phase::FleetMerge);
+                let samples = chunks.iter().flat_map(|c| {
+                    (0..c.rows.len()).map(move |r| {
+                        let k = r * MAX_EPOCH_WINDOWS + j;
+                        (c.watts[k], c.due[k])
+                    })
+                });
+                for (slot, (watts, due)) in row_watts.iter_mut().zip(samples) {
+                    *slot = watts;
+                    stepped += usize::from(due);
                 }
-                let mut due: Vec<usize> = Vec::with_capacity(n);
-                let mut t = SimTime::ZERO;
-                loop {
-                    let target = (t + window).min(horizon);
-                    due.clear();
-                    due.extend((0..n).filter(|&i| next_at[i].is_some_and(|at| at <= target)));
-                    {
-                        let mut p = plan.lock().expect("window plan poisoned");
-                        p.target = target;
-                        p.due.clear();
-                        p.due.extend_from_slice(&due);
-                    }
-                    cursor.store(0, Ordering::Relaxed);
-                    barrier.wait();
-                    drain_due(cells, plan, cursor);
-                    barrier.wait();
-                    {
-                        let _m = monitor.obs.prof().time(Phase::FleetMerge);
-                        for &i in &due {
-                            let row = cells[i].lock().expect("row engine poisoned");
-                            next_at[i] = row.next_event_time();
-                            row_watts[i] = row.row_power_watts();
-                        }
-                    }
-                    t = target;
-                    for (row, on) in monitor.observe(t, &row_watts, due.len()) {
-                        let mut r = cells[row].lock().expect("row engine poisoned");
-                        r.inject(t, brake_request(on));
-                        next_at[row] = r.next_event_time();
-                    }
-                    if t >= horizon {
-                        done.store(true, Ordering::Release);
-                        barrier.wait();
-                        break;
-                    }
-                }
-            });
+            }
+            let toggles = self.monitor.observe(boundary, row_watts, stepped);
+            if j + 1 < bounds.len() {
+                assert!(
+                    toggles.is_empty(),
+                    "site lookahead: a brake toggled at t = {} s, inside an epoch",
+                    boundary.as_secs()
+                );
+                continue;
+            }
+            for &(row, on) in toggles {
+                row_mut(chunks, row).inject(boundary, brake_request(on));
+            }
         }
-        self.rows = cells
-            .drain(..)
-            .map(|m| m.into_inner().expect("row engine poisoned"))
-            .collect();
     }
 }
 
@@ -1158,5 +1451,247 @@ mod tests {
             .snapshot()
             .counter(polca_obs::ProfCounter::FleetRowsSkipped);
         assert!(skipped >= 1, "trailing window skips idle rows: {skipped}");
+    }
+
+    /// Brakes its own row while the delayed reading is above `high`
+    /// watts and releases it below `low`: row-level control traffic
+    /// for the lookahead tests to carry through epochs.
+    struct Hysteresis {
+        high: f64,
+        low: f64,
+        braked: bool,
+    }
+
+    impl PowerController for Hysteresis {
+        fn on_telemetry(
+            &mut self,
+            _now: SimTime,
+            observed: Option<f64>,
+            _ctx: &crate::sim::RowContext,
+        ) -> Vec<ControlRequest> {
+            let Some(watts) = observed else {
+                return Vec::new();
+            };
+            let flip = if self.braked {
+                watts < self.low
+            } else {
+                watts > self.high
+            };
+            if !flip {
+                return Vec::new();
+            }
+            self.braked = !self.braked;
+            vec![brake_request(self.braked)]
+        }
+    }
+
+    /// A seeded Poisson stream of mixed requests at `rate` per second
+    /// up to `until` seconds.
+    fn poisson_requests(seed: u64, rate: f64, until: f64) -> Vec<Request> {
+        let mut rng = polca_sim::SimRng::from_seed_stream(seed, 0);
+        let mut requests = Vec::new();
+        let mut at = rng.exponential(rate);
+        while at < until {
+            let priority = if rng.chance(0.5) {
+                Priority::Low
+            } else {
+                Priority::High
+            };
+            let input = rng.uniform_u64(256, 4096) as u32;
+            let output = rng.uniform_u64(16, 512) as u32;
+            requests.push(Request::new(
+                requests.len() as u64,
+                t(at),
+                input,
+                output,
+                priority,
+            ));
+            at += rng.exponential(rate);
+        }
+        requests
+    }
+
+    /// Everything a site run leaves behind that the epoch length must
+    /// not change.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        site_events: String,
+        site_prom: String,
+        row_events: Vec<String>,
+        row_requests: Vec<String>,
+        pdu_peaks: Vec<f64>,
+        dc_peaks: Vec<f64>,
+        site_peak: f64,
+        violations: (u64, u64, u64),
+        brakes: u64,
+    }
+
+    /// Runs `cfg` at `seed` to `horizon` with epochs of at most
+    /// `max_windows`, returning the outcome and how many epochs spanned
+    /// one window and how many spanned more.
+    fn run_capped(
+        cfg: &SiteConfig,
+        seed: u64,
+        horizon: f64,
+        max_windows: usize,
+    ) -> (Outcome, (usize, usize)) {
+        let mut cfg = cfg.clone();
+        cfg.base.seed = seed;
+        cfg.base.recorder =
+            Recorder::new(ObsLevel::Full).with_req_trace(polca_obs::ReqTraceConfig { sample: 1 });
+        let obs = cfg.base.recorder.clone();
+        let p = small_row().provisioned_watts();
+        let mut sim = SiteSim::new(
+            small_row(),
+            cfg,
+            |_, _: &Recorder| Hysteresis {
+                high: 0.7 * p,
+                low: 0.62 * p,
+                braked: false,
+            },
+            poisson_requests(seed, 0.2, horizon).into_iter(),
+            t(horizon),
+        );
+        sim.max_epoch_windows = max_windows;
+        let epochs = sim.run_epochs();
+        let report = sim.into_report();
+        let outcome = Outcome {
+            site_events: obs.artifacts().events_jsonl(),
+            site_prom: obs.artifacts().metrics_prometheus(),
+            row_events: report
+                .row_recorders
+                .iter()
+                .map(|r| r.artifacts().events_jsonl())
+                .collect(),
+            row_requests: report
+                .row_recorders
+                .iter()
+                .map(|r| r.artifacts().requests_jsonl())
+                .collect(),
+            pdu_peaks: report.pdu_peak_watts,
+            dc_peaks: report.datacenter_peak_watts,
+            site_peak: report.site_peak_watts,
+            violations: (
+                report.pdu_violation_samples,
+                report.datacenter_violation_samples,
+                report.site_violation_samples,
+            ),
+            brakes: report.fleet_brake_engagements,
+        };
+        (outcome, epochs)
+    }
+
+    /// The lookahead scenarios on a 2 × 2 site at `threads`: budgets
+    /// tight enough that site brakes engage and release over and over,
+    /// budgets just above typical load (lookahead between occasional
+    /// brakes), and the tight budgets monitored only.
+    fn lookahead_scenarios(threads: usize) -> [(&'static str, SiteConfig); 3] {
+        let p = small_row().provisioned_watts();
+        let mut tight = site_config(2, 2, threads);
+        tight.enforce_budgets = true;
+        tight.pdu_budget_watts = Some(1.25 * p);
+        tight.datacenter_budget_watts = Some(1.3 * p);
+        tight.site_budget_watts = Some(2.5 * p);
+        let mut edge = tight.clone();
+        edge.pdu_budget_watts = Some(1.4 * p);
+        edge.datacenter_budget_watts = Some(1.35 * p);
+        edge.site_budget_watts = Some(2.68 * p);
+        let mut monitor = tight.clone();
+        monitor.enforce_budgets = false;
+        [("tight", tight), ("edge", edge), ("monitor", monitor)]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// Epochs are invisible: every artifact and report figure of a
+        /// site matches a run of the same site held to K = 1 (the
+        /// lockstep protocol), at 1, 2 and 4 threads.
+        #[test]
+        fn lookahead_matches_the_lockstep_reference(
+            seed in 0u64..10_000,
+            // Almost never a multiple of the 2 s window.
+            horizon in 900.0f64..1300.0,
+        ) {
+            for threads in [1, 2, 4] {
+                for (name, cfg) in lookahead_scenarios(threads) {
+                    let (lockstep, lockstep_epochs) = run_capped(&cfg, seed, horizon, 1);
+                    let (lookahead, (single, multi)) =
+                        run_capped(&cfg, seed, horizon, MAX_EPOCH_WINDOWS);
+                    proptest::prop_assert_eq!(lockstep_epochs.1, 0);
+                    proptest::prop_assert!(
+                        lookahead == lockstep,
+                        "{} site at {} threads diverged from lockstep", name, threads
+                    );
+                    match name {
+                        "tight" => proptest::prop_assert!(
+                            lookahead.brakes >= 2,
+                            "tight budgets must engage, release and re-engage: {}",
+                            lookahead.brakes
+                        ),
+                        "edge" => proptest::prop_assert!(
+                            single > 0 && multi > 0,
+                            "edge budgets must take both epoch kinds: {} single, {} multi",
+                            single,
+                            multi
+                        ),
+                        _ => proptest::prop_assert!(
+                            single <= 1,
+                            "a monitor-only site runs 64-window epochs: {} single",
+                            single
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Panics in row 1's telemetry handler once the clock passes 10 s.
+    struct FailsInRowOne {
+        row: usize,
+    }
+
+    impl PowerController for FailsInRowOne {
+        fn on_telemetry(
+            &mut self,
+            now: SimTime,
+            _observed: Option<f64>,
+            _ctx: &crate::sim::RowContext,
+        ) -> Vec<ControlRequest> {
+            assert!(self.row != 1 || now < t(10.0), "row 1 controller failed");
+            Vec::new()
+        }
+    }
+
+    /// A 4-row site whose row 1 controller panics mid-run. Row 1 lands
+    /// on a worker thread at 2 and at 4 threads (the calling thread
+    /// steps the last chunk).
+    fn run_failing_site(threads: usize) {
+        let cfg = SiteConfig {
+            rows_per_datacenter: 4,
+            rows_per_pdu: 2,
+            threads,
+            ..SiteConfig::default()
+        };
+        SiteSim::new(
+            small_row(),
+            cfg,
+            |row, _: &Recorder| FailsInRowOne { row },
+            mixed_requests(50).into_iter(),
+            t(100.0),
+        )
+        .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 controller failed")]
+    fn worker_panic_reaches_the_caller_at_two_threads() {
+        run_failing_site(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 controller failed")]
+    fn worker_panic_reaches_the_caller_at_four_threads() {
+        run_failing_site(4);
     }
 }

@@ -207,9 +207,9 @@ pub enum ProfCounter {
     /// High-water mark of running sequences (prefilling + decoding) on
     /// any one server of the batched engine (merged by max).
     ServePeakBatch,
-    /// Row-windows *skipped* by the due-event work deque: rows whose
-    /// next queued event lies beyond the window boundary pay nothing
-    /// instead of a no-op scan.
+    /// Row-windows *skipped* by the site stepper: rows whose next
+    /// queued event lies beyond the window boundary pay nothing instead
+    /// of a no-op scan.
     FleetRowsSkipped,
 }
 

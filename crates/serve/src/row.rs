@@ -238,6 +238,16 @@ impl<T> BatchedRow<T> {
         self.servers.len()
     }
 
+    /// The most any one server of the row can draw (workload intensity
+    /// 1 at the full clock): an upper bound on every
+    /// [`server_power_watts`](Self::server_power_watts) at any time.
+    pub fn max_server_power_watts(&self) -> f64 {
+        self.servers
+            .iter()
+            .map(BatchServer::max_power_watts)
+            .fold(0.0, f64::max)
+    }
+
     /// Whether server `i` belongs to the high-priority class.
     pub fn is_high(&self, i: usize) -> bool {
         self.servers[i].high_priority

@@ -336,22 +336,33 @@ impl<T> BatchServer<T> {
     /// the batch is empty), spare GPUs idling, chassis overhead, all
     /// times the study's power scale.
     fn refresh_power(&mut self) {
-        let gpu = self.deployment.gpu();
         let intensity = if self.running() == 0 {
             self.hot_idle_intensity
         } else {
             self.intensity
         };
-        let per_gpu = gpu.idle_watts
-            + (gpu.transient_peak_watts - gpu.idle_watts)
-                * intensity
-                * self.dvfs.power_scale(self.clock_ratio());
+        self.power_watts = self.power_at(intensity, self.dvfs.power_scale(self.clock_ratio()));
+    }
+
+    /// The most this server can draw: workload intensity 1 at the full
+    /// clock. Iteration intensities are blends of phase intensities in
+    /// `[0, 1]` and the DVFS scale never exceeds 1, so `power_watts`
+    /// stays at or below it whatever the batch, lock or brake.
+    pub fn max_power_watts(&self) -> f64 {
+        self.power_at(1.0, 1.0)
+    }
+
+    /// Server power at workload `intensity` with the GPUs' dynamic
+    /// power scaled by `dvfs_scale`.
+    fn power_at(&self, intensity: f64, dvfs_scale: f64) -> f64 {
+        let gpu = self.deployment.gpu();
+        let per_gpu =
+            gpu.idle_watts + (gpu.transient_peak_watts - gpu.idle_watts) * intensity * dvfs_scale;
         let gpu_watts = per_gpu * self.deployment.n_gpus() as f64;
         let spare = self.spec_gpus.saturating_sub(self.deployment.n_gpus()) as f64;
         let total_gpu = gpu_watts + spare * gpu.idle_watts;
-        self.power_watts =
-            (total_gpu + self.non_gpu_base_watts + self.non_gpu_per_gpu_watt * total_gpu)
-                * self.power_scale;
+        (total_gpu + self.non_gpu_base_watts + self.non_gpu_per_gpu_watt * total_gpu)
+            * self.power_scale
     }
 
     /// Advances fluid progress from `epoch_start` to `now` at the
@@ -577,6 +588,11 @@ impl<T> BatchServer<T> {
             .slowdown(self.clock_ratio(), profile.compute_fraction);
         self.iter_s = profile.duration_s * slowdown;
         self.prefill_per_iter = p as f64;
+        debug_assert!(
+            (0.0..=1.0).contains(&profile.intensity),
+            "iteration intensity {} outside [0, 1]",
+            profile.intensity
+        );
         self.intensity = profile.intensity;
         self.refresh_power();
 

@@ -8,12 +8,19 @@
 //!   mid-run,
 //! * hierarchy budget math: a parent-level `BudgetViolation` is never
 //!   emitted unless the sum of its children's powers at that sample
-//!   actually exceeds the parent cap, for randomized site shapes.
+//!   actually exceeds the parent cap, for randomized site shapes,
+//! * the site lookahead's `PowerCeiling` is sound: a row never draws
+//!   more than its ceiling at any boundary the ceiling covers, on
+//!   either serving engine, under POLCA and injected brakes.
 
-use polca::{PolcaController, PolcaPolicy};
-use polca_cluster::{Request, RowConfig, SiteConfig, SiteSim};
+use polca::{DisaggregationConfig, PolcaController, PolcaPolicy};
+use polca_cluster::{
+    ControlRequest, ControlTarget, PowerCeiling, Request, RowConfig, RowSim, SimConfig, SiteConfig,
+    SiteSim,
+};
 use polca_obs::{Event, ObsLevel, Recorder, ReqTraceConfig};
-use polca_sim::SimTime;
+use polca_sim::{SimRng, SimTime};
+use polca_telemetry::ControlAction;
 use polca_telemetry::{merge_tick_columns, RowPowerTaps, RowTickBuffer};
 use polca_trace::{ArrivalGenerator, TraceConfig};
 use polca_watch::{WatchConfig, WatchPlane};
@@ -211,5 +218,71 @@ proptest! {
             }
         }
         prop_assert!(violations > 0, "caps this low must be violated");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The lookahead's ceiling is sound: at random boundaries, take a
+    /// row's `PowerCeiling` for horizons 1, 4, 16 and 64 windows out,
+    /// then step window by window and check the row's power against
+    /// every ceiling whose horizon has not passed. The margin is far
+    /// below the one the site applies against budgets.
+    #[test]
+    fn power_ceiling_bounds_the_row_at_every_boundary(
+        seed in 0u64..500,
+        batched in any::<bool>(),
+        load in 0.02f64..0.6,
+    ) {
+        let mut cfg = SimConfig {
+            seed,
+            record_power_series: false,
+            ..SimConfig::default()
+        };
+        if batched {
+            cfg.engine = DisaggregationConfig::default().batched_engine(false);
+        }
+        let trace = TraceConfig::paper_mix(seed, SimTime::from_mins(20.0)).scaled(load);
+        let arrivals: Vec<Request> = ArrivalGenerator::new(&trace).collect();
+        let until = SimTime::from_secs(HORIZON);
+        let controller = PolcaController::new(PolcaPolicy::default());
+        let mut row = RowSim::new(small_row(), cfg, controller, arrivals.into_iter(), until);
+        let mut rng = SimRng::from_seed_stream(seed, 99);
+        let window = SimTime::from_secs(2.0);
+        let mut watched: Vec<(SimTime, f64)> = Vec::new();
+        let mut braked = false;
+        let mut boundary = SimTime::ZERO;
+        let mut checks = 0u64;
+        while boundary < until {
+            if rng.chance(0.05) {
+                let mut ceiling = PowerCeiling::new(&row);
+                for windows in [1.0, 4.0, 16.0, 64.0] {
+                    let u = boundary + SimTime::from_secs(2.0 * windows);
+                    watched.push((u, ceiling.at(u)));
+                }
+            }
+            if rng.chance(0.02) {
+                braked = !braked;
+                row.inject(boundary, ControlRequest {
+                    target: ControlTarget::All,
+                    action: ControlAction::PowerBrake { on: braked },
+                });
+            }
+            boundary = (boundary + window).min(until);
+            row.step_until(boundary);
+            let watts = row.row_power_watts();
+            watched.retain(|&(u, _)| u >= boundary);
+            for &(u, ceiling) in &watched {
+                prop_assert!(
+                    watts <= ceiling * (1.0 + 1e-9),
+                    "row drew {watts} W at t = {} s over its ceiling {ceiling} W for u = {} s",
+                    boundary.as_secs(),
+                    u.as_secs()
+                );
+                checks += 1;
+            }
+        }
+        prop_assert!(checks > 0);
     }
 }

@@ -50,22 +50,16 @@ cargo run -q --offline --release -p polca-cli -- \
     ingest tests/golden/sample_trace.csv
 
 echo "== polca-cli fleet smoke test =="
-# One trap for every smoke-test scratch dir: each step registers its
-# mktemp dir here instead of re-issuing `trap ... EXIT`, which would
-# silently *replace* the previous handler and leak the earlier dirs.
-scratch_dirs=()
-cleanup() { ((${#scratch_dirs[@]})) && rm -rf "${scratch_dirs[@]}" || :; }
-trap cleanup EXIT
-scratch() {
-    local dir
-    dir="$(mktemp -d)"
-    scratch_dirs+=("$dir")
-    printf '%s' "$dir"
-}
+# Every smoke-test scratch dir lives under one root that one EXIT trap
+# removes. (`scratch` runs inside `$(...)`, a subshell, so it cannot
+# record the dirs it makes in a variable of this shell.)
+scratch_root="$(mktemp -d)"
+trap 'rm -rf "$scratch_root"' EXIT
+scratch() { mktemp -d "$scratch_root/XXXXXX"; }
 fleet_out="$(scratch)"
 cargo run -q --offline --release -p polca-cli -- \
     evaluate --trace-csv tests/golden/sample_trace.csv \
-    --rows 4 --jobs 2 --servers 10 --obs-out "$fleet_out"
+    --rows 4 --servers 10 --obs-out "$fleet_out"
 for row in row0 row1 row2 row3; do
     [[ -f "$fleet_out/$row/events.jsonl" ]] \
         || { echo "missing fleet artifact: $row/events.jsonl"; exit 1; }
@@ -117,12 +111,20 @@ for row in 0 1 2 3 4 5; do
 done
 grep -q '"ev":"budget_violation","t":[^,]*,"scope":"site"' "$brake_seq/events.jsonl" \
     || { echo "no site budget violation under --site-budget-mw 0.30"; exit 1; }
-# --jobs (sweep workers) and --fleet-threads (row workers) nest: the
-# four-policy panel path must still run with both set.
-cargo run -q --offline --release -p polca-cli -- \
-    evaluate --trace-csv tests/golden/sample_trace.csv \
-    --rows 2 --datacenters 2 --servers 10 --jobs 2 --fleet-threads 2 \
-    > /dev/null
+# The four-policy --trace-csv panel (the one run that reads --jobs)
+# must print and write the same bytes at --jobs 1 and 2.
+panel_dirs=()
+for jobs in 1 2; do
+    dir="$(scratch)"
+    panel_dirs+=("$dir")
+    cargo run -q --offline --release -p polca-cli -- \
+        evaluate --trace-csv tests/golden/sample_trace.csv --servers 10 \
+        --jobs "$jobs" --obs-out "$dir/out" | sed "s#$dir#DIR#" > "$dir/stdout.txt"
+done
+for f in stdout.txt out/events.jsonl out/metrics.prom; do
+    cmp "${panel_dirs[0]}/$f" "${panel_dirs[1]}/$f" \
+        || { echo "panel $f differs across --jobs"; exit 1; }
+done
 
 echo "== polca-cli watch smoke test =="
 watch_out="$(scratch)"

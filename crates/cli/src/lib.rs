@@ -10,9 +10,10 @@
 //! * `ingest` — read an Azure-2024-style request log, report its
 //!   statistics, and fit the generator's diurnal model to it,
 //! * `evaluate` — run one policy at one oversubscription level and
-//!   report latency/brake/SLO outcomes (§6.5–6.6), or replay an
-//!   ingested trace through all four Figure 17 policies
-//!   (`--trace-csv`),
+//!   report latency/brake/SLO outcomes (§6.5–6.6), replay an ingested
+//!   trace through all four Figure 17 policies (`--trace-csv`), or run
+//!   either workload on a site (`--rows`, `--datacenters`); see the
+//!   `evaluate` module,
 //! * `plan` — sweep oversubscription levels and report the SLO-safe
 //!   maximum (Figure 13's workflow),
 //! * `profile` — self-profile the simulator with polca-prof on the
@@ -29,27 +30,19 @@ use std::fmt;
 use std::path::Path;
 use std::time::Instant;
 
-use polca::{
-    CostModel, DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind,
-    TraceEvaluation,
-};
-use polca_cluster::{EngineKind, RowConfig, SiteConfig, SiteReport, SiteSim};
+use polca::{OversubscriptionStudy, PolcaPolicy, PolicyKind};
+use polca_cluster::RowConfig;
 use polca_gpu::{Gpu, GpuSpec};
-use polca_ingest::{
-    requests_to_csv, IngestedTrace, ReplayOptions, TraceCalibration, TraceReplay, TraceStats,
-};
+use polca_ingest::{requests_to_csv, IngestedTrace, TraceCalibration, TraceStats};
 use polca_llm::{InferenceConfig, InferenceModel, ModelSpec};
-use polca_obs::{
-    CarbonSignal, CarbonTrace, EnergyLedger, EnergyPlan, ObsLevel, ProfCounter, Recorder,
-    ReqTraceConfig,
-};
+use polca_obs::{ObsLevel, ProfCounter, Recorder};
 use polca_sim::{SimRng, SimTime};
-use polca_telemetry::{merge_tick_columns, RowPowerTaps, RowTickBuffer};
 use polca_trace::replicate::production_reference;
 use polca_trace::{ArrivalGenerator, DiurnalPattern, TraceConfig, WorkloadClass};
-use polca_watch::{
-    IncidentState, RuleSet, WatchArtifacts, WatchConfig, WatchEnergyConfig, WatchPlane,
-};
+
+mod evaluate;
+
+use evaluate::evaluate;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,6 +108,12 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Io(e.to_string())
+    }
+}
+
 /// Parses `argv[1..]` into an [`Invocation`].
 ///
 /// # Errors
@@ -171,10 +170,7 @@ impl Invocation {
     pub fn get<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
         match self.options.get(flag) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| CliError::BadValue {
-                flag: flag.to_string(),
-                value: v.clone(),
-            }),
+            Some(v) => v.parse().map_err(|_| bad_value(flag, v)),
         }
     }
 
@@ -186,10 +182,7 @@ impl Invocation {
     pub fn get_opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
         match self.options.get(flag) {
             None => Ok(None),
-            Some(v) => v.parse().map(Some).map_err(|_| CliError::BadValue {
-                flag: flag.to_string(),
-                value: v.clone(),
-            }),
+            Some(v) => v.parse().map(Some).map_err(|_| bad_value(flag, v)),
         }
     }
 
@@ -222,12 +215,30 @@ impl Invocation {
         valid: impl Fn(&T) -> bool,
     ) -> Result<Option<T>, CliError> {
         match self.get_opt(flag)? {
-            Some(v) if !valid(&v) => Err(CliError::BadValue {
-                flag: flag.to_string(),
-                value: self.options[flag].clone(),
-            }),
+            Some(v) if !valid(&v) => Err(bad_value(flag, &self.options[flag])),
             v => Ok(v),
         }
+    }
+
+    /// Refuses the first of `flags` (space-separated) given, for a run
+    /// that would not read it: a [`CliError::BadValue`] naming the
+    /// flag, with `why` as its value.
+    fn refuse(&self, flags: &str, why: &str) -> Result<(), CliError> {
+        match flags
+            .split_whitespace()
+            .find(|f| self.options.contains_key(*f))
+        {
+            Some(flag) => Err(bad_value(flag, why)),
+            None => Ok(()),
+        }
+    }
+}
+
+/// A [`CliError::BadValue`] for `--flag`.
+fn bad_value(flag: &str, value: impl ToString) -> CliError {
+    CliError::BadValue {
+        flag: flag.to_string(),
+        value: value.to_string(),
     }
 }
 
@@ -250,40 +261,6 @@ pub fn find_model(name: &str) -> Result<ModelSpec, CliError> {
         .ok_or_else(|| CliError::UnknownModel(name.to_string()))
 }
 
-/// Parses `--engine legacy|batched` plus `--split-pools` into the row
-/// serving engine. The batched configuration reuses the §5.2
-/// disaggregation constants (interconnect bandwidth, token-pool
-/// clock) from [`DisaggregationConfig`].
-fn parse_engine(inv: &Invocation) -> Result<EngineKind, CliError> {
-    let name: String = inv.get("engine", "legacy".to_string())?;
-    let split = inv.options.contains_key("split-pools");
-    match name.to_ascii_lowercase().as_str() {
-        "legacy" => {
-            if split {
-                return Err(CliError::BadValue {
-                    flag: "split-pools".into(),
-                    value: "requires --engine batched".into(),
-                });
-            }
-            Ok(EngineKind::Legacy)
-        }
-        "batched" => Ok(DisaggregationConfig::default().batched_engine(split)),
-        other => Err(CliError::BadValue {
-            flag: "engine".into(),
-            value: other.to_string(),
-        }),
-    }
-}
-
-/// Human-readable tag for the engine in run headers.
-fn engine_tag(engine: &EngineKind) -> &'static str {
-    match engine {
-        EngineKind::Legacy => "legacy",
-        EngineKind::Batched(cfg) if cfg.pools.is_split() => "batched/split-pools",
-        EngineKind::Batched(_) => "batched",
-    }
-}
-
 /// Resolves a policy by name.
 pub fn find_policy(name: &str) -> Result<PolicyKind, CliError> {
     match name.to_ascii_lowercase().as_str() {
@@ -291,7 +268,7 @@ pub fn find_policy(name: &str) -> Result<PolicyKind, CliError> {
         "1t-lp" | "one-thresh-low-pri" => Ok(PolicyKind::OneThreshLowPri),
         "1t-all" | "one-thresh-all" => Ok(PolicyKind::OneThreshAll),
         "nocap" | "no-cap" => Ok(PolicyKind::NoCap),
-        other => Err(CliError::UnknownCommand(other.to_string())),
+        _ => Err(bad_value("policy", name)),
     }
 }
 
@@ -317,7 +294,8 @@ COMMANDS
                 [--seed 17] [--extrapolate-days 42]
   evaluate      run one policy at one oversubscription level
                 [--policy polca|1t-lp|1t-all|nocap] [--added 30]
-                [--days 2] [--seed 17] [--power-scale 1.0]
+                [--servers 40] [--days 2] [--seed 17]
+                [--power-scale 1.0]
                 [--obs-out DIR] [--obs-level off|metrics|events|full]
                 (--obs-out writes events.jsonl, metrics.json,
                  metrics.prom, power.csv, latency.csv, trace.json —
@@ -331,7 +309,7 @@ COMMANDS
                 disaggregated prefill/decode pools (§5.2) with KV
                 transfer over the interconnect
                 [--profile] print the polca-prof attribution table for
-                the run (forces obs level full)
+                a synthesized single-row run (forces obs level full)
                 [--req-trace] trace every request's lifecycle with
                 polca-req: TTFT/TBT/queue-time histograms per priority
                 class land in metrics.prom, and per-request records
@@ -355,8 +333,9 @@ COMMANDS
                 [--pue X[,Y,...]] per-datacenter PUE table (default
                 1.25; implies --carbon-diurnal when no signal is given)
                 [--carbon-budget G_PER_H] / [--carbon-per-token G]
-                with --watch, arm the built-in carbon-budget-burn /
-                co2e-per-token-high rules on the delayed OOB feed
+                with --watch and an energy plan, arm the built-in
+                carbon-budget-burn / co2e-per-token-high rules on the
+                delayed OOB feed
                 [--watch] run the online alerting/incident plane on the
                 delayed OOB telemetry (forces obs level >= events; with
                 --obs-out also writes incidents.jsonl, report.md, and
@@ -386,10 +365,21 @@ COMMANDS
                 are byte-identical whatever N is
                 with --trace-csv FILE: replay an ingested trace through
                 all four Figure 17 policies instead of synthesizing;
-                [--rate-scale 1.0] [--time-scale 1.0] [--servers 40]
-                [--added 30] (--rows N / --datacenters D replays the
-                stream across a site fleet under one policy instead;
-                all site flags above apply)
+                [--rate-scale 1.0] [--time-scale 1.0] (--policy runs
+                one; --rows N / --datacenters D replays the stream
+                across a site fleet under one policy instead; all site
+                flags above apply)
+                Which runs read which flags (others are refused):
+                  synthesized arrivals: --days
+                  --trace-csv arrivals: --rate-scale --time-scale
+                  a synthesized single row: --profile
+                  the four-policy --trace-csv panel: --jobs
+                  a site (--rows or --datacenters above 1):
+                    --rows-per-pdu --enforce-budgets --fleet-threads
+                    --site-budget-mw --oversub-dc --oversub-site
+                  --watch: --watch-rules, and with an energy plan
+                    --carbon-budget --carbon-per-token
+                  every run: every other evaluate flag above
   plan          find the SLO-safe oversubscription maximum
                 [--days 2] [--seed 17] [--servers 40] [--jobs N]
   profile       self-profile the simulator (polca-prof) on the
@@ -613,945 +603,6 @@ fn ingest(inv: &Invocation) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parses `--req-trace` / `--req-sample N` into the polca-req
-/// configuration. `--req-sample` alone implies tracing; the stride is
-/// floored at 1 so `--req-sample 0` means "keep everything".
-fn parse_req_trace(inv: &Invocation) -> Result<Option<ReqTraceConfig>, CliError> {
-    let sample: Option<u64> = inv.get_opt("req-sample")?;
-    if !inv.options.contains_key("req-trace") && sample.is_none() {
-        return Ok(None);
-    }
-    Ok(Some(ReqTraceConfig {
-        sample: sample.unwrap_or(1).max(1),
-    }))
-}
-
-/// Builds the run recorder, attaching the polca-req trace config and
-/// the polca-energy plan when requested.
-fn build_recorder(
-    obs_level: ObsLevel,
-    req: Option<ReqTraceConfig>,
-    energy: Option<EnergyPlan>,
-) -> Recorder {
-    let mut recorder = Recorder::new(obs_level);
-    if let Some(cfg) = req {
-        recorder = recorder.with_req_trace(cfg);
-    }
-    if let Some(plan) = energy {
-        recorder = recorder.with_energy(plan);
-    }
-    recorder
-}
-
-/// Parses `--carbon-trace CSV | --carbon-diurnal [--pue X[,Y,…]]` into
-/// the polca-energy plan. `--pue` alone implies the built-in diurnal
-/// grid signal (like `--req-sample` implies `--req-trace`); a
-/// comma-separated `--pue` list sets per-datacenter PUEs, clamped to
-/// the last entry for higher datacenter indices.
-fn parse_energy(inv: &Invocation) -> Result<Option<EnergyPlan>, CliError> {
-    let trace_path = inv.options.get("carbon-trace");
-    let diurnal = inv.options.contains_key("carbon-diurnal");
-    let pue_raw = inv.options.get("pue");
-    if trace_path.is_none() && !diurnal && pue_raw.is_none() {
-        return Ok(None);
-    }
-    let signal = match trace_path {
-        Some(path) => {
-            if diurnal {
-                return Err(CliError::BadValue {
-                    flag: "carbon-diurnal".into(),
-                    value: "conflicts with --carbon-trace".into(),
-                });
-            }
-            let text =
-                std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-            let trace = CarbonTrace::from_csv_str(&text).map_err(|e| CliError::BadValue {
-                flag: "carbon-trace".into(),
-                value: e.to_string(),
-            })?;
-            CarbonSignal::Trace(trace)
-        }
-        None => CarbonSignal::diurnal_default(),
-    };
-    let mut plan = EnergyPlan::new(signal);
-    if let Some(raw) = pue_raw {
-        let pue: Vec<f64> = raw
-            .split(',')
-            .map(|p| p.trim().parse::<f64>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| CliError::BadValue {
-                flag: "pue".into(),
-                value: raw.clone(),
-            })?;
-        if pue.is_empty() || pue.iter().any(|p| !p.is_finite() || *p < 1.0) {
-            return Err(CliError::BadValue {
-                flag: "pue".into(),
-                value: raw.clone(),
-            });
-        }
-        plan = plan.with_pue(&pue);
-    }
-    Ok(Some(plan))
-}
-
-/// Prints the per-datacenter energy/carbon ledger table for a finished
-/// run, if an energy plan was attached and produced any rows.
-fn print_energy_summary(recorder: &Recorder, completed: u64, indent: &str) {
-    let run = recorder.artifacts();
-    let ledger = run.energy_ledger();
-    if ledger.is_empty() {
-        return;
-    }
-    print_energy_ledger(&ledger, completed, indent);
-}
-
-/// The ledger table itself (split out so the fleet path can print from
-/// an explicitly merged ledger).
-fn print_energy_ledger(ledger: &EnergyLedger, completed: u64, indent: &str) {
-    println!(
-        "{indent}energy ledger (grid mean {:.0} gCO2e/kWh):",
-        ledger.mean_g_per_kwh()
-    );
-    println!(
-        "{indent}  {:<6} {:>5} {:>10} {:>12} {:>10} {:>10}",
-        "dc", "pue", "IT Wh", "facility Wh", "gCO2e", "rows"
-    );
-    for &(dc, ref level, pue) in &ledger.datacenters {
-        let rows = ledger.rows.iter().filter(|r| r.dc == dc).count();
-        println!(
-            "{indent}  {:<6} {:>5.2} {:>10.1} {:>12.1} {:>10.1} {:>10}",
-            dc, pue, level.it_wh, level.facility_wh, level.co2e_g, rows
-        );
-    }
-    let site = &ledger.site;
-    println!(
-        "{indent}  site: {:.1} IT Wh ({:.1} busy), {:.1} facility Wh, {:.1} gCO2e",
-        site.it_wh, site.busy_wh, site.facility_wh, site.co2e_g
-    );
-    if site.tokens > 0 {
-        println!(
-            "{indent}  per token: {:.2} J (busy {:.2} J), {:.4} gCO2e over {} token(s)",
-            site.joules_per_token(),
-            site.busy_wh * 3600.0 / site.tokens as f64,
-            site.co2e_g_per_token(),
-            site.tokens
-        );
-    }
-    if completed > 0 {
-        println!(
-            "{indent}  per request: {:.2} Wh facility (measured, supersedes the \
-             utilization-model estimate) over {completed} completed",
-            CostModel::default()
-                .energy_per_request_wh_measured(ledger, completed)
-                .unwrap_or(0.0)
-        );
-    }
-}
-
-/// One-line digest of a finished req-trace run.
-fn print_req_summary(recorder: &Recorder, indent: &str) {
-    let run = recorder.artifacts();
-    if !run.req_trace {
-        return;
-    }
-    let n = run.requests.len();
-    if n == 0 {
-        println!("{indent}req-trace: 0 request record(s) sampled");
-        return;
-    }
-    let joules: f64 = run.requests.iter().map(|r| r.joules).sum();
-    let tokens: f64 = run
-        .requests
-        .iter()
-        .map(|r| f64::from(r.output_tokens.max(1)))
-        .sum();
-    println!(
-        "{indent}req-trace: {n} request record(s) sampled, \
-         {:.1} J/request, {:.2} J/token (busy power, sampled set)",
-        joules / n as f64,
-        joules / tokens
-    );
-}
-
-/// Builds the watch plane when `--watch` was given, loading
-/// `--watch-rules` if present. When an energy plan is active and a
-/// carbon threshold (`--carbon-budget` gCO2e/h or `--carbon-per-token`
-/// gCO2e) was supplied, the built-in carbon rules ride along on the
-/// same delayed OOB feed.
-fn build_watch_plane(
-    inv: &Invocation,
-    provisioned_watts: f64,
-    energy: Option<&EnergyPlan>,
-) -> Result<Option<WatchPlane>, CliError> {
-    if !inv.options.contains_key("watch") {
-        return Ok(None);
-    }
-    let mut cfg = WatchConfig::new(provisioned_watts);
-    if let Some(path) = inv.options.get("watch-rules") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-        cfg.rules = RuleSet::parse(&text).map_err(|e| CliError::BadValue {
-            flag: "watch-rules".into(),
-            value: e.to_string(),
-        })?;
-    }
-    if let Some(plan) = energy {
-        let budget: Option<f64> = inv.get_opt("carbon-budget")?;
-        let per_token: Option<f64> = inv.get_opt("carbon-per-token")?;
-        if budget.is_some() || per_token.is_some() {
-            cfg = cfg.with_energy(WatchEnergyConfig {
-                signal: plan.signal.clone(),
-                pue: plan.pue_for_dc(),
-                budget_g_per_h: budget.unwrap_or(f64::INFINITY),
-                co2e_per_token_g: per_token.unwrap_or(f64::INFINITY),
-                window_s: 600.0,
-            });
-        }
-    }
-    Ok(Some(WatchPlane::new(cfg)))
-}
-
-/// One-line digest of a finished watch run, plus a line per incident.
-fn print_watch_summary(artifacts: &WatchArtifacts, indent: &str) {
-    let unresolved = artifacts
-        .incidents()
-        .iter()
-        .filter(|i| i.state != IncidentState::Resolved)
-        .count();
-    println!(
-        "{indent}watch: {} alert(s), {} incident(s) ({unresolved} unresolved at end of run)",
-        artifacts.alerts().len(),
-        artifacts.incidents().len(),
-    );
-    for inc in artifacts.incidents() {
-        let lag = match inc.detection_lag_s {
-            Some(lag) => format!("{lag:.1}s detection lag"),
-            None => "onset unknown".to_string(),
-        };
-        println!(
-            "{indent}  #{} {} [{}] {} — {lag}",
-            inc.id,
-            inc.rule,
-            inc.severity,
-            inc.state.tag(),
-        );
-    }
-}
-
-/// Writes `incidents.jsonl` + `report.md` into `dir` and re-renders
-/// `trace.json` with the watch plane's alert/incident instant markers.
-fn write_watch_artifacts(
-    recorder: &Recorder,
-    artifacts: &WatchArtifacts,
-    dir: &str,
-) -> Result<(), CliError> {
-    let dir_path = Path::new(dir);
-    let files = artifacts
-        .write_dir(dir_path)
-        .map_err(|e| CliError::Io(e.to_string()))?;
-    let run = recorder.artifacts();
-    let annotated = run.level.events_enabled();
-    if annotated {
-        std::fs::write(
-            dir_path.join("trace.json"),
-            run.chrome_trace_json_with(&artifacts.annotations()),
-        )
-        .map_err(|e| CliError::Io(e.to_string()))?;
-    }
-    println!(
-        "  watch artifacts: {} file(s) in {}/{}",
-        files.len(),
-        dir.trim_end_matches('/'),
-        if annotated {
-            " (alert markers merged into trace.json)"
-        } else {
-            ""
-        }
-    );
-    Ok(())
-}
-
-/// Flags that, when present, show the caller is aware of the site
-/// level; their absence on a multi-row run triggers the
-/// compatibility note in [`parse_site_config`].
-const SITE_FLAGS: &[&str] = &[
-    "datacenters",
-    "fleet-threads",
-    "site-budget-mw",
-    "oversub-dc",
-    "oversub-site",
-];
-
-/// Parses the site-shape flags shared by the synthetic and
-/// trace-replay fleet paths into a [`SiteConfig`] (shape, budgets, and
-/// threading; the caller fills `base`). `--fleet-threads 0` means
-/// "all cores".
-fn parse_site_config(
-    inv: &Invocation,
-    rows: usize,
-    datacenters: usize,
-) -> Result<SiteConfig, CliError> {
-    if datacenters == 0 {
-        return Err(CliError::BadValue {
-            flag: "datacenters".into(),
-            value: "0".into(),
-        });
-    }
-    if rows == 0 {
-        return Err(CliError::BadValue {
-            flag: "rows".into(),
-            value: "0".into(),
-        });
-    }
-    let mut site = SiteConfig {
-        datacenters,
-        rows_per_datacenter: rows,
-        rows_per_pdu: inv.get_valid("rows-per-pdu", 2, |n| *n > 0)?,
-        enforce_budgets: inv.options.contains_key("enforce-budgets"),
-        ..SiteConfig::default()
-    };
-    let threads: usize = inv.get("fleet-threads", 1)?;
-    site.threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        threads
-    };
-    if let Some(mw) = inv.get_opt::<f64>("site-budget-mw")? {
-        site.site_budget_watts = Some(mw * 1e6);
-    }
-    if let Some(pct) = inv.get_opt_valid("oversub-dc", non_negative)? {
-        site.datacenter_oversubscription = Some(pct / 100.0);
-    }
-    if let Some(pct) = inv.get_opt_valid("oversub-site", non_negative)? {
-        site.site_oversubscription = Some(pct / 100.0);
-    }
-    if rows > 1 && datacenters == 1 && !SITE_FLAGS.iter().any(|f| inv.options.contains_key(*f)) {
-        println!(
-            "note: --rows now sizes one datacenter, not the whole hierarchy; \
-             defaulting to a 1-datacenter site (add --datacenters N to scale out)"
-        );
-    }
-    Ok(site)
-}
-
-/// Prints the site table: one line per row, an aggregate line, the
-/// PDU budget summary, and one line per datacenter (plus the site
-/// line when the site level is active).
-fn print_site_table(report: &SiteReport, site_active: bool) {
-    println!(
-        "  {:<6} {:>8} {:>10} {:>9} {:>9} {:>9} {:>7}",
-        "row", "offered", "completed", "rejected", "peak kW", "mean kW", "brakes"
-    );
-    for (i, r) in report.rows.iter().enumerate() {
-        println!(
-            "  {:<6} {:>8} {:>10} {:>9} {:>9.1} {:>9.1} {:>7}",
-            i,
-            r.offered,
-            r.completed,
-            r.rejected,
-            r.peak_row_watts / 1000.0,
-            r.mean_row_watts / 1000.0,
-            r.brake_engagements
-        );
-    }
-    println!(
-        "  {:<6} {:>8} {:>10} {:>9} {:>9.1} {:>9.1} {:>7}",
-        "fleet",
-        report.offered(),
-        report.completed(),
-        report.rejected(),
-        report.site_peak_watts / 1000.0,
-        report.mean_site_watts() / 1000.0,
-        report.fleet_brake_engagements
-    );
-    for (pdu, (&peak, &budget)) in report
-        .pdu_peak_watts
-        .iter()
-        .zip(&report.pdu_budget_watts)
-        .enumerate()
-    {
-        println!(
-            "  PDU {pdu}: peak {:.1} kW / budget {:.1} kW",
-            peak / 1000.0,
-            budget / 1000.0
-        );
-    }
-    if report.datacenters == 1 {
-        println!(
-            "  datacenter: peak {:.1} kW / budget {:.1} kW (util {:.1}%), \
-             {} PDU / {} datacenter violation sample(s)",
-            report.datacenter_peak_watts[0] / 1000.0,
-            report.datacenter_budget_watts / 1000.0,
-            report.datacenter_peak_utilization(0) * 100.0,
-            report.pdu_violation_samples,
-            report.datacenter_violation_samples
-        );
-    } else {
-        for d in 0..report.datacenters {
-            println!(
-                "  datacenter {d}: peak {:.1} kW / budget {:.1} kW (util {:.1}%)",
-                report.datacenter_peak_watts[d] / 1000.0,
-                report.datacenter_budget_watts / 1000.0,
-                report.datacenter_peak_utilization(d) * 100.0
-            );
-        }
-    }
-    if site_active {
-        println!(
-            "  site: peak {:.2} MW / budget {:.2} MW (util {:.1}%), \
-             {} PDU / {} datacenter / {} site violation sample(s)",
-            report.site_peak_watts / 1e6,
-            report.site_budget_watts / 1e6,
-            report.site_peak_utilization() * 100.0,
-            report.pdu_violation_samples,
-            report.datacenter_violation_samples,
-            report.site_violation_samples
-        );
-    }
-}
-
-/// Writes the site-level artifacts into `dir` and each row's
-/// artifacts into `dir/rowN/` (global row index, flat across
-/// datacenters).
-///
-/// Each row's `prof.json` lands in its own `rowN/` directory, and the
-/// site-level `prof.json` aggregates every row's profile (plus the
-/// window loop's own merge and power-aggregation phases) so one file
-/// answers "where did the whole site run spend its time".
-fn write_site_artifacts(
-    recorder: &Recorder,
-    report: &SiteReport,
-    dir: &str,
-    obs_level: ObsLevel,
-) -> Result<(), CliError> {
-    let dir_path = Path::new(dir);
-    for rec in &report.row_recorders {
-        recorder.absorb_profiling(rec);
-    }
-    let mut total = recorder
-        .write_dir(dir_path)
-        .map_err(|e| CliError::Io(e.to_string()))?
-        .len();
-    for (i, rec) in report.row_recorders.iter().enumerate() {
-        total += rec
-            .write_dir(&dir_path.join(format!("row{i}")))
-            .map_err(|e| CliError::Io(e.to_string()))?
-            .len();
-    }
-    println!(
-        "  obs artifacts ({obs_level}): {total} file(s) in {}/ (site level) and row0..row{}/",
-        dir.trim_end_matches('/'),
-        report.rows.len() - 1
-    );
-    Ok(())
-}
-
-/// When `--watch` was given on a fleet path, subscribes a per-row
-/// tick buffer to `taps` and returns it; the buffered ticks are
-/// replayed per datacenter after the run by [`finalize_site_watch`].
-fn site_watch_buffer(
-    inv: &Invocation,
-    taps: &mut RowPowerTaps,
-    n_rows: usize,
-) -> std::sync::Arc<RowTickBuffer> {
-    debug_assert!(inv.options.contains_key("watch"));
-    let buffer = RowTickBuffer::new(n_rows);
-    taps.subscribe(buffer.clone());
-    buffer
-}
-
-/// Replays each datacenter's buffered, canonically-merged OOB power
-/// stream through its own watch plane and prints/writes the per-DC
-/// incident artifacts (`DIR/dcD/`). Replay order is global row order
-/// within each datacenter, so the incident set is byte-identical
-/// whatever `--fleet-threads` was.
-///
-/// Fleet watch planes ride the power telemetry only (the event-stream
-/// rules stay a single-row feature: row event logs are per-recorder
-/// and would interleave across datacenters).
-fn finalize_site_watch(
-    inv: &Invocation,
-    buffer: &RowTickBuffer,
-    report: &SiteReport,
-    dc_provisioned_watts: f64,
-    horizon: SimTime,
-    obs_out: Option<&str>,
-    energy: Option<&EnergyPlan>,
-) -> Result<(), CliError> {
-    for d in 0..report.datacenters {
-        let columns: Vec<_> = report
-            .rows_in_datacenter(d)
-            .map(|row| buffer.take_row(row))
-            .collect();
-        let merged = merge_tick_columns(&columns);
-        let plane =
-            build_watch_plane(inv, dc_provisioned_watts, energy)?.expect("watch flag checked");
-        let sub = plane.subscriber();
-        for tick in &merged {
-            sub.on_tick(tick.t, tick.truth_watts, tick.observed_watts);
-        }
-        let artifacts = plane.finalize(horizon);
-        println!("  datacenter {d}:");
-        print_watch_summary(&artifacts, "    ");
-        if let Some(dir) = obs_out {
-            let dc_dir = Path::new(dir).join(format!("dc{d}"));
-            let files = artifacts
-                .write_dir(&dc_dir)
-                .map_err(|e| CliError::Io(e.to_string()))?;
-            println!(
-                "    watch artifacts: {} file(s) in {}/dc{d}/",
-                files.len(),
-                dir.trim_end_matches('/')
-            );
-        }
-    }
-    Ok(())
-}
-
-fn evaluate(inv: &Invocation) -> Result<(), CliError> {
-    if inv.options.contains_key("trace-csv") {
-        return evaluate_trace(inv);
-    }
-    let rows: usize = inv.get("rows", 1)?;
-    let datacenters: usize = inv.get("datacenters", 1)?;
-    if rows > 1 || datacenters > 1 {
-        return evaluate_fleet(inv, rows, datacenters);
-    }
-    let policy_name: String = inv.get("policy", "polca".to_string())?;
-    let kind = find_policy(&policy_name)?;
-    let added: f64 = inv.get_valid("added", 30.0, non_negative)?;
-    let days: f64 = inv.get_valid("days", 2.0, positive)?;
-    let seed: u64 = inv.get("seed", 17)?;
-    let power_scale: f64 = inv.get_valid("power-scale", 1.0, positive)?;
-    let obs_out: Option<String> = inv.get_opt("obs-out")?;
-    let profiling = inv.options.contains_key("profile");
-    // The watch plane's count rules and burn tracker ride the event
-    // stream, so `--watch` needs at least the events level; polca-prof
-    // accumulators only exist at the full level.
-    let mut obs_level = parse_obs_level(inv, &obs_out)?;
-    let req_trace = parse_req_trace(inv)?;
-    let energy = parse_energy(inv)?;
-    if inv.options.contains_key("watch") || req_trace.is_some() {
-        obs_level = obs_level.max(ObsLevel::Events);
-    }
-    if energy.is_some() {
-        // The ledger records through the metrics gate.
-        obs_level = obs_level.max(ObsLevel::Metrics);
-    }
-    if profiling {
-        obs_level = obs_level.max(ObsLevel::Full);
-    }
-    let recorder = build_recorder(obs_level, req_trace, energy.clone());
-
-    let mut study = OversubscriptionStudy::new(
-        RowConfig::paper_inference_row(),
-        PolcaPolicy::default(),
-        days,
-        seed,
-    );
-    study.set_record_power(false);
-    study.set_recorder(recorder.clone());
-    let engine = parse_engine(inv)?;
-    study.set_engine(engine.clone());
-    let watch = build_watch_plane(inv, study.row().provisioned_watts(), energy.as_ref())?;
-    if let Some(plane) = &watch {
-        let mut taps = RowPowerTaps::new();
-        taps.subscribe(plane.subscriber());
-        study.set_oob_taps(taps);
-        recorder.set_tap(plane.event_tap());
-    }
-    let run_start = Instant::now();
-    let o = study.run(kind, added / 100.0, power_scale);
-    let run_wall_ns = run_start.elapsed().as_nanos() as u64;
-    println!(
-        "{} at +{added:.0}% servers, power×{power_scale}, {days} day(s), engine {}:",
-        kind.name(),
-        engine_tag(&engine)
-    );
-    println!(
-        "  normalized latency  LP p50 {:.3} p99 {:.3} | HP p50 {:.3} p99 {:.3}",
-        o.low_normalized.p50, o.low_normalized.p99, o.high_normalized.p50, o.high_normalized.p99
-    );
-    println!(
-        "  peak util {:.1}%  brakes {}  SLO {}",
-        o.peak_utilization * 100.0,
-        o.brake_engagements,
-        if o.slo.met { "met" } else { "MISSED" }
-    );
-    let cost = CostModel::default();
-    let value = cost.oversubscription_value(study.row(), added / 100.0);
-    println!(
-        "  capacity value: {} extra servers ≈ ${:.2}M of avoided datacenter build-out",
-        value.extra_servers,
-        value.avoided_capex_usd / 1e6
-    );
-    print_req_summary(&recorder, "  ");
-    print_energy_summary(&recorder, o.counts.1, "  ");
-    if profiling {
-        // Snapshot before artifact I/O so the table accounts against
-        // the run's wall time only.
-        let snap = recorder.prof().snapshot();
-        println!("  self-profile (polca-prof):");
-        for line in snap.attribution_table(run_wall_ns).lines() {
-            println!("    {line}");
-        }
-    }
-    if let Some(dir) = &obs_out {
-        let files = recorder
-            .write_dir(Path::new(dir))
-            .map_err(|e| CliError::Io(e.to_string()))?;
-        println!(
-            "  obs artifacts ({obs_level}): {} file(s) in {}/",
-            files.len(),
-            dir.trim_end_matches('/')
-        );
-    }
-    if let Some(plane) = &watch {
-        recorder.clear_tap();
-        let artifacts = plane.finalize(SimTime::from_days(days));
-        print_watch_summary(&artifacts, "  ");
-        if let Some(dir) = &obs_out {
-            write_watch_artifacts(&recorder, &artifacts, dir)?;
-        }
-    }
-    Ok(())
-}
-
-/// Parses `--obs-level`, defaulting to `Full` when `--obs-out` is set.
-fn parse_obs_level(inv: &Invocation, obs_out: &Option<String>) -> Result<ObsLevel, CliError> {
-    match inv.options.get("obs-level") {
-        Some(v) => v.parse::<ObsLevel>().map_err(|_| CliError::BadValue {
-            flag: "obs-level".into(),
-            value: v.clone(),
-        }),
-        // `--obs-out` without an explicit level means "give me everything".
-        None if obs_out.is_some() => Ok(ObsLevel::Full),
-        None => Ok(ObsLevel::Off),
-    }
-}
-
-/// The `evaluate --rows N [--datacenters D]` path: a site fleet on
-/// the synthetic production-shaped workload, dispatched round-robin
-/// across all rows under per-PDU, datacenter, and site power budgets.
-fn evaluate_fleet(inv: &Invocation, rows: usize, datacenters: usize) -> Result<(), CliError> {
-    let policy_name: String = inv.get("policy", "polca".to_string())?;
-    let kind = find_policy(&policy_name)?;
-    let added: f64 = inv.get_valid("added", 30.0, non_negative)?;
-    let days: f64 = inv.get_valid("days", 2.0, positive)?;
-    let seed: u64 = inv.get("seed", 17)?;
-    let power_scale: f64 = inv.get_valid("power-scale", 1.0, positive)?;
-    let mut site = parse_site_config(inv, rows, datacenters)?;
-    let obs_out: Option<String> = inv.get_opt("obs-out")?;
-    let req_trace = parse_req_trace(inv)?;
-    let energy = parse_energy(inv)?;
-    let mut obs_level = parse_obs_level(inv, &obs_out)?;
-    if req_trace.is_some() {
-        obs_level = obs_level.max(ObsLevel::Events);
-    }
-    if energy.is_some() {
-        obs_level = obs_level.max(ObsLevel::Metrics);
-    }
-    let recorder = build_recorder(obs_level, req_trace, energy.clone());
-
-    // The site serves the same production-shaped workload as the
-    // single-row study, scaled so each of the rows sees the
-    // oversubscribed per-row offered load after round-robin dispatch.
-    let total_rows = rows * datacenters;
-    let base_row = RowConfig::paper_inference_row();
-    let study = OversubscriptionStudy::new(base_row.clone(), PolcaPolicy::default(), days, seed);
-    let horizon = SimTime::from_days(days);
-    let config = TraceConfig {
-        seed,
-        horizon,
-        schedule: study
-            .base_schedule()
-            .scaled((1.0 + added / 100.0) * total_rows as f64),
-        mix: WorkloadClass::table6(),
-    };
-    let source = ArrivalGenerator::new(&config);
-    let row = base_row.with_added_servers(added / 100.0);
-
-    site.base.seed = seed;
-    site.base.power_scale = power_scale;
-    site.base.record_power_series = false;
-    site.base.recorder = recorder.clone();
-    let engine = parse_engine(inv)?;
-    site.base.engine = engine.clone();
-    let watch_buffer = if inv.options.contains_key("watch") {
-        let mut taps = RowPowerTaps::new();
-        let buffer = site_watch_buffer(inv, &mut taps, total_rows);
-        site.base.oob_taps = taps;
-        Some(buffer)
-    } else {
-        None
-    };
-    let site_active = site.site_active();
-    let enforce = site.enforce_budgets;
-    let policy = PolcaPolicy::default();
-    let sim = SiteSim::new(
-        row.clone(),
-        site,
-        |_, rec| kind.controller(&policy, rec),
-        source,
-        horizon,
-    );
-    let report = sim.run();
-    if datacenters > 1 {
-        println!(
-            "{} site: {datacenters} datacenters × {rows} rows (+{added:.0}% servers each), \
-             {} PDU(s), {days} day(s), engine {}, budgets {}:",
-            kind.name(),
-            report.pdu_budget_watts.len(),
-            engine_tag(&engine),
-            if enforce { "enforced" } else { "monitored" }
-        );
-    } else {
-        println!(
-            "{} fleet: {rows} rows (+{added:.0}% servers each), {} PDU(s), \
-             {days} day(s), engine {}, budgets {}:",
-            kind.name(),
-            report.pdu_budget_watts.len(),
-            engine_tag(&engine),
-            if enforce { "enforced" } else { "monitored" }
-        );
-    }
-    print_site_table(&report, site_active);
-    if energy.is_some() {
-        // Row energy accounts live in the row-private recorders; merge
-        // them into the site recorder in canonical row order so the
-        // site-level ledger (table, energy.json) covers the fleet.
-        for rec in &report.row_recorders {
-            recorder.absorb_energy(rec);
-        }
-        print_energy_summary(&recorder, report.completed(), "  ");
-    }
-    if let Some(dir) = &obs_out {
-        write_site_artifacts(&recorder, &report, dir, obs_level)?;
-    }
-    if let Some(buffer) = &watch_buffer {
-        finalize_site_watch(
-            inv,
-            buffer,
-            &report,
-            rows as f64 * row.provisioned_watts(),
-            horizon,
-            obs_out.as_deref(),
-            energy.as_ref(),
-        )?;
-    }
-    Ok(())
-}
-
-/// Drain window appended after the last replayed arrival in the fleet
-/// replay path, matching `TraceEvaluation`'s horizon rule.
-const FLEET_DRAIN_S: f64 = 1800.0;
-
-fn evaluate_trace(inv: &Invocation) -> Result<(), CliError> {
-    let path = inv.options.get("trace-csv").cloned().expect("checked");
-    let seed: u64 = inv.get("seed", 17)?;
-    let rate_scale: f64 = inv.get_valid("rate-scale", 1.0, positive)?;
-    let time_scale: f64 = inv.get_valid("time-scale", 1.0, positive)?;
-    let servers: usize = inv.get_valid("servers", 40, |n| *n > 0)?;
-    let added: f64 = inv.get_valid("added", 30.0, non_negative)?;
-    let rows: usize = inv.get("rows", 1)?;
-    let datacenters: usize = inv.get("datacenters", 1)?;
-    let jobs: usize = inv.get_valid("jobs", 1, |n| *n > 0)?;
-    let obs_out: Option<String> = inv.get_opt("obs-out")?;
-    let req_trace = parse_req_trace(inv)?;
-    let energy = parse_energy(inv)?;
-    let mut obs_level = parse_obs_level(inv, &obs_out)?;
-    if inv.options.contains_key("watch") || req_trace.is_some() {
-        obs_level = obs_level.max(ObsLevel::Events);
-    }
-    if energy.is_some() {
-        obs_level = obs_level.max(ObsLevel::Metrics);
-    }
-    let recorder = build_recorder(obs_level, req_trace, energy.clone());
-
-    let trace = IngestedTrace::from_csv_path_observed(Path::new(&path), &recorder)
-        .map_err(|e| CliError::Ingest(e.to_string()))?;
-    let replay = TraceReplay::with_options(
-        &trace,
-        ReplayOptions {
-            time_scale,
-            rate_scale,
-            seed,
-        },
-    );
-    let requests: Vec<_> = replay.collect();
-    let n = requests.len();
-    let mut row = RowConfig::paper_inference_row();
-    row.base_servers = servers;
-    let row = row.with_added_servers(added / 100.0);
-    let deployed = row.total_servers();
-    let eval_row_provisioned = row.provisioned_watts();
-    let engine = parse_engine(inv)?;
-
-    if rows > 1 || datacenters > 1 {
-        // Site replay: the ingested stream fans out round-robin
-        // across all `rows × datacenters` identical rows under one
-        // policy.
-        let mut site = parse_site_config(inv, rows, datacenters)?;
-        let total_rows = rows * datacenters;
-        let kind = match inv.get_opt::<String>("policy")? {
-            Some(name) => find_policy(&name)?,
-            None => PolicyKind::Polca,
-        };
-        let last_arrival = requests.last().map(|r| r.arrival.as_secs()).unwrap_or(0.0);
-        let horizon = SimTime::from_secs(last_arrival + FLEET_DRAIN_S);
-        println!(
-            "replaying {path} across {total_rows} rows: {n} requests over {:.1} h on \
-             {deployed} servers/row (+{added:.0}% oversubscribed, rate ×{rate_scale}, \
-             time ×{time_scale})",
-            trace.duration_s() * time_scale / 3600.0
-        );
-        site.base.seed = seed;
-        site.base.record_power_series = false;
-        site.base.recorder = recorder.clone();
-        site.base.engine = engine.clone();
-        let watch_buffer = if inv.options.contains_key("watch") {
-            let mut taps = RowPowerTaps::new();
-            let buffer = site_watch_buffer(inv, &mut taps, total_rows);
-            site.base.oob_taps = taps;
-            Some(buffer)
-        } else {
-            None
-        };
-        let site_active = site.site_active();
-        let enforce = site.enforce_budgets;
-        let policy = PolcaPolicy::default();
-        let sim = SiteSim::new(
-            row.clone(),
-            site,
-            |_, rec| kind.controller(&policy, rec),
-            requests.into_iter(),
-            horizon,
-        );
-        let report = sim.run();
-        println!(
-            "{} fleet: {} PDU(s), budgets {}:",
-            kind.name(),
-            report.pdu_budget_watts.len(),
-            if enforce { "enforced" } else { "monitored" }
-        );
-        print_site_table(&report, site_active);
-        if energy.is_some() {
-            for rec in &report.row_recorders {
-                recorder.absorb_energy(rec);
-            }
-            print_energy_summary(&recorder, report.completed(), "  ");
-        }
-        if let Some(dir) = &obs_out {
-            write_site_artifacts(&recorder, &report, dir, obs_level)?;
-        }
-        if let Some(buffer) = &watch_buffer {
-            finalize_site_watch(
-                inv,
-                buffer,
-                &report,
-                rows as f64 * row.provisioned_watts(),
-                horizon,
-                obs_out.as_deref(),
-                energy.as_ref(),
-            )?;
-        }
-        return Ok(());
-    }
-
-    let mut eval = TraceEvaluation::new(row, PolcaPolicy::default(), requests, seed);
-    eval.set_recorder(recorder.clone());
-    eval.set_engine(engine.clone());
-
-    println!(
-        "replaying {path}: {n} requests over {:.1} h on {deployed} servers \
-         (+{added:.0}% oversubscribed, rate ×{rate_scale}, time ×{time_scale}, engine {})",
-        trace.duration_s() * time_scale / 3600.0,
-        engine_tag(&engine)
-    );
-    let kinds: Vec<PolicyKind> = match inv.get_opt::<String>("policy")? {
-        Some(name) => vec![find_policy(&name)?],
-        None => PolicyKind::all().to_vec(),
-    };
-    println!(
-        "  {:<18} {:>8} {:>8} {:>10} {:>7}",
-        "policy", "LP p99", "HP p99", "peak util", "brakes"
-    );
-    let watch_on = inv.options.contains_key("watch");
-    let mut first_watch: Option<(PolicyKind, WatchArtifacts)> = None;
-    if !watch_on && kinds.len() > 1 {
-        // Full Figure 17 panel with no watch plane: every cell is
-        // pure, so run them on `--jobs` worker threads. Outcomes and
-        // per-cell recorders come back in canonical panel order, so
-        // the table and the absorbed artifacts are byte-identical to
-        // a sequential run whatever `jobs` is.
-        for o in eval.run_all(jobs) {
-            println!(
-                "  {:<18} {:>8.3} {:>8.3} {:>9.1}% {:>7}",
-                o.kind.name(),
-                o.low_normalized.p99,
-                o.high_normalized.p99,
-                o.peak_utilization * 100.0,
-                o.brake_engagements
-            );
-        }
-    } else {
-        if jobs > 1 {
-            println!("  note: --watch and single-policy runs are sequential; ignoring --jobs");
-        }
-        // Each policy run gets its own watch plane: the replay clock
-        // restarts per run, and a shared engine would see time jump
-        // backwards. The obs-out incident artifacts come from the
-        // first policy's plane (POLCA when running the full
-        // comparison).
-        let provisioned = eval_row_provisioned;
-        for kind in kinds {
-            let watch = build_watch_plane(inv, provisioned, energy.as_ref())?;
-            if let Some(plane) = &watch {
-                let mut taps = RowPowerTaps::new();
-                taps.subscribe(plane.subscriber());
-                eval.set_oob_taps(taps);
-                recorder.set_tap(plane.event_tap());
-            }
-            let o = eval.run(kind);
-            println!(
-                "  {:<18} {:>8.3} {:>8.3} {:>9.1}% {:>7}",
-                kind.name(),
-                o.low_normalized.p99,
-                o.high_normalized.p99,
-                o.peak_utilization * 100.0,
-                o.brake_engagements
-            );
-            if let Some(plane) = watch {
-                recorder.clear_tap();
-                let artifacts = plane.finalize(eval.horizon());
-                print_watch_summary(&artifacts, "    ");
-                if first_watch.is_none() {
-                    first_watch = Some((kind, artifacts));
-                }
-            }
-        }
-    }
-    print_req_summary(&recorder, "  ");
-    // On the multi-policy panel the ledger aggregates every cell (each
-    // run contributes one row-0 account, merged in canonical order).
-    print_energy_summary(&recorder, 0, "  ");
-    if let Some(dir) = &obs_out {
-        let files = recorder
-            .write_dir(Path::new(dir))
-            .map_err(|e| CliError::Io(e.to_string()))?;
-        println!(
-            "  obs artifacts ({obs_level}): {} file(s) in {}/",
-            files.len(),
-            dir.trim_end_matches('/')
-        );
-        if let Some((kind, artifacts)) = &first_watch {
-            println!("  watch artifacts below are from the {} run", kind.name());
-            write_watch_artifacts(&recorder, artifacts, dir)?;
-        }
-    }
-    Ok(())
-}
-
 fn plan(inv: &Invocation) -> Result<(), CliError> {
     let days: f64 = inv.get_valid("days", 2.0, positive)?;
     let seed: u64 = inv.get("seed", 17)?;
@@ -1656,9 +707,19 @@ fn profile(inv: &Invocation) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evaluate::{parse_req_trace, RunSpec, Shape};
+    use polca_cluster::SiteConfig;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The site config `argv` resolves to.
+    fn site_config(argv: &[&str]) -> Result<SiteConfig, CliError> {
+        match RunSpec::from_invocation(&parse_args(args(argv)).unwrap())?.shape {
+            Shape::Site { config, .. } => Ok(*config),
+            Shape::Row { .. } => panic!("{argv:?} resolves to one row"),
+        }
     }
 
     #[test]
@@ -1793,6 +854,24 @@ mod tests {
             &["characterize", "--batch", "0"],
             &["characterize", "--input", "0"],
             &["characterize", "--output", "0"],
+            &["evaluate", "--rows", "2", "--site-budget-mw", "-1"],
+            &["evaluate", "--rows", "2", "--site-budget-mw", "nan"],
+            &["evaluate", "--rows", "2", "--site-budget-mw", "0"],
+            &[
+                "evaluate",
+                "--watch",
+                "--carbon-diurnal",
+                "--carbon-budget",
+                "-5",
+            ],
+            &[
+                "evaluate",
+                "--watch",
+                "--carbon-diurnal",
+                "--carbon-per-token",
+                "nan",
+            ],
+            &["evaluate", "--policy", "foo"],
         ];
         // Each flag here is one its subcommand does not read.
         let unknown_flags: &[&[&str]] = &[
@@ -1832,6 +911,52 @@ mod tests {
         assert!(!Path::new(csv_out).exists(), "a refused run wrote no CSV");
     }
 
+    /// Every `evaluate` flag takes effect on the resolved run or is
+    /// refused with a `BadValue` naming it — never silently ignored.
+    #[test]
+    fn flags_the_resolved_run_would_not_read_are_refused() {
+        let csv = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/sample_trace.csv"
+        );
+        // `CSV` stands for the bundled trace.
+        let cases = [
+            ("--trace-csv CSV --days 0.001", "days"),
+            ("--rate-scale 2", "rate-scale"),
+            ("--time-scale 2", "time-scale"),
+            (
+                "--enforce-budgets --site-budget-mw 0.001",
+                "enforce-budgets",
+            ),
+            ("--rows-per-pdu 2", "rows-per-pdu"),
+            ("--fleet-threads 2", "fleet-threads"),
+            ("--site-budget-mw 1", "site-budget-mw"),
+            ("--trace-csv CSV --oversub-dc 10", "oversub-dc"),
+            ("--oversub-site 10", "oversub-site"),
+            ("--jobs 2", "jobs"),
+            ("--trace-csv CSV --policy polca --jobs 2", "jobs"),
+            ("--trace-csv CSV --rows 4 --jobs 2", "jobs"),
+            ("--rows 2 --jobs 2", "jobs"),
+            ("--rows 2 --profile", "profile"),
+            ("--trace-csv CSV --policy polca --profile", "profile"),
+            ("--watch-rules rules.txt", "watch-rules"),
+            ("--days 0.02 --carbon-budget 1", "carbon-budget"),
+            ("--carbon-diurnal --carbon-per-token 1", "carbon-per-token"),
+            ("--watch --carbon-budget 1", "carbon-budget"),
+            ("--watch --carbon-per-token 1", "carbon-per-token"),
+        ];
+        for (flags, flag) in cases {
+            let argv = format!("evaluate {}", flags.replace("CSV", csv));
+            let err =
+                run(&parse_args(argv.split_whitespace().map(String::from)).unwrap()).unwrap_err();
+            assert!(
+                matches!(&err, CliError::BadValue { flag: f, .. } if f == flag),
+                "{argv}: {err:?}"
+            );
+            assert!(err.to_string().contains(&format!("--{flag}")), "{err}");
+        }
+    }
+
     #[test]
     fn profile_prints_the_table_and_writes_prof_artifacts() {
         let dir =
@@ -1848,7 +973,7 @@ mod tests {
 
     #[test]
     fn site_flags_parse_into_the_site_config() {
-        let inv = parse_args(args(&[
+        let site = site_config(&[
             "evaluate",
             "--rows",
             "3",
@@ -1863,9 +988,8 @@ mod tests {
             "--oversub-site",
             "10",
             "--enforce-budgets",
-        ]))
+        ])
         .unwrap();
-        let site = parse_site_config(&inv, 3, 4).unwrap();
         assert_eq!(site.datacenters, 4);
         assert_eq!(site.rows_per_datacenter, 3);
         assert_eq!(site.threads, 2);
@@ -1875,16 +999,16 @@ mod tests {
         assert!(site.enforce_budgets);
         assert!(site.site_active());
         // --fleet-threads 0 means "all cores" (at least one).
-        let inv = parse_args(args(&["evaluate", "--rows", "2", "--fleet-threads", "0"])).unwrap();
-        assert!(parse_site_config(&inv, 2, 1).unwrap().threads >= 1);
+        let site = site_config(&["evaluate", "--rows", "2", "--fleet-threads", "0"]).unwrap();
+        assert!(site.threads >= 1);
         // A zero-datacenter or zero-row site is a clean CLI error, not
         // a hierarchy panic.
         assert!(matches!(
-            parse_site_config(&inv, 2, 0),
+            site_config(&["evaluate", "--rows", "2", "--datacenters", "0"]),
             Err(CliError::BadValue { .. })
         ));
         assert!(matches!(
-            parse_site_config(&inv, 0, 2),
+            site_config(&["evaluate", "--rows", "0", "--datacenters", "2"]),
             Err(CliError::BadValue { .. })
         ));
     }

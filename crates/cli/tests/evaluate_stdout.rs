@@ -7,7 +7,9 @@
 //! (synthesized and `--trace-csv`), with the req, energy and watch
 //! planes on. Thread counts change wall time only, so the panel also
 //! runs at `--jobs 2` and the synthetic site at `--fleet-threads 2`
-//! against the same goldens.
+//! against the same goldens. The last two tests check that
+//! `--power-scale` and `--servers` change what a run prints on every
+//! arrival source.
 
 use std::path::Path;
 use std::process::Command;
@@ -91,4 +93,25 @@ fn replayed_site_under_a_site_budget() {
         include_str!("../../../tests/golden/evaluate_replay_site.txt"),
         "evaluate_replay_site.txt",
     );
+}
+
+#[test]
+fn power_scale_changes_a_replayed_run() {
+    let last_line = |args: &str| {
+        evaluate(args)
+            .lines()
+            .last()
+            .unwrap_or_default()
+            .to_string()
+    };
+    let plain = last_line(&format!("{REPLAY} --policy nocap"));
+    let scaled = last_line(&format!("{REPLAY} --policy nocap --power-scale 3"));
+    assert!(plain.starts_with("  No-cap "), "{plain}");
+    assert_ne!(plain, scaled);
+}
+
+#[test]
+fn servers_sizes_the_synthesized_row() {
+    let out = evaluate("--days 0.02 --servers 20");
+    assert!(out.contains("capacity value: 6 extra servers"), "{out}");
 }

@@ -11,6 +11,10 @@
 //! 4. normalize per-priority latency quantiles against the un-capped,
 //!    un-oversubscribed reference run,
 //! 5. check the Table 6 SLOs.
+//!
+//! [`OversubscriptionStudy::from_requests`] runs the same comparison on
+//! a fixed request stream instead — typically `polca-ingest`'s
+//! `TraceReplay` of a production CSV — replayed verbatim at every cell.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -122,13 +126,37 @@ pub struct PolicyOutcome {
     pub commands_issued: u64,
 }
 
-/// A cached reference (un-capped, un-oversubscribed) run.
+/// Drain time appended after a fixed stream's last arrival so
+/// in-flight requests finish inside the simulation horizon.
+const DRAIN_S: f64 = 1800.0;
+
+/// A cached reference (un-capped) run.
 #[derive(Debug, Clone)]
 struct Reference {
     low: Quantiles,
     high: Quantiles,
     low_goodput: f64,
     high_goodput: f64,
+}
+
+/// Where a study's arrivals come from.
+#[derive(Debug, Clone)]
+enum Arrivals {
+    /// Synthesized from the production profile, one stream per
+    /// oversubscription level.
+    Synthesized {
+        profile: TimeSeries,
+        base_schedule: RateSchedule,
+        /// Synthesized arrival traces keyed by `added_fraction` bits —
+        /// every policy compared at the same oversubscription level
+        /// replays the identical stream, so synthesizing it once per
+        /// level is both a determinism statement and the dominant
+        /// sweep-setup saving. Clones share it: a trace depends only on
+        /// the seed, horizon and schedule, which no setter changes.
+        cache: Arc<Mutex<HashMap<u64, Arc<Vec<Request>>>>>,
+    },
+    /// One fixed stream, replayed verbatim at every level.
+    Fixed(Arc<Vec<Request>>),
 }
 
 /// The end-to-end evaluation pipeline.
@@ -141,50 +169,20 @@ struct Reference {
 /// keeps artifacts byte-identical to a sequential run.
 ///
 /// [`run_cell`]: OversubscriptionStudy::run_cell
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OversubscriptionStudy {
     row: RowConfig,
     policy: PolcaPolicy,
     days: f64,
+    until: SimTime,
     seed: u64,
     slo: SloTargets,
-    profile: TimeSeries,
-    base_schedule: RateSchedule,
+    arrivals: Arrivals,
     record_power: bool,
     engine: EngineKind,
     reference: OnceLock<Reference>,
-    /// Synthesized arrival traces keyed by `added_fraction` bits —
-    /// every policy compared at the same oversubscription level replays
-    /// the identical stream, so synthesizing it once per level is both
-    /// a determinism statement and the dominant sweep-setup saving.
-    trace_cache: Mutex<HashMap<u64, Arc<Vec<Request>>>>,
     recorder: Recorder,
     oob_taps: RowPowerTaps,
-}
-
-impl Clone for OversubscriptionStudy {
-    fn clone(&self) -> Self {
-        OversubscriptionStudy {
-            row: self.row.clone(),
-            policy: self.policy.clone(),
-            days: self.days,
-            seed: self.seed,
-            slo: self.slo,
-            profile: self.profile.clone(),
-            base_schedule: self.base_schedule.clone(),
-            record_power: self.record_power,
-            engine: self.engine.clone(),
-            reference: self.reference.clone(),
-            trace_cache: Mutex::new(
-                self.trace_cache
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone(),
-            ),
-            recorder: self.recorder.clone(),
-            oob_taps: self.oob_taps.clone(),
-        }
-    }
 }
 
 impl OversubscriptionStudy {
@@ -201,18 +199,58 @@ impl OversubscriptionStudy {
         let base_schedule = replicator
             .schedule_from_profile(&profile)
             .expect("synthesized profile is well-formed");
+        let arrivals = Arrivals::Synthesized {
+            profile,
+            base_schedule,
+            cache: Arc::default(),
+        };
+        Self::with_arrivals(row, policy, days, SimTime::from_days(days), seed, arrivals)
+    }
+
+    /// Builds a study that replays `requests` verbatim on `row` as
+    /// given, which may already carry added servers. The reference is
+    /// that same row, un-capped, on the same stream, and the stream
+    /// does not scale with a cell's `added_fraction`: run cells at
+    /// `row.added_fraction` to replay on the row as given.
+    ///
+    /// The horizon is the last arrival plus a 30-minute drain window.
+    /// Row-power series are off by default. Unlike a synthesized study,
+    /// cells neither synthesize nor cache traces, and SLO misses are
+    /// reported in the outcome but not logged as events.
+    pub fn from_requests(
+        row: RowConfig,
+        policy: PolcaPolicy,
+        requests: Vec<Request>,
+        seed: u64,
+    ) -> Self {
+        let last_arrival = requests.last().map_or(0.0, |r| r.arrival.as_secs());
+        let until = SimTime::from_secs(last_arrival + DRAIN_S);
+        let arrivals = Arrivals::Fixed(Arc::new(requests));
+        let days = until.as_secs() / 86_400.0;
+        let mut study = Self::with_arrivals(row, policy, days, until, seed, arrivals);
+        study.record_power = false;
+        study
+    }
+
+    fn with_arrivals(
+        row: RowConfig,
+        policy: PolcaPolicy,
+        days: f64,
+        until: SimTime,
+        seed: u64,
+        arrivals: Arrivals,
+    ) -> Self {
         OversubscriptionStudy {
             row,
             policy,
             days,
+            until,
             seed,
             slo: SloTargets::default(),
-            profile,
-            base_schedule,
+            arrivals,
             record_power: true,
             engine: EngineKind::Legacy,
             reference: OnceLock::new(),
-            trace_cache: Mutex::new(HashMap::new()),
             recorder: Recorder::disabled(),
             oob_taps: RowPowerTaps::new(),
         }
@@ -240,13 +278,43 @@ impl OversubscriptionStudy {
     }
 
     /// The synthesized production power profile driving the study.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a study built by [`from_requests`](Self::from_requests),
+    /// which has no profile.
     pub fn production_profile(&self) -> &TimeSeries {
-        &self.profile
+        match &self.arrivals {
+            Arrivals::Synthesized { profile, .. } => profile,
+            Arrivals::Fixed(_) => panic!("a replayed stream has no production profile"),
+        }
     }
 
     /// The base (non-oversubscribed) arrival-rate schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a study built by [`from_requests`](Self::from_requests),
+    /// which has no schedule.
     pub fn base_schedule(&self) -> &RateSchedule {
-        &self.base_schedule
+        match &self.arrivals {
+            Arrivals::Synthesized { base_schedule, .. } => base_schedule,
+            Arrivals::Fixed(_) => panic!("a replayed stream has no arrival schedule"),
+        }
+    }
+
+    /// The fixed stream a [`from_requests`](Self::from_requests) study
+    /// replays, in arrival order; `None` when arrivals are synthesized.
+    pub fn requests(&self) -> Option<&[Request]> {
+        match &self.arrivals {
+            Arrivals::Synthesized { .. } => None,
+            Arrivals::Fixed(requests) => Some(requests),
+        }
+    }
+
+    /// The simulation horizon every run ends at.
+    pub fn horizon(&self) -> SimTime {
+        self.until
     }
 
     /// The row configuration (base deployment).
@@ -308,7 +376,7 @@ impl OversubscriptionStudy {
         self.oob_taps = taps;
     }
 
-    /// The study duration in days.
+    /// The study duration in days (for a replayed stream, its horizon).
     pub fn days(&self) -> f64 {
         self.days
     }
@@ -337,8 +405,8 @@ impl OversubscriptionStudy {
     fn trace(&self, added_fraction: f64) -> TraceConfig {
         TraceConfig {
             seed: self.seed,
-            horizon: SimTime::from_days(self.days),
-            schedule: self.base_schedule.scaled(1.0 + added_fraction),
+            horizon: self.until,
+            schedule: self.base_schedule().scaled(1.0 + added_fraction),
             mix: WorkloadClass::table6(),
         }
     }
@@ -355,13 +423,18 @@ impl OversubscriptionStudy {
         })
     }
 
-    /// The synthesized arrival trace for `added_fraction`, materialized
-    /// once and shared by every subsequent cell at the same level. The
-    /// `study.trace_synthesis` span fires only on cache misses, so its
-    /// count equals the number of *distinct* oversubscription levels a
-    /// sweep visits, not the number of cells.
+    /// The arrival trace for `added_fraction`. A synthesized trace is
+    /// materialized once and shared by every subsequent cell at the
+    /// same level. The `study.trace_synthesis` span fires only on cache
+    /// misses, so its count equals the number of *distinct*
+    /// oversubscription levels a sweep visits, not the number of cells.
+    /// A fixed stream is returned as is, uncounted.
     fn cached_arrivals(&self, added_fraction: f64, obs: &Recorder) -> Arc<Vec<Request>> {
-        let mut cache = self.trace_cache.lock().unwrap_or_else(|e| e.into_inner());
+        let cache = match &self.arrivals {
+            Arrivals::Synthesized { cache, .. } => cache,
+            Arrivals::Fixed(requests) => return Arc::clone(requests),
+        };
+        let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(trace) = cache.get(&added_fraction.to_bits()) {
             obs.prof().count(ProfCounter::TraceCacheHits, 1);
             return Arc::clone(trace);
@@ -376,9 +449,9 @@ impl OversubscriptionStudy {
         trace
     }
 
-    /// Runs (and caches) the reference: no added servers, no policy.
-    /// The run stays un-instrumented so artifacts never depend on
-    /// whether the cache was already warm.
+    /// Runs (and caches) the reference: the study's row with no
+    /// policy, on the level-0 arrivals. The run stays un-instrumented so
+    /// artifacts never depend on whether the cache was already warm.
     fn reference(&self) -> &Reference {
         self.reference.get_or_init(|| {
             let sim = ClusterSim::new(
@@ -387,7 +460,7 @@ impl OversubscriptionStudy {
                 polca_cluster::NoopController,
             );
             let arrivals = self.cached_arrivals(0.0, &Recorder::disabled());
-            let report = sim.run(arrivals.iter().cloned(), SimTime::from_days(self.days));
+            let report = sim.run(arrivals.iter().cloned(), self.until);
             Reference {
                 low: Self::quantiles_or_unit(&report.low_latencies_s),
                 high: Self::quantiles_or_unit(&report.high_latencies_s),
@@ -433,7 +506,7 @@ impl OversubscriptionStudy {
         config.oob_taps = taps.clone();
         let trace = self.cached_arrivals(added_fraction, obs);
         let arrivals = trace.iter().cloned();
-        let until = SimTime::from_days(self.days);
+        let until = self.until;
         let controller = kind.controller(&self.policy, obs);
         let report = ClusterSim::new(row, config, controller).run(arrivals, until);
 
@@ -444,7 +517,13 @@ impl OversubscriptionStudy {
         let slo = self
             .slo
             .check(&low_normalized, &high_normalized, report.brake_engagements);
-        for violation in &slo.violations {
+        // A replay's reference is its own row un-capped, not Table 6's
+        // un-oversubscribed one, so only synthesized studies log misses.
+        let logged = match &self.arrivals {
+            Arrivals::Synthesized { .. } => &slo.violations[..],
+            Arrivals::Fixed(_) => &[],
+        };
+        for violation in logged {
             obs.record_with(|| Event::SloViolation {
                 t: until.as_secs(),
                 detail: format!("{}: {violation}", kind.name()),
@@ -484,11 +563,27 @@ impl OversubscriptionStudy {
     ///
     /// Panics if `jobs` is zero.
     pub fn sweep(&self, cells: &[(PolicyKind, f64, f64)], jobs: usize) -> Vec<PolicyOutcome> {
+        self.sweep_with(cells, jobs, |_, _| self.oob_taps.clone())
+    }
+
+    /// [`sweep`](Self::sweep), with `taps(i, obs)` wiring cell `i`'s
+    /// telemetry taps given the fresh recorder `obs` it records into —
+    /// e.g. one watch plane per cell, attached to both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `jobs` is zero.
+    pub fn sweep_with(
+        &self,
+        cells: &[(PolicyKind, f64, f64)],
+        jobs: usize,
+        taps: impl Fn(usize, &Recorder) -> RowPowerTaps + Sync,
+    ) -> Vec<PolicyOutcome> {
         let results = crate::sweep::run_parallel(jobs, cells.len(), |i| {
             let (kind, added_fraction, power_scale) = cells[i];
             let cell_obs = self.recorder.fresh_cell();
-            let outcome =
-                self.run_cell(kind, added_fraction, power_scale, &cell_obs, &self.oob_taps);
+            let cell_taps = taps(i, &cell_obs);
+            let outcome = self.run_cell(kind, added_fraction, power_scale, &cell_obs, &cell_taps);
             (outcome, cell_obs)
         });
         results
@@ -505,12 +600,98 @@ impl OversubscriptionStudy {
 mod tests {
     use super::*;
 
-    fn study() -> OversubscriptionStudy {
-        // 20 base servers so +25 %/+30 % splits evenly between priority
-        // classes (the paper's 40-server row has the same property).
+    /// 20 base servers so +25 %/+30 % splits evenly between priority
+    /// classes (the paper's 40-server row has the same property).
+    fn small_row() -> RowConfig {
         let mut row = RowConfig::paper_inference_row();
         row.base_servers = 20;
-        OversubscriptionStudy::new(row, PolcaPolicy::default(), 1.0, 9)
+        row
+    }
+
+    fn study() -> OversubscriptionStudy {
+        OversubscriptionStudy::new(small_row(), PolcaPolicy::default(), 1.0, 9)
+    }
+
+    fn burst_requests(n: u64, gap_s: f64) -> Vec<Request> {
+        (0..n)
+            .map(|i| {
+                Request::new(
+                    i,
+                    SimTime::from_secs(i as f64 * gap_s),
+                    1200,
+                    400,
+                    if i % 2 == 0 {
+                        Priority::High
+                    } else {
+                        Priority::Low
+                    },
+                )
+            })
+            .collect()
+    }
+
+    fn replay(requests: Vec<Request>, seed: u64) -> OversubscriptionStudy {
+        OversubscriptionStudy::from_requests(small_row(), PolcaPolicy::default(), requests, seed)
+    }
+
+    #[test]
+    fn nocap_on_reference_stream_normalizes_to_unity() {
+        let mut study = replay(burst_requests(400, 2.0), 3);
+        let outcome = study.run(PolicyKind::NoCap, 0.0, 1.0);
+        assert_eq!(outcome.counts.0, 400);
+        assert!((outcome.low_normalized.p99 - 1.0).abs() < 1e-9);
+        assert!((outcome.high_normalized.p99 - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn all_policies_run_on_the_same_stream() {
+        let mut study = replay(burst_requests(300, 1.5), 3);
+        for kind in PolicyKind::all() {
+            let outcome = study.run(kind, 0.0, 1.0);
+            assert_eq!(outcome.kind, kind);
+            assert_eq!(outcome.counts.0, 300);
+            assert!(outcome.counts.1 > 0, "{kind:?} completed nothing");
+        }
+    }
+
+    #[test]
+    fn replay_cells_neither_synthesize_nor_log_slo_misses() {
+        let mut study = replay(burst_requests(300, 1.5), 3);
+        study.set_recorder(Recorder::new(polca_obs::ObsLevel::Full));
+        let outcome = study.run(PolicyKind::NoCap, 0.0, 3.0);
+        assert!(!outcome.slo.met, "a tripled power draw must brake");
+        let run = study.recorder().artifacts();
+        assert!(!run
+            .events
+            .iter()
+            .any(|e| matches!(e, Event::SloViolation { .. })));
+        assert!(run.spans.get("study.trace_synthesis").is_none());
+        for counter in [ProfCounter::TraceCacheHits, ProfCounter::TraceCacheMisses] {
+            assert_eq!(run.prof.counter(counter), 0);
+        }
+    }
+
+    #[test]
+    fn parallel_policy_panel_matches_sequential_runs() {
+        let panel = PolicyKind::all().map(|kind| (kind, 0.0, 1.0));
+        let outcomes = replay(burst_requests(300, 1.5), 3).sweep(&panel, 4);
+        let mut seq = replay(burst_requests(300, 1.5), 3);
+        assert_eq!(outcomes.len(), PolicyKind::all().len());
+        for (got, kind) in outcomes.iter().zip(PolicyKind::all()) {
+            let want = seq.run(kind, 0.0, 1.0);
+            assert_eq!(got.kind, want.kind);
+            assert_eq!(got.counts, want.counts);
+            assert_eq!(got.commands_issued, want.commands_issued);
+            assert_eq!(got.low_normalized.p99, want.low_normalized.p99);
+            assert_eq!(got.high_normalized.p99, want.high_normalized.p99);
+        }
+    }
+
+    #[test]
+    fn horizon_covers_the_drain_window() {
+        let study = replay(burst_requests(10, 60.0), 1);
+        assert!(study.horizon().as_secs() >= 9.0 * 60.0 + 1800.0);
+        assert_eq!(study.requests().map(<[Request]>::len), Some(10));
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod cost;
 pub mod disaggregation;
 pub mod experiment;
 pub mod policy;
-pub mod replay;
 pub mod selective;
 pub mod slo;
 pub mod sweep;
@@ -54,7 +53,6 @@ pub use cost::{CostModel, OversubscriptionValue};
 pub use disaggregation::{Disaggregation, DisaggregationConfig};
 pub use experiment::{OversubscriptionStudy, PolicyKind, PolicyOutcome};
 pub use policy::{PolcaPolicy, PowerMode};
-pub use replay::{ReplayOutcome, TraceEvaluation};
 pub use selective::SelectiveController;
 pub use slo::{SloQuantile, SloReport, SloTargets, SloViolation};
 pub use thresholds::ThresholdTrainer;

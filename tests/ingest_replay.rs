@@ -5,7 +5,7 @@
 
 use std::path::Path;
 
-use polca::{PolcaController, PolcaPolicy, PolicyKind, TraceEvaluation};
+use polca::{OversubscriptionStudy, PolcaController, PolcaPolicy, PolicyKind};
 use polca_cluster::{ClusterSim, RowConfig, SimConfig};
 use polca_ingest::{
     requests_to_csv, IngestedTrace, ReplayOptions, TraceCalibration, TraceReplay, TraceStats,
@@ -120,12 +120,12 @@ fn replayed_sample_preserves_fig17_policy_ordering() {
     let trace = IngestedTrace::from_csv_path(sample_path()).unwrap();
     let requests: Vec<_> = TraceReplay::new(&trace).collect();
     let row = RowConfig::paper_inference_row().with_added_servers(0.30);
-    let mut eval = TraceEvaluation::new(row, PolcaPolicy::default(), requests, 17);
+    let mut study = OversubscriptionStudy::from_requests(row, PolcaPolicy::default(), requests, 17);
 
-    let polca = eval.run(PolicyKind::Polca);
-    let one_lp = eval.run(PolicyKind::OneThreshLowPri);
-    let one_all = eval.run(PolicyKind::OneThreshAll);
-    let no_cap = eval.run(PolicyKind::NoCap);
+    let polca = study.run(PolicyKind::Polca, 0.30, 1.0);
+    let one_lp = study.run(PolicyKind::OneThreshLowPri, 0.30, 1.0);
+    let one_all = study.run(PolicyKind::OneThreshAll, 0.30, 1.0);
+    let no_cap = study.run(PolicyKind::NoCap, 0.30, 1.0);
 
     assert_eq!(polca.brake_engagements, 0, "POLCA must not brake");
     assert!(

@@ -15,10 +15,7 @@
 //! * the per-priority TTFT/TBT/energy histograms render to a pinned
 //!   Prometheus exposition.
 
-use polca::{
-    CostModel, DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind,
-    TraceEvaluation,
-};
+use polca::{CostModel, DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind};
 use polca_cluster::{EngineKind, Priority, Request, RowConfig};
 use polca_ingest::{IngestedTrace, ReplayOptions, TraceReplay};
 use polca_obs::{
@@ -101,11 +98,12 @@ fn requests_jsonl_is_jobs_invariant() {
         let recorder = Recorder::new(ObsLevel::Full).with_req_trace(ReqTraceConfig::default());
         let mut row = RowConfig::paper_inference_row();
         row.base_servers = 20;
-        let mut eval =
-            TraceEvaluation::new(row, PolcaPolicy::default(), burst_requests(300, 1.5), 3);
-        eval.set_engine(batched());
-        eval.set_recorder(recorder.clone());
-        let _ = eval.run_all(jobs);
+        let requests = burst_requests(300, 1.5);
+        let mut study =
+            OversubscriptionStudy::from_requests(row, PolcaPolicy::default(), requests, 3);
+        study.set_engine(batched());
+        study.set_recorder(recorder.clone());
+        let _ = study.sweep(&PolicyKind::all().map(|kind| (kind, 0.0, 1.0)), jobs);
         recorder.artifacts()
     };
     let (a, b) = (run(1), run(4));
@@ -136,13 +134,13 @@ fn kv_pressure_run() -> (Recorder, u64) {
             )
         })
         .collect();
-    let mut eval = TraceEvaluation::new(row, PolcaPolicy::default(), requests, 7);
-    eval.set_engine(EngineKind::Batched(ServeConfig {
+    let mut study = OversubscriptionStudy::from_requests(row, PolcaPolicy::default(), requests, 7);
+    study.set_engine(EngineKind::Batched(ServeConfig {
         kv_blocks: Some(8),
         ..ServeConfig::default()
     }));
-    eval.set_recorder(recorder.clone());
-    let o = eval.run(PolicyKind::NoCap);
+    study.set_recorder(recorder.clone());
+    let o = study.run(PolicyKind::NoCap, 0.0, 1.0);
     (recorder, o.counts.1)
 }
 
@@ -188,10 +186,11 @@ fn aggregate_energy_estimator_bounds_the_req_ledger() {
         .with_energy(EnergyPlan::new(CarbonSignal::Constant(400.0)));
     let mut row = RowConfig::paper_inference_row();
     row.base_servers = 10;
-    let mut eval = TraceEvaluation::new(row.clone(), PolcaPolicy::default(), requests, 17);
-    eval.set_engine(batched());
-    eval.set_recorder(recorder.clone());
-    let o = eval.run(PolicyKind::Polca);
+    let mut study =
+        OversubscriptionStudy::from_requests(row.clone(), PolcaPolicy::default(), requests, 17);
+    study.set_engine(batched());
+    study.set_recorder(recorder.clone());
+    let o = study.run(PolicyKind::Polca, 0.0, 1.0);
     assert!(o.counts.1 > 0);
 
     let run = recorder.artifacts();
@@ -200,7 +199,7 @@ fn aggregate_energy_estimator_bounds_the_req_ledger() {
     let ledger_mean_wh = total_joules / run.requests.len() as f64 / 3600.0;
     assert!(ledger_mean_wh > 0.0);
 
-    let days = eval.horizon().as_secs() / 86_400.0;
+    let days = study.horizon().as_secs() / 86_400.0;
     let aggregate_wh = CostModel::default()
         .energy_per_request_wh_raw(o.mean_utilization, o.counts.1, &row, days)
         .unwrap();

@@ -10,9 +10,7 @@
 //!   engine, with KV occupancy, batch size, and per-pool power visible
 //!   in the obs metrics and the serve prof counters populated.
 
-use polca::{
-    DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind, TraceEvaluation,
-};
+use polca::{DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind};
 use polca_cluster::{EngineKind, Priority, Request, RowConfig};
 use polca_obs::{ObsLevel, ProfCounter, Recorder};
 use polca_sim::SimTime;
@@ -115,11 +113,13 @@ fn batched_panel_is_jobs_invariant() {
         let recorder = Recorder::new(ObsLevel::Full);
         let mut row = RowConfig::paper_inference_row();
         row.base_servers = 20;
-        let mut eval =
-            TraceEvaluation::new(row, PolcaPolicy::default(), burst_requests(300, 1.5), 3);
-        eval.set_engine(batched());
-        eval.set_recorder(recorder.clone());
-        (eval.run_all(jobs), recorder)
+        let requests = burst_requests(300, 1.5);
+        let mut study =
+            OversubscriptionStudy::from_requests(row, PolcaPolicy::default(), requests, 3);
+        study.set_engine(batched());
+        study.set_recorder(recorder.clone());
+        let panel = PolicyKind::all().map(|kind| (kind, 0.0, 1.0));
+        (study.sweep(&panel, jobs), recorder)
     };
     let (seq, rec_seq) = run(1);
     let (par, rec_par) = run(4);

@@ -111,6 +111,25 @@ for row in 0 1 2 3 4 5; do
 done
 grep -q '"ev":"budget_violation","t":[^,]*,"scope":"site"' "$brake_seq/events.jsonl" \
     || { echo "no site budget violation under --site-budget-mw 0.30"; exit 1; }
+# A synthesized site, whose rows are fed from the arrival generator as
+# the run goes, under a 30 % oversubscribed site budget where site
+# brakes fire: its artifacts must not depend on --fleet-threads either.
+synth_seq="$(scratch)"
+synth_par="$(scratch)"
+cargo run -q --offline --release -p polca-cli -- \
+    evaluate --rows 2 --datacenters 3 --days 0.05 --enforce-budgets \
+    --oversub-site 30 --fleet-threads 1 --obs-out "$synth_seq" > /dev/null
+cargo run -q --offline --release -p polca-cli -- \
+    evaluate --rows 2 --datacenters 3 --days 0.05 --enforce-budgets \
+    --oversub-site 30 --fleet-threads 2 --obs-out "$synth_par" > /dev/null
+cmp "$synth_seq/events.jsonl" "$synth_par/events.jsonl" \
+    || { echo "synthesized site events.jsonl differs across --fleet-threads"; exit 1; }
+for row in 0 1 2 3 4 5; do
+    cmp "$synth_seq/row$row/events.jsonl" "$synth_par/row$row/events.jsonl" \
+        || { echo "synthesized row$row events.jsonl differs across --fleet-threads"; exit 1; }
+done
+grep -q '"ev":"budget_violation","t":[^,]*,"scope":"site"' "$synth_seq/events.jsonl" \
+    || { echo "no site budget violation under --oversub-site 30"; exit 1; }
 # The four-policy --trace-csv panel (the one run that reads --jobs)
 # must print and write the same bytes at --jobs 1 and 2.
 panel_dirs=()

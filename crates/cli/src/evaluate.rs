@@ -10,6 +10,7 @@
 //! writes each shape's output through one path.
 
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 use polca::{CostModel, DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind};
@@ -410,8 +411,11 @@ impl RunSpec {
     ) -> Result<(), CliError> {
         let total_rows = config.datacenters * config.rows_per_datacenter;
         let horizon = study.horizon();
-        let source: Box<dyn Iterator<Item = Request> + '_> = match study.requests() {
-            Some(requests) => Box::new(requests.iter().cloned()),
+        let source: Box<dyn Iterator<Item = Request>> = match study.requests() {
+            Some(requests) => {
+                let requests = Arc::clone(requests);
+                Box::new((0..requests.len()).map(move |k| requests[k]))
+            }
             None => Box::new(ArrivalGenerator::new(&TraceConfig {
                 seed: self.seed,
                 horizon,

@@ -67,5 +67,5 @@ pub use sim::{
     ClusterSim, ControlRequest, ControlTarget, EngineKind, NoopController, PowerController,
     RequestSource, RowContext, RowSim, SimConfig, SimReport,
 };
-pub use site::{row_seed, PowerCeiling, SiteConfig, SiteReport, SiteSim};
+pub use site::{row_seed, PendingArrivals, PowerCeiling, SiteConfig, SiteReport, SiteSim};
 pub use training::TrainingCluster;

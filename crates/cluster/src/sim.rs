@@ -353,6 +353,10 @@ pub struct ClusterSim<P> {
     /// `None` unless the recorder has request tracing on (the batched
     /// engine threads spans through its own sequences instead).
     legacy_trace: Option<Vec<LegacyTrace>>,
+    /// The most one server can draw while serving and while idle:
+    /// the per-server bounds of the site's `PowerCeiling`, fixed once
+    /// the power scale is set.
+    max_server_watts: (f64, f64),
 }
 
 impl<P: PowerController> ClusterSim<P> {
@@ -384,6 +388,15 @@ impl<P: PowerController> ClusterSim<P> {
                 Some(BatchedRow::new(params, serve_cfg, obs.prof().clone()))
             }
         };
+        let max_of =
+            |watts: fn(&InferenceServer) -> f64| servers.iter().map(watts).fold(0.0, f64::max);
+        let max_server_watts = (
+            engine.as_ref().map_or_else(
+                || max_of(InferenceServer::max_serving_watts),
+                BatchedRow::max_server_power_watts,
+            ),
+            max_of(InferenceServer::max_idle_watts),
+        );
         let row_power_watts: f64 = match &engine {
             Some(e) => e.total_power_watts(),
             None => servers.iter().map(InferenceServer::power_watts).sum(),
@@ -461,6 +474,7 @@ impl<P: PowerController> ClusterSim<P> {
             config,
             controller,
             legacy_trace,
+            max_server_watts,
         }
     }
 
@@ -1172,9 +1186,24 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
     }
 
     /// The arrival source still to be drawn from (read-only). The next
-    /// arrival has already left it: it waits in the event queue.
+    /// arrival has already left it: it waits in the event queue. In a
+    /// `SiteSim` the source is the row's feed, which holds only what
+    /// the site's dispatcher has dealt the row so far: at least its
+    /// arrivals up to the end of the current epoch, plus one.
     pub(crate) fn source(&self) -> &S {
         &self.source
+    }
+
+    /// The arrival source, for the site's dispatcher to append to
+    /// between steps.
+    pub(crate) fn source_mut(&mut self) -> &mut S {
+        &mut self.source
+    }
+
+    /// The most one server of the row can draw while serving and while
+    /// idle (see [`ClusterSim`]'s `max_server_watts`).
+    pub(crate) fn max_server_watts(&self) -> (f64, f64) {
+        self.sim.max_server_watts
     }
 
     /// Timestamp of the next queued event, or `None` when the queue is

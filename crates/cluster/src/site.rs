@@ -11,25 +11,35 @@
 //!
 //! Rows are resumable [`RowSim`] engines with fully independent state:
 //! their own event queue, RNG stream ([`row_seed`]), recorder cell,
-//! and OOB control plane. The one thing that couples them is the
-//! budget enforcer, which reads every row's power at each telemetry
-//! boundary and may inject brake commands there. The site therefore
-//! steps rows in *epochs* of K telemetry windows and synchronises once
-//! per epoch, not once per window:
+//! arrival feed, and OOB control plane. The one thing that couples
+//! them is the budget enforcer, which reads every row's power at each
+//! telemetry boundary and may inject brake commands there. The site
+//! therefore steps rows in *epochs* of K telemetry windows and
+//! synchronises once per epoch, not once per window:
 //!
-//! 1. **Plan** (main thread). Pick the largest K ≤ 64 for which every
+//! 1. **Fill** (main thread). A dispatcher deals the source's requests
+//!    to the rows' feeds by strict round robin, request `k` to row
+//!    `k % n`, until every row holds an arrival later than the furthest
+//!    boundary the epoch can reach (64 windows out, capped at the
+//!    horizon) or the source is exhausted. Rows, their ceilings and
+//!    the epoch loop read only these feeds, and a feed drops what its
+//!    row has drawn when it is refilled, so the site holds at most one
+//!    epoch of arrivals plus one per row, whatever its horizon. The
+//!    same fill runs once in [`SiteSim::new`], before the rows queue
+//!    their first arrival.
+//! 2. **Plan** (main thread). Pick the largest K ≤ 64 for which every
 //!    row's [`PowerCeiling`] proves that no enforced PDU, datacenter or
 //!    site budget can be exceeded at any boundary before the epoch's
 //!    last one. While a level is braked, or once the headroom is gone,
 //!    K = 1: the lockstep protocol.
-//! 2. **Step.** Each thread owns a fixed contiguous chunk of rows;
+//! 3. **Step.** Each thread owns a fixed contiguous chunk of rows;
 //!    workers are spawned once per run and the main thread steps the
 //!    last chunk. A thread walks each of its rows through all K
 //!    boundaries, calling `step_until(boundary)` only where the row
 //!    has an event due (an idle row costs nothing — see
 //!    `ProfCounter::FleetRowsSkipped`), and records the row's power
 //!    and due flag at every boundary.
-//! 3. **Replay** (main thread, after the epoch's barrier). For every
+//! 4. **Replay** (main thread, after the epoch's barrier). For every
 //!    boundary in order, merge the recorded samples in canonical row
 //!    order (`fleet.merge` phase), then observe them
 //!    (`fleet.power_aggregation` / `site.aggregate` phases): aggregate
@@ -53,7 +63,12 @@
 //! decides those commands at every boundary; within an epoch the
 //! ceiling proves that every boundary but the last decides none, so
 //! stepping a row through K boundaries without a stop processes the
-//! same events in the same order. Hence any thread count and any epoch
+//! same events in the same order. Nor does the dispatcher: it deals
+//! every row the same requests in the same order at any epoch length
+//! and thread count, always before the row's clock reaches them, so a
+//! row draws from its feed exactly what it would draw from its whole
+//! share of the stream, including the one arrival past its last due
+//! one that it queues next. Hence any thread count and any epoch
 //! length produce byte-identical artifacts (pinned against the K = 1
 //! reference in this module's tests and across thread counts by
 //! proptests in `tests/site_sim.rs`).
@@ -78,9 +93,9 @@
 //! A default [`SiteConfig`] is one datacenter of one row, and that
 //! shape is the legacy single-row path:
 //!
-//! * arrivals are split across rows by a deterministic round-robin
-//!   dispatcher that preserves per-row arrival order, so a 1-row site
-//!   feeds its single row the unmodified source stream;
+//! * the dispatcher deals arrivals by strict round robin, which keeps
+//!   each row's share in arrival order, so a 1-row site feeds its
+//!   single row the unmodified source stream, one epoch at a time;
 //! * per-row seeds come from [`row_seed`], whose row-0 value is the
 //!   site seed itself;
 //! * budget *monitoring* is passive by default, so a 1-row site run is
@@ -101,7 +116,6 @@ use polca_telemetry::ControlAction;
 use crate::hierarchy::SiteHierarchy;
 use crate::request::{Priority, Request};
 use crate::row::RowConfig;
-use crate::server::InferenceServer;
 use crate::sim::{
     ClusterSim, ControlRequest, ControlTarget, PowerController, RequestSource, RowSim, SimConfig,
     SimReport,
@@ -138,26 +152,140 @@ pub fn row_seed(site_seed: u64, row: usize) -> u64 {
     site_seed ^ x
 }
 
-/// Each row consumes its pre-split share of the arrival stream: an
-/// owned iterator, so rows can step on worker threads without sharing
-/// a dispatcher.
-type RowFeed = std::vec::IntoIter<Request>;
+/// A row's share of the site's arrival stream: request `k` of the
+/// source goes to row `k % n`. The site's [`Dispatcher`] appends to it
+/// on the main thread between epochs and the row draws from its front
+/// while stepping, on whichever thread owns it.
+#[derive(Default)]
+struct RowFeed {
+    requests: Vec<Request>,
+    /// Requests before this index have been drawn.
+    drawn: usize,
+    /// Set once the source is exhausted: nothing more will be dealt.
+    closed: bool,
+}
 
-/// One row engine driving its owned feed.
+impl RowFeed {
+    /// Appends `req`, first dropping the drawn prefix, so the buffer
+    /// holds at most one epoch of arrivals plus one.
+    fn push(&mut self, req: Request) {
+        if self.drawn > 0 {
+            self.requests.drain(..self.drawn);
+            self.drawn = 0;
+        }
+        self.requests.push(req);
+    }
+}
+
+impl Iterator for RowFeed {
+    type Item = Request;
+
+    /// # Panics
+    ///
+    /// Panics if the feed runs dry while the source may still hold
+    /// requests: the dispatcher fell behind the row, which would
+    /// silently see the end of its stream.
+    fn next(&mut self) -> Option<Request> {
+        let Some(&req) = self.requests.get(self.drawn) else {
+            assert!(
+                self.closed,
+                "site dispatch: a row drew past its feed before the source ran dry"
+            );
+            return None;
+        };
+        self.drawn += 1;
+        Some(req)
+    }
+}
+
+/// A row's arrival source whose not-yet-drawn requests can be read in
+/// place: what a [`PowerCeiling`] counts.
+pub trait PendingArrivals {
+    /// The requests still to be drawn, in arrival order.
+    fn pending(&self) -> &[Request];
+}
+
+impl PendingArrivals for std::vec::IntoIter<Request> {
+    fn pending(&self) -> &[Request] {
+        self.as_slice()
+    }
+}
+
+impl PendingArrivals for RowFeed {
+    fn pending(&self) -> &[Request] {
+        &self.requests[self.drawn..]
+    }
+}
+
+/// One row engine driving its feed.
 type RowEngine<P> = RowSim<P, RowFeed>;
 
-/// Splits `source` across `n` rows by strict round-robin: request `k`
-/// goes to row `k % n`, preserving per-row arrival order. This is
-/// exactly the stream the historical lazy shared dispatcher handed
-/// each row, but materialized up front so feeds are independent.
-fn split_round_robin<S: RequestSource>(mut source: S, n: usize) -> Vec<RowFeed> {
-    let mut buckets: Vec<Vec<Request>> = (0..n).map(|_| Vec::new()).collect();
-    let mut next = 0;
-    while let Some(req) = source.next_request() {
-        buckets[next].push(req);
-        next = (next + 1) % n;
+/// Deals the site's arrival stream to the rows' feeds by strict round
+/// robin, pulling from the source only as far as the next epoch needs.
+/// It runs on the main thread, before the rows queue their first
+/// arrival and before every epoch is planned.
+struct Dispatcher {
+    /// The arrival stream; `None` once it is exhausted.
+    source: Option<Box<dyn RequestSource>>,
+    /// Arrival time of the request last dealt to each row.
+    last: Vec<Option<SimTime>>,
+    /// The row the next request goes to.
+    next: usize,
+}
+
+impl Dispatcher {
+    fn new(source: Box<dyn RequestSource>, rows: usize) -> Self {
+        Dispatcher {
+            source: Some(source),
+            last: vec![None; rows],
+            next: 0,
+        }
     }
-    buckets.into_iter().map(Vec::into_iter).collect()
+
+    /// Deals requests until every row holds one arriving after `until`,
+    /// or the source runs dry (then closes every feed). A row stepped
+    /// to `until` then never draws from an empty feed, and after its
+    /// last arrival due by `until` it queues the next, as a row over
+    /// its whole share would.
+    ///
+    /// Arrivals never decrease, so the rows' last arrivals rise in the
+    /// order they were dealt: the row dealt to longest ago, the next
+    /// one, holds the earliest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source yields requests out of order.
+    fn fill(&mut self, until: SimTime, feeds: &mut [&mut RowFeed]) {
+        let n = feeds.len();
+        while let Some(source) = &mut self.source {
+            if self.last[self.next].is_some_and(|at| at > until) {
+                return;
+            }
+            let Some(req) = source.next_request() else {
+                self.source = None;
+                for feed in feeds.iter_mut() {
+                    feed.closed = true;
+                }
+                return;
+            };
+            let latest = self.last[(self.next + n - 1) % n];
+            assert!(
+                latest.is_none_or(|at| req.arrival >= at),
+                "arrival stream out of order at request {}",
+                req.id
+            );
+            self.last[self.next] = Some(req.arrival);
+            feeds[self.next].push(req);
+            self.next = (self.next + 1) % n;
+        }
+    }
+}
+
+/// The last boundary an epoch from `t` of at most `windows` telemetry
+/// windows can reach, by the boundary arithmetic of
+/// [`SiteSim::plan_epoch`] step for step.
+fn epoch_reach(t: SimTime, window: SimTime, horizon: SimTime, windows: usize) -> SimTime {
+    (0..windows).fold(t, |boundary, _| (boundary + window).min(horizon))
 }
 
 /// The brake command a budget enforcer injects into member rows.
@@ -200,31 +328,27 @@ pub struct PowerCeiling<'a> {
 
 impl<'a> PowerCeiling<'a> {
     /// The ceiling of `row` from its current instant on.
-    pub fn new<P: PowerController>(row: &'a RowSim<P, std::vec::IntoIter<Request>>) -> Self {
-        if let Some(engine) = row.batched_row() {
-            let n = engine.n_servers();
-            return PowerCeiling {
-                servers: n,
-                serving_watts: engine.max_server_power_watts(),
-                idle_watts: 0.0,
-                committed: n,
-                pending: &[],
-                arrived: 0,
-            };
-        }
-        let servers = row.servers();
-        let busy_or_buffered: usize = servers
-            .iter()
-            .map(|s| usize::from(!s.is_idle()) + s.queue_len())
-            .sum();
-        let max_of =
-            |watts: fn(&InferenceServer) -> f64| servers.iter().map(watts).fold(0.0, f64::max);
+    pub fn new<P: PowerController, S: RequestSource + PendingArrivals>(
+        row: &'a RowSim<P, S>,
+    ) -> Self {
+        let (serving_watts, idle_watts) = row.max_server_watts();
+        let (servers, committed, pending) = match row.batched_row() {
+            Some(engine) => (engine.n_servers(), engine.n_servers(), &[][..]),
+            None => {
+                let servers = row.servers();
+                let busy_or_buffered: usize = servers
+                    .iter()
+                    .map(|s| usize::from(!s.is_idle()) + s.queue_len())
+                    .sum();
+                (servers.len(), busy_or_buffered + 1, row.source().pending())
+            }
+        };
         PowerCeiling {
-            servers: servers.len(),
-            serving_watts: max_of(InferenceServer::max_serving_watts),
-            idle_watts: max_of(InferenceServer::max_idle_watts),
-            committed: busy_or_buffered + 1,
-            pending: row.source().as_slice(),
+            servers,
+            serving_watts,
+            idle_watts,
+            committed,
+            pending,
             arrived: 0,
         }
     }
@@ -856,6 +980,7 @@ impl Drop for ReleaseWorkers<'_> {
 /// per-row state).
 pub struct SiteSim<P> {
     rows: Vec<RowEngine<P>>,
+    dispatch: Dispatcher,
     row_recorders: Vec<Recorder>,
     monitor: SiteMonitor,
     window: SimTime,
@@ -869,15 +994,18 @@ pub struct SiteSim<P> {
 impl<P: PowerController> SiteSim<P> {
     /// Builds a site of `site.datacenters × site.rows_per_datacenter`
     /// copies of `row`, each driven by its round-robin share of
-    /// `source` and controlled by its own
-    /// `make_controller(global_row_index, row_recorder)` instance, up
-    /// to `horizon`.
+    /// `source` (request `k` goes to row `k % n`) and controlled by its
+    /// own `make_controller(global_row_index, row_recorder)` instance,
+    /// up to `horizon`. The site owns `source` and reads it lazily, one
+    /// epoch ahead of the rows, so its memory follows the epoch and
+    /// not the horizon.
     ///
     /// # Panics
     ///
     /// Panics if any shape count is zero or the base telemetry
-    /// interval is not positive.
-    pub fn new<S: RequestSource>(
+    /// interval is not positive. The site panics, here or while it
+    /// runs, if `source` yields requests out of order.
+    pub fn new<S: RequestSource + 'static>(
         row: RowConfig,
         site: SiteConfig,
         mut make_controller: impl FnMut(usize, &Recorder) -> P,
@@ -891,7 +1019,15 @@ impl<P: PowerController> SiteSim<P> {
         let hierarchy = site.hierarchy(row.provisioned_watts());
         let site_active = site.site_active();
         let n = hierarchy.n_rows();
-        let feeds = split_round_robin(source, n);
+        let window = SimTime::from_secs(site.base.telemetry_interval_s);
+        // Each row queues its first arrival as it is built, so the
+        // first epoch's arrivals are dealt before any row exists.
+        let mut dispatch = Dispatcher::new(Box::new(source), n);
+        let mut feeds: Vec<RowFeed> = (0..n).map(|_| RowFeed::default()).collect();
+        dispatch.fill(
+            epoch_reach(SimTime::ZERO, window, horizon, MAX_EPOCH_WINDOWS),
+            &mut feeds.iter_mut().collect::<Vec<_>>(),
+        );
         let mut rows = Vec::with_capacity(n);
         let mut row_recorders = Vec::with_capacity(n);
         for (i, feed) in feeds.into_iter().enumerate() {
@@ -916,6 +1052,7 @@ impl<P: PowerController> SiteSim<P> {
         }
         SiteSim {
             rows,
+            dispatch,
             row_recorders,
             monitor: SiteMonitor::new(
                 site.base.recorder,
@@ -923,7 +1060,7 @@ impl<P: PowerController> SiteSim<P> {
                 site.enforce_budgets,
                 site_active,
             ),
-            window: SimTime::from_secs(site.base.telemetry_interval_s),
+            window,
             horizon,
             threads: site.threads,
             max_epoch_windows: MAX_EPOCH_WINDOWS,
@@ -1012,6 +1149,7 @@ impl<P: PowerController> SiteSim<P> {
             loop {
                 {
                     let mut guards = lock_all(&chunks);
+                    self.fill_feeds(&mut guards, t);
                     let rows = guards.iter().flat_map(|g| &g.rows);
                     self.plan_epoch(rows, t, &mut bounds, &mut row_ceilings);
                     for g in &mut guards {
@@ -1042,6 +1180,18 @@ impl<P: PowerController> SiteSim<P> {
             .flat_map(|c| c.into_inner().expect("row chunk poisoned").rows)
             .collect();
         epochs
+    }
+
+    /// Deals the rows every arrival the epoch from `t` can reach, plus
+    /// one each.
+    fn fill_feeds(&mut self, chunks: &mut [MutexGuard<'_, Chunk<P>>], t: SimTime) {
+        let reach = epoch_reach(t, self.window, self.horizon, self.max_epoch_windows);
+        let mut feeds: Vec<&mut RowFeed> = chunks
+            .iter_mut()
+            .flat_map(|c| c.rows.iter_mut())
+            .map(RowSim::source_mut)
+            .collect();
+        self.dispatch.fill(reach, &mut feeds);
     }
 
     /// Fills `bounds` with the next epoch's boundaries after `t`, each
@@ -1267,6 +1417,27 @@ mod tests {
             site.latencies(Priority::Low).len(),
             site.rows[0].low_latencies_s.len() + site.rows[1].low_latencies_s.len()
         );
+    }
+
+    #[test]
+    fn a_refilled_feed_drops_what_its_row_drew() {
+        let reqs = mixed_requests(4);
+        let mut feed = RowFeed::default();
+        feed.push(reqs[0]);
+        feed.push(reqs[1]);
+        assert_eq!(feed.next(), Some(reqs[0]));
+        assert_eq!(feed.pending(), &reqs[1..2]);
+        feed.push(reqs[2]);
+        assert_eq!(feed.requests, reqs[1..3]);
+        feed.closed = true;
+        assert_eq!(feed.by_ref().count(), 2);
+        assert_eq!(feed.next(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "a row drew past its feed")]
+    fn an_open_feed_that_runs_dry_panics() {
+        RowFeed::default().next();
     }
 
     #[test]

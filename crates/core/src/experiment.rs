@@ -305,7 +305,8 @@ impl OversubscriptionStudy {
 
     /// The fixed stream a [`from_requests`](Self::from_requests) study
     /// replays, in arrival order; `None` when arrivals are synthesized.
-    pub fn requests(&self) -> Option<&[Request]> {
+    /// Cloning the handle shares the stream without copying it.
+    pub fn requests(&self) -> Option<&Arc<Vec<Request>>> {
         match &self.arrivals {
             Arrivals::Synthesized { .. } => None,
             Arrivals::Fixed(requests) => Some(requests),
@@ -691,7 +692,7 @@ mod tests {
     fn horizon_covers_the_drain_window() {
         let study = replay(burst_requests(10, 60.0), 1);
         assert!(study.horizon().as_secs() >= 9.0 * 60.0 + 1800.0);
-        assert_eq!(study.requests().map(<[Request]>::len), Some(10));
+        assert_eq!(study.requests().map(|r| r.len()), Some(10));
     }
 
     #[test]

@@ -256,6 +256,7 @@ impl Recorder {
 
     /// Appends `event` to the event log (no-op below
     /// [`ObsLevel::Events`]).
+    #[inline]
     pub fn record(&self, event: Event) {
         if self.level.events_enabled() {
             self.prof.count(ProfCounter::EventsRecorded, 1);
@@ -269,6 +270,7 @@ impl Recorder {
     /// Like [`record`](Self::record) but defers construction, so
     /// events whose payload allocates (e.g. [`Event::SloViolation`])
     /// cost nothing when disabled.
+    #[inline]
     pub fn record_with(&self, make: impl FnOnce() -> Event) {
         if self.level.events_enabled() {
             self.prof.count(ProfCounter::EventsRecorded, 1);
@@ -304,6 +306,7 @@ impl Recorder {
 
     /// Adds `by` to a counter series (no-op below
     /// [`ObsLevel::Metrics`]).
+    #[inline]
     pub fn add(&self, name: &'static str, label: Label, by: u64) {
         if self.level.metrics_enabled() {
             if let Some(mut core) = self.lock() {
@@ -314,6 +317,7 @@ impl Recorder {
 
     /// Sets a gauge series to its latest value (no-op below
     /// [`ObsLevel::Metrics`]).
+    #[inline]
     pub fn gauge(&self, name: &'static str, label: Label, value: f64) {
         if self.level.metrics_enabled() {
             if let Some(mut core) = self.lock() {
@@ -324,6 +328,7 @@ impl Recorder {
 
     /// Records a histogram observation (no-op below
     /// [`ObsLevel::Metrics`]).
+    #[inline]
     pub fn observe(&self, name: &'static str, label: Label, value: f64) {
         if self.level.metrics_enabled() {
             if let Some(mut core) = self.lock() {
@@ -532,6 +537,7 @@ impl QueueProbe {
     /// Called after an event is scheduled; `depth` is the new queue
     /// length. Also feeds the lock-free polca-prof counters (events
     /// scheduled, peak queue depth).
+    #[inline]
     pub fn on_schedule(&self, depth: usize) {
         let prof = self.rec.prof();
         prof.count(ProfCounter::EventsScheduled, 1);
@@ -543,6 +549,7 @@ impl QueueProbe {
 
     /// Called after an event is popped; `depth` is the remaining queue
     /// length.
+    #[inline]
     pub fn on_pop(&self, depth: usize) {
         self.rec.prof().count(ProfCounter::EventsPopped, 1);
         self.rec.add("sim.events_popped", Label::Global, 1);

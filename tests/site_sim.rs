@@ -11,12 +11,19 @@
 //!   actually exceeds the parent cap, for randomized site shapes,
 //! * the site lookahead's `PowerCeiling` is sound: a row never draws
 //!   more than its ceiling at any boundary the ceiling covers, on
-//!   either serving engine, under POLCA and injected brakes.
+//!   either serving engine, under POLCA and injected brakes,
+//! * the site reads its arrival source lazily, at most one epoch ahead
+//!   of its rows plus one arrival per row,
+//! * a monitor-only site completes exactly what its rows complete
+//!   standalone, each on its round-robin share of the stream.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use polca::{DisaggregationConfig, PolcaController, PolcaPolicy};
 use polca_cluster::{
-    ControlRequest, ControlTarget, PowerCeiling, Request, RowConfig, RowSim, SimConfig, SiteConfig,
-    SiteSim,
+    row_seed, ControlRequest, ControlTarget, PowerCeiling, PowerController, Priority, Request,
+    RowConfig, RowContext, RowSim, SimConfig, SimReport, SiteConfig, SiteSim,
 };
 use polca_obs::{Event, ObsLevel, Recorder, ReqTraceConfig};
 use polca_sim::{SimRng, SimTime};
@@ -284,5 +291,256 @@ proptest! {
             }
         }
         prop_assert!(checks > 0);
+    }
+}
+
+/// Counts the requests a site draws from its source.
+struct CountedSource {
+    requests: std::vec::IntoIter<Request>,
+    pulls: Arc<AtomicUsize>,
+}
+
+impl Iterator for CountedSource {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        let next = self.requests.next();
+        if next.is_some() {
+            self.pulls.fetch_add(1, Ordering::SeqCst);
+        }
+        next
+    }
+}
+
+/// A controller that checks, at every telemetry tick, that the site
+/// has drawn no more than the arrivals due within one epoch (64
+/// windows of 2 s) of the tick plus one per row, and issues nothing.
+struct PullBound {
+    pulls: Arc<AtomicUsize>,
+    arrivals: Arc<Vec<SimTime>>,
+    rows: usize,
+    ticks: Arc<AtomicUsize>,
+}
+
+impl PowerController for PullBound {
+    fn on_telemetry(
+        &mut self,
+        now: SimTime,
+        _observed: Option<f64>,
+        _ctx: &RowContext,
+    ) -> Vec<ControlRequest> {
+        let reach = now + SimTime::from_secs(64.0 * 2.0);
+        let due = self.arrivals.partition_point(|&at| at <= reach);
+        let pulls = self.pulls.load(Ordering::SeqCst);
+        assert!(
+            pulls <= due + self.rows,
+            "at t = {} s the site has drawn {pulls} requests, but only {due} arrive \
+             within an epoch ({} rows)",
+            now.as_secs(),
+            self.rows
+        );
+        self.ticks.fetch_add(1, Ordering::SeqCst);
+        Vec::new()
+    }
+}
+
+/// The site draws its source lazily: never more than one epoch of
+/// arrivals ahead of any row's clock, plus one per row, yet every
+/// request by the end. Tight enforced budgets mix one-window epochs
+/// around their brakes with full ones.
+#[test]
+fn the_site_reads_its_source_one_epoch_ahead() {
+    for threads in [1, 2] {
+        let requests = arrivals(7);
+        let total = requests.len();
+        let pulls = Arc::new(AtomicUsize::new(0));
+        let ticks = Arc::new(AtomicUsize::new(0));
+        let due = Arc::new(requests.iter().map(|r| r.arrival).collect::<Vec<_>>());
+        let row = small_row();
+        let site = SiteConfig {
+            datacenters: 2,
+            rows_per_datacenter: 2,
+            rows_per_pdu: 2,
+            pdu_budget_watts: Some(row.provisioned_watts() * 1.1),
+            datacenter_budget_watts: Some(row.provisioned_watts() * 1.4),
+            site_budget_watts: Some(row.provisioned_watts() * 2.6),
+            enforce_budgets: true,
+            threads,
+            ..SiteConfig::default()
+        };
+        let rows = site.datacenters * site.rows_per_datacenter;
+        let report = SiteSim::new(
+            row,
+            site,
+            |_, _| PullBound {
+                pulls: Arc::clone(&pulls),
+                arrivals: Arc::clone(&due),
+                rows,
+                ticks: Arc::clone(&ticks),
+            },
+            CountedSource {
+                requests: requests.into_iter(),
+                pulls: Arc::clone(&pulls),
+            },
+            SimTime::from_secs(HORIZON),
+        )
+        .run();
+        assert!(report.fleet_brake_engagements > 0, "the budgets bind");
+        assert!(ticks.load(Ordering::SeqCst) > 0);
+        assert_eq!(pulls.load(Ordering::SeqCst), total);
+        assert_eq!(report.offered(), total as u64);
+    }
+}
+
+/// The horizon of the dispatcher-edge streams: not a multiple of the
+/// 128 s epoch a monitor-only site runs.
+const EDGE_HORIZON: f64 = 900.0;
+
+/// A stream that probes how a site deals arrivals to its rows, on a
+/// site of `rows` rows with 2 s windows and 128 s epochs: Poisson
+/// arrivals over [0, 200) s and [600, `end`) s, so the gap between
+/// them spans three epochs; one request per row exactly on the window
+/// boundary 6 s and the epoch boundaries 128 s and 640 s; and, when
+/// `end` lies past the horizon, one per row exactly at the horizon and
+/// one per row just past it.
+fn edge_stream(seed: u64, rows: usize, end: f64) -> Vec<Request> {
+    let mut rng = SimRng::from_seed_stream(seed, 7);
+    let mut at = Vec::new();
+    for (from, to) in [(0.0, 200.0), (600.0, end)] {
+        let mut t = from + rng.exponential(0.5);
+        while t < to {
+            at.push(t);
+            t += rng.exponential(0.5);
+        }
+    }
+    for exact in [6.0, 128.0, 640.0, EDGE_HORIZON, EDGE_HORIZON + 1.0] {
+        if exact < end {
+            at.extend(std::iter::repeat_n(exact, rows));
+        }
+    }
+    at.sort_by(f64::total_cmp);
+    at.into_iter()
+        .enumerate()
+        .map(|(id, t)| {
+            let priority = if rng.chance(0.5) {
+                Priority::Low
+            } else {
+                Priority::High
+            };
+            let input = rng.uniform_u64(256, 4096) as u32;
+            let output = rng.uniform_u64(16, 512) as u32;
+            Request::new(id as u64, SimTime::from_secs(t), input, output, priority)
+        })
+        .collect()
+}
+
+/// What one row leaves behind that its site must not change.
+#[derive(Debug, PartialEq)]
+struct RowOutcome {
+    offered: u64,
+    completed: u64,
+    rejected: u64,
+    low_latencies_s: Vec<f64>,
+    high_latencies_s: Vec<f64>,
+    events_processed: u64,
+    events: String,
+    requests: String,
+    metrics: String,
+}
+
+impl RowOutcome {
+    fn new(report: &SimReport, recorder: &Recorder) -> Self {
+        let artifacts = recorder.artifacts();
+        RowOutcome {
+            offered: report.offered,
+            completed: report.completed,
+            rejected: report.rejected,
+            low_latencies_s: report.low_latencies_s.clone(),
+            high_latencies_s: report.high_latencies_s.clone(),
+            events_processed: report.events_processed,
+            events: artifacts.events_jsonl(),
+            requests: artifacts.requests_jsonl(),
+            metrics: artifacts.metrics_prometheus(),
+        }
+    }
+}
+
+/// The recorder every row of the run relation records into: events,
+/// metrics and request traces, but no wall-clock profile (a site steps
+/// a row in slices, which the profile's call counts would show).
+fn relation_recorder() -> Recorder {
+    Recorder::new(ObsLevel::Events).with_req_trace(ReqTraceConfig { sample: 1 })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Run relation: a monitor-only site completes exactly what its
+    /// rows complete standalone. Row `i` of a 2 × 3 site, at 1, 2 and
+    /// 4 threads, reports and records what a lone `RowSim` seeded
+    /// `row_seed(seed, i)` does over requests `k` with `k % 6 == i`,
+    /// on a stream that runs past the horizon and on one that ends
+    /// before it. The budgets are far below the rows' draw, so the
+    /// site records violations at every boundary but never intervenes.
+    #[test]
+    fn monitor_only_site_rows_match_standalone_rows(seed in 0u64..500) {
+        let row = small_row();
+        let policy = PolcaPolicy::default();
+        let horizon = SimTime::from_secs(EDGE_HORIZON);
+        let n = 6;
+        for end in [EDGE_HORIZON + 100.0, 700.0] {
+            let stream = edge_stream(seed, n, end);
+            let standalone: Vec<RowOutcome> = (0..n)
+                .map(|i| {
+                    let recorder = relation_recorder();
+                    let cfg = SimConfig {
+                        seed: row_seed(seed, i),
+                        recorder: recorder.clone(),
+                        ..SimConfig::default()
+                    };
+                    let controller =
+                        PolcaController::new(policy.clone()).with_recorder(recorder.clone());
+                    let feed: Vec<Request> = stream.iter().copied().skip(i).step_by(n).collect();
+                    let report =
+                        RowSim::new(row.clone(), cfg, controller, feed.into_iter(), horizon)
+                            .finish();
+                    RowOutcome::new(&report, &recorder)
+                })
+                .collect();
+            for threads in [1, 2, 4] {
+                let mut site = SiteConfig {
+                    datacenters: 2,
+                    rows_per_datacenter: 3,
+                    rows_per_pdu: 2,
+                    pdu_budget_watts: Some(row.provisioned_watts() * 0.1),
+                    site_budget_watts: Some(row.provisioned_watts() * 0.5),
+                    threads,
+                    ..SiteConfig::default()
+                };
+                site.base.seed = seed;
+                site.base.recorder = relation_recorder();
+                let report = SiteSim::new(
+                    row.clone(),
+                    site,
+                    |_, rec| PolcaController::new(policy.clone()).with_recorder(rec.clone()),
+                    stream.clone().into_iter(),
+                    horizon,
+                )
+                .run();
+                prop_assert!(report.site_violation_samples > 0);
+                prop_assert_eq!(report.fleet_brake_engagements, 0);
+                for (i, want) in standalone.iter().enumerate() {
+                    let got = RowOutcome::new(&report.rows[i], &report.row_recorders[i]);
+                    prop_assert!(
+                        &got == want,
+                        "row {} of the site at {} threads (stream ending at {} s) \
+                         differs from the row run standalone",
+                        i,
+                        threads,
+                        end
+                    );
+                }
+            }
+        }
     }
 }

@@ -42,9 +42,6 @@ for workload in row_6wk site_day serve_day replay_obs; do
     echo "  $workload: correct"
 done
 
-echo "== cargo bench --no-run =="
-cargo bench --offline --no-run -q
-
 echo "== polca-cli ingest smoke test =="
 cargo run -q --offline --release -p polca-cli -- \
     ingest tests/golden/sample_trace.csv
@@ -131,16 +128,17 @@ done
 grep -q '"ev":"budget_violation","t":[^,]*,"scope":"site"' "$synth_seq/events.jsonl" \
     || { echo "no site budget violation under --oversub-site 30"; exit 1; }
 # The four-policy --trace-csv panel (the one run that reads --jobs)
-# must print and write the same bytes at --jobs 1 and 2.
+# must print and write the same bytes at --jobs 1 and 2, its watch
+# planes included.
 panel_dirs=()
 for jobs in 1 2; do
     dir="$(scratch)"
     panel_dirs+=("$dir")
     cargo run -q --offline --release -p polca-cli -- \
-        evaluate --trace-csv tests/golden/sample_trace.csv --servers 10 \
+        evaluate --trace-csv tests/golden/sample_trace.csv --servers 10 --watch \
         --jobs "$jobs" --obs-out "$dir/out" | sed "s#$dir#DIR#" > "$dir/stdout.txt"
 done
-for f in stdout.txt out/events.jsonl out/metrics.prom; do
+for f in stdout.txt out/events.jsonl out/metrics.prom out/incidents.jsonl; do
     cmp "${panel_dirs[0]}/$f" "${panel_dirs[1]}/$f" \
         || { echo "panel $f differs across --jobs"; exit 1; }
 done

@@ -24,7 +24,9 @@ use polca_watch::{
     IncidentState, RuleSet, WatchArtifacts, WatchConfig, WatchEnergyConfig, WatchPlane,
 };
 
-use crate::{bad_value, find_policy, non_negative, positive, CliError, Invocation};
+use crate::{
+    bad_value, find_policy, longer_than_step, non_negative, positive, CliError, Invocation,
+};
 
 /// The `evaluate` entry point.
 pub(crate) fn evaluate(inv: &Invocation) -> Result<(), CliError> {
@@ -105,9 +107,10 @@ impl RunSpec {
             }
             None => {
                 inv.refuse("rate-scale time-scale", "requires --trace-csv")?;
-                Source::Synthesized {
-                    days: inv.get_valid("days", 2.0, positive)?,
-                }
+                let days = inv.get_valid("days", 2.0, |d| {
+                    longer_than_step(d, OversubscriptionStudy::PROFILE_STEP_S)
+                })?;
+                Source::Synthesized { days }
             }
         };
         let mut row = RowConfig::paper_inference_row();
@@ -274,9 +277,10 @@ impl RunSpec {
         Ok(study)
     }
 
-    /// One row under each of `kinds`, run as one sweep. Each cell gets
-    /// its own watch plane: the clock restarts per run, and a shared
-    /// engine would see time jump backwards.
+    /// One row under each of `kinds`, run as one sweep on `jobs`
+    /// workers. Each cell gets its own recorder and watch plane: the
+    /// clock restarts per run, and a shared engine would see time jump
+    /// backwards.
     fn run_row(
         &self,
         study: &OversubscriptionStudy,
@@ -291,12 +295,6 @@ impl RunSpec {
                 "policy", "LP p99", "HP p99", "peak util", "brakes"
             );
         }
-        let jobs = if self.watch.is_some() && jobs > 1 {
-            println!("  note: --watch and single-policy runs are sequential; ignoring --jobs");
-            1
-        } else {
-            jobs
-        };
         let planes: Vec<Option<WatchPlane>> = kinds
             .iter()
             .map(|_| self.watch.clone().map(WatchPlane::new))
@@ -541,8 +539,7 @@ fn parse_energy(inv: &Invocation) -> Result<Option<EnergyPlan>, CliError> {
     let signal = match trace_path {
         Some(path) => {
             inv.refuse("carbon-diurnal", "conflicts with --carbon-trace")?;
-            let text =
-                std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+            let text = read_flag_file("carbon-trace", path)?;
             let trace =
                 CarbonTrace::from_csv_str(&text).map_err(|e| bad_value("carbon-trace", e))?;
             CarbonSignal::Trace(trace)
@@ -576,8 +573,7 @@ fn watch_config(
 ) -> Result<WatchConfig, CliError> {
     let mut cfg = WatchConfig::new(provisioned_watts);
     if let Some(path) = inv.options.get("watch-rules") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+        let text = read_flag_file("watch-rules", path)?;
         cfg.rules = RuleSet::parse(&text).map_err(|e| bad_value("watch-rules", e))?;
     }
     let budget: Option<f64> = inv.get_opt_valid("carbon-budget", positive)?;
@@ -599,6 +595,15 @@ fn watch_config(
         co2e_per_token_g: per_token.unwrap_or(f64::INFINITY),
         window_s: 600.0,
     }))
+}
+
+/// The text of the file at `path`, which `--flag` named.
+fn read_flag_file(flag: &str, path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::Read {
+        flag: flag.to_string(),
+        path: path.to_string(),
+        error: e.to_string(),
+    })
 }
 
 /// Parses the site-shape flags into a [`SiteConfig`] (shape, budgets,
@@ -848,7 +853,7 @@ fn write_artifacts(
 ) -> Result<(), CliError> {
     let dir_path = Path::new(dir);
     for rec in rows {
-        recorder.absorb_profiling(rec);
+        recorder.prof().merge_from(rec.prof());
     }
     let mut total = recorder.write_dir(dir_path)?.len();
     for (i, rec) in rows.iter().enumerate() {

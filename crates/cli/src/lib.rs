@@ -81,6 +81,15 @@ pub enum CliError {
     },
     /// Unknown model name.
     UnknownModel(String),
+    /// A file a flag names could not be read.
+    Read {
+        /// The flag, without its leading `--`.
+        flag: String,
+        /// The path the flag named.
+        path: String,
+        /// Why the read failed.
+        error: String,
+    },
     /// Writing observability artifacts failed.
     Io(String),
     /// Reading, calibrating, or replaying a trace CSV failed.
@@ -100,6 +109,9 @@ impl fmt::Display for CliError {
                 write!(f, "invalid value `{value}` for `--{flag}`")
             }
             CliError::UnknownModel(m) => write!(f, "unknown model `{m}`; see `tab03_model_zoo`"),
+            CliError::Read { flag, path, error } => {
+                write!(f, "cannot read `--{flag}` file {path}: {error}")
+            }
             CliError::Io(e) => write!(f, "cannot write artifacts: {e}"),
             CliError::Ingest(e) => write!(f, "{e}"),
         }
@@ -245,6 +257,13 @@ fn bad_value(flag: &str, value: impl ToString) -> CliError {
 /// Valid durations and scale factors: finite and above zero.
 fn positive(x: &f64) -> bool {
     x.is_finite() && *x > 0.0
+}
+
+/// Valid durations for a run that samples a profile every `step_s`
+/// seconds: positive, and longer than one step, so the profile holds
+/// the two samples its statistics and schedule inversion need.
+fn longer_than_step(days: &f64, step_s: f64) -> bool {
+    positive(days) && days * 86_400.0 > step_s
 }
 
 /// Valid added-server, oversubscription, and noise amounts: finite and
@@ -504,14 +523,19 @@ fn characterize(inv: &Invocation) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Resolution, in seconds, of the profile `trace` summarizes: the row
+/// telemetry's 2 s step, so the rise statistics see 2 s spikes.
+const TRACE_STEP_S: f64 = 2.0;
+
 fn trace(inv: &Invocation) -> Result<(), CliError> {
-    let days: f64 = inv.get_valid("days", 1.0, positive)?;
     let seed: u64 = inv.get("seed", 17)?;
     if let Some(path) = inv.get_opt::<String>("csv-out")? {
+        let days: f64 = inv.get_valid("days", 1.0, positive)?;
         return trace_csv_out(inv, &path, days, seed);
     }
+    let days: f64 = inv.get_valid("days", 1.0, |d| longer_than_step(d, TRACE_STEP_S))?;
     let row = RowConfig::paper_inference_row();
-    let profile = production_reference(&row, days, 2.0, seed);
+    let profile = production_reference(&row, days, TRACE_STEP_S, seed);
     let provisioned = row.provisioned_watts();
     println!("production-shaped trace, {days} day(s), seed {seed}:");
     println!(
@@ -604,7 +628,9 @@ fn ingest(inv: &Invocation) -> Result<(), CliError> {
 }
 
 fn plan(inv: &Invocation) -> Result<(), CliError> {
-    let days: f64 = inv.get_valid("days", 2.0, positive)?;
+    let days: f64 = inv.get_valid("days", 2.0, |d| {
+        longer_than_step(d, OversubscriptionStudy::PROFILE_STEP_S)
+    })?;
     let seed: u64 = inv.get("seed", 17)?;
     let servers: usize = inv.get_valid("servers", 40, |n| *n > 0)?;
     let jobs: usize = inv.get_valid("jobs", 1, |n| *n > 0)?;
@@ -841,6 +867,10 @@ mod tests {
             &["evaluate", "--trace-csv", csv, "--jobs", "0"],
             &["evaluate", "--days", "0"],
             &["evaluate", "--rows", "2", "--days", "0"],
+            &["evaluate", "--days", "0.00069"],
+            &["evaluate", "--rows", "2", "--days", "0.00069"],
+            &["plan", "--days", "0.00069"],
+            &["trace", "--days", "0.00002"],
             &["evaluate", "--added", "-200"],
             &["evaluate", "--power-scale", "nan"],
             &["evaluate", "--trace-csv", csv, "--time-scale", "0"],
@@ -1090,8 +1120,37 @@ mod tests {
             "0.05",
         ]))
         .unwrap();
-        assert!(matches!(run(&inv), Err(CliError::Io(_))));
+        assert!(matches!(run(&inv), Err(CliError::Read { .. })));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file a flag names that cannot be read is a read error naming
+    /// the flag and the path, not an artifact-write failure.
+    #[test]
+    fn unreadable_flag_files_are_read_errors() {
+        let dir = std::env::temp_dir();
+        let dir = dir.to_str().unwrap();
+        let cases: &[&[&str]] = &[
+            &["--watch", "--watch-rules", "/nonexistent/rules.txt"],
+            &["--carbon-trace", "/nonexistent/carbon.csv"],
+            &["--carbon-trace", dir],
+        ];
+        for case in cases {
+            let [.., flag, path] = case else {
+                panic!("{case:?} ends in a flag and its path")
+            };
+            let mut argv = vec!["evaluate", "--days", "0.01"];
+            argv.extend_from_slice(case);
+            let err = run(&parse_args(args(&argv)).unwrap()).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Read { flag: f, path: p, .. }
+                    if *f == flag[2..] && p == path),
+                "{argv:?}: {err:?}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains(flag) && msg.contains(path), "{msg}");
+            assert!(!msg.contains("write"), "{msg}");
+        }
     }
 
     #[test]

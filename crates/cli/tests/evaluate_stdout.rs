@@ -7,7 +7,8 @@
 //! (synthesized and `--trace-csv`), with the req, energy and watch
 //! planes on. Thread counts change wall time only, so the panel also
 //! runs at `--jobs 2` and the synthetic site at `--fleet-threads 2`
-//! against the same goldens. The last two tests check that
+//! against the same goldens, and the panel with `--watch` prints the
+//! same at `--jobs 1` and `--jobs 2`. The last two tests check that
 //! `--power-scale` and `--servers` change what a run prints on every
 //! arrival source.
 
@@ -73,6 +74,14 @@ fn replayed_four_policy_panel() {
         golden,
         "evaluate_replay_panel.txt",
     );
+}
+
+#[test]
+fn watched_panel_prints_the_same_at_any_jobs() {
+    let args = format!("{REPLAY} --watch");
+    let sequential = evaluate(&args);
+    assert!(sequential.contains("    watch: "), "{sequential}");
+    assert_eq!(evaluate(&format!("{args} --jobs 2")), sequential);
 }
 
 #[test]

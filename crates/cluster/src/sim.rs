@@ -23,7 +23,7 @@
 //! downstream consumer works unchanged on either.
 
 use polca_llm::InferenceModel;
-use polca_obs::{EnergyAccum, Event, Label, Phase, Recorder, ReqSpan, SpanGuard};
+use polca_obs::{EnergyAccum, Event, Label, Phase, Recorder, ReqSpan};
 use polca_serve::{
     AdmissionKind, BatchedRow, BatchedRowParams, ServeConfig, ServeOutcome, ServeRequest,
 };
@@ -967,7 +967,6 @@ impl<P: PowerController> ClusterSim<P> {
             .oob_taps
             .publish_tick(now, self.row_power_watts, observed);
         let requests = {
-            let _span = self.obs.time("controller.on_telemetry");
             let _phase = self.obs.prof().time(Phase::ControllerEval);
             self.controller.on_telemetry(now, observed, &self.ctx)
         };
@@ -1071,9 +1070,6 @@ pub struct RowSim<P, S> {
     source: S,
     horizon: SimTime,
     stepped_to: SimTime,
-    /// Wall-clock span over the whole engine lifetime (`sim.event_loop`),
-    /// recorded when the engine is finished/dropped.
-    _span: Option<SpanGuard>,
 }
 
 impl<P: PowerController, S: RequestSource> RowSim<P, S> {
@@ -1090,13 +1086,11 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
     }
 
     fn start(sim: ClusterSim<P>, source: S, horizon: SimTime) -> Self {
-        let span = sim.obs.time("sim.event_loop");
         let mut row = RowSim {
             sim,
             source,
             horizon,
             stepped_to: SimTime::ZERO,
-            _span: span,
         };
         if let Some(first) = row.source.next_request() {
             row.sim.queue.schedule(first.arrival, Ev::Arrival(first));

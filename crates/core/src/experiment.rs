@@ -186,15 +186,27 @@ pub struct OversubscriptionStudy {
 }
 
 impl OversubscriptionStudy {
+    /// Resolution, in seconds, of the synthesized production profile
+    /// that [`new`](Self::new) inverts into the arrival schedule. The
+    /// inversion needs two profile samples, so a synthesized study's
+    /// horizon must exceed one step.
+    pub const PROFILE_STEP_S: f64 = 60.0;
+
     /// Builds the study: synthesizes the production reference for
     /// `days` days and inverts it into the base arrival schedule.
     ///
     /// # Panics
     ///
-    /// Panics if `days` is not strictly positive.
+    /// Panics unless `days` × 86 400 s exceeds one
+    /// [`PROFILE_STEP_S`](Self::PROFILE_STEP_S) profile step, so also
+    /// when `days` is not strictly positive.
     pub fn new(row: RowConfig, policy: PolcaPolicy, days: f64, seed: u64) -> Self {
-        assert!(days > 0.0, "study needs a positive duration");
-        let profile = production_reference(&row, days, 60.0, seed);
+        assert!(
+            days * 86_400.0 > Self::PROFILE_STEP_S,
+            "study needs a horizon longer than one {} s profile step",
+            Self::PROFILE_STEP_S
+        );
+        let profile = production_reference(&row, days, Self::PROFILE_STEP_S, seed);
         let replicator = ProductionReplicator::new(&row, &WorkloadClass::table6());
         let base_schedule = replicator
             .schedule_from_profile(&profile)
@@ -387,7 +399,7 @@ impl OversubscriptionStudy {
     /// at the 2 s row-telemetry resolution so that 40 s spikes are
     /// visible (the scheduling profile itself is minute-grained).
     pub fn trained_thresholds(&self) -> ThresholdTrainer {
-        let _span = self.recorder.time("study.threshold_training");
+        let _phase = self.recorder.prof().time(Phase::ThresholdTraining);
         let train_days = self.days.min(7.0);
         let fine = production_reference(&self.row, train_days, 2.0, self.seed);
         ThresholdTrainer::from_trace(&fine, self.row.provisioned_watts())
@@ -426,8 +438,8 @@ impl OversubscriptionStudy {
 
     /// The arrival trace for `added_fraction`. A synthesized trace is
     /// materialized once and shared by every subsequent cell at the
-    /// same level. The `study.trace_synthesis` span fires only on cache
-    /// misses, so its count equals the number of *distinct*
+    /// same level. The [`Phase::TraceSynthesis`] phase runs only on cache
+    /// misses, so its call count equals the number of *distinct*
     /// oversubscription levels a sweep visits, not the number of cells.
     /// A fixed stream is returned as is, uncounted.
     fn cached_arrivals(&self, added_fraction: f64, obs: &Recorder) -> Arc<Vec<Request>> {
@@ -442,7 +454,6 @@ impl OversubscriptionStudy {
         }
         obs.prof().count(ProfCounter::TraceCacheMisses, 1);
         let trace = {
-            let _span = obs.time("study.trace_synthesis");
             let _phase = obs.prof().time(Phase::TraceSynthesis);
             Arc::new(ArrivalGenerator::new(&self.trace(added_fraction)).collect::<Vec<Request>>())
         };
@@ -666,7 +677,7 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, Event::SloViolation { .. })));
-        assert!(run.spans.get("study.trace_synthesis").is_none());
+        assert_eq!(run.prof.get(Phase::TraceSynthesis).calls, 0);
         for counter in [ProfCounter::TraceCacheHits, ProfCounter::TraceCacheMisses] {
             assert_eq!(run.prof.counter(counter), 0);
         }
@@ -746,6 +757,15 @@ mod tests {
     }
 
     #[test]
+    fn threshold_training_is_timed_once_per_call() {
+        let mut s = OversubscriptionStudy::quick_demo(4);
+        s.set_recorder(Recorder::new(polca_obs::ObsLevel::Full));
+        s.trained_thresholds();
+        let prof = s.recorder().artifacts().prof;
+        assert_eq!(prof.get(Phase::ThresholdTraining).calls, 1);
+    }
+
+    #[test]
     fn policy_kinds_enumerate_in_figure_order() {
         let names: Vec<&str> = PolicyKind::all().iter().map(|k| k.name()).collect();
         assert_eq!(
@@ -771,10 +791,10 @@ mod tests {
         // The 0.0 level was already materialized by the (un-instrumented)
         // reference run, so this is a cache hit too.
         s.run(PolicyKind::NoCap, 0.0, 1.0);
-        let spans = s.recorder().artifacts().spans;
-        let synth = spans.get("study.trace_synthesis").expect("span recorded");
+        let prof = s.recorder().artifacts().prof;
+        let synth = prof.get(Phase::TraceSynthesis);
         assert_eq!(
-            synth.count, 1,
+            synth.calls, 1,
             "one synthesis for four runs at two levels (0.30 cached, 0.0 warmed by the reference)"
         );
     }

@@ -12,7 +12,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
-use polca_obs::{Label, Recorder};
+use polca_obs::{Label, Phase, Recorder};
 
 use crate::error::IngestError;
 use crate::schema::{
@@ -202,7 +202,8 @@ impl IngestedTrace {
     }
 
     /// Like [`IngestedTrace::from_csv_path`], but counts accepted and
-    /// skipped rows and the trace span into `recorder`.
+    /// skipped rows and the trace span into `recorder`, and times the
+    /// read as its [`Phase::IngestRead`].
     ///
     /// # Errors
     ///
@@ -223,7 +224,8 @@ impl IngestedTrace {
 
     /// Like [`IngestedTrace::from_reader`], but counts accepted and
     /// skipped rows (`ingest.rows_ok` / `ingest.rows_skipped`) and the
-    /// trace span (`ingest.duration_s`) into `recorder`.
+    /// trace span (`ingest.duration_s`) into `recorder`, and times the
+    /// read as its [`Phase::IngestRead`].
     ///
     /// # Errors
     ///
@@ -239,7 +241,7 @@ impl IngestedTrace {
         reader: TraceReader<R>,
         recorder: &Recorder,
     ) -> Result<Self, IngestError> {
-        let _span = recorder.time("ingest.read");
+        let _phase = recorder.prof().time(Phase::IngestRead);
         let mut records = Vec::new();
         let mut skipped = 0usize;
         let mut row_errors = Vec::new();
@@ -370,6 +372,15 @@ TIMESTAMP,ContextTokens,GeneratedTokens
 3.25,512,1024
 99.0,4096,128
 ";
+
+    #[test]
+    fn an_observed_ingest_times_one_read_phase() {
+        let recorder = Recorder::new(polca_obs::ObsLevel::Full);
+        IngestedTrace::from_reader_observed(GOOD.as_bytes(), &recorder).unwrap();
+        let run = recorder.artifacts();
+        assert_eq!(run.prof.get(Phase::IngestRead).calls, 1);
+        assert_eq!(run.metrics.counter("ingest.rows_ok", Label::Global), 3);
+    }
 
     #[test]
     fn ingests_and_sorts_numeric_rows() {

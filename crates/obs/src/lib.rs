@@ -12,12 +12,11 @@
 //!   hot loops; a disabled recorder costs one branch per call,
 //! * [`MetricsRegistry`] — labeled counters, gauges, and streaming
 //!   histograms (per-server, per-priority, per-policy series),
-//! * [`SpanStats`] — wall-clock span timing around the event-queue
-//!   loop, trace synthesis, and the policy controller (a perf baseline
-//!   for optimisation work),
 //! * [`Profiler`] (polca-prof) — lock-free, self-time phase accounting
-//!   of the simulator's own hot paths, with an attribution table,
-//!   folded-stack/speedscope and Chrome-trace exports,
+//!   of the simulator's own work, from the event-queue loop and the
+//!   policy controller to trace synthesis and CSV ingestion, with an
+//!   attribution table, folded-stack/speedscope and Chrome-trace
+//!   exports,
 //! * [`ReqSpan`]/[`ReqRecord`] (polca-req) — per-request lifecycle
 //!   tracing: TTFT, mean/max time-between-tokens, queue/recompute/KV
 //!   -shipping breakdowns, and a joules-per-token ledger, exported as
@@ -36,9 +35,9 @@
 //!
 //! Determinism is part of the contract: event recording never perturbs
 //! simulation results, and with a fixed seed the emitted event log is
-//! byte-identical across runs. (Wall-clock span timings are inherently
-//! non-deterministic and therefore live in a separate `profile.json`
-//! artifact, never in the event log.)
+//! byte-identical across runs. (Wall-clock phase timings are inherently
+//! non-deterministic and therefore live in the separate `prof.*`
+//! artifacts, never in the event log.)
 //!
 //! # Example
 //!
@@ -64,7 +63,6 @@ pub mod metrics;
 pub mod prof;
 pub mod recorder;
 pub mod req;
-pub mod span;
 
 pub use chrome::Annotation;
 pub use energy::{
@@ -77,4 +75,3 @@ pub use metrics::{Label, MetricsRegistry, StreamingHistogram};
 pub use prof::{Phase, PhaseAgg, ProfCounter, ProfGuard, ProfSnapshot, Profiler};
 pub use recorder::{EventTap, ObsLevel, QueueProbe, Recorder};
 pub use req::{ReqRecord, ReqSpan, ReqTraceConfig};
-pub use span::{SpanGuard, SpanStats};

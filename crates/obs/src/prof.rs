@@ -1,14 +1,13 @@
-//! polca-prof: lock-free self-profiling of the simulator's hot paths.
+//! polca-prof: lock-free self-profiling of the simulator's own work.
 //!
-//! [`SpanStats`](crate::SpanStats) answers coarse questions (how long
-//! did the event loop take?) but records through the shared
-//! mutex-guarded core, which is far too heavy for per-event
-//! instrumentation. This module is the fine-grained sibling: a fixed
-//! alphabet of [`Phase`]s (event-queue push/pop, request dispatch,
-//! telemetry ticks, controller evaluation, power aggregation, recorder
-//! I/O, …) accumulated into plain atomics, so an enabled profiler
-//! costs two `Instant::now()` calls and a handful of relaxed atomic
-//! adds per phase entry, and a disabled one costs a single branch.
+//! This is the simulator's one in-process profiler. A fixed alphabet of
+//! [`Phase`]s (event-queue push/pop, request dispatch, telemetry ticks,
+//! controller evaluation, power aggregation, trace synthesis, threshold
+//! training, CSV ingestion, recorder I/O, …) accumulates into plain
+//! atomics, so an enabled profiler costs two `Instant::now()` calls and
+//! a handful of relaxed atomic adds per phase entry, and a disabled one
+//! costs a single branch. Coarse one-off phases (synthesis, training,
+//! ingestion) and per-event ones share the same accumulators.
 //!
 //! Accounting is *self-time* based: a thread-local stack of guard
 //! frames subtracts time spent in nested phases from the enclosing
@@ -31,8 +30,8 @@
 //! * deterministic counter series appended to `metrics.prom`
 //!   ([`ProfSnapshot::to_prometheus`]).
 //!
-//! Like span timings, wall-clock phase data is non-deterministic and
-//! lives strictly outside the event log; the Prometheus export only
+//! Wall-clock phase data is non-deterministic and lives strictly
+//! outside the event log; the Prometheus export only
 //! includes call/occupancy counters, which are a pure function of the
 //! seed.
 
@@ -90,10 +89,15 @@ pub enum Phase {
     /// Site-level aggregation: datacenter/site power roll-up and
     /// budget checks above the single-datacenter fleet path.
     SiteAggregation,
+    /// Threshold training: the 2 s-resolution training trace and the
+    /// T1/T2 fit over it (once per `trained_thresholds` call).
+    ThresholdTraining,
+    /// Reading and parsing a request-log CSV (once per ingested file).
+    IngestRead,
 }
 
 /// Number of [`Phase`] variants (the accumulator array length).
-pub const PHASE_COUNT: usize = 16;
+pub const PHASE_COUNT: usize = 18;
 
 impl Phase {
     /// Every phase, in discriminant order.
@@ -114,6 +118,8 @@ impl Phase {
         Phase::ServeSchedule,
         Phase::FleetMerge,
         Phase::SiteAggregation,
+        Phase::ThresholdTraining,
+        Phase::IngestRead,
     ];
 
     /// Short dotted name used in tables, JSON, and Prometheus labels.
@@ -135,6 +141,8 @@ impl Phase {
             Phase::ServeSchedule => "serve.schedule",
             Phase::FleetMerge => "fleet.merge",
             Phase::SiteAggregation => "site.aggregate",
+            Phase::ThresholdTraining => "study.threshold_training",
+            Phase::IngestRead => "ingest.read",
         }
     }
 
@@ -161,6 +169,8 @@ impl Phase {
             Phase::ServeSchedule => "row.step;serve.iteration;schedule",
             Phase::FleetMerge => "fleet.window;merge",
             Phase::SiteAggregation => "fleet.window;site_aggregate",
+            Phase::ThresholdTraining => "study;threshold_training",
+            Phase::IngestRead => "ingest;read",
         }
     }
 }
@@ -553,8 +563,7 @@ impl ProfSnapshot {
 
     /// The `prof.json` body: per-phase totals (entered phases only)
     /// plus every derived counter. Wall-clock values, so
-    /// non-deterministic — kept out of the event log like
-    /// `profile.json`.
+    /// non-deterministic — kept out of the event log.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"phases\": [");
         let mut first = true;

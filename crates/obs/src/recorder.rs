@@ -3,7 +3,8 @@
 //!
 //! A recorder is either *disabled* (one enum compare per call, zero
 //! allocation) or holds a shared, mutex-guarded core that accumulates
-//! events, metrics, and span timings. Cloning a recorder is cheap and
+//! events and metrics, beside a lock-free polca-prof [`Profiler`] for
+//! phase timings. Cloning a recorder is cheap and
 //! every clone feeds the same core, which is how one run's artifacts
 //! are assembled from the event queue, the cluster loop, the OOB
 //! control plane, and the policy controller at once.
@@ -20,7 +21,6 @@ use crate::export::RunArtifacts;
 use crate::metrics::{Label, MetricsRegistry};
 use crate::prof::{Phase, ProfCounter, ProfGuard, ProfSnapshot, Profiler};
 use crate::req::{ReqRecord, ReqTraceConfig};
-use crate::span::{SpanGuard, SpanStats};
 
 /// How much a [`Recorder`] captures.
 ///
@@ -35,7 +35,7 @@ pub enum ObsLevel {
     Metrics,
     /// Metrics plus the structured event log.
     Events,
-    /// Events plus wall-clock span and phase (polca-prof) profiling.
+    /// Events plus wall-clock phase (polca-prof) profiling.
     Full,
 }
 
@@ -50,8 +50,7 @@ impl ObsLevel {
         self >= ObsLevel::Events
     }
 
-    /// Whether wall-clock spans and polca-prof phase timings are
-    /// captured at this level.
+    /// Whether polca-prof phase timings are captured at this level.
     pub fn profiling_enabled(self) -> bool {
         self >= ObsLevel::Full
     }
@@ -122,7 +121,6 @@ impl fmt::Debug for TapSlot {
 pub(crate) struct ObsCore {
     pub(crate) events: Vec<Event>,
     pub(crate) metrics: MetricsRegistry,
-    pub(crate) spans: SpanStats,
     pub(crate) requests: Vec<ReqRecord>,
     pub(crate) energy_rows: Vec<RowEnergy>,
     pub(crate) tap: TapSlot,
@@ -372,37 +370,18 @@ impl Recorder {
         }
     }
 
-    /// Starts a wall-clock span; the returned guard records its
-    /// elapsed time on drop. Returns `None` below [`ObsLevel::Full`],
-    /// so the idiom is simply `let _span = obs.time("sim.loop");`.
-    pub fn time(&self, name: &'static str) -> Option<SpanGuard> {
-        if self.level.profiling_enabled() {
-            self.core
-                .as_ref()
-                .map(|c| SpanGuard::new(name, Arc::clone(c)))
-        } else {
-            None
-        }
-    }
-
     /// The polca-prof handle feeding this recorder's phase
-    /// accumulators (disabled below [`ObsLevel::Full`]). Hot loops
-    /// clone it once and call [`Profiler::time`] directly — no mutex
-    /// is involved.
+    /// accumulators (disabled below [`ObsLevel::Full`]). Time a phase
+    /// with `let _p = obs.prof().time(Phase::Dispatch);`; hot loops
+    /// clone the handle once. No mutex is involved.
     pub fn prof(&self) -> &Profiler {
         &self.prof
     }
 
-    /// Starts timing a polca-prof phase; sugar for
-    /// `self.prof().time(phase)`.
-    #[inline]
-    pub fn time_phase(&self, phase: Phase) -> Option<ProfGuard> {
-        self.prof.time(phase)
-    }
-
     /// Folds everything `other` captured into this recorder: events
     /// append in `other`'s order, counters add, gauges last-write-win,
-    /// histograms merge exactly, and span aggregates add.
+    /// histograms merge exactly, and polca-prof phases and counters
+    /// add.
     ///
     /// This is the merge step of the deterministic sweep runner: give
     /// each parallel job its own recorder, then absorb the job
@@ -430,29 +409,6 @@ impl Recorder {
             core.metrics.merge_from(&src.metrics);
             core.energy_rows.extend(src.energy_rows.iter().cloned());
         }
-        core.spans.merge_from(&src.spans);
-    }
-
-    /// Folds only `other`'s *profiling* output — span aggregates and
-    /// polca-prof phases/counters — into this recorder, leaving events
-    /// and metrics untouched.
-    ///
-    /// This builds the fleet-level aggregate profile: row recorders
-    /// keep their own event logs (written under `DIR/rowN/`), while
-    /// the fleet recorder's `prof.json`/`profile.json` account for all
-    /// rows combined. Absorbing into a disabled side or a recorder
-    /// sharing the same core is a no-op.
-    pub fn absorb_profiling(&self, other: &Recorder) {
-        self.prof.merge_from(&other.prof);
-        let (Some(own), Some(theirs)) = (self.core.as_ref(), other.core.as_ref()) else {
-            return;
-        };
-        if Arc::ptr_eq(own, theirs) {
-            return;
-        }
-        let mut core = own.lock().unwrap_or_else(|e| e.into_inner());
-        let src = theirs.lock().unwrap_or_else(|e| e.into_inner());
-        core.spans.merge_from(&src.spans);
     }
 
     /// Folds only `other`'s polca-energy row accounts into this
@@ -487,7 +443,6 @@ impl Recorder {
                 level: self.level,
                 events: core.events.clone(),
                 metrics: core.metrics.clone(),
-                spans: core.spans.clone(),
                 requests: core.requests.clone(),
                 req_trace: self.req.is_some(),
                 energy_rows: core.energy_rows.clone(),
@@ -497,7 +452,6 @@ impl Recorder {
                 level: self.level,
                 events: Vec::new(),
                 metrics: MetricsRegistry::default(),
-                spans: SpanStats::default(),
                 requests: Vec::new(),
                 req_trace: self.req.is_some(),
                 energy_rows: Vec::new(),
@@ -582,11 +536,11 @@ mod tests {
         r.record(Event::PowerSample { t: 0.0, watts: 1.0 });
         r.add("c", Label::Global, 1);
         r.observe("h", Label::Global, 1.0);
-        assert!(r.time("x").is_none());
+        assert!(r.prof().time(Phase::Dispatch).is_none());
         let a = r.artifacts();
         assert!(a.events.is_empty());
         assert!(a.metrics.is_empty());
-        assert!(a.spans.is_empty());
+        assert!(a.prof.is_empty());
     }
 
     #[test]
@@ -594,7 +548,7 @@ mod tests {
         let r = Recorder::new(ObsLevel::Metrics);
         r.record(Event::PowerSample { t: 0.0, watts: 1.0 });
         r.add("c", Label::Global, 2);
-        assert!(r.time("x").is_none());
+        assert!(r.prof().time(Phase::Dispatch).is_none());
         let a = r.artifacts();
         assert!(a.events.is_empty());
         assert_eq!(a.metrics.counter("c", Label::Global), 2);
@@ -610,13 +564,13 @@ mod tests {
     }
 
     #[test]
-    fn full_level_times_spans() {
+    fn full_level_times_phases() {
         let r = Recorder::new(ObsLevel::Full);
         {
-            let _g = r.time("work");
+            let _g = r.prof().time(Phase::Dispatch);
         }
         let a = r.artifacts();
-        assert_eq!(a.spans.get("work").unwrap().count, 1);
+        assert_eq!(a.prof.get(Phase::Dispatch).calls, 1);
     }
 
     #[test]

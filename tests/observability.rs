@@ -275,7 +275,7 @@ fn one_annotation() -> Vec<polca_obs::Annotation> {
 /// lanes.
 fn artifacts_with_lanes() -> polca_obs::RunArtifacts {
     use polca_obs::{
-        CarbonSignal, EnergyAccum, EnergyPlan, MetricsRegistry, ProfSnapshot, ReqSpan, SpanStats,
+        CarbonSignal, EnergyAccum, EnergyPlan, MetricsRegistry, ProfSnapshot, ReqSpan,
     };
 
     let mut long = ReqSpan {
@@ -308,7 +308,6 @@ fn artifacts_with_lanes() -> polca_obs::RunArtifacts {
         level: ObsLevel::Full,
         events: every_event_variant(),
         metrics: MetricsRegistry::new(),
-        spans: SpanStats::default(),
         requests: vec![long, short],
         req_trace: true,
         energy_rows: vec![acc.finish(1800.0, 3000.0)],

@@ -3,8 +3,8 @@
 # environment — run this before pushing). Mirrors the checks a hosted
 # workflow would run, entirely offline:
 #
-#   ./ci.sh          # fmt + clippy + full workspace test suite
-#   ./ci.sh quick    # fmt + clippy + unit tests only (skips the
+#   ./ci.sh          # fmt + clippy + rustdoc + full workspace test suite
+#   ./ci.sh quick    # fmt + clippy + rustdoc + unit tests only (skips the
 #                    # multi-day end-to-end simulations)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -14,6 +14,12 @@ cargo fmt --all --check
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc -D warnings =="
+# Catches what clippy and the tests do not: an intra-doc link left
+# dangling by a rename or a deletion, or a public doc linking a private
+# item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo test =="
 if [[ "${1:-}" == "quick" ]]; then

@@ -19,14 +19,6 @@ use std::path::{Path, PathBuf};
 
 use polca_stats::TimeSeries;
 
-/// Reads an `f64` environment knob with a default.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Reads a `u64` environment knob with a default.
 pub fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -218,7 +210,6 @@ mod tests {
 
     #[test]
     fn env_readers_fall_back_to_defaults() {
-        assert_eq!(env_f64("POLCA_DOES_NOT_EXIST", 3.5), 3.5);
         assert_eq!(env_u64("POLCA_DOES_NOT_EXIST", 7), 7);
     }
 

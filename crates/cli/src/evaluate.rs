@@ -16,7 +16,10 @@ use std::time::Instant;
 use polca::{CostModel, DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind};
 use polca_cluster::{EngineKind, Request, RowConfig, SimConfig, SiteConfig, SiteReport, SiteSim};
 use polca_ingest::{IngestedTrace, ReplayOptions, TraceReplay};
-use polca_obs::{CarbonSignal, CarbonTrace, EnergyPlan, ObsLevel, Recorder, ReqTraceConfig};
+use polca_obs::{
+    Annotation, CarbonSignal, CarbonTrace, EnergyPlan, ObsLevel, Phase, Recorder, ReqTraceConfig,
+    RunArtifacts,
+};
 use polca_sim::SimTime;
 use polca_telemetry::{merge_tick_columns, RowPowerTaps, RowTickBuffer};
 use polca_trace::{ArrivalGenerator, TraceConfig, WorkloadClass};
@@ -24,9 +27,7 @@ use polca_watch::{
     IncidentState, RuleSet, WatchArtifacts, WatchConfig, WatchEnergyConfig, WatchPlane,
 };
 
-use crate::{
-    bad_value, find_policy, longer_than_step, non_negative, positive, CliError, Invocation,
-};
+use crate::{bad_value, find_policy, non_negative, positive, CliError, Invocation};
 
 /// The `evaluate` entry point.
 pub(crate) fn evaluate(inv: &Invocation) -> Result<(), CliError> {
@@ -107,9 +108,7 @@ impl RunSpec {
             }
             None => {
                 inv.refuse("rate-scale time-scale", "requires --trace-csv")?;
-                let days = inv.get_valid("days", 2.0, |d| {
-                    longer_than_step(d, OversubscriptionStudy::PROFILE_STEP_S)
-                })?;
+                let days = inv.get_days(2.0, OversubscriptionStudy::PROFILE_STEP_S)?;
                 Source::Synthesized { days }
             }
         };
@@ -361,25 +360,27 @@ impl RunSpec {
                 }
             }
         }
-        print_req_summary(recorder, "  ");
+        // One snapshot for every printer and the writer, taken before
+        // artifact I/O so the profile accounts for the run only.
+        let run = recorder.artifacts();
+        print_req_summary(&run, "  ");
         // A replay prints no per-request figure: on the panel the
         // ledger aggregates every cell (each run contributes one row-0
         // account, merged in canonical order).
-        print_energy_summary(recorder, completed, "  ");
+        print_energy_summary(&run, completed, "  ");
         if self.profile {
-            // Snapshot before artifact I/O so the table accounts against
-            // the run's wall time only.
-            let snap = recorder.prof().snapshot();
             println!("  self-profile (polca-prof):");
-            for line in snap.attribution_table(run_wall_ns).lines() {
+            for line in run.prof.attribution_table(run_wall_ns).lines() {
                 println!("    {line}");
             }
         }
+        // The first policy's plane supplies incidents and trace markers.
+        let first_watch = watch.first().and_then(Option::as_ref);
         if let Some(dir) = &self.obs_out {
-            write_artifacts(recorder, &[], dir, self.level)?;
+            let annotations = first_watch.map_or_else(Vec::new, WatchArtifacts::annotations);
+            write_artifacts(recorder, &run, &annotations, &[], dir)?;
         }
-        // The incident artifacts come from the first policy's plane.
-        let Some(artifacts) = watch.first().and_then(Option::as_ref) else {
+        let Some(artifacts) = first_watch else {
             return Ok(());
         };
         if !replay {
@@ -392,7 +393,7 @@ impl RunSpec {
                     kinds[0].name()
                 );
             }
-            write_watch_artifacts(recorder, artifacts, dir)?;
+            write_watch_artifacts(artifacts, dir)?;
         }
         Ok(())
     }
@@ -465,18 +466,21 @@ impl RunSpec {
             ),
         }
         print_site_table(&report, config.site_active());
-        if self.energy.is_some() {
-            // Row energy accounts live in the row-private recorders;
-            // merge them into the site recorder in canonical row order
-            // so the site-level ledger (table, energy.json) covers the
-            // fleet.
-            for rec in &report.row_recorders {
-                recorder.absorb_energy(rec);
-            }
-            print_energy_summary(recorder, report.completed(), "  ");
+        // Fold the row-private energy accounts and profiles into the
+        // site recorder in canonical row order: the site ledger (table,
+        // energy.json) then covers the fleet, and one `prof.json`
+        // answers "where did the whole site run spend its time".
+        for rec in &report.row_recorders {
+            recorder.absorb_energy(rec);
+            recorder.prof().merge_from(rec.prof());
         }
-        if let Some(dir) = &self.obs_out {
-            write_artifacts(recorder, &report.row_recorders, dir, self.level)?;
+        // Only the energy table and the writer read a site's snapshot.
+        if self.energy.is_some() || self.obs_out.is_some() {
+            let run = recorder.artifacts();
+            print_energy_summary(&run, report.completed(), "  ");
+            if let Some(dir) = &self.obs_out {
+                write_artifacts(recorder, &run, &[], &report.row_recorders, dir)?;
+            }
         }
         if let (Some(buffer), Some(cfg)) = (&watch_buffer, &self.watch) {
             finalize_site_watch(cfg, buffer, &report, horizon, self.obs_out.as_deref())?;
@@ -636,8 +640,8 @@ fn site_config(inv: &Invocation, rows: usize, datacenters: usize) -> Result<Site
 
 /// Prints the per-datacenter energy/carbon ledger table for a finished
 /// run, if an energy plan was attached and produced any rows.
-fn print_energy_summary(recorder: &Recorder, completed: u64, indent: &str) {
-    let ledger = recorder.artifacts().energy_ledger();
+fn print_energy_summary(run: &RunArtifacts, completed: u64, indent: &str) {
+    let ledger = run.energy_ledger();
     if ledger.is_empty() {
         return;
     }
@@ -682,8 +686,7 @@ fn print_energy_summary(recorder: &Recorder, completed: u64, indent: &str) {
 }
 
 /// One-line digest of a finished req-trace run.
-fn print_req_summary(recorder: &Recorder, indent: &str) {
-    let run = recorder.artifacts();
+fn print_req_summary(run: &RunArtifacts, indent: &str) {
     if !run.req_trace {
         return;
     }
@@ -733,32 +736,15 @@ fn print_watch_summary(artifacts: &WatchArtifacts, indent: &str) {
     }
 }
 
-/// Writes `incidents.jsonl` + `report.md` into `dir` and re-renders
-/// `trace.json` with the watch plane's alert/incident instant markers.
-fn write_watch_artifacts(
-    recorder: &Recorder,
-    artifacts: &WatchArtifacts,
-    dir: &str,
-) -> Result<(), CliError> {
-    let dir_path = Path::new(dir);
-    let files = artifacts.write_dir(dir_path)?;
-    let run = recorder.artifacts();
-    let annotated = run.level.events_enabled();
-    if annotated {
-        std::fs::write(
-            dir_path.join("trace.json"),
-            run.chrome_trace_json_with(&artifacts.annotations()),
-        )?;
-    }
+/// Writes `incidents.jsonl` + `report.md` into `dir`. The plane's
+/// alert markers are already in `trace.json`: a watched run records
+/// events, so `write_artifacts` wrote it.
+fn write_watch_artifacts(artifacts: &WatchArtifacts, dir: &str) -> Result<(), CliError> {
+    let files = artifacts.write_dir(Path::new(dir))?;
     println!(
-        "  watch artifacts: {} file(s) in {}/{}",
+        "  watch artifacts: {} file(s) in {}/ (alert markers merged into trace.json)",
         files.len(),
         dir.trim_end_matches('/'),
-        if annotated {
-            " (alert markers merged into trace.json)"
-        } else {
-            ""
-        }
     );
     Ok(())
 }
@@ -839,27 +825,28 @@ fn print_site_table(report: &SiteReport, site_active: bool) {
     }
 }
 
-/// Writes the run's artifacts into `dir` and each site row's into
-/// `dir/rowN/` (global row index, flat across datacenters).
-///
-/// A site's `prof.json` aggregates every row's profile (plus the window
-/// loop's own merge and power-aggregation phases) so one file answers
-/// "where did the whole site run spend its time".
+/// Writes `run`, the snapshot of `recorder`, into `dir` (timed as
+/// [`Phase::RecorderIo`]; a disabled recorder writes nothing) with
+/// `annotations` merged into `trace.json`, and each site row's artifacts
+/// into `dir/rowN/` (global row index, flat across datacenters).
 fn write_artifacts(
     recorder: &Recorder,
+    run: &RunArtifacts,
+    annotations: &[Annotation],
     rows: &[Recorder],
     dir: &str,
-    level: ObsLevel,
 ) -> Result<(), CliError> {
     let dir_path = Path::new(dir);
-    for rec in rows {
-        recorder.prof().merge_from(rec.prof());
+    let mut total = 0;
+    if recorder.is_enabled() {
+        let _io = recorder.prof().time(Phase::RecorderIo);
+        total += run.write_dir_with(dir_path, annotations)?.len();
     }
-    let mut total = recorder.write_dir(dir_path)?.len();
     for (i, rec) in rows.iter().enumerate() {
         total += rec.write_dir(&dir_path.join(format!("row{i}")))?.len();
     }
     let dir = dir.trim_end_matches('/');
+    let level = run.level;
     match rows.len() {
         0 => println!("  obs artifacts ({level}): {total} file(s) in {dir}/"),
         n => println!(

@@ -79,6 +79,15 @@ pub enum CliError {
         /// The offending value.
         value: String,
     },
+    /// A horizon no longer than one step of the profile the run samples.
+    ShortHorizon {
+        /// The flag.
+        flag: String,
+        /// The offending value.
+        value: String,
+        /// The profile step, in seconds, the horizon must exceed.
+        min_s: f64,
+    },
     /// Unknown model name.
     UnknownModel(String),
     /// A file a flag names could not be read.
@@ -108,6 +117,10 @@ impl fmt::Display for CliError {
             CliError::BadValue { flag, value } => {
                 write!(f, "invalid value `{value}` for `--{flag}`")
             }
+            CliError::ShortHorizon { flag, value, min_s } => write!(
+                f,
+                "invalid value `{value}` for `--{flag}`: the horizon must be longer than {min_s} s"
+            ),
             CliError::UnknownModel(m) => write!(f, "unknown model `{m}`; see `tab03_model_zoo`"),
             CliError::Read { flag, path, error } => {
                 write!(f, "cannot read `--{flag}` file {path}: {error}")
@@ -232,6 +245,27 @@ impl Invocation {
         }
     }
 
+    /// Reads `--days` for a run that samples a profile every `step_s`
+    /// seconds, so the profile holds the two samples its statistics and
+    /// schedule inversion need.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::BadValue`] unless the value is positive and
+    /// finite, and [`CliError::ShortHorizon`] unless it is longer than
+    /// one step.
+    fn get_days(&self, default: f64, step_s: f64) -> Result<f64, CliError> {
+        let days = self.get_valid("days", default, positive)?;
+        if days * 86_400.0 > step_s {
+            return Ok(days);
+        }
+        Err(CliError::ShortHorizon {
+            flag: "days".to_string(),
+            value: self.options.get("days").cloned().unwrap_or_default(),
+            min_s: step_s,
+        })
+    }
+
     /// Refuses the first of `flags` (space-separated) given, for a run
     /// that would not read it: a [`CliError::BadValue`] naming the
     /// flag, with `why` as its value.
@@ -257,13 +291,6 @@ fn bad_value(flag: &str, value: impl ToString) -> CliError {
 /// Valid durations and scale factors: finite and above zero.
 fn positive(x: &f64) -> bool {
     x.is_finite() && *x > 0.0
-}
-
-/// Valid durations for a run that samples a profile every `step_s`
-/// seconds: positive, and longer than one step, so the profile holds
-/// the two samples its statistics and schedule inversion need.
-fn longer_than_step(days: &f64, step_s: f64) -> bool {
-    positive(days) && days * 86_400.0 > step_s
 }
 
 /// Valid added-server, oversubscription, and noise amounts: finite and
@@ -302,7 +329,8 @@ COMMANDS
                 --model BLOOM --input 2048 --output 256 --batch 1
                 [--lock MHZ] [--cap WATTS]
   trace         synthesize a production-shaped power trace
-                [--days 1] [--seed 17]
+                [--days 1] (longer than 2 s; any positive value with
+                --csv-out) [--seed 17]
                 [--csv-out FILE] export the request stream as
                 Azure-schema CSV; generation knobs: [--rate REQ_S]
                 [--amplitude 0.25] [--peak-hour 14] [--noise 0.05]
@@ -313,7 +341,7 @@ COMMANDS
                 [--seed 17] [--extrapolate-days 42]
   evaluate      run one policy at one oversubscription level
                 [--policy polca|1t-lp|1t-all|nocap] [--added 30]
-                [--servers 40] [--days 2] [--seed 17]
+                [--servers 40] [--days 2] (longer than 60 s) [--seed 17]
                 [--power-scale 1.0]
                 [--obs-out DIR] [--obs-level off|metrics|events|full]
                 (--obs-out writes events.jsonl, metrics.json,
@@ -400,7 +428,8 @@ COMMANDS
                     --carbon-budget --carbon-per-token
                   every run: every other evaluate flag above
   plan          find the SLO-safe oversubscription maximum
-                [--days 2] [--seed 17] [--servers 40] [--jobs N]
+                [--days 2] (longer than 60 s) [--seed 17] [--servers 40]
+                [--jobs N]
   profile       self-profile the simulator (polca-prof) on the
                 quick-demo study and print the per-component
                 attribution table
@@ -533,7 +562,7 @@ fn trace(inv: &Invocation) -> Result<(), CliError> {
         let days: f64 = inv.get_valid("days", 1.0, positive)?;
         return trace_csv_out(inv, &path, days, seed);
     }
-    let days: f64 = inv.get_valid("days", 1.0, |d| longer_than_step(d, TRACE_STEP_S))?;
+    let days = inv.get_days(1.0, TRACE_STEP_S)?;
     let row = RowConfig::paper_inference_row();
     let profile = production_reference(&row, days, TRACE_STEP_S, seed);
     let provisioned = row.provisioned_watts();
@@ -628,9 +657,7 @@ fn ingest(inv: &Invocation) -> Result<(), CliError> {
 }
 
 fn plan(inv: &Invocation) -> Result<(), CliError> {
-    let days: f64 = inv.get_valid("days", 2.0, |d| {
-        longer_than_step(d, OversubscriptionStudy::PROFILE_STEP_S)
-    })?;
+    let days = inv.get_days(2.0, OversubscriptionStudy::PROFILE_STEP_S)?;
     let seed: u64 = inv.get("seed", 17)?;
     let servers: usize = inv.get_valid("servers", 40, |n| *n > 0)?;
     let jobs: usize = inv.get_valid("jobs", 1, |n| *n > 0)?;
@@ -867,10 +894,6 @@ mod tests {
             &["evaluate", "--trace-csv", csv, "--jobs", "0"],
             &["evaluate", "--days", "0"],
             &["evaluate", "--rows", "2", "--days", "0"],
-            &["evaluate", "--days", "0.00069"],
-            &["evaluate", "--rows", "2", "--days", "0.00069"],
-            &["plan", "--days", "0.00069"],
-            &["trace", "--days", "0.00002"],
             &["evaluate", "--added", "-200"],
             &["evaluate", "--power-scale", "nan"],
             &["evaluate", "--trace-csv", csv, "--time-scale", "0"],
@@ -902,6 +925,14 @@ mod tests {
                 "nan",
             ],
             &["evaluate", "--policy", "foo"],
+        ];
+        // Each horizon here is positive but no longer than one step of
+        // the profile the run samples (in seconds).
+        let short_horizons: &[(&[&str], f64)] = &[
+            (&["evaluate", "--days", "0.00069"], 60.0),
+            (&["evaluate", "--rows", "2", "--days", "0.00069"], 60.0),
+            (&["plan", "--days", "0.00069"], 60.0),
+            (&["trace", "--days", "0.00002"], 2.0),
         ];
         // Each flag here is one its subcommand does not read.
         let unknown_flags: &[&[&str]] = &[
@@ -937,6 +968,14 @@ mod tests {
         }
         for argv in unknown_flags {
             check(argv, true);
+        }
+        for &(argv, min_s) in short_horizons {
+            let err = run(&parse_args(args(argv)).unwrap()).unwrap_err();
+            let message = format!("`--days`: the horizon must be longer than {min_s} s");
+            assert!(err.to_string().ends_with(&message), "{err}");
+            let value = argv[argv.len() - 1].to_string();
+            let flag = "days".to_string();
+            assert_eq!(err, CliError::ShortHorizon { flag, value, min_s });
         }
         assert!(!Path::new(csv_out).exists(), "a refused run wrote no CSV");
     }

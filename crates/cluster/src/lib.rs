@@ -3,8 +3,8 @@
 //! The paper's POLCA evaluation runs on "a discrete event simulator ...
 //! built for a high-traffic scenario \[that\] assumes that all the servers
 //! are serving inference with models loaded" (§6.4), over the power
-//! hierarchy of Figure 2 (servers → racks → PDU-fed rows). This crate
-//! implements that substrate:
+//! hierarchy of Figure 2 (servers in PDU-fed rows, rows in
+//! datacenters). This crate implements that substrate:
 //!
 //! * [`server_spec`] — the DGX-A100 provisioned-power breakdown of
 //!   Figure 3 and the server-level power composition law behind
@@ -58,7 +58,7 @@ pub mod sim;
 pub mod site;
 pub mod training;
 
-pub use hierarchy::{PowerHierarchy, RackLayout, SiteHierarchy};
+pub use hierarchy::SiteHierarchy;
 pub use request::{CompletedRequest, Priority, Request};
 pub use row::RowConfig;
 pub use server::{InferenceServer, ServerState, HOT_IDLE_INTENSITY};

@@ -92,9 +92,10 @@ impl<I: Iterator<Item = Request>> RequestSource for I {
 /// reading propagates. POLCA and the baseline policies implement this in
 /// the `polca` crate.
 ///
-/// Controllers must be [`Send`]: a multi-datacenter [`SiteSim`]
-/// (`crate::site`) steps its rows on a scoped thread pool, carrying
-/// each row's controller to the worker whose chunk of rows holds it.
+/// Controllers must be [`Send`]: a multi-datacenter
+/// [`SiteSim`](crate::site::SiteSim) steps its rows on a scoped thread
+/// pool, carrying each row's controller to the worker whose chunk of
+/// rows holds it.
 /// Controllers are plain decision state (no shared interior
 /// mutability), so this is not a restriction in practice.
 pub trait PowerController: Send {
@@ -229,8 +230,7 @@ pub struct SimReport {
     /// OOB commands issued on the control plane.
     pub commands_issued: u64,
     /// Discrete events processed by the row engine (arrivals, phase
-    /// ends, telemetry ticks, control deliveries) — the numerator of
-    /// the `sim_throughput` events/sec figure.
+    /// ends, telemetry ticks, control deliveries).
     pub events_processed: u64,
     /// Duration simulated.
     pub duration: SimTime,

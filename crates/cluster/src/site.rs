@@ -382,24 +382,22 @@ pub struct SiteConfig {
     /// Rows behind each PDU (the last PDU of a datacenter may feed
     /// fewer).
     pub rows_per_pdu: usize,
-    /// Per-PDU budget override in watts (`None`: provisioned, or the
-    /// oversubscription-derived budget).
+    /// Per-PDU budget override in watts (`None`: the provisioned power
+    /// of the rows it feeds).
     pub pdu_budget_watts: Option<f64>,
     /// Per-datacenter budget override in watts.
     pub datacenter_budget_watts: Option<f64>,
     /// Site budget override in watts.
     pub site_budget_watts: Option<f64>,
-    /// PDU oversubscription fraction `f` (budget = provisioned /
-    /// (1 + f)); an absolute override wins.
-    pub pdu_oversubscription: Option<f64>,
-    /// Datacenter oversubscription fraction.
+    /// Datacenter oversubscription fraction `f` (budget = provisioned
+    /// / (1 + f)); an absolute override wins.
     pub datacenter_oversubscription: Option<f64>,
     /// Site oversubscription fraction.
     pub site_oversubscription: Option<f64>,
     /// When `true`, actively engage the power brake on every row
     /// behind an overloaded PDU, datacenter, or site (release
-    /// hysteresis at [`RELEASE_FRACTION`]); when `false` (default)
-    /// budgets are monitored only.
+    /// hysteresis at `RELEASE_FRACTION` of budget); when `false`
+    /// (default) budgets are monitored only.
     pub enforce_budgets: bool,
     /// Threads stepping rows, each owning a contiguous chunk of them
     /// (clamped to the row count; `0` or `1` steps every row on the
@@ -421,7 +419,6 @@ impl Default for SiteConfig {
             pdu_budget_watts: None,
             datacenter_budget_watts: None,
             site_budget_watts: None,
-            pdu_oversubscription: None,
             datacenter_oversubscription: None,
             site_oversubscription: None,
             enforce_budgets: false,
@@ -450,9 +447,6 @@ impl SiteConfig {
             self.rows_per_pdu,
             row_provisioned_watts,
         );
-        if let Some(f) = self.pdu_oversubscription {
-            h = h.with_pdu_oversubscription(f);
-        }
         if let Some(f) = self.datacenter_oversubscription {
             h = h.with_datacenter_oversubscription(f);
         }

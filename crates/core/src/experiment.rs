@@ -145,7 +145,6 @@ enum Arrivals {
     /// Synthesized from the production profile, one stream per
     /// oversubscription level.
     Synthesized {
-        profile: TimeSeries,
         base_schedule: RateSchedule,
         /// Synthesized arrival traces keyed by `added_fraction` bits —
         /// every policy compared at the same oversubscription level
@@ -212,7 +211,6 @@ impl OversubscriptionStudy {
             .schedule_from_profile(&profile)
             .expect("synthesized profile is well-formed");
         let arrivals = Arrivals::Synthesized {
-            profile,
             base_schedule,
             cache: Arc::default(),
         };
@@ -268,17 +266,6 @@ impl OversubscriptionStudy {
         }
     }
 
-    /// The paper-scale study: the Table 2 row (40 DGX-A100 servers) over
-    /// a six-week trace with the default POLCA policy.
-    pub fn paper_scale(seed: u64) -> Self {
-        Self::new(
-            RowConfig::paper_inference_row(),
-            PolcaPolicy::default(),
-            42.0,
-            seed,
-        )
-    }
-
     /// A small, fast study for demos and doc tests: a 20-server row over
     /// a ~2.4 h trace. (20 servers keep the ±30 % oversubscription steps
     /// evenly divisible between the two priority classes, like the
@@ -287,19 +274,6 @@ impl OversubscriptionStudy {
         let mut row = RowConfig::paper_inference_row();
         row.base_servers = 20;
         Self::new(row, PolcaPolicy::default(), 0.1, seed)
-    }
-
-    /// The synthesized production power profile driving the study.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a study built by [`from_requests`](Self::from_requests),
-    /// which has no profile.
-    pub fn production_profile(&self) -> &TimeSeries {
-        match &self.arrivals {
-            Arrivals::Synthesized { profile, .. } => profile,
-            Arrivals::Fixed(_) => panic!("a replayed stream has no production profile"),
-        }
     }
 
     /// The base (non-oversubscribed) arrival-rate schedule.

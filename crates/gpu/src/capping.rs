@@ -22,16 +22,15 @@ pub struct CapController {
     limit_mhz: f64,
     min_mhz: f64,
     max_mhz: f64,
-    /// MHz per second the controller can move the limit.
-    slew_mhz_per_s: f64,
     /// Fraction below the cap at which the controller starts raising the
     /// clock limit again.
     relax_margin: f64,
 }
 
 impl CapController {
-    /// Default controller slew rate: the A100 firmware converges within a
-    /// few hundred milliseconds, i.e. ~3 GHz/s over a 1.2 GHz range.
+    /// The controller slew rate, in MHz per second the limit can move:
+    /// the A100 firmware converges within a few hundred milliseconds,
+    /// i.e. ~3 GHz/s over a 1.2 GHz range.
     pub const DEFAULT_SLEW_MHZ_PER_S: f64 = 3000.0;
 
     /// Creates a controller for `spec` enforcing `cap_watts`.
@@ -54,20 +53,8 @@ impl CapController {
             limit_mhz: spec.max_sm_clock_mhz,
             min_mhz: spec.min_sm_clock_mhz,
             max_mhz: spec.max_sm_clock_mhz,
-            slew_mhz_per_s: Self::DEFAULT_SLEW_MHZ_PER_S,
             relax_margin: 0.03,
         }
-    }
-
-    /// Overrides the controller slew rate (MHz/s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not strictly positive.
-    pub fn with_slew_rate(mut self, rate: f64) -> Self {
-        assert!(rate > 0.0, "slew rate must be positive");
-        self.slew_mhz_per_s = rate;
-        self
     }
 
     /// The enforced cap in watts.
@@ -88,7 +75,7 @@ impl CapController {
     /// Panics if `dt` is not strictly positive.
     pub fn step(&mut self, dt: f64, measured_watts: f64) -> f64 {
         assert!(dt > 0.0, "dt must be positive");
-        let budget = self.slew_mhz_per_s * dt;
+        let budget = Self::DEFAULT_SLEW_MHZ_PER_S * dt;
         if measured_watts > self.cap_watts {
             // Throttle proportionally to the overshoot, bounded by slew.
             let overshoot = (measured_watts - self.cap_watts) / self.cap_watts;

@@ -84,18 +84,6 @@ impl Gpu {
         }
     }
 
-    /// Creates a GPU with a custom DVFS model (for ablations).
-    pub fn with_dvfs(spec: GpuSpec, dvfs: DvfsModel) -> Self {
-        Gpu {
-            last_power_watts: spec.idle_watts,
-            spec,
-            dvfs,
-            locked_clock_mhz: None,
-            cap: None,
-            brake: false,
-        }
-    }
-
     /// The device constants.
     pub fn spec(&self) -> &GpuSpec {
         &self.spec

@@ -253,6 +253,16 @@ impl RunArtifacts {
     /// * `ObsLevel::Full` → plus `prof.json`, `prof.folded`,
     ///   `prof.trace.json`
     pub fn write_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        self.write_dir_with(dir, &[])
+    }
+
+    /// [`write_dir`](Self::write_dir) with `annotations` merged into
+    /// `trace.json` as by [`chrome_trace_json_with`](Self::chrome_trace_json_with).
+    pub fn write_dir_with(
+        &self,
+        dir: &Path,
+        annotations: &[chrome::Annotation],
+    ) -> io::Result<Vec<PathBuf>> {
         fs::create_dir_all(dir)?;
         let mut written = Vec::new();
         let mut put = |name: &str, body: String| -> io::Result<()> {
@@ -277,7 +287,7 @@ impl RunArtifacts {
             }
             put("power.csv", self.power_csv())?;
             put("latency.csv", self.latency_csv())?;
-            put("trace.json", self.chrome_trace_json())?;
+            put("trace.json", self.chrome_trace_json_with(annotations))?;
         }
         if self.level.profiling_enabled() {
             put("prof.json", self.prof_json())?;

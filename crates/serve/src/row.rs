@@ -94,7 +94,7 @@ pub struct BatchedRowParams {
     pub power_scale: f64,
 }
 
-/// The batched row engine: one [`BatchServer`] per cluster server,
+/// The batched row engine: one `BatchServer` per cluster server,
 /// the same priority-class layout as the legacy row, and (under a
 /// split topology) per-class prefill/decode pools joined by an
 /// interconnect that KV transfers cross at finite bandwidth.
@@ -246,11 +246,6 @@ impl<T> BatchedRow<T> {
             .iter()
             .map(BatchServer::max_power_watts)
             .fold(0.0, f64::max)
-    }
-
-    /// Whether server `i` belongs to the high-priority class.
-    pub fn is_high(&self, i: usize) -> bool {
-        self.servers[i].high_priority
     }
 
     /// Pool role tag of server `i` (`"aggregated"`, `"prefill"`,

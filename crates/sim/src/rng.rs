@@ -11,8 +11,8 @@ use crate::chacha::ChaCha8;
 
 /// A seedable, splittable simulation RNG.
 ///
-/// Backed by the in-tree [ChaCha8 keystream](crate::chacha) so the
-/// workspace builds without registry access.
+/// Backed by the in-tree ChaCha8 keystream (the private `chacha`
+/// module) so the workspace builds without registry access.
 ///
 /// # Examples
 ///
@@ -62,14 +62,6 @@ impl SimRng {
         self.inner.next_u64()
     }
 
-    /// Fills `dest` with keystream bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(4) {
-            let word = self.inner.next_u32().to_le_bytes();
-            chunk.copy_from_slice(&word[..chunk.len()]);
-        }
-    }
-
     /// A uniform sample in `[0, 1)` with 53 bits of precision.
     fn next_f64(&mut self) -> f64 {
         (self.inner.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -100,12 +92,6 @@ impl SimRng {
         let u2 = self.next_f64();
         let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         mean + std_dev * z
-    }
-
-    /// Samples a log-normal with the given parameters of the underlying
-    /// normal. Used for bursty token-length distributions.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
     }
 
     /// Uniform sample in `[lo, hi)`.

@@ -105,10 +105,6 @@ impl MonitorInterface {
             Self::row_manager(),
         ]
     }
-
-    /// Extra server power the paper attributes to running DCGM
-    /// continuously ("5–10 W", §3.4), in watts.
-    pub const DCGM_OVERHEAD_WATTS: f64 = 7.5;
 }
 
 /// The row-level parameters of Table 2, which also parameterize the

@@ -12,8 +12,6 @@
 //!   row-level parameters of Table 2,
 //! * [`delay`] — [`delay::DelayedSignal`]: telemetry with a
 //!   configurable propagation delay (the 2 s row-power delay),
-//! * [`sampler`] — periodic sampling clocks with jitter and measurement
-//!   noise (DCGM's 100 ms, IPMI's 1–5 s, the row manager's 2 s),
 //! * [`control`] — [`control::OobControlPlane`]: command
 //!   dispatch with actuation latency ranges and silent-failure injection,
 //! * [`fanout`] — [`fanout::RowPowerTaps`]: publish/subscribe fan-out of
@@ -38,13 +36,9 @@ pub mod control;
 pub mod delay;
 pub mod fanout;
 pub mod interfaces;
-pub mod monitors;
-pub mod sampler;
 
 pub use buffer::{merge_tick_columns, BufferedTick, RowTickBuffer};
 pub use control::{ControlAction, ControlCommand, OobControlPlane};
 pub use delay::DelayedSignal;
 pub use fanout::{RowPowerSubscriber, RowPowerTaps};
 pub use interfaces::{Granularity, MonitorInterface, Path, RowParameters};
-pub use monitors::{DcgmMonitor, SmbpbiReader};
-pub use sampler::PeriodicSampler;

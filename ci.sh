@@ -246,4 +246,14 @@ cargo run -q --offline --release -p polca-cli -- \
 grep -q '^accounted: ' "$profile_out/profile.txt" \
     || { echo "profile printed no attribution table"; exit 1; }
 
+echo "== results/ vs polca-cli figures =="
+# Every committed results/<id>.txt must be what `polca-cli figures <id>`
+# prints at the defaults (seed 17, each figure's own horizon), so a
+# change that moves a figure also re-pins its result file.
+for file in results/*.txt; do
+    id="$(basename "$file" .txt)"
+    cargo run -q --offline --release -p polca-cli -- figures "$id" | cmp - "$file" \
+        || { echo "results/$id.txt differs from \`polca-cli figures $id\`"; exit 1; }
+done
+
 echo "CI OK"

@@ -1,6 +1,6 @@
 //! Command-line interface for the polca toolkit.
 //!
-//! Five subcommands cover the workflows a capacity engineer needs:
+//! Seven subcommands cover the workflows a capacity engineer needs:
 //!
 //! * `characterize` — profile one model/request shape on a simulated
 //!   A100 group, optionally under a frequency lock or power cap (§4.2),
@@ -17,13 +17,18 @@
 //! * `plan` — sweep oversubscription levels and report the SLO-safe
 //!   maximum (Figure 13's workflow),
 //! * `profile` — self-profile the simulator with polca-prof on the
-//!   quick-demo study and print the per-component attribution table.
+//!   quick-demo study and print the per-component attribution table,
+//! * `figures` — regenerate the paper's tables and figures, plus the
+//!   ablations and extensions, by id (`figures fig17_policy_comparison`)
+//!   or all of them; `results/<id>.txt` holds each one's output at the
+//!   defaults.
 //!
 //! The parser is hand-rolled (`--flag value` pairs plus positional
 //! arguments) to keep the dependency set minimal; [`parse_args`] is
 //! exposed for testing. [`run`] rejects any flag its subcommand does
-//! not read, and every numeric value a library constructor would
-//! refuse is caught here as a [`CliError::BadValue`] first.
+//! not read and any positional argument it does not take, and every
+//! numeric value a library constructor would refuse is caught here as a
+//! [`CliError::BadValue`] first.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -41,8 +46,10 @@ use polca_trace::replicate::production_reference;
 use polca_trace::{ArrivalGenerator, DiurnalPattern, TraceConfig, WorkloadClass};
 
 mod evaluate;
+mod figures;
 
 use evaluate::evaluate;
+use figures::figures;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +76,14 @@ pub enum CliError {
         command: String,
         /// The flag, without its leading `--`.
         flag: String,
+    },
+    /// A positional argument the subcommand does not take, such as a
+    /// figure id `figures` does not know.
+    UnexpectedArgument {
+        /// The subcommand.
+        command: String,
+        /// The argument.
+        arg: String,
     },
     /// A `--flag` had no value.
     MissingValue(String),
@@ -113,6 +128,10 @@ impl fmt::Display for CliError {
             CliError::UnknownFlag { command, flag } => {
                 write!(f, "`{command}` has no flag `--{flag}`")
             }
+            CliError::UnexpectedArgument { command, arg } => write!(
+                f,
+                "unexpected argument `{arg}` to `{command}`; try `polca-cli help`"
+            ),
             CliError::MissingValue(flag) => write!(f, "flag `{flag}` needs a value"),
             CliError::BadValue { flag, value } => {
                 write!(f, "invalid value `{value}` for `--{flag}`")
@@ -121,7 +140,12 @@ impl fmt::Display for CliError {
                 f,
                 "invalid value `{value}` for `--{flag}`: the horizon must be longer than {min_s} s"
             ),
-            CliError::UnknownModel(m) => write!(f, "unknown model `{m}`; see `tab03_model_zoo`"),
+            CliError::UnknownModel(m) => {
+                write!(
+                    f,
+                    "unknown model `{m}`; see `polca-cli figures tab03_model_zoo`"
+                )
+            }
             CliError::Read { flag, path, error } => {
                 write!(f, "cannot read `--{flag}` file {path}: {error}")
             }
@@ -135,6 +159,14 @@ impl std::error::Error for CliError {}
 
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
+        CliError::Io(e.to_string())
+    }
+}
+
+/// Formatting into a `String` cannot fail; this lets a figure's
+/// `writeln!` share `?` with its artifact writes.
+impl From<fmt::Error> for CliError {
+    fn from(e: fmt::Error) -> Self {
         CliError::Io(e.to_string())
     }
 }
@@ -255,15 +287,23 @@ impl Invocation {
     /// finite, and [`CliError::ShortHorizon`] unless it is longer than
     /// one step.
     fn get_days(&self, default: f64, step_s: f64) -> Result<f64, CliError> {
-        let days = self.get_valid("days", default, positive)?;
-        if days * 86_400.0 > step_s {
-            return Ok(days);
+        Ok(self.get_opt_days(step_s)?.unwrap_or(default))
+    }
+
+    /// Reads an optional `--days` like [`get_days`](Self::get_days).
+    ///
+    /// # Errors
+    ///
+    /// As [`get_days`](Self::get_days).
+    fn get_opt_days(&self, step_s: f64) -> Result<Option<f64>, CliError> {
+        match self.get_opt_valid("days", positive)? {
+            Some(days) if days * 86_400.0 <= step_s => Err(CliError::ShortHorizon {
+                flag: "days".to_string(),
+                value: self.options["days"].clone(),
+                min_s: step_s,
+            }),
+            days => Ok(days),
         }
-        Err(CliError::ShortHorizon {
-            flag: "days".to_string(),
-            value: self.options.get("days").cloned().unwrap_or_default(),
-            min_s: step_s,
-        })
     }
 
     /// Refuses the first of `flags` (space-separated) given, for a run
@@ -439,26 +479,40 @@ COMMANDS
                 prof.trace.json (open in Perfetto)
                 (simulator speed is measured by polca-benchmark; see
                 benchmark/README.md)
+  figures       regenerate the paper's tables and figures
+                polca-cli figures [ID...]  runs the figures the ids name,
+                or all of them; the ids are the stems of results/*.txt
+                (fig03_power_breakdown … fig18_power_brakes,
+                tab01_interfaces … tab06_workload_slos, ablation_*,
+                extension_*, serve_policy_comparison)
+                [--days D] (longer than 60 s) replaces the horizon of
+                every evaluation figure (2 or 7 days; 42 is the paper's)
+                [--seed 17] [--obs-out DIR] figure ID saves its printed
+                tables or series as CSV (fig16 and fig18 also their
+                recorder artifacts) in DIR/ID/
   help          print this text
 ";
 
 /// A subcommand's entry point.
 type Handler = fn(&Invocation) -> Result<(), CliError>;
 
-/// Every subcommand with its entry point and the flags it reads (the
-/// ones [`HELP`] documents), space-separated.
-const COMMANDS: &[(&str, Handler, &str)] = &[
+/// Every subcommand with its entry point, the flags it reads (the ones
+/// [`HELP`] documents), space-separated, and how many positional
+/// arguments it takes.
+const COMMANDS: &[(&str, Handler, &str, usize)] = &[
     (
         "characterize",
         characterize,
         "model input output batch lock cap",
+        0,
     ),
     (
         "trace",
         trace,
         "days seed csv-out rate amplitude peak-hour noise bursts-per-day",
+        0,
     ),
-    ("ingest", ingest, "csv seed extrapolate-days"),
+    ("ingest", ingest, "csv seed extrapolate-days", 1),
     (
         "evaluate",
         evaluate,
@@ -466,9 +520,11 @@ const COMMANDS: &[(&str, Handler, &str)] = &[
          req-trace req-sample carbon-trace carbon-diurnal pue carbon-budget carbon-per-token \
          watch watch-rules rows datacenters rows-per-pdu enforce-budgets fleet-threads \
          site-budget-mw oversub-dc oversub-site jobs trace-csv rate-scale time-scale servers",
+        0,
     ),
-    ("plan", plan, "days seed servers jobs"),
-    ("profile", profile, "seed reps out"),
+    ("plan", plan, "days seed servers jobs", 0),
+    ("profile", profile, "seed reps out", 0),
+    ("figures", figures, "days seed obs-out", usize::MAX),
 ];
 
 /// Runs an invocation, writing human-readable output to stdout.
@@ -476,15 +532,15 @@ const COMMANDS: &[(&str, Handler, &str)] = &[
 /// # Errors
 ///
 /// Returns [`CliError`] on unknown commands, flags the command does not
-/// read, or malformed values.
+/// read, positional arguments it does not take, or malformed values.
 pub fn run(inv: &Invocation) -> Result<(), CliError> {
     if matches!(inv.command.as_str(), "help" | "--help" | "-h") {
         print!("{HELP}");
         return Ok(());
     }
-    let &(command, handler, flags) = COMMANDS
+    let &(command, handler, flags, positionals) = COMMANDS
         .iter()
-        .find(|(name, _, _)| *name == inv.command)
+        .find(|(name, ..)| *name == inv.command)
         .ok_or_else(|| CliError::UnknownCommand(inv.command.clone()))?;
     // The smallest unknown flag, so the error does not depend on the
     // option map's iteration order.
@@ -497,6 +553,12 @@ pub fn run(inv: &Invocation) -> Result<(), CliError> {
         return Err(CliError::UnknownFlag {
             command: command.to_string(),
             flag: flag.clone(),
+        });
+    }
+    if let Some(arg) = inv.positionals.get(positionals) {
+        return Err(CliError::UnexpectedArgument {
+            command: command.to_string(),
+            arg: arg.clone(),
         });
     }
     handler(inv)
@@ -762,6 +824,7 @@ mod tests {
     use super::*;
     use evaluate::{parse_req_trace, RunSpec, Shape};
     use polca_cluster::SiteConfig;
+    use polca_stats::TimeSeries;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -872,6 +935,7 @@ mod tests {
         assert!(HELP.contains("--datacenters"));
         assert!(HELP.contains("--fleet-threads"));
         assert!(HELP.contains("polca-benchmark"));
+        assert!(HELP.contains("figures"));
     }
 
     #[test]
@@ -925,6 +989,11 @@ mod tests {
                 "nan",
             ],
             &["evaluate", "--policy", "foo"],
+            &["figures", "--days", "nan"],
+            &["figures", "--days", "inf"],
+            &["figures", "--days", "-1"],
+            &["figures", "--days", "abc"],
+            &["figures", "--seed", "-1"],
         ];
         // Each horizon here is positive but no longer than one step of
         // the profile the run samples (in seconds).
@@ -933,6 +1002,7 @@ mod tests {
             (&["evaluate", "--rows", "2", "--days", "0.00069"], 60.0),
             (&["plan", "--days", "0.00069"], 60.0),
             (&["trace", "--days", "0.00002"], 2.0),
+            (&["figures", "--days", "0.0001"], 60.0),
         ];
         // Each flag here is one its subcommand does not read.
         let unknown_flags: &[&[&str]] = &[
@@ -943,6 +1013,16 @@ mod tests {
             &["plan", "--day", "0.01"],
             &["profile", "--rep", "1"],
             &["profile", "--bench-out", "x"],
+            &["figures", "--only", "fig18_power_brakes"],
+        ];
+        // The last positional argument of each argv is one its
+        // subcommand does not take.
+        let stray_arguments: &[&[&str]] = &[
+            &["characterize", "bogus"],
+            &["trace", "5", "--days", "0.01"],
+            &["evaluate", "fig17_policy_comparison"],
+            &["ingest", csv, "second.csv"],
+            &["figures", "fig03_power_breakdown", "fig99_nope"],
         ];
         let check = |argv: &[&str], unknown: bool| {
             let [command, .., flag, value] = argv else {
@@ -969,6 +1049,17 @@ mod tests {
         for argv in unknown_flags {
             check(argv, true);
         }
+        for argv in stray_arguments {
+            let inv = parse_args(args(argv)).unwrap();
+            let err = run(&inv).unwrap_err();
+            let arg = inv.positionals.last().unwrap().clone();
+            assert!(err.to_string().contains(&format!("`{arg}`")), "{err}");
+            let command = inv.command.clone();
+            assert_eq!(err, CliError::UnexpectedArgument { command, arg });
+        }
+        let argv = ["figures", "tab02_row_params", "--obs-out", "/dev/null/x"];
+        let err = run(&parse_args(args(&argv)).unwrap()).unwrap_err();
+        assert!(matches!(err, CliError::Io(_)), "{err:?}");
         for &(argv, min_s) in short_horizons {
             let err = run(&parse_args(args(argv)).unwrap()).unwrap_err();
             let message = format!("`--days`: the horizon must be longer than {min_s} s");
@@ -1350,6 +1441,65 @@ mod tests {
         ]))
         .unwrap();
         run(&inv).unwrap();
+    }
+
+    /// Every registered figure runs at a short horizon, and at the
+    /// shortest `--days` accepts, and prints more than its header; the
+    /// registry's ids are exactly the stems of `results/*.txt`.
+    #[test]
+    fn every_figure_runs_and_has_a_result_file() {
+        for days in [0.05, 0.0007] {
+            for figure @ (id, header, _) in figures::FIGURES {
+                let out = figures::render(figure, Some(days), 17, None).unwrap();
+                let head = format!("== {header} ==\n");
+                assert!(
+                    out.starts_with(&head) && out.len() > head.len(),
+                    "{id}: {out}"
+                );
+            }
+        }
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut stems: Vec<String> = std::fs::read_dir(results)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "txt"))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        stems.sort();
+        let ids: Vec<&str> = figures::FIGURES.iter().map(|(id, ..)| *id).collect();
+        assert_eq!(ids, stems);
+    }
+
+    #[test]
+    fn sparkline_has_requested_width() {
+        let ts: TimeSeries = (0..100).map(|i| (i as f64, (i as f64).sin())).collect();
+        let s = figures::sparkline(&ts, 20);
+        assert_eq!(s.chars().count(), 20);
+    }
+
+    #[test]
+    fn sparkline_of_empty_series_is_empty() {
+        assert_eq!(figures::sparkline(&TimeSeries::new(), 10), "");
+    }
+
+    #[test]
+    fn pct_formats() {
+        assert_eq!(figures::pct(0.305), "30.5%");
+    }
+
+    #[test]
+    fn table_renders_csv_through_obs_exporter() {
+        let mut t = figures::Table::new(&["policy", "brakes"]);
+        t.row(vec!["POLCA".into(), "0".into()]);
+        t.row(vec!["No-cap".into(), "12".into()]);
+        assert_eq!(t.csv(), "policy,brakes\nPOLCA,0\nNo-cap,12\n");
+    }
+
+    #[test]
+    fn series_csv_round_trips_points() {
+        let ts: TimeSeries = [(0.0, 1.0), (2.0, 3.5)].into_iter().collect();
+        let body = figures::series_csv("t_s", "watts", &ts);
+        assert_eq!(body, "t_s,watts\n0,1\n2,3.5\n");
     }
 
     #[test]

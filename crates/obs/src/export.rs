@@ -44,8 +44,8 @@ use crate::req::{self, ReqRecord};
 /// Renders a table as CSV: a header row followed by one line per row,
 /// RFC-4180-quoting any cell containing a comma, quote, or newline.
 ///
-/// This backs the figure/table binaries' shared writer so their CSV
-/// output matches the recorder's own artifact files.
+/// This backs the shared table writer of `polca-cli figures`, so the
+/// figures' CSV output matches the recorder's own artifact files.
 ///
 /// # Examples
 ///
@@ -126,9 +126,15 @@ impl RunArtifacts {
     /// calls, queue depth high-water mark, occupancy) when profiling
     /// captured anything.
     pub fn metrics_prometheus(&self) -> String {
+        self.prometheus_with(&self.energy_ledger())
+    }
+
+    /// [`metrics_prometheus`](Self::metrics_prometheus) with `ledger`,
+    /// the run's already assembled energy ledger.
+    fn prometheus_with(&self, ledger: &EnergyLedger) -> String {
         let mut s = self.metrics.to_prometheus();
         s.push_str(&self.prof.to_prometheus());
-        s.push_str(&self.energy_ledger().prometheus());
+        s.push_str(&ledger.prometheus());
         s
     }
 
@@ -202,6 +208,12 @@ impl RunArtifacts {
     /// Chrome trace-event JSON with extra instant markers merged onto
     /// the cluster track (the watch plane's incident annotations).
     pub fn chrome_trace_json_with(&self, annotations: &[chrome::Annotation]) -> String {
+        self.chrome_trace(annotations, &self.energy_ledger())
+    }
+
+    /// [`chrome_trace_json_with`](Self::chrome_trace_json_with) with
+    /// `ledger`, the run's already assembled energy ledger.
+    fn chrome_trace(&self, annotations: &[chrome::Annotation], ledger: &EnergyLedger) -> String {
         let lines = self.events.len() + annotations.len() + 2 * self.requests.len();
         let mut out = String::with_capacity(chrome::capacity(lines));
         chrome::write_trace(&mut out, &self.events, annotations, |out| {
@@ -209,7 +221,7 @@ impl RunArtifacts {
                 req::write_chrome_request_lanes(&self.requests, out);
             }
             if !self.energy_rows.is_empty() {
-                self.energy_ledger().write_chrome_counter_lanes(out);
+                ledger.write_chrome_counter_lanes(out);
             }
         });
         out
@@ -271,11 +283,13 @@ impl RunArtifacts {
             written.push(path);
             Ok(())
         };
+        // One ledger for the three artifacts that render it: building it
+        // copies every row account's power samples.
+        let ledger = self.energy_ledger();
         if self.level.metrics_enabled() {
             put("metrics.json", self.metrics_json())?;
-            put("metrics.prom", self.metrics_prometheus())?;
+            put("metrics.prom", self.prometheus_with(&ledger))?;
             if !self.energy_rows.is_empty() {
-                let ledger = self.energy_ledger();
                 put("energy.json", ledger.to_json())?;
                 put("energy.csv", ledger.series_csv())?;
             }
@@ -287,7 +301,7 @@ impl RunArtifacts {
             }
             put("power.csv", self.power_csv())?;
             put("latency.csv", self.latency_csv())?;
-            put("trace.json", self.chrome_trace_json_with(annotations))?;
+            put("trace.json", self.chrome_trace(annotations, &ledger))?;
         }
         if self.level.profiling_enabled() {
             put("prof.json", self.prof_json())?;

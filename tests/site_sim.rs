@@ -15,15 +15,18 @@
 //! * the site reads its arrival source lazily, at most one epoch ahead
 //!   of its rows plus one arrival per row,
 //! * a monitor-only site completes exactly what its rows complete
-//!   standalone, each on its round-robin share of the stream.
+//!   standalone, each on its round-robin share of the stream,
+//! * the site-level `events.jsonl` and `metrics.prom` of a site whose
+//!   PDU, datacenter and site budgets all brake are pinned byte for
+//!   byte against golden files.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use polca::{DisaggregationConfig, PolcaController, PolcaPolicy};
 use polca_cluster::{
-    row_seed, ControlRequest, ControlTarget, PowerCeiling, PowerController, Priority, Request,
-    RowConfig, RowContext, RowSim, SimConfig, SimReport, SiteConfig, SiteSim,
+    row_seed, ControlRequest, ControlTarget, NoopController, PowerCeiling, PowerController,
+    Priority, Request, RowConfig, RowContext, RowSim, SimConfig, SimReport, SiteConfig, SiteSim,
 };
 use polca_obs::{Event, ObsLevel, Recorder, ReqTraceConfig};
 use polca_sim::{SimRng, SimTime};
@@ -542,5 +545,96 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Fails with the first differing line instead of printing a whole
+/// artifact.
+fn assert_golden(actual: &str, golden: &str, name: &str) {
+    let same = actual
+        .lines()
+        .zip(golden.lines())
+        .take_while(|(a, g)| a == g)
+        .count();
+    assert!(
+        actual == golden,
+        "site artifact drifted from tests/golden/{name} at line {}",
+        same + 1
+    );
+}
+
+/// The largest value among `metrics.prom` samples whose line starts
+/// with `series` (0 if there is none).
+fn max_sample(prom: &str, series: &str) -> u64 {
+    prom.lines()
+        .filter(|line| line.starts_with(series))
+        .filter_map(|line| line.rsplit(' ').next()?.parse().ok())
+        .max()
+        .unwrap_or(0)
+}
+
+/// The site-level artifacts of a 2 × 3 site (PDUs of two rows and of
+/// one) whose PDU, datacenter and site budgets each engage, release
+/// and re-engage a brake within 200 s are pinned byte for byte, at 1
+/// and 2 threads. No CLI flag tightens a PDU budget, so this is the
+/// PDU level's only byte-level pin.
+#[test]
+fn enforced_site_artifacts_match_golden_files() {
+    for threads in [1, 2] {
+        let recorder = Recorder::new(ObsLevel::Events);
+        let row = small_row();
+        let p = row.provisioned_watts();
+        let mut site = SiteConfig {
+            datacenters: 2,
+            rows_per_datacenter: 3,
+            rows_per_pdu: 2,
+            pdu_budget_watts: Some(p * 1.36),
+            datacenter_budget_watts: Some(p * 2.0),
+            site_budget_watts: Some(p * 3.95),
+            enforce_budgets: true,
+            threads,
+            ..SiteConfig::default()
+        };
+        site.base.seed = 17;
+        site.base.recorder = recorder.clone();
+        let trace = TraceConfig::paper_mix(17, SimTime::from_secs(260.0)).scaled(0.5);
+        let requests: Vec<Request> = ArrivalGenerator::new(&trace).collect();
+        SiteSim::new(
+            row,
+            site,
+            |_, _| NoopController,
+            requests.into_iter(),
+            SimTime::from_secs(200.0),
+        )
+        .run();
+        let artifacts = recorder.artifacts();
+        let (events, prom) = (artifacts.events_jsonl(), artifacts.metrics_prometheus());
+        for scope in ["pdu", "datacenter", "site"] {
+            assert!(
+                events
+                    .lines()
+                    .any(|line| line.starts_with("{\"ev\":\"budget_violation\"")
+                        && line.contains(&format!("\"scope\":\"{scope}\""))),
+                "no {scope} budget violation"
+            );
+        }
+        // Two engagements of one unit mean its brake released between.
+        for series in [
+            "fleet_brake_engagements_total{pdu=",
+            "fleet_brake_engagements_total{datacenter=",
+            "site_brake_engagements_total ",
+        ] {
+            assert!(max_sample(&prom, series) >= 2, "{series} engaged < 2 times");
+        }
+        assert_golden(
+            &events,
+            include_str!("golden/site_events.jsonl"),
+            "site_events.jsonl",
+        );
+        assert_golden(
+            &prom,
+            include_str!("golden/site_metrics.prom"),
+            "site_metrics.prom",
+        );
     }
 }

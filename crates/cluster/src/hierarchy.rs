@@ -31,7 +31,7 @@ impl Budget {
 
 /// Sums `watts` in order from zero, exactly as accumulating each entry
 /// into a zeroed total would.
-fn sum_in_order(watts: &[f64]) -> f64 {
+pub(crate) fn sum_in_order(watts: &[f64]) -> f64 {
     watts.iter().fold(0.0, |total, &w| total + w)
 }
 
@@ -214,54 +214,31 @@ impl SiteHierarchy {
     }
 
     /// Per-PDU aggregate power (global PDU order) for the given per-row
-    /// powers.
+    /// powers: each PDU folds its rows in row order, as the site
+    /// monitor does.
     ///
     /// # Panics
     ///
     /// Panics if `row_watts` does not hold exactly one entry per row.
     pub fn pdu_powers(&self, row_watts: &[f64]) -> Vec<f64> {
-        let mut powers = Vec::new();
-        self.write_pdu_powers(row_watts, &mut powers);
-        powers
-    }
-
-    /// [`pdu_powers`](Self::pdu_powers) into a caller-owned buffer,
-    /// which it overwrites (no allocation once `out` has capacity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row_watts` does not hold exactly one entry per row.
-    pub(crate) fn write_pdu_powers(&self, row_watts: &[f64], out: &mut Vec<f64>) {
         assert_eq!(row_watts.len(), self.n_rows(), "one power entry per row");
-        out.clear();
-        // Rows run contiguously within PDUs and PDUs within
-        // datacenters, so each PDU sums a run of rows in row order.
-        for dc_rows in row_watts.chunks(self.rows_per_datacenter) {
-            out.extend(dc_rows.chunks(self.rows_per_pdu).map(sum_in_order));
-        }
+        (0..self.n_pdus())
+            .map(|pdu| sum_in_order(&row_watts[self.rows_in_pdu(pdu)]))
+            .collect()
     }
 
-    /// Per-datacenter aggregate power for the given per-row powers.
+    /// Per-datacenter aggregate power for the given per-row powers,
+    /// each datacenter folding its rows in row order.
     ///
     /// # Panics
     ///
     /// Panics if `row_watts` does not hold exactly one entry per row.
     pub fn datacenter_powers(&self, row_watts: &[f64]) -> Vec<f64> {
-        let mut powers = Vec::new();
-        self.write_datacenter_powers(row_watts, &mut powers);
-        powers
-    }
-
-    /// [`datacenter_powers`](Self::datacenter_powers) into a
-    /// caller-owned buffer, which it overwrites.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row_watts` does not hold exactly one entry per row.
-    pub(crate) fn write_datacenter_powers(&self, row_watts: &[f64], out: &mut Vec<f64>) {
         assert_eq!(row_watts.len(), self.n_rows(), "one power entry per row");
-        out.clear();
-        out.extend(row_watts.chunks(self.rows_per_datacenter).map(sum_in_order));
+        row_watts
+            .chunks(self.rows_per_datacenter)
+            .map(sum_in_order)
+            .collect()
     }
 }
 

@@ -113,7 +113,7 @@ use polca_obs::{Event, Label, Phase, ProfCounter, Recorder};
 use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
 
-use crate::hierarchy::SiteHierarchy;
+use crate::hierarchy::{sum_in_order, SiteHierarchy};
 use crate::request::{Priority, Request};
 use crate::row::RowConfig;
 use crate::sim::{
@@ -556,6 +556,94 @@ impl SiteReport {
     }
 }
 
+/// One PDU, datacenter or site bus, as the monitor tracks it.
+struct Unit {
+    /// The rows it feeds, which its brake holds.
+    rows: Range<usize>,
+    budget: f64,
+    label: Label,
+    /// Power at the last roll-up, of row powers or of row ceilings.
+    watts: f64,
+    /// Highest power observed.
+    peak: f64,
+    braked: bool,
+}
+
+impl Unit {
+    fn new(rows: Range<usize>, budget: f64, label: Label) -> Self {
+        Unit {
+            rows,
+            budget,
+            label,
+            watts: 0.0,
+            peak: 0.0,
+            braked: false,
+        }
+    }
+
+    /// Brake hysteresis: engages above the budget and releases below
+    /// [`RELEASE_FRACTION`] of it. Returns whether the brake toggled.
+    fn toggle_brake(&mut self) -> bool {
+        let toggle = if self.braked {
+            self.watts < self.budget * RELEASE_FRACTION
+        } else {
+            self.watts > self.budget
+        };
+        self.braked ^= toggle;
+        toggle
+    }
+}
+
+/// One level of the hierarchy: its units and the names it records
+/// them under.
+struct Level {
+    /// Event scope, power gauge, violation counter and brake counter.
+    names: [&'static str; 4],
+    /// Whether it records gauges and violations and enforces budgets
+    /// (an inactive site does not). Peaks are tracked either way.
+    active: bool,
+    units: Vec<Unit>,
+    /// Boundary samples at which some unit exceeded its budget.
+    violations: u64,
+}
+
+impl Level {
+    fn new(names: [&'static str; 4], active: bool, units: Vec<Unit>) -> Self {
+        Level {
+            names,
+            active,
+            units,
+            violations: 0,
+        }
+    }
+}
+
+/// [`Level::names`] of the PDUs, the datacenters and the site.
+const LEVEL_NAMES: [[&str; 4]; 3] = [
+    [
+        "pdu",
+        "fleet.pdu_power_w",
+        "fleet.pdu_violations",
+        "fleet.brake_engagements",
+    ],
+    [
+        "datacenter",
+        "fleet.datacenter_power_w",
+        "fleet.datacenter_violations",
+        "fleet.brake_engagements",
+    ],
+    [
+        "site",
+        "site.power_w",
+        "site.budget_violations",
+        "site.brake_engagements",
+    ],
+];
+
+/// Indices into [`SiteMonitor::levels`].
+const DATACENTERS: usize = 1;
+const SITE: usize = 2;
+
 /// Boundary-time monitor state: hierarchy roll-up, peaks, violation
 /// counters, and per-level brake hysteresis. Only ever touched by the
 /// main thread, between epochs.
@@ -563,91 +651,59 @@ struct SiteMonitor {
     obs: Recorder,
     hierarchy: SiteHierarchy,
     enforce: bool,
-    site_active: bool,
-    pdu_braked: Vec<bool>,
-    dc_braked: Vec<bool>,
-    site_braked: bool,
-    /// The brake state actually applied to each row (the OR of the
-    /// levels above it, tracked explicitly so overlapping engagements
-    /// release correctly).
-    row_braked: Vec<bool>,
-    pdu_peak: Vec<f64>,
-    dc_peak: Vec<f64>,
-    site_peak: f64,
-    pdu_violations: u64,
-    dc_violations: u64,
-    site_violations: u64,
+    /// PDUs, datacenters and the site: the order every boundary walks.
+    levels: [Level; 3],
+    /// How many levels hold a brake on each row. A row stays braked
+    /// while any does, so a release at one level never lifts a brake
+    /// another level still requires.
+    holds: Vec<u8>,
+    /// Brake engagements, all levels.
     brakes: u64,
-    /// Each PDU's budget, in watts.
-    pdu_budgets: Vec<f64>,
-    /// Roll-up and brake-toggle buffers reused by every boundary and
-    /// every ceiling check, so neither allocates.
-    levels: LevelWatts,
+    /// The last boundary's brake toggles, in canonical row order
+    /// (reused, so a boundary does not allocate).
     toggles: Vec<(usize, bool)>,
-}
-
-/// Power summed per PDU (global order), per datacenter and for the
-/// site.
-#[derive(Default)]
-struct LevelWatts {
-    pdu: Vec<f64>,
-    dc: Vec<f64>,
-    site: f64,
-}
-
-impl LevelWatts {
-    /// Rolls `row_watts` up `hierarchy`, overwriting the sums.
-    fn roll_up(&mut self, hierarchy: &SiteHierarchy, row_watts: &[f64]) {
-        hierarchy.write_pdu_powers(row_watts, &mut self.pdu);
-        hierarchy.write_datacenter_powers(row_watts, &mut self.dc);
-        self.site = self.dc.iter().sum();
-    }
-}
-
-/// Whether a level whose rows draw at most `watts` in total stays
-/// within `budget`, by [`CEILING_MARGIN`].
-fn fits(watts: f64, budget: f64) -> bool {
-    watts * (1.0 + CEILING_MARGIN) <= budget
 }
 
 impl SiteMonitor {
     fn new(obs: Recorder, hierarchy: SiteHierarchy, enforce: bool, site_active: bool) -> Self {
-        let (n_rows, n_pdus, n_dcs) = (
-            hierarchy.n_rows(),
-            hierarchy.n_pdus(),
-            hierarchy.n_datacenters(),
-        );
+        let h = &hierarchy;
+        let dc_budget = h.datacenter_budget_watts();
+        // A 1-datacenter site keeps the legacy unpartitioned series so
+        // its artifacts match the historical fleet byte for byte.
+        let dc_label = |d| match h.n_datacenters() {
+            1 => Label::Global,
+            _ => Label::Datacenter(d),
+        };
+        let pdus = (0..h.n_pdus())
+            .map(|p| Unit::new(h.rows_in_pdu(p), h.pdu_budget_watts(p), Label::Pdu(p)));
+        let dcs = (0..h.n_datacenters())
+            .map(|d| Unit::new(h.rows_in_datacenter(d), dc_budget, dc_label(d)));
+        let site = Unit::new(0..h.n_rows(), h.site_budget_watts(), Label::Global);
+        let [pdu_names, dc_names, site_names] = LEVEL_NAMES;
         SiteMonitor {
             obs,
-            pdu_budgets: (0..n_pdus).map(|p| hierarchy.pdu_budget_watts(p)).collect(),
-            hierarchy,
             enforce,
-            site_active,
-            pdu_braked: vec![false; n_pdus],
-            dc_braked: vec![false; n_dcs],
-            site_braked: false,
-            row_braked: vec![false; n_rows],
-            pdu_peak: vec![0.0; n_pdus],
-            dc_peak: vec![0.0; n_dcs],
-            site_peak: 0.0,
-            pdu_violations: 0,
-            dc_violations: 0,
-            site_violations: 0,
+            levels: [
+                Level::new(pdu_names, true, pdus.collect()),
+                Level::new(dc_names, true, dcs.collect()),
+                Level::new(site_names, site_active, vec![site]),
+            ],
+            holds: vec![0; h.n_rows()],
             brakes: 0,
-            levels: LevelWatts::default(),
-            toggles: Vec::with_capacity(n_rows),
+            toggles: Vec::with_capacity(h.n_rows()),
+            hierarchy,
         }
     }
 
-    /// Datacenter metric label: a 1-datacenter site keeps the legacy
-    /// unpartitioned series so its artifacts match the historical
-    /// fleet byte for byte.
-    fn dc_label(&self, d: usize) -> Label {
-        if self.hierarchy.n_datacenters() == 1 {
-            Label::Global
-        } else {
-            Label::Datacenter(d)
+    /// Rolls `row_watts` up into every unit's `watts`: a PDU or a
+    /// datacenter folds its rows in row order, and the site adds the
+    /// datacenters' sums in order.
+    fn roll_up(&mut self, row_watts: &[f64]) {
+        let [pdus, dcs, site] = &mut self.levels;
+        for unit in pdus.units.iter_mut().chain(&mut dcs.units) {
+            unit.watts = sum_in_order(&row_watts[unit.rows.clone()]);
         }
+        site.units[0].watts = dcs.units.iter().map(|u| u.watts).sum();
     }
 
     /// Aggregates ground-truth power at a window boundary: records
@@ -665,8 +721,7 @@ impl SiteMonitor {
             (row_watts.len() - stepped) as u64,
         );
         let t = now.as_secs();
-        let mut toggles = std::mem::take(&mut self.toggles);
-        toggles.clear();
+        self.toggles.clear();
         for (i, &w) in row_watts.iter().enumerate() {
             self.obs.gauge("fleet.row_power_w", Label::Row(i), w);
             self.obs.record(Event::FleetPowerSample {
@@ -675,195 +730,74 @@ impl SiteMonitor {
                 watts: w,
             });
         }
-        let mut levels = std::mem::take(&mut self.levels);
-        levels.roll_up(&self.hierarchy, row_watts);
-        let mut any_pdu_violation = false;
-        for (pdu, &w) in levels.pdu.iter().enumerate() {
-            let budget = self.pdu_budgets[pdu];
-            self.obs.gauge("fleet.pdu_power_w", Label::Pdu(pdu), w);
-            if w > self.pdu_peak[pdu] {
-                self.pdu_peak[pdu] = w;
+        self.roll_up(row_watts);
+        // `site.aggregate` times the datacenter and site levels of an
+        // active site.
+        let site_active = self.levels[SITE].active;
+        let mut site_phase = None;
+        for (l, level) in self.levels.iter_mut().enumerate() {
+            if l == DATACENTERS && site_active {
+                site_phase = self.obs.prof().time(Phase::SiteAggregation);
             }
-            if w > budget {
-                any_pdu_violation = true;
-                self.obs.add("fleet.pdu_violations", Label::Pdu(pdu), 1);
-                self.obs.record(Event::BudgetViolation {
-                    t,
-                    scope: "pdu",
-                    unit: pdu,
-                    watts: w,
-                    budget_watts: budget,
-                });
+            let [scope, power, violations, brakes] = level.names;
+            let mut violated = false;
+            for (index, unit) in level.units.iter_mut().enumerate() {
+                unit.peak = unit.peak.max(unit.watts);
+                if !level.active {
+                    continue;
+                }
+                self.obs.gauge(power, unit.label, unit.watts);
+                if unit.watts > unit.budget {
+                    violated = true;
+                    self.obs.add(violations, unit.label, 1);
+                    self.obs.record(Event::BudgetViolation {
+                        t,
+                        scope,
+                        unit: index,
+                        watts: unit.watts,
+                        budget_watts: unit.budget,
+                    });
+                }
+                if !(self.enforce && unit.toggle_brake()) {
+                    continue;
+                }
+                if unit.braked {
+                    self.brakes += 1;
+                    self.obs.add(brakes, unit.label, 1);
+                }
+                // A row's brake toggles when its first hold arrives
+                // or its last one leaves.
+                for row in unit.rows.clone() {
+                    let holds = &mut self.holds[row];
+                    *holds = if unit.braked { *holds + 1 } else { *holds - 1 };
+                    if *holds == u8::from(unit.braked) {
+                        self.toggles.push((row, unit.braked));
+                    }
+                }
             }
-            if self.enforce {
-                self.enforce_pdu(pdu, w, budget, &mut toggles);
-            }
+            level.violations += u64::from(violated);
         }
-        if any_pdu_violation {
-            self.pdu_violations += 1;
-        }
-        let dc_budget = self.hierarchy.datacenter_budget_watts();
-        let _site_phase = if self.site_active {
-            self.obs.prof().time(Phase::SiteAggregation)
-        } else {
-            None
-        };
-        let mut any_dc_violation = false;
-        for (d, &w) in levels.dc.iter().enumerate() {
-            let label = self.dc_label(d);
-            self.obs.gauge("fleet.datacenter_power_w", label, w);
-            if w > self.dc_peak[d] {
-                self.dc_peak[d] = w;
-            }
-            if w > dc_budget {
-                any_dc_violation = true;
-                self.obs.add("fleet.datacenter_violations", label, 1);
-                self.obs.record(Event::BudgetViolation {
-                    t,
-                    scope: "datacenter",
-                    unit: d,
-                    watts: w,
-                    budget_watts: dc_budget,
-                });
-            }
-            if self.enforce {
-                self.enforce_datacenter(d, w, dc_budget, &mut toggles);
-            }
-        }
-        if any_dc_violation {
-            self.dc_violations += 1;
-        }
-        let site_w = levels.site;
-        self.levels = levels;
-        if site_w > self.site_peak {
-            self.site_peak = site_w;
-        }
-        if self.site_active {
-            let site_budget = self.hierarchy.site_budget_watts();
-            self.obs.gauge("site.power_w", Label::Global, site_w);
-            if site_w > site_budget {
-                self.site_violations += 1;
-                self.obs.add("site.budget_violations", Label::Global, 1);
-                self.obs.record(Event::BudgetViolation {
-                    t,
-                    scope: "site",
-                    unit: 0,
-                    watts: site_w,
-                    budget_watts: site_budget,
-                });
-            }
-            if self.enforce {
-                self.enforce_site(site_w, site_budget, &mut toggles);
-            }
-        }
-        self.toggles = toggles;
+        drop(site_phase);
         &self.toggles
     }
 
     /// Whether some hierarchy level holds a brake. A held brake may
     /// release at any boundary, so it rules out lookahead.
     fn braking(&self) -> bool {
-        self.site_braked || self.pdu_braked.contains(&true) || self.dc_braked.contains(&true)
+        self.holds.iter().any(|&h| h > 0)
     }
 
     /// Rolls the rows' ceilings up the hierarchy and reports whether
-    /// every enforced level [`fits`] its budget. With no level braking,
-    /// a boundary where no row draws more than its ceiling can toggle
-    /// no brake.
+    /// every enforced unit stays within its budget, by
+    /// [`CEILING_MARGIN`]. With no level braking, a boundary where no
+    /// row draws more than its ceiling can toggle no brake.
     fn within_budgets(&mut self, row_ceilings: &[f64]) -> bool {
-        self.levels.roll_up(&self.hierarchy, row_ceilings);
-        let c = &self.levels;
-        let dc_budget = self.hierarchy.datacenter_budget_watts();
-        c.pdu
+        self.roll_up(row_ceilings);
+        self.levels
             .iter()
-            .zip(&self.pdu_budgets)
-            .all(|(&w, &b)| fits(w, b))
-            && c.dc.iter().all(|&w| fits(w, dc_budget))
-            && (!self.site_active || fits(c.site, self.hierarchy.site_budget_watts()))
-    }
-
-    /// PDU-scoped brake with hysteresis: engage above budget, release
-    /// below [`RELEASE_FRACTION`] of it.
-    fn enforce_pdu(
-        &mut self,
-        pdu: usize,
-        watts: f64,
-        budget: f64,
-        toggles: &mut Vec<(usize, bool)>,
-    ) {
-        let engage = watts > budget && !self.pdu_braked[pdu];
-        let release = self.pdu_braked[pdu] && watts < budget * RELEASE_FRACTION;
-        if !(engage || release) {
-            return;
-        }
-        self.pdu_braked[pdu] = engage;
-        if engage {
-            self.brakes += 1;
-            self.obs.add("fleet.brake_engagements", Label::Pdu(pdu), 1);
-        }
-        self.toggle_rows(self.hierarchy.rows_in_pdu(pdu), engage, toggles);
-    }
-
-    /// Datacenter-scoped brake across every row of the datacenter.
-    fn enforce_datacenter(
-        &mut self,
-        d: usize,
-        watts: f64,
-        budget: f64,
-        toggles: &mut Vec<(usize, bool)>,
-    ) {
-        let engage = watts > budget && !self.dc_braked[d];
-        let release = self.dc_braked[d] && watts < budget * RELEASE_FRACTION;
-        if !(engage || release) {
-            return;
-        }
-        self.dc_braked[d] = engage;
-        if engage {
-            self.brakes += 1;
-            let label = self.dc_label(d);
-            self.obs.add("fleet.brake_engagements", label, 1);
-        }
-        self.toggle_rows(self.hierarchy.rows_in_datacenter(d), engage, toggles);
-    }
-
-    /// Site-scoped brake across every row on the bus.
-    fn enforce_site(&mut self, watts: f64, budget: f64, toggles: &mut Vec<(usize, bool)>) {
-        let engage = watts > budget && !self.site_braked;
-        let release = self.site_braked && watts < budget * RELEASE_FRACTION;
-        if !(engage || release) {
-            return;
-        }
-        self.site_braked = engage;
-        if engage {
-            self.brakes += 1;
-            self.obs.add("site.brake_engagements", Label::Global, 1);
-        }
-        self.toggle_rows(0..self.hierarchy.n_rows(), engage, toggles);
-    }
-
-    /// Applies a level's engage/release decision to its member rows,
-    /// emitting a toggle only when the row's *applied* state changes: a
-    /// release at one level never lifts a brake another level still
-    /// requires.
-    fn toggle_rows(&mut self, rows: Range<usize>, on: bool, toggles: &mut Vec<(usize, bool)>) {
-        for row in rows {
-            if on {
-                if !self.row_braked[row] {
-                    self.row_braked[row] = true;
-                    toggles.push((row, true));
-                }
-            } else if self.row_braked[row] && !self.any_level_braking(row) {
-                self.row_braked[row] = false;
-                toggles.push((row, false));
-            }
-        }
-    }
-
-    /// Whether any hierarchy level above `row` currently holds a brake.
-    fn any_level_braking(&self, row: usize) -> bool {
-        self.pdu_braked[self.hierarchy.pdu_of(row)]
-            || self.dc_braked[self.hierarchy.datacenter_of(row)]
-            || self.site_braked
+            .filter(|level| level.active)
+            .flat_map(|level| &level.units)
+            .all(|unit| unit.watts * (1.0 + CEILING_MARGIN) <= unit.budget)
     }
 }
 
@@ -1079,22 +1013,28 @@ impl<P: PowerController> SiteSim<P> {
     }
 
     fn into_report(self) -> SiteReport {
-        let h = &self.monitor.hierarchy;
+        let SiteMonitor {
+            hierarchy: h,
+            levels: [pdus, dcs, site],
+            brakes,
+            ..
+        } = self.monitor;
+        let peaks = |level: &Level| level.units.iter().map(|u| u.peak).collect();
         SiteReport {
             datacenters: h.n_datacenters(),
             rows_per_datacenter: h.rows_per_datacenter(),
-            pdu_budget_watts: self.monitor.pdu_budgets,
+            pdu_budget_watts: pdus.units.iter().map(|u| u.budget).collect(),
             datacenter_budget_watts: h.datacenter_budget_watts(),
             site_budget_watts: h.site_budget_watts(),
             rows: self.rows.into_iter().map(RowSim::finish).collect(),
             row_recorders: self.row_recorders,
-            pdu_peak_watts: self.monitor.pdu_peak,
-            datacenter_peak_watts: self.monitor.dc_peak,
-            site_peak_watts: self.monitor.site_peak,
-            pdu_violation_samples: self.monitor.pdu_violations,
-            datacenter_violation_samples: self.monitor.dc_violations,
-            site_violation_samples: self.monitor.site_violations,
-            fleet_brake_engagements: self.monitor.brakes,
+            pdu_peak_watts: peaks(&pdus),
+            datacenter_peak_watts: peaks(&dcs),
+            site_peak_watts: site.units[0].peak,
+            pdu_violation_samples: pdus.violations,
+            datacenter_violation_samples: dcs.violations,
+            site_violation_samples: site.violations,
+            fleet_brake_engagements: brakes,
             duration: self.horizon,
         }
     }
@@ -1586,20 +1526,17 @@ mod tests {
 
     #[test]
     fn overlapping_brakes_release_only_when_every_level_clears() {
-        let h = SiteHierarchy::uniform(1, 2, 2, 1000.0);
+        // One PDU feeds both rows of the datacenter: 2000 W PDU budget
+        // (release below 1900 W), 1800 W datacenter budget (1710 W).
+        let h = SiteHierarchy::uniform(1, 2, 2, 1000.0).with_datacenter_budget(1800.0);
         let mut m = SiteMonitor::new(Recorder::new(ObsLevel::Off), h, true, false);
-        let mut toggles = Vec::new();
+        let mut observe = |watts: f64| m.observe(t(2.0), &[watts / 2.0; 2], 2).to_vec();
         // Both the PDU and the datacenter engage on the same sample.
-        m.enforce_pdu(0, 2500.0, 2000.0, &mut toggles);
-        m.enforce_datacenter(0, 2500.0, 2000.0, &mut toggles);
-        assert_eq!(toggles, vec![(0, true), (1, true)]);
+        assert_eq!(observe(2500.0), vec![(0, true), (1, true)]);
         // The PDU releases but the datacenter still holds: no toggle.
-        toggles.clear();
-        m.enforce_pdu(0, 1800.0, 2000.0, &mut toggles);
-        assert!(toggles.is_empty());
+        assert!(observe(1800.0).is_empty());
         // Only once the datacenter also releases do the rows unbrake.
-        m.enforce_datacenter(0, 1800.0, 2000.0, &mut toggles);
-        assert_eq!(toggles, vec![(0, false), (1, false)]);
+        assert_eq!(observe(1600.0), vec![(0, false), (1, false)]);
         assert_eq!(m.brakes, 2);
     }
 

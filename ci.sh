@@ -73,7 +73,16 @@ done
 echo "== polca-cli site smoke test =="
 # Determinism gate for the parallel site simulator: a 3-datacenter
 # site stepped on 2 worker threads must produce byte-identical
-# events.jsonl to the same site stepped sequentially.
+# events.jsonl and metrics.prom, at the site level and in every row,
+# to the same site stepped sequentially. The hierarchy's gauges and
+# brake and violation counters live only in metrics.prom.
+same_site_artifacts() {  # SEQ_DIR PAR_DIR WHAT
+    local f
+    for f in events.jsonl metrics.prom row{0..5}/events.jsonl row{0..5}/metrics.prom; do
+        cmp "$1/$f" "$2/$f" \
+            || { echo "$3 $f differs across --fleet-threads"; exit 1; }
+    done
+}
 site_seq="$(scratch)"
 site_par="$(scratch)"
 cargo run -q --offline --release -p polca-cli -- \
@@ -84,12 +93,7 @@ cargo run -q --offline --release -p polca-cli -- \
     evaluate --trace-csv tests/golden/sample_trace.csv \
     --rows 2 --datacenters 3 --servers 10 --enforce-budgets \
     --fleet-threads 2 --obs-out "$site_par" > /dev/null
-cmp "$site_seq/events.jsonl" "$site_par/events.jsonl" \
-    || { echo "site events.jsonl differs across --fleet-threads"; exit 1; }
-for row in 0 1 2 3 4 5; do
-    cmp "$site_seq/row$row/events.jsonl" "$site_par/row$row/events.jsonl" \
-        || { echo "row$row events.jsonl differs across --fleet-threads"; exit 1; }
-done
+same_site_artifacts "$site_seq" "$site_par" site
 grep -q 'datacenter="2"' "$site_seq/metrics.prom" \
     || { echo "no per-datacenter series in site metrics.prom"; exit 1; }
 # The same site under a 0.30 MW site budget, where site brakes fire:
@@ -106,12 +110,7 @@ cargo run -q --offline --release -p polca-cli -- \
     evaluate --trace-csv tests/golden/sample_trace.csv \
     --rows 2 --datacenters 3 --servers 10 --enforce-budgets \
     --site-budget-mw 0.30 --fleet-threads 2 --obs-out "$brake_par" > /dev/null
-cmp "$brake_seq/events.jsonl" "$brake_par/events.jsonl" \
-    || { echo "braked site events.jsonl differs across --fleet-threads"; exit 1; }
-for row in 0 1 2 3 4 5; do
-    cmp "$brake_seq/row$row/events.jsonl" "$brake_par/row$row/events.jsonl" \
-        || { echo "braked row$row events.jsonl differs across --fleet-threads"; exit 1; }
-done
+same_site_artifacts "$brake_seq" "$brake_par" "braked site"
 grep -q '"ev":"budget_violation","t":[^,]*,"scope":"site"' "$brake_seq/events.jsonl" \
     || { echo "no site budget violation under --site-budget-mw 0.30"; exit 1; }
 # A synthesized site, whose rows are fed from the arrival generator as
@@ -125,12 +124,7 @@ cargo run -q --offline --release -p polca-cli -- \
 cargo run -q --offline --release -p polca-cli -- \
     evaluate --rows 2 --datacenters 3 --days 0.05 --enforce-budgets \
     --oversub-site 30 --fleet-threads 2 --obs-out "$synth_par" > /dev/null
-cmp "$synth_seq/events.jsonl" "$synth_par/events.jsonl" \
-    || { echo "synthesized site events.jsonl differs across --fleet-threads"; exit 1; }
-for row in 0 1 2 3 4 5; do
-    cmp "$synth_seq/row$row/events.jsonl" "$synth_par/row$row/events.jsonl" \
-        || { echo "synthesized row$row events.jsonl differs across --fleet-threads"; exit 1; }
-done
+same_site_artifacts "$synth_seq" "$synth_par" "synthesized site"
 grep -q '"ev":"budget_violation","t":[^,]*,"scope":"site"' "$synth_seq/events.jsonl" \
     || { echo "no site budget violation under --oversub-site 30"; exit 1; }
 # The four-policy --trace-csv panel (the one run that reads --jobs)

@@ -880,8 +880,9 @@ fn finalize_site_watch(
             .collect();
         let plane = WatchPlane::new(cfg.clone());
         let sub = plane.subscriber();
+        // One plane watches one stream, so it reads no row index.
         for tick in &merge_tick_columns(&columns) {
-            sub.on_tick(tick.t, tick.truth_watts, tick.observed_watts);
+            sub.on_tick(0, tick.t, tick.truth_watts, tick.observed_watts);
         }
         let artifacts = plane.finalize(horizon);
         println!("  datacenter {d}:");

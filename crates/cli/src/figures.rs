@@ -563,12 +563,23 @@ fn extension_selective(ctx: &Ctx, out: &mut String) -> Result<(), CliError> {
             p99(&report.high_latencies_s)
         )?;
     }
+    // A horizon too short to cap may leave selective capping with no
+    // command to divide by.
+    let (selective, uniform) = (report_sel.commands_issued, report_std.commands_issued);
+    let traffic = if selective > 0 {
+        format!(
+            "cuts OOB command traffic {:.1}x",
+            uniform as f64 / selective as f64
+        )
+    } else {
+        format!("issues no OOB command (dual-threshold: {uniform})")
+    };
     writeln!(
         out,
-        "\nselective capping cuts OOB command traffic ~15x and spreads the burden, \
-         but without the T2 escalation stage it contains peaks less firmly (an \
-         occasional brake slips through) — evidence for the paper's preference \
-         for the simple, aggressive dual-threshold design (§6.2)"
+        "\nselective capping {traffic} and spreads the burden, but without the T2 \
+         escalation stage it contains peaks less firmly (an occasional brake slips \
+         through) — evidence for the paper's preference for the simple, aggressive \
+         dual-threshold design (§6.2)"
     )?;
     Ok(())
 }

@@ -1456,6 +1456,16 @@ mod tests {
                     out.starts_with(&head) && out.len() > head.len(),
                     "{id}: {out}"
                 );
+                // An unguarded ratio prints `inf`, or `infx`/`NaNx` as a
+                // factor.
+                for word in out.split_whitespace() {
+                    let factor = word.strip_suffix('x').and_then(|w| w.parse().ok());
+                    assert!(
+                        !word.parse().is_ok_and(f64::is_infinite)
+                            && factor.is_none_or(f64::is_finite),
+                        "{id} printed {word}"
+                    );
+                }
             }
         }
         let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");

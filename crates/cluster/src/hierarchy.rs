@@ -40,7 +40,8 @@ pub(crate) fn sum_in_order(watts: &[f64]) -> f64 {
 /// utility substation in the 100 MW-scale deployments of the related
 /// provisioning work). A single datacenter is
 /// `SiteHierarchy::uniform(1, rows, rows_per_pdu, watts)`. The site
-/// simulator consults it at every aggregation boundary.
+/// simulator's monitor takes each PDU's, datacenter's and the site's
+/// rows and budget from it.
 ///
 /// Rows and PDUs carry *global* indices — datacenter `d` owns rows
 /// `d * rows_per_datacenter ..` and PDUs `d * pdus_per_datacenter ..` —

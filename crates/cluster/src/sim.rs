@@ -961,8 +961,7 @@ impl<P: PowerController> ClusterSim<P> {
             }
         }
         let observed = self.row_signal.read(now);
-        // One combined publish per tick (truth first, then the delayed
-        // view) so subscribers with interior locking lock only once.
+        // One publish per tick: ground truth plus the delayed view.
         self.config
             .oob_taps
             .publish_tick(now, self.row_power_watts, observed);

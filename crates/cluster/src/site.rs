@@ -42,12 +42,14 @@
 //! 4. **Replay** (main thread, after the epoch's barrier). For every
 //!    boundary in order, merge the recorded samples in canonical row
 //!    order (`fleet.merge` phase), then observe them
-//!    (`fleet.power_aggregation` / `site.aggregate` phases): aggregate
-//!    up the hierarchy, record gauges and violation events, evaluate
-//!    enforcement. Brake toggles are injected into the affected rows'
-//!    queues only at the epoch's last boundary, where lockstep would
-//!    inject them too; the replay asserts, in release builds as well,
-//!    that no earlier boundary produced one.
+//!    (`fleet.power_aggregation` / `site.aggregate` phases): walk the
+//!    PDU, datacenter and site levels under one rule, aggregating up
+//!    the hierarchy, recording gauges and violation events and
+//!    evaluating enforcement. A row is braked while any level above it
+//!    holds a brake. Brake toggles are injected into the affected
+//!    rows' queues only at the epoch's last boundary, where lockstep
+//!    would inject them too; the replay asserts, in release builds as
+//!    well, that no earlier boundary produced one.
 //!
 //! A panic on any thread is caught there, so every thread still
 //! reaches the epoch's barrier, and resumed on the caller's thread.
@@ -583,7 +585,7 @@ impl Unit {
 
     /// Brake hysteresis: engages above the budget and releases below
     /// [`RELEASE_FRACTION`] of it. Returns whether the brake toggled.
-    fn toggle_brake(&mut self) -> bool {
+    fn update_brake(&mut self) -> bool {
         let toggle = if self.braked {
             self.watts < self.budget * RELEASE_FRACTION
         } else {
@@ -758,7 +760,7 @@ impl SiteMonitor {
                         budget_watts: unit.budget,
                     });
                 }
-                if !(self.enforce && unit.toggle_brake()) {
+                if !(self.enforce && unit.update_brake()) {
                     continue;
                 }
                 if unit.braked {

@@ -62,9 +62,7 @@ impl RowTickBuffer {
 }
 
 impl RowPowerSubscriber for RowTickBuffer {
-    fn on_observed(&self, _now: SimTime, _watts: f64) {}
-
-    fn on_row_tick(&self, row: usize, now: SimTime, truth_watts: f64, observed: Option<f64>) {
+    fn on_tick(&self, row: usize, now: SimTime, truth_watts: f64, observed: Option<f64>) {
         if let Some(slot) = self.rows.get(row) {
             slot.lock()
                 .expect("tick buffer poisoned")
@@ -121,9 +119,9 @@ mod tests {
     #[test]
     fn buffers_ticks_per_row_in_order() {
         let buf = RowTickBuffer::new(2);
-        buf.on_row_tick(1, SimTime::from_secs(2.0), 10.0, None);
-        buf.on_row_tick(0, SimTime::from_secs(2.0), 20.0, Some(19.0));
-        buf.on_row_tick(1, SimTime::from_secs(4.0), 11.0, Some(10.0));
+        buf.on_tick(1, SimTime::from_secs(2.0), 10.0, None);
+        buf.on_tick(0, SimTime::from_secs(2.0), 20.0, Some(19.0));
+        buf.on_tick(1, SimTime::from_secs(4.0), 11.0, Some(10.0));
         assert_eq!(buf.n_rows(), 2);
         assert_eq!(buf.take_row(0), vec![tick(2.0, 20.0, Some(19.0))]);
         assert_eq!(

@@ -22,47 +22,21 @@ use polca_sim::SimTime;
 
 /// A consumer of the row-level OOB power telemetry stream.
 ///
-/// Callbacks fire once per row telemetry tick (2 s in the paper's
-/// Table 1 configuration). `on_observed` / `on_gap` carry what an
-/// operator actually sees — the [`DelayedSignal`] read, stale by the
-/// Table 2 propagation delay. `on_truth` carries the instantaneous
-/// ground-truth power and exists solely so monitoring planes can
-/// annotate detections with the true event time; acting on it would
-/// give a subscriber information no production system has.
+/// [`on_tick`](Self::on_tick) fires once per row telemetry tick (2 s in
+/// the paper's Table 1 configuration). `observed` is what an operator
+/// actually sees — the [`DelayedSignal`] read, stale by the Table 2
+/// propagation delay. `truth_watts` is the instantaneous ground-truth
+/// power and exists solely so monitoring planes can annotate
+/// detections with the true event time; acting on it would give a
+/// subscriber information no production system has.
 ///
 /// [`DelayedSignal`]: crate::delay::DelayedSignal
 pub trait RowPowerSubscriber: Send + Sync {
-    /// A delayed reading became visible at `now`.
-    fn on_observed(&self, now: SimTime, watts: f64);
-
-    /// A telemetry tick at `now` had no propagated reading yet.
-    fn on_gap(&self, _now: SimTime) {}
-
-    /// Ground-truth row power at `now` (annotation only).
-    fn on_truth(&self, _now: SimTime, _watts: f64) {}
-
-    /// One complete telemetry tick: the ground-truth reading plus the
-    /// delayed view (`None` while nothing has propagated). The default
-    /// forwards to the three fine-grained callbacks, truth first;
-    /// subscribers with interior locking can override it to take their
-    /// lock once per tick instead of twice.
-    fn on_tick(&self, now: SimTime, truth_watts: f64, observed: Option<f64>) {
-        self.on_truth(now, truth_watts);
-        match observed {
-            Some(watts) => self.on_observed(now, watts),
-            None => self.on_gap(now),
-        }
-    }
-
-    /// Row-qualified variant of [`on_tick`](Self::on_tick), fired when
-    /// the tap set carries a fleet row index. The default discards the
-    /// row and forwards to `on_tick`, so single-row subscribers (the
-    /// watch plane, overhead probes) work unchanged in a fleet; fleet
-    /// aware subscribers override this to partition state per row.
-    fn on_row_tick(&self, row: usize, now: SimTime, truth_watts: f64, observed: Option<f64>) {
-        let _ = row;
-        self.on_tick(now, truth_watts, observed);
-    }
+    /// One telemetry tick of fleet row `row` at `now`: the ground-truth
+    /// reading plus the delayed view (`None` while nothing has
+    /// propagated). Single-row subscribers ignore `row`; fleet-aware
+    /// ones partition their state by it.
+    fn on_tick(&self, row: usize, now: SimTime, truth_watts: f64, observed: Option<f64>);
 }
 
 /// A cloneable set of [`RowPowerSubscriber`] handles.
@@ -129,33 +103,12 @@ impl RowPowerTaps {
         self.subs.len()
     }
 
-    /// Publishes the ground-truth reading for this tick.
-    pub fn publish_truth(&self, now: SimTime, watts: f64) {
-        for sub in &self.subs {
-            sub.on_truth(now, watts);
-        }
-    }
-
-    /// Publishes the delayed observation for this tick (`None` while
-    /// nothing has propagated yet).
-    pub fn publish_observed(&self, now: SimTime, observed: Option<f64>) {
-        for sub in &self.subs {
-            match observed {
-                Some(watts) => sub.on_observed(now, watts),
-                None => sub.on_gap(now),
-            }
-        }
-    }
-
-    /// Publishes one complete telemetry tick — ground truth plus the
-    /// delayed view — as a single
-    /// [`RowPowerSubscriber::on_row_tick`] call per subscriber,
-    /// qualified by this tap set's row index (the default
-    /// `on_row_tick` drops the row and lands on `on_tick`, so
-    /// existing subscribers observe the historical behaviour).
+    /// Publishes one telemetry tick — ground truth plus the delayed
+    /// view — as one [`RowPowerSubscriber::on_tick`] call per
+    /// subscriber, qualified by this tap set's row index.
     pub fn publish_tick(&self, now: SimTime, truth_watts: f64, observed: Option<f64>) {
         for sub in &self.subs {
-            sub.on_row_tick(self.row, now, truth_watts, observed);
+            sub.on_tick(self.row, now, truth_watts, observed);
         }
     }
 }
@@ -171,23 +124,11 @@ mod tests {
     }
 
     impl RowPowerSubscriber for Probe {
-        fn on_observed(&self, now: SimTime, watts: f64) {
-            self.log
-                .lock()
-                .unwrap()
-                .push(format!("obs@{}={watts}", now.as_secs()));
-        }
-        fn on_gap(&self, now: SimTime) {
-            self.log
-                .lock()
-                .unwrap()
-                .push(format!("gap@{}", now.as_secs()));
-        }
-        fn on_truth(&self, now: SimTime, watts: f64) {
-            self.log
-                .lock()
-                .unwrap()
-                .push(format!("truth@{}={watts}", now.as_secs()));
+        fn on_tick(&self, row: usize, now: SimTime, truth: f64, observed: Option<f64>) {
+            self.log.lock().unwrap().push(format!(
+                "row{row}@{}: truth={truth} observed={observed:?}",
+                now.as_secs()
+            ));
         }
     }
 
@@ -199,12 +140,17 @@ mod tests {
         taps.subscribe(a.clone());
         taps.subscribe(b.clone());
         assert_eq!(taps.len(), 2);
-        taps.publish_truth(SimTime::from_secs(2.0), 100.0);
-        taps.publish_observed(SimTime::from_secs(2.0), None);
-        taps.publish_observed(SimTime::from_secs(4.0), Some(100.0));
+        taps.publish_tick(SimTime::from_secs(2.0), 100.0, None);
+        taps.publish_tick(SimTime::from_secs(4.0), 101.0, Some(100.0));
         for p in [&a, &b] {
             let log = p.log.lock().unwrap();
-            assert_eq!(*log, vec!["truth@2=100", "gap@2", "obs@4=100"]);
+            assert_eq!(
+                *log,
+                vec![
+                    "row0@2: truth=100 observed=None",
+                    "row0@4: truth=101 observed=Some(100.0)"
+                ]
+            );
         }
     }
 
@@ -212,8 +158,7 @@ mod tests {
     fn empty_taps_are_cheap_noops() {
         let taps = RowPowerTaps::new();
         assert!(taps.is_empty());
-        taps.publish_truth(SimTime::ZERO, 1.0);
-        taps.publish_observed(SimTime::ZERO, Some(1.0));
+        taps.publish_tick(SimTime::ZERO, 1.0, Some(1.0));
     }
 
     #[test]
@@ -230,17 +175,7 @@ mod tests {
 
     #[test]
     fn row_qualifier_reaches_fleet_aware_subscribers() {
-        #[derive(Default)]
-        struct RowProbe {
-            log: Mutex<Vec<(usize, u64)>>,
-        }
-        impl RowPowerSubscriber for RowProbe {
-            fn on_observed(&self, _now: SimTime, _watts: f64) {}
-            fn on_row_tick(&self, row: usize, now: SimTime, _truth: f64, _obs: Option<f64>) {
-                self.log.lock().unwrap().push((row, now.as_secs() as u64));
-            }
-        }
-        let probe = Arc::new(RowProbe::default());
+        let probe = Arc::new(Probe::default());
         let mut taps = RowPowerTaps::new();
         taps.subscribe(probe.clone());
         assert_eq!(taps.row(), 0);
@@ -248,18 +183,13 @@ mod tests {
         let row3 = taps.for_row(3);
         assert_eq!(row3.row(), 3);
         row3.publish_tick(SimTime::from_secs(4.0), 100.0, Some(99.0));
-        assert_eq!(*probe.log.lock().unwrap(), vec![(0, 2), (3, 4)]);
-    }
-
-    #[test]
-    fn row_agnostic_subscribers_see_plain_ticks_from_any_row() {
-        let probe = Arc::new(Probe::default());
-        let mut taps = RowPowerTaps::new();
-        taps.subscribe(probe.clone());
-        taps.for_row(7)
-            .publish_tick(SimTime::from_secs(2.0), 50.0, Some(49.0));
-        // Default on_row_tick discards the row: truth then observed.
-        assert_eq!(*probe.log.lock().unwrap(), vec!["truth@2=50", "obs@2=49"]);
+        assert_eq!(
+            *probe.log.lock().unwrap(),
+            vec![
+                "row0@2: truth=100 observed=None",
+                "row3@4: truth=100 observed=Some(99.0)"
+            ]
+        );
     }
 
     #[test]
@@ -275,7 +205,7 @@ mod tests {
         let mut taps = RowPowerTaps::new();
         taps.subscribe(probe.clone());
         let clone = taps.clone();
-        clone.publish_truth(SimTime::from_secs(1.0), 5.0);
+        clone.publish_tick(SimTime::from_secs(1.0), 5.0, None);
         assert_eq!(probe.log.lock().unwrap().len(), 1);
     }
 }

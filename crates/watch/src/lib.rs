@@ -114,21 +114,10 @@ struct WatchShared {
 }
 
 impl RowPowerSubscriber for WatchShared {
-    fn on_observed(&self, now: SimTime, watts: f64) {
-        self.engine.lock().unwrap().observe(now.as_secs(), watts);
-    }
-
-    fn on_gap(&self, now: SimTime) {
-        self.engine.lock().unwrap().gap(now.as_secs());
-    }
-
-    fn on_truth(&self, now: SimTime, watts: f64) {
-        self.engine.lock().unwrap().truth(now.as_secs(), watts);
-    }
-
-    fn on_tick(&self, now: SimTime, truth_watts: f64, observed: Option<f64>) {
-        // One lock per telemetry tick instead of two: truth first (so
-        // detection-lag shadows are current), then the delayed view.
+    /// A plane watches one stream and reads no row index. Truth goes
+    /// first, so detection-lag shadows are current, then the delayed
+    /// view.
+    fn on_tick(&self, _row: usize, now: SimTime, truth_watts: f64, observed: Option<f64>) {
         let mut engine = self.engine.lock().unwrap();
         let t = now.as_secs();
         engine.truth(t, truth_watts);
@@ -333,9 +322,8 @@ mod tests {
         for i in 0..120 {
             let t = SimTime::from_secs(i as f64 * 2.0);
             let watts = if i >= 50 { 980.0 } else { 500.0 };
-            sub.on_truth(t, watts);
             let delayed = if i >= 51 { 980.0 } else { 500.0 };
-            sub.on_observed(t, delayed);
+            sub.on_tick(0, t, watts, Some(delayed));
         }
         tap.on_event(&Event::CapApplied {
             t: 150.0,
@@ -363,8 +351,7 @@ mod tests {
         let sub = plane.subscriber();
         for i in 0..10 {
             let t = SimTime::from_secs(i as f64 * 2.0);
-            sub.on_truth(t, 300.0);
-            sub.on_observed(t, 300.0);
+            sub.on_tick(0, t, 300.0, Some(300.0));
         }
         let artifacts = plane.finalize(SimTime::from_secs(20.0));
         assert!(artifacts.incidents().is_empty());
@@ -382,8 +369,8 @@ mod tests {
             for i in 0..60 {
                 let t = SimTime::from_secs(i as f64 * 2.0);
                 let watts = if (20..40).contains(&i) { 990.0 } else { 400.0 };
-                sub.on_truth(t, watts);
-                sub.on_observed(t, if (21..41).contains(&i) { 990.0 } else { 400.0 });
+                let delayed = if (21..41).contains(&i) { 990.0 } else { 400.0 };
+                sub.on_tick(0, t, watts, Some(delayed));
             }
             plane.finalize(SimTime::from_secs(120.0))
         };

@@ -107,7 +107,7 @@ fn run_site(seed: u64, threads: usize) -> SiteRun {
             let plane = WatchPlane::new(WatchConfig::new(2.0 * row.provisioned_watts()));
             let sub = plane.subscriber();
             for tick in merge_tick_columns(&columns) {
-                sub.on_tick(tick.t, tick.truth_watts, tick.observed_watts);
+                sub.on_tick(0, tick.t, tick.truth_watts, tick.observed_watts);
             }
             plane.finalize(until).incidents_jsonl()
         })

@@ -193,9 +193,8 @@ fn ground_truth_alone_never_fires() {
         let now = t(i as f64 * 2.0);
         // Truth spends 100-300 s far above every threshold...
         let truth = if (50..150).contains(&i) { 990.0 } else { 300.0 };
-        sub.on_truth(now, truth);
         // ...but the OOB feed (say, a stuck sensor) keeps reporting calm.
-        sub.on_observed(now, 300.0);
+        sub.on_tick(0, now, truth, Some(300.0));
     }
     let artifacts = plane.finalize(t(400.0));
     assert!(artifacts.alerts().is_empty(), "{:?}", artifacts.alerts());

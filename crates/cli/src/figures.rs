@@ -21,8 +21,8 @@ use polca::{
     Disaggregation, DisaggregationConfig, OversubscriptionStudy, PolcaController, PolcaPolicy,
     PolicyKind, PolicyOutcome, PowerMode, SelectiveController, SloTargets,
 };
-use polca_cluster::{ClusterSim, Priority, RowConfig, ServerSpec, SimConfig, TrainingCluster};
-use polca_gpu::{CounterSample, DvfsModel, Gpu, GpuSpec, PhaseKind};
+use polca_cluster::{ClusterSim, Priority, RowConfig, SimConfig, TrainingCluster};
+use polca_gpu::{CounterSample, DvfsModel, Gpu, GpuSpec, PhaseKind, ServerSpec};
 use polca_llm::{DType, InferenceConfig, InferenceModel, ModelSpec, TrainingJob};
 use polca_obs::{ObsLevel, Recorder};
 use polca_sim::{SimRng, SimTime};
@@ -563,24 +563,26 @@ fn extension_selective(ctx: &Ctx, out: &mut String) -> Result<(), CliError> {
             p99(&report.high_latencies_s)
         )?;
     }
-    // A horizon too short to cap may leave selective capping with no
-    // command to divide by.
+    // The caption claims only what the table shows: a horizon too short
+    // to cap leaves both controllers with no command and no brake.
     let (selective, uniform) = (report_sel.commands_issued, report_std.commands_issued);
-    let traffic = if selective > 0 {
+    let mut caption = if 0 < selective && selective < uniform {
         format!(
-            "cuts OOB command traffic {:.1}x",
+            "cuts OOB command traffic {:.1}x and spreads the burden",
             uniform as f64 / selective as f64
         )
     } else {
-        format!("issues no OOB command (dual-threshold: {uniform})")
+        format!("issues {selective} OOB commands (dual-threshold: {uniform})")
     };
-    writeln!(
-        out,
-        "\nselective capping {traffic} and spreads the burden, but without the T2 \
-         escalation stage it contains peaks less firmly (an occasional brake slips \
-         through) — evidence for the paper's preference for the simple, aggressive \
-         dual-threshold design (§6.2)"
-    )?;
+    if report_sel.peak_row_watts > report_std.peak_row_watts {
+        caption += ", but without the T2 escalation stage it contains peaks less firmly";
+        if report_sel.brake_engagements > 0 {
+            caption += " (an occasional brake slips through)";
+        }
+        caption += " — evidence for the paper's preference for the simple, aggressive \
+                    dual-threshold design (§6.2)";
+    }
+    writeln!(out, "\nselective capping {caption}")?;
     Ok(())
 }
 
@@ -968,18 +970,12 @@ fn fig11_server_peaks(ctx: &Ctx, out: &mut String) -> Result<(), CliError> {
         let input = rng.uniform_u64(2048, 8192) as u32;
         let profile = deployment.profile(&InferenceConfig::new(input, 256, 1));
         let jitter = 1.0 + rng.normal(0.0, 0.01);
-        let per_gpu = spec.gpu.idle_watts
-            + (spec.gpu.transient_peak_watts - spec.gpu.idle_watts)
-                * profile.peak_intensity()
-                * jitter;
-        let gpu_watts = per_gpu * spec.n_gpus as f64;
+        let gpu_watts = spec.gpu.power_watts(profile.peak_intensity(), jitter) * spec.n_gpus as f64;
         let server_watts = spec.server_power_watts(gpu_watts);
         gpu_peaks.push(gpu_watts / gpu_tdp_total);
         server_peaks.push(server_watts / spec.provisioned_watts);
         // Mean GPU share measured at the token-phase operating point.
-        let token_gpu = (spec.gpu.idle_watts
-            + (spec.gpu.transient_peak_watts - spec.gpu.idle_watts) * profile.token.intensity)
-            * spec.n_gpus as f64;
+        let token_gpu = spec.gpu.power_watts(profile.token.intensity, 1.0) * spec.n_gpus as f64;
         gpu_share.record(token_gpu / spec.server_power_watts(token_gpu));
         if s < 8 {
             writeln!(

@@ -1466,6 +1466,19 @@ mod tests {
                         "{id} printed {word}"
                     );
                 }
+                // The selective-capping caption claims a brake only when
+                // its table row shows one.
+                if *id == "extension_selective" {
+                    let brakes = out
+                        .lines()
+                        .find_map(|line| line.strip_prefix("selective "))
+                        .and_then(|row| row.split_whitespace().nth(1))
+                        .expect("selective row");
+                    assert!(
+                        brakes != "0" || !out.contains("brake slips through"),
+                        "{id} at {days} days claims a brake with 0 in its table: {out}"
+                    );
+                }
             }
         }
         let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");

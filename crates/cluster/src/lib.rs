@@ -6,9 +6,10 @@
 //! hierarchy of Figure 2 (servers in PDU-fed rows, rows in
 //! datacenters). This crate implements that substrate:
 //!
-//! * [`server_spec`] — the DGX-A100 provisioned-power breakdown of
-//!   Figure 3 and the server-level power composition law behind
-//!   Figure 11 (GPUs ≈ 60 % of server power),
+//! * [`ServerSpec`] and [`HOT_IDLE_INTENSITY`] — re-exported from
+//!   `polca-gpu`, which holds the one server power model (Figure 3's
+//!   provisioning breakdown, Figure 11's GPU share) that the legacy
+//!   server, the `polca-serve` engine and the training row all call,
 //! * [`request`] — inference requests with the two priority classes of
 //!   Table 5/6,
 //! * [`server`] — the *legacy* per-server state machine used by the
@@ -53,16 +54,15 @@ pub mod hierarchy;
 pub mod request;
 pub mod row;
 pub mod server;
-pub mod server_spec;
 pub mod sim;
 pub mod site;
 pub mod training;
 
 pub use hierarchy::SiteHierarchy;
+pub use polca_gpu::{ServerSpec, HOT_IDLE_INTENSITY};
 pub use request::{CompletedRequest, Priority, Request};
 pub use row::RowConfig;
-pub use server::{InferenceServer, ServerState, HOT_IDLE_INTENSITY};
-pub use server_spec::ServerSpec;
+pub use server::{InferenceServer, ServerState};
 pub use sim::{
     ClusterSim, ControlRequest, ControlTarget, EngineKind, NoopController, PowerController,
     RequestSource, RowContext, RowSim, SimConfig, SimReport,

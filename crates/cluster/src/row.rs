@@ -1,11 +1,10 @@
 //! Row-level configuration (Table 2 and §6.4).
 
-use polca_gpu::GpuSpec;
+use polca_gpu::{GpuSpec, ServerSpec};
 use polca_llm::{InferenceModel, ModelSpec};
 
 use crate::request::Priority;
 use crate::server::InferenceServer;
-use crate::server_spec::ServerSpec;
 
 /// Configuration of one PDU-fed row of inference servers.
 ///

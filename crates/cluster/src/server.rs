@@ -16,13 +16,12 @@
 
 use std::collections::VecDeque;
 
-use polca_gpu::DvfsModel;
+use polca_gpu::{DvfsModel, ServerSpec, HOT_IDLE_INTENSITY};
 use polca_llm::{InferenceConfig, InferenceModel, RequestProfile};
 use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
 
 use crate::request::{CompletedRequest, Priority, Request};
-use crate::server_spec::ServerSpec;
 
 /// Which phase the active request is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,13 +76,6 @@ pub enum PhaseOutcome {
         next: Option<(SimTime, u64)>,
     },
 }
-
-/// Workload intensity of a serving-framework-resident GPU with no active
-/// request ("hot idle"): the model weights stay loaded, the runtime
-/// busy-polls, and memory clocks stay up, so the draw is well above the
-/// bare idle floor. The paper's production servers "are serving
-/// inference with models loaded" at all times (§6.4).
-pub const HOT_IDLE_INTENSITY: f64 = 0.35;
 
 /// One inference server in the row.
 #[derive(Debug, Clone)]
@@ -218,17 +210,10 @@ impl InferenceServer {
     /// The SM clock the GPUs would run at in `phase`, honoring
     /// brake > lock > phase-aware token clock > max.
     pub fn clock_mhz_for_phase(&self, phase: Phase) -> f64 {
-        let gpu = &self.spec.gpu;
-        if self.brake {
-            return gpu.power_brake_clock_mhz();
-        }
-        let mut clock = self.locked_mhz.unwrap_or(gpu.max_sm_clock_mhz);
-        if phase == Phase::Token {
-            if let Some(token_mhz) = self.phase_aware_token_mhz {
-                clock = clock.min(token_mhz);
-            }
-        }
-        clock
+        let token_ceiling = self.phase_aware_token_mhz.filter(|_| phase == Phase::Token);
+        self.spec
+            .gpu
+            .clock_mhz(self.brake, self.locked_mhz, token_ceiling)
     }
 
     /// The SM clock the GPUs run at right now (the active phase's clock;
@@ -274,16 +259,11 @@ impl InferenceServer {
     }
 
     /// Server power at workload `intensity` with the GPUs' dynamic
-    /// power scaled by `dvfs_scale`.
+    /// power scaled by `dvfs_scale`, times the study's power scale.
     fn power_at(&self, intensity: f64, dvfs_scale: f64) -> f64 {
-        let gpu = &self.spec.gpu;
-        let per_gpu =
-            gpu.idle_watts + (gpu.transient_peak_watts - gpu.idle_watts) * intensity * dvfs_scale;
-        let gpu_watts = per_gpu * self.deployment.n_gpus() as f64;
-        // GPUs not hosting the deployment idle.
-        let spare = self.spec.n_gpus.saturating_sub(self.deployment.n_gpus()) as f64;
-        let total_gpu = gpu_watts + spare * gpu.idle_watts;
-        self.spec.server_power_watts(total_gpu) * self.power_scale
+        self.spec
+            .power_watts(self.deployment.n_gpus(), intensity, dvfs_scale)
+            * self.power_scale
     }
 
     fn slowdown_for(&self, phase: Phase, compute_fraction: f64) -> f64 {

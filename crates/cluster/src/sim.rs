@@ -33,7 +33,7 @@ use polca_telemetry::{ControlAction, DelayedSignal, OobControlPlane, RowPowerTap
 
 use crate::request::{CompletedRequest, Priority, Request};
 use crate::row::RowConfig;
-use crate::server::{InferenceServer, PhaseOutcome, HOT_IDLE_INTENSITY};
+use crate::server::{InferenceServer, PhaseOutcome};
 
 /// Who a control request targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -379,10 +379,7 @@ impl<P: PowerController> ClusterSim<P> {
                         .iter()
                         .map(|s| s.priority() == Priority::High)
                         .collect(),
-                    spec_gpus: row.server_spec.n_gpus,
-                    non_gpu_base_watts: row.server_spec.non_gpu_base_watts,
-                    non_gpu_per_gpu_watt: row.server_spec.non_gpu_per_gpu_watt,
-                    hot_idle_intensity: HOT_IDLE_INTENSITY,
+                    spec: row.server_spec.clone(),
                     power_scale: config.power_scale,
                 };
                 Some(BatchedRow::new(params, serve_cfg, obs.prof().clone()))
@@ -661,48 +658,57 @@ impl<P: PowerController> ClusterSim<P> {
     /// Arrival path for the batched engine: route into the continuous
     /// batch, then mirror the legacy accounting and event stream.
     fn on_serve_arrival(&mut self, now: SimTime, req: Request) {
-        let priority = req.priority;
-        let tag = Self::pri_tag(priority);
         let serve_req = ServeRequest {
             payload: req,
             id: req.id,
             input_tokens: req.input_tokens,
             output_tokens: req.output_tokens,
-            high_priority: priority == Priority::High,
+            high_priority: req.priority == Priority::High,
         };
         let arrival = self.serve_op(now, |e| e.on_arrival(now, serve_req));
-        match arrival.kind {
-            AdmissionKind::Started => {
-                self.obs.record(Event::RequestDispatched {
-                    t: now.as_secs(),
-                    server: arrival.outcome.server,
-                    request: req.id,
-                    priority: tag,
-                });
-            }
-            AdmissionKind::Queued => {
-                self.obs.record(Event::RequestQueued {
-                    t: now.as_secs(),
-                    request: req.id,
-                    priority: tag,
-                });
-            }
+        self.record_admission(now, &req, arrival.kind, arrival.outcome.server);
+        self.absorb_serve(now, arrival.outcome);
+    }
+
+    /// Records an arrival's admission, for either engine: the
+    /// dispatch (onto `server`), queue or rejection event, and for a
+    /// rejection the report's and the metric's counts.
+    fn record_admission(
+        &mut self,
+        now: SimTime,
+        req: &Request,
+        kind: AdmissionKind,
+        server: usize,
+    ) {
+        let t = now.as_secs();
+        let priority = Self::pri_tag(req.priority);
+        match kind {
+            AdmissionKind::Started => self.obs.record(Event::RequestDispatched {
+                t,
+                server,
+                request: req.id,
+                priority,
+            }),
+            AdmissionKind::Queued => self.obs.record(Event::RequestQueued {
+                t,
+                request: req.id,
+                priority,
+            }),
             AdmissionKind::Rejected => {
                 self.report.rejected += 1;
-                match priority {
+                match req.priority {
                     Priority::Low => self.report.rejected_by_priority.0 += 1,
                     Priority::High => self.report.rejected_by_priority.1 += 1,
                 }
                 self.obs
-                    .add("cluster.requests_rejected", Label::Tag(tag), 1);
+                    .add("cluster.requests_rejected", Label::Tag(priority), 1);
                 self.obs.record(Event::RequestRejected {
-                    t: now.as_secs(),
+                    t,
                     request: req.id,
-                    priority: tag,
+                    priority,
                 });
             }
         }
-        self.absorb_serve(now, arrival.outcome);
     }
 
     fn on_arrival(&mut self, now: SimTime, req: Request) {
@@ -727,22 +733,12 @@ impl<P: PowerController> ClusterSim<P> {
         };
         let start = *cursor;
         // First pass: an idle matching server (round-robin for fairness).
-        let mut chosen: Option<usize> = None;
-        for off in 0..n {
-            let i = (start + off) % n;
-            if self.servers[i].priority() == priority && self.servers[i].is_idle() {
-                chosen = Some(i);
-                break;
-            }
-        }
-        if let Some(i) = chosen {
+        let idle = (0..n)
+            .map(|off| (start + off) % n)
+            .find(|&i| self.servers[i].priority() == priority && self.servers[i].is_idle());
+        if let Some(i) = idle {
             *cursor = (i + 1) % n;
-            self.obs.record(Event::RequestDispatched {
-                t: now.as_secs(),
-                server: i,
-                request: req.id,
-                priority: Self::pri_tag(priority),
-            });
+            self.record_admission(now, &req, AdmissionKind::Started, i);
             let (end_at, version) = self.mutate_server(now, i, |s| s.start_request(now, req));
             self.start_legacy_span(now, i);
             self.queue
@@ -759,31 +755,11 @@ impl<P: PowerController> ClusterSim<P> {
             .map(InferenceServer::id);
         match target {
             Some(i) => {
-                self.obs.record(Event::RequestQueued {
-                    t: now.as_secs(),
-                    request: req.id,
-                    priority: Self::pri_tag(priority),
-                });
+                self.record_admission(now, &req, AdmissionKind::Queued, i);
                 let ok = self.servers[i].enqueue(req);
                 debug_assert!(ok, "buffer space was checked");
             }
-            None => {
-                self.report.rejected += 1;
-                match priority {
-                    Priority::Low => self.report.rejected_by_priority.0 += 1,
-                    Priority::High => self.report.rejected_by_priority.1 += 1,
-                }
-                self.obs.add(
-                    "cluster.requests_rejected",
-                    Label::Tag(Self::pri_tag(priority)),
-                    1,
-                );
-                self.obs.record(Event::RequestRejected {
-                    t: now.as_secs(),
-                    request: req.id,
-                    priority: Self::pri_tag(priority),
-                });
-            }
+            None => self.record_admission(now, &req, AdmissionKind::Rejected, 0),
         }
     }
 

@@ -9,11 +9,10 @@
 //! are also provisioned much closer to their observed peak ("about 3 %"
 //! headroom), which is why Table 4 reports 97 % peak utilization.
 
+use polca_gpu::ServerSpec;
 use polca_llm::{ModelSpec, TrainingJob};
 use polca_sim::SimRng;
 use polca_stats::TimeSeries;
-
-use crate::server_spec::ServerSpec;
 
 /// A row of servers running one synchronous training job.
 #[derive(Debug, Clone)]
@@ -93,8 +92,6 @@ impl TrainingCluster {
         let offsets: Vec<f64> = (0..self.servers)
             .map(|_| rng.normal(0.0, self.jitter_std_s))
             .collect();
-        let gpu = &self.spec.gpu;
-        let dyn_range = gpu.transient_peak_watts - gpu.idle_watts;
         let mut ts = TimeSeries::new();
         let steps = (duration_s / dt).ceil() as usize;
         for k in 0..steps {
@@ -103,10 +100,7 @@ impl TrainingCluster {
             for offset in &offsets {
                 let intensity =
                     (self.intensity_at(t, *offset) + rng.normal(0.0, 0.01)).clamp(0.0, 1.0);
-                let per_gpu = gpu.idle_watts + dyn_range * intensity;
-                row += self
-                    .spec
-                    .server_power_watts(per_gpu * self.spec.n_gpus as f64);
+                row += self.spec.power_watts(self.spec.n_gpus, intensity, 1.0);
             }
             ts.push(t, row);
         }

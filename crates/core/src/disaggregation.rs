@@ -12,8 +12,8 @@
 //! interconnect, and compares the power envelope against an aggregated
 //! deployment at equal throughput.
 
-use polca_cluster::{EngineKind, RowConfig, HOT_IDLE_INTENSITY};
-use polca_gpu::DvfsModel;
+use polca_cluster::{EngineKind, RowConfig};
+use polca_gpu::{DvfsModel, HOT_IDLE_INTENSITY};
 use polca_llm::{InferenceConfig, InferenceModel};
 use polca_serve::ServeConfig;
 use polca_trace::WorkloadClass;
@@ -93,9 +93,8 @@ impl Disaggregation {
         let deployment = InferenceModel::new(row.model.clone(), row.server_spec.gpu.clone())
             .expect("row model must fit");
         let dvfs = DvfsModel::default();
-        let gpu = &row.server_spec.gpu;
         let spec = &row.server_spec;
-        let r_token = config.token_clock_mhz / gpu.max_sm_clock_mhz;
+        let r_token = config.token_clock_mhz / spec.gpu.max_sm_clock_mhz;
 
         // Mix-weighted per-phase service times and intensities.
         let mut prompt_s = 0.0;
@@ -128,13 +127,14 @@ impl Disaggregation {
             .max(1.0);
 
         // Power: each pool at its own operating point, busy at the pool
-        // utilization, hot-idle otherwise.
+        // utilization, hot-idle otherwise; GPUs the deployment leaves
+        // spare idle.
         let server_power = |intensity: f64, clock_ratio: f64| {
-            let per_gpu = gpu.idle_watts
-                + (gpu.transient_peak_watts - gpu.idle_watts)
-                    * intensity
-                    * dvfs.power_scale(clock_ratio);
-            spec.server_power_watts(per_gpu * spec.n_gpus as f64)
+            spec.power_watts(
+                deployment.n_gpus(),
+                intensity,
+                dvfs.power_scale(clock_ratio),
+            )
         };
         let u = config.pool_utilization;
         let prompt_pool_watts = prompt_pool
@@ -266,5 +266,35 @@ mod tests {
         );
         assert!(deep.peak_watts < shallow.peak_watts);
         assert!(deep.request_latency_s >= shallow.request_latency_s);
+    }
+
+    #[test]
+    fn gpus_the_deployment_leaves_spare_idle() {
+        // GPT-NeoX-20B occupies 2 of a DGX-A100's 8 GPUs; as on both
+        // serving engines, the other six idle in every pool, so no
+        // server draws more than its deployment at full intensity.
+        let mut row = RowConfig::paper_inference_row();
+        row.model = polca_llm::ModelSpec::gpt_neox_20b();
+        let spec = &row.server_spec;
+        let deployment = InferenceModel::new(row.model.clone(), spec.gpu.clone()).unwrap();
+        assert_eq!((deployment.n_gpus(), spec.n_gpus), (2, 8));
+        let p = Disaggregation::plan(
+            &row,
+            &WorkloadClass::table6(),
+            &DisaggregationConfig::default(),
+        );
+        let busiest = spec.power_watts(deployment.n_gpus(), 1.0, 1.0);
+        assert!(
+            p.peak_watts <= p.total_servers() as f64 * busiest,
+            "split {:.0} W over {} servers of at most {busiest:.0} W",
+            p.peak_watts,
+            p.total_servers()
+        );
+        assert!(
+            p.aggregated_peak_watts <= row.total_servers() as f64 * busiest,
+            "aggregated {:.0} W over {} servers of at most {busiest:.0} W",
+            p.aggregated_peak_watts,
+            row.total_servers()
+        );
     }
 }

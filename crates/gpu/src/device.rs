@@ -57,9 +57,9 @@ impl std::error::Error for PowerCapError {}
 /// * **power brake** ([`set_power_brake`](Gpu::set_power_brake)) — forces
 ///   288 MHz, "brings all GPUs down to almost a halt" (§3.2).
 ///
-/// Power draw is `idle + (transient_peak − idle) · intensity ·
-/// power_scale(clock_ratio)`, where `intensity ∈ [0, 1]` comes from the
-/// workload model (1.0 = prompt-phase tensor burst).
+/// Power draw is [`GpuSpec::power_watts`] at the workload `intensity ∈
+/// [0, 1]` (1.0 = prompt-phase tensor burst) and the DVFS scale of the
+/// effective clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gpu {
     spec: GpuSpec,
@@ -160,16 +160,14 @@ impl Gpu {
     }
 
     /// The SM clock the device actually runs at right now, in MHz: the
-    /// minimum of the lock, the cap controller's limit, and the brake.
+    /// brake clock, else the lock held under the cap controller's limit
+    /// ([`GpuSpec::clock_mhz`]).
     pub fn effective_clock_mhz(&self) -> f64 {
-        if self.brake {
-            return self.spec.power_brake_clock_mhz();
-        }
-        let mut clock = self.locked_clock_mhz.unwrap_or(self.spec.max_sm_clock_mhz);
-        if let Some(cap) = &self.cap {
-            clock = clock.min(cap.limit_mhz());
-        }
-        clock
+        self.spec.clock_mhz(
+            self.brake,
+            self.locked_clock_mhz,
+            self.cap.as_ref().map(CapController::limit_mhz),
+        )
     }
 
     /// The effective clock as a fraction of the maximum clock.
@@ -189,8 +187,8 @@ impl Gpu {
             (0.0..=1.0).contains(&intensity),
             "intensity must be in [0, 1]"
         );
-        let dynamic = self.spec.transient_peak_watts - self.spec.idle_watts;
-        self.spec.idle_watts + dynamic * intensity * self.dvfs.power_scale(self.clock_ratio())
+        self.spec
+            .power_watts(intensity, self.dvfs.power_scale(self.clock_ratio()))
     }
 
     /// Advances the device by `dt` seconds at workload `intensity`,

@@ -8,7 +8,16 @@
 //! measure:
 //!
 //! * [`GpuSpec`] — device constants (TDP, clock range, memory bandwidth,
-//!   peak tensor throughput) for A100-40GB, A100-80GB and H100,
+//!   peak tensor throughput) for A100-40GB, A100-80GB and H100, the
+//!   per-GPU power law ([`GpuSpec::power_watts`]) and the brake > lock >
+//!   ceiling > max clock rule ([`GpuSpec::clock_mhz`]),
+//! * [`ServerSpec`] — the GPU server around them (DGX-A100, DGX-H100):
+//!   the Figure 3 provisioning breakdown and the one server power model
+//!   both serving engines and every analytical figure use
+//!   ([`ServerSpec::power_watts`]: the deployment's GPUs at an
+//!   intensity, spare GPUs idle, the chassis on top), with
+//!   [`HOT_IDLE_INTENSITY`] for a server with its model loaded and no
+//!   request,
 //! * [`DvfsModel`] — power ∝ `clock_ratio^α` scaling and roofline-style
 //!   performance slowdown `c/r + (1 − c)` for a phase with compute
 //!   fraction `c` (this produces the paper's superlinear
@@ -38,10 +47,12 @@ pub mod capping;
 pub mod counters;
 pub mod device;
 pub mod dvfs;
+pub mod server_spec;
 pub mod spec;
 
 pub use capping::CapController;
 pub use counters::{CounterSample, PhaseKind};
 pub use device::{ClockError, Gpu, PowerCapError};
 pub use dvfs::DvfsModel;
+pub use server_spec::{ServerSpec, HOT_IDLE_INTENSITY};
 pub use spec::GpuSpec;

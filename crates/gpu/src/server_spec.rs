@@ -1,6 +1,15 @@
-//! Server-level power composition (Figures 3 and 11).
+//! Server-level power composition (Figures 3 and 11): the one server
+//! power model the legacy and batched serving engines, the training row
+//! and the analytical figures all call.
 
-use polca_gpu::GpuSpec;
+use crate::spec::GpuSpec;
+
+/// Workload intensity of a serving-framework-resident GPU with no active
+/// request ("hot idle"): the model weights stay loaded, the runtime
+/// busy-polls, and memory clocks stay up, so the draw is well above the
+/// bare idle floor. The paper's production servers "are serving
+/// inference with models loaded" at all times (§6.4).
+pub const HOT_IDLE_INTENSITY: f64 = 0.35;
 
 /// Static power characteristics of a GPU server.
 ///
@@ -87,8 +96,21 @@ impl ServerSpec {
     ///
     /// Non-GPU power is a base plus a fraction of GPU power (fans track
     /// thermal load).
+    #[inline]
     pub fn server_power_watts(&self, gpu_watts: f64) -> f64 {
         gpu_watts + self.non_gpu_base_watts + self.non_gpu_per_gpu_watt * gpu_watts
+    }
+
+    /// Server power when a deployment occupying `deployed_gpus` GPUs
+    /// runs at workload `intensity` with its dynamic power scaled by
+    /// `dvfs_scale` (see [`GpuSpec::power_watts`]): the GPUs the
+    /// deployment leaves spare idle, and the chassis adds its non-GPU
+    /// draw ([`server_power_watts`](Self::server_power_watts)).
+    #[inline]
+    pub fn power_watts(&self, deployed_gpus: usize, intensity: f64, dvfs_scale: f64) -> f64 {
+        let gpu_watts = self.gpu.power_watts(intensity, dvfs_scale) * deployed_gpus as f64;
+        let spare = self.n_gpus.saturating_sub(deployed_gpus) as f64;
+        self.server_power_watts(gpu_watts + spare * self.gpu.idle_watts)
     }
 
     /// The highest power the server can transiently draw (all GPUs at
@@ -164,6 +186,18 @@ mod tests {
         let gpu_watts = 8.0 * 290.0; // ~token-phase draw per GPU
         let frac = gpu_watts / s.server_power_watts(gpu_watts);
         assert!((0.55..=0.65).contains(&frac), "gpu frac {frac}");
+    }
+
+    #[test]
+    fn spare_gpus_idle_beside_the_deployment() {
+        let s = spec();
+        // A two-GPU deployment at full intensity: six GPUs stay idle.
+        assert_eq!(
+            s.power_watts(2, 1.0, 1.0),
+            s.server_power_watts(2.0 * 425.0 + 6.0 * 80.0)
+        );
+        assert_eq!(s.power_watts(8, 1.0, 1.0), s.peak_power_watts());
+        assert_eq!(s.power_watts(8, 0.0, 1.0), s.idle_power_watts());
     }
 
     #[test]

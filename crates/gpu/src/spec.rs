@@ -94,6 +94,32 @@ impl GpuSpec {
         288.0
     }
 
+    /// Power one GPU draws at workload `intensity` (1.0 = prompt-phase
+    /// tensor burst, 0.0 = bare idle) with its dynamic power scaled by
+    /// `dvfs_scale` ([`DvfsModel::power_scale`](crate::DvfsModel::power_scale)
+    /// of the clock ratio; 1.0 at the full clock): `idle + (transient_peak
+    /// − idle) · intensity · dvfs_scale`.
+    #[inline]
+    pub fn power_watts(&self, intensity: f64, dvfs_scale: f64) -> f64 {
+        self.idle_watts + (self.transient_peak_watts - self.idle_watts) * intensity * dvfs_scale
+    }
+
+    /// The SM clock the device runs at, in MHz: the brake clock when
+    /// `brake` is engaged, else the `locked_mhz` lock (the maximum clock
+    /// when unlocked) held under the optional `ceiling_mhz` — the cap
+    /// controller's limit, a phase-aware token clock or a pool clock.
+    #[inline]
+    pub fn clock_mhz(&self, brake: bool, locked_mhz: Option<f64>, ceiling_mhz: Option<f64>) -> f64 {
+        if brake {
+            return self.power_brake_clock_mhz();
+        }
+        let clock = locked_mhz.unwrap_or(self.max_sm_clock_mhz);
+        match ceiling_mhz {
+            Some(ceiling) => clock.min(ceiling),
+            None => clock,
+        }
+    }
+
     /// Fraction of TDP drawn at idle.
     pub fn idle_fraction(&self) -> f64 {
         self.idle_watts / self.tdp_watts
@@ -137,6 +163,27 @@ mod tests {
         assert_eq!(spec.clamp_clock(0.0), 210.0);
         assert!(spec.clock_in_range(1275.0));
         assert!(!spec.clock_in_range(100.0));
+    }
+
+    #[test]
+    fn power_spans_idle_to_transient_peak() {
+        let spec = GpuSpec::a100_80gb();
+        assert_eq!(spec.power_watts(0.0, 1.0), spec.idle_watts);
+        assert_eq!(spec.power_watts(1.0, 1.0), spec.transient_peak_watts);
+        // DVFS scales only the dynamic part.
+        assert_eq!(spec.power_watts(1.0, 0.5), 80.0 + 345.0 * 0.5);
+        assert_eq!(spec.power_watts(0.0, 0.5), spec.idle_watts);
+    }
+
+    #[test]
+    fn clock_precedence_is_brake_lock_ceiling_max() {
+        let spec = GpuSpec::a100_80gb();
+        assert_eq!(spec.clock_mhz(false, None, None), 1410.0);
+        assert_eq!(spec.clock_mhz(false, None, Some(1110.0)), 1110.0);
+        assert_eq!(spec.clock_mhz(false, Some(1300.0), Some(1110.0)), 1110.0);
+        assert_eq!(spec.clock_mhz(false, Some(900.0), Some(1110.0)), 900.0);
+        assert_eq!(spec.clock_mhz(false, Some(1300.0), None), 1300.0);
+        assert_eq!(spec.clock_mhz(true, Some(1300.0), Some(1110.0)), 288.0);
     }
 
     #[test]

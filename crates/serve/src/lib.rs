@@ -50,24 +50,18 @@ pub use server::{BatchScheduler, Completion, PoolRole};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polca_gpu::GpuSpec;
+    use polca_gpu::{ServerSpec, HOT_IDLE_INTENSITY};
     use polca_llm::{InferenceModel, ModelSpec};
     use polca_obs::Profiler;
     use polca_sim::SimTime;
     use polca_telemetry::ControlAction;
 
-    fn deployment() -> InferenceModel {
-        InferenceModel::new(ModelSpec::bloom_176b(), GpuSpec::a100_80gb()).unwrap()
-    }
-
     fn params(classes: Vec<bool>) -> BatchedRowParams {
+        let spec = ServerSpec::dgx_a100();
         BatchedRowParams {
-            deployment: deployment(),
+            deployment: InferenceModel::new(ModelSpec::bloom_176b(), spec.gpu.clone()).unwrap(),
             classes,
-            spec_gpus: 8,
-            non_gpu_base_watts: 1200.0,
-            non_gpu_per_gpu_watt: 0.25,
-            hot_idle_intensity: 0.35,
+            spec,
             power_scale: 1.0,
         }
     }
@@ -152,6 +146,24 @@ mod tests {
             }
             panic!("row failed to drain");
         }
+    }
+
+    #[test]
+    fn idle_servers_draw_hot_idle_power_and_serving_stays_under_the_max() {
+        let p = params(vec![false, true]);
+        let hot_idle = p
+            .spec
+            .power_watts(p.deployment.n_gpus(), HOT_IDLE_INTENSITY, 1.0);
+        let mut h = Harness::new(BatchedRow::new(
+            p,
+            &ServeConfig::default(),
+            Profiler::disabled(),
+        ));
+        assert_eq!(h.row.server_power_watts(0), hot_idle);
+        assert_eq!(h.row.server_power_watts(1), hot_idle);
+        h.arrive(SimTime::ZERO, request(1, 2048, 64, false));
+        let serving = h.row.server_power_watts(0);
+        assert!(serving > hot_idle && serving <= h.row.max_server_power_watts());
     }
 
     #[test]

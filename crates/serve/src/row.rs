@@ -1,6 +1,7 @@
 //! A row of batched servers with class-aware routing, optional
 //! prefill/decode pools, and in-flight KV transfers.
 
+use polca_gpu::ServerSpec;
 use polca_llm::InferenceModel;
 use polca_obs::Profiler;
 use polca_sim::SimTime;
@@ -73,23 +74,16 @@ pub struct ArrivalOutcome<T> {
     pub outcome: ServeOutcome<T>,
 }
 
-/// Static inputs the cluster layer derives from its `ServerSpec`,
-/// `RowConfig`, and `SimConfig` — kept as plain numbers so the engine
-/// does not depend on the cluster crate.
+/// Static inputs the cluster layer derives from its `RowConfig` and
+/// `SimConfig`.
 #[derive(Debug, Clone)]
 pub struct BatchedRowParams {
     /// The model deployment every server runs.
     pub deployment: InferenceModel,
     /// Per-server priority class (`true` = high); index = server id.
     pub classes: Vec<bool>,
-    /// Physical GPUs per chassis (spares beyond the deployment idle).
-    pub spec_gpus: usize,
-    /// Chassis base power beyond the GPUs, in watts.
-    pub non_gpu_base_watts: f64,
-    /// Cooling/VRM overhead per GPU watt.
-    pub non_gpu_per_gpu_watt: f64,
-    /// GPU intensity while hot-idle (model resident, no batch).
-    pub hot_idle_intensity: f64,
+    /// The server hardware and its power model (the legacy engine's).
+    pub spec: ServerSpec,
     /// Study-wide power multiplier.
     pub power_scale: f64,
 }
@@ -170,27 +164,13 @@ impl<T> BatchedRow<T> {
             }
         };
 
-        let servers: Vec<BatchServer<T>> = params
-            .classes
+        let servers: Vec<BatchServer<T>> = roles
             .iter()
-            .zip(roles.iter())
             .enumerate()
-            .map(|(id, (&high, &role))| {
+            .map(|(id, &role)| {
                 let pool_clock = (role == PoolRole::Decode).then_some(decode_clock).flatten();
-                BatchServer::new(
-                    id,
-                    high,
-                    role,
-                    sched,
-                    KvPager::new(kv_blocks, config.block_tokens),
-                    params.deployment.clone(),
-                    pool_clock,
-                    params.spec_gpus,
-                    params.non_gpu_base_watts,
-                    params.non_gpu_per_gpu_watt,
-                    params.hot_idle_intensity,
-                    params.power_scale,
-                )
+                let pager = KvPager::new(kv_blocks, config.block_tokens);
+                BatchServer::new(id, role, sched, pager, pool_clock, &params)
             })
             .collect();
         let total_power = servers.iter().map(|s| s.power_watts).sum();

@@ -13,7 +13,7 @@
 
 use std::collections::VecDeque;
 
-use polca_gpu::DvfsModel;
+use polca_gpu::{DvfsModel, ServerSpec, HOT_IDLE_INTENSITY};
 use polca_llm::{BatchComposition, InferenceModel};
 use polca_obs::{Phase, ProfCounter, Profiler, ReqSpan};
 use polca_sim::SimTime;
@@ -21,6 +21,7 @@ use polca_telemetry::ControlAction;
 
 use crate::config::ServeConfig;
 use crate::pager::{KvPager, TOKEN_EPS};
+use crate::row::BatchedRowParams;
 
 /// Which serving phase(s) a server accepts under its row's
 /// [`PoolTopology`](crate::PoolTopology).
@@ -207,6 +208,7 @@ pub(crate) struct BatchServer<T> {
     decoding: Vec<Seq<T>>,
 
     deployment: InferenceModel,
+    spec: ServerSpec,
     dvfs: DvfsModel,
     locked_mhz: Option<f64>,
     pool_clock_mhz: Option<f64>,
@@ -226,41 +228,32 @@ pub(crate) struct BatchServer<T> {
     intensity: f64,
     /// Cached instantaneous server power.
     pub power_watts: f64,
-
-    // Power envelope (mirrors the legacy server's model exactly).
-    spec_gpus: usize,
-    non_gpu_base_watts: f64,
-    non_gpu_per_gpu_watt: f64,
-    hot_idle_intensity: f64,
+    /// Study-wide power multiplier.
     power_scale: f64,
 }
 
 impl<T> BatchServer<T> {
-    #[allow(clippy::too_many_arguments)]
+    /// Server `id` of `params`' row, in pool `role` (a decode server
+    /// runs under `pool_clock_mhz`, when set).
     pub fn new(
         id: usize,
-        high_priority: bool,
         role: PoolRole,
         sched: BatchScheduler,
         pager: KvPager,
-        deployment: InferenceModel,
         pool_clock_mhz: Option<f64>,
-        spec_gpus: usize,
-        non_gpu_base_watts: f64,
-        non_gpu_per_gpu_watt: f64,
-        hot_idle_intensity: f64,
-        power_scale: f64,
+        params: &BatchedRowParams,
     ) -> Self {
         let mut server = BatchServer {
             id,
-            high_priority,
+            high_priority: params.classes[id],
             role,
             sched,
             pager,
             waiting: VecDeque::new(),
             prefilling: VecDeque::new(),
             decoding: Vec::new(),
-            deployment,
+            deployment: params.deployment.clone(),
+            spec: params.spec.clone(),
             dvfs: DvfsModel::default(),
             locked_mhz: None,
             pool_clock_mhz,
@@ -271,11 +264,7 @@ impl<T> BatchServer<T> {
             version: 0,
             intensity: 0.0,
             power_watts: 0.0,
-            spec_gpus,
-            non_gpu_base_watts,
-            non_gpu_per_gpu_watt,
-            hot_idle_intensity,
-            power_scale,
+            power_scale: params.power_scale,
         };
         server.refresh_power();
         server
@@ -315,33 +304,28 @@ impl<T> BatchServer<T> {
 
     /// The SM clock honoring brake > lock > pool clock > max.
     pub fn effective_clock_mhz(&self) -> f64 {
-        let gpu = self.deployment.gpu();
-        if self.brake {
-            return gpu.power_brake_clock_mhz();
-        }
-        let mut clock = self.locked_mhz.unwrap_or(gpu.max_sm_clock_mhz);
-        if let Some(pool) = self.pool_clock_mhz {
-            clock = clock.min(pool);
-        }
-        clock
+        self.spec
+            .gpu
+            .clock_mhz(self.brake, self.locked_mhz, self.pool_clock_mhz)
     }
 
     fn clock_ratio(&self) -> f64 {
-        (self.effective_clock_mhz() / self.deployment.gpu().max_sm_clock_mhz).clamp(1e-3, 1.0)
+        (self.effective_clock_mhz() / self.spec.gpu.max_sm_clock_mhz).clamp(1e-3, 1.0)
     }
 
     /// Recomputes the cached instantaneous power from the current
-    /// composition's intensity — the same envelope as the legacy
-    /// server: deployment GPUs at the blended intensity (hot-idle when
-    /// the batch is empty), spare GPUs idling, chassis overhead, all
-    /// times the study's power scale.
+    /// composition's intensity (hot-idle when the batch is empty).
     fn refresh_power(&mut self) {
         let intensity = if self.running() == 0 {
-            self.hot_idle_intensity
+            HOT_IDLE_INTENSITY
         } else {
             self.intensity
         };
-        self.power_watts = self.power_at(intensity, self.dvfs.power_scale(self.clock_ratio()));
+        let dvfs_scale = self.dvfs.power_scale(self.clock_ratio());
+        self.power_watts = self
+            .spec
+            .power_watts(self.deployment.n_gpus(), intensity, dvfs_scale)
+            * self.power_scale;
     }
 
     /// The most this server can draw: workload intensity 1 at the full
@@ -349,20 +333,7 @@ impl<T> BatchServer<T> {
     /// `[0, 1]` and the DVFS scale never exceeds 1, so `power_watts`
     /// stays at or below it whatever the batch, lock or brake.
     pub fn max_power_watts(&self) -> f64 {
-        self.power_at(1.0, 1.0)
-    }
-
-    /// Server power at workload `intensity` with the GPUs' dynamic
-    /// power scaled by `dvfs_scale`.
-    fn power_at(&self, intensity: f64, dvfs_scale: f64) -> f64 {
-        let gpu = self.deployment.gpu();
-        let per_gpu =
-            gpu.idle_watts + (gpu.transient_peak_watts - gpu.idle_watts) * intensity * dvfs_scale;
-        let gpu_watts = per_gpu * self.deployment.n_gpus() as f64;
-        let spare = self.spec_gpus.saturating_sub(self.deployment.n_gpus()) as f64;
-        let total_gpu = gpu_watts + spare * gpu.idle_watts;
-        (total_gpu + self.non_gpu_base_watts + self.non_gpu_per_gpu_watt * total_gpu)
-            * self.power_scale
+        self.spec.power_watts(self.deployment.n_gpus(), 1.0, 1.0) * self.power_scale
     }
 
     /// Advances fluid progress from `epoch_start` to `now` at the
@@ -675,7 +646,7 @@ impl<T> BatchServer<T> {
         let before = self.effective_clock_mhz();
         match action {
             ControlAction::LockClock { mhz } => {
-                self.locked_mhz = Some(self.deployment.gpu().clamp_clock(mhz));
+                self.locked_mhz = Some(self.spec.gpu.clamp_clock(mhz));
             }
             ControlAction::UnlockClock => self.locked_mhz = None,
             ControlAction::PowerBrake { on } => self.brake = on,

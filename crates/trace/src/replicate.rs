@@ -107,7 +107,6 @@ impl ProductionReplicator {
         assert!(!mix.is_empty(), "workload mix must be non-empty");
         let deployment = InferenceModel::new(row.model.clone(), row.server_spec.gpu.clone())
             .expect("row model must fit");
-        let gpu = &row.server_spec.gpu;
         let spec = &row.server_spec;
         let mut mean_service = 0.0;
         let mut mean_busy_power = 0.0;
@@ -117,13 +116,8 @@ impl ProductionReplicator {
             let profile = deployment.profile(&InferenceConfig::new(input as u32, output as u32, 1));
             let service = profile.total_time_s();
             // Time-weighted server power over the request's phases.
-            let phase_power = |intensity: f64| {
-                let per_gpu =
-                    gpu.idle_watts + (gpu.transient_peak_watts - gpu.idle_watts) * intensity;
-                let gpu_watts = per_gpu * deployment.n_gpus() as f64
-                    + (spec.n_gpus - deployment.n_gpus()) as f64 * gpu.idle_watts;
-                spec.server_power_watts(gpu_watts)
-            };
+            let phase_power =
+                |intensity: f64| spec.power_watts(deployment.n_gpus(), intensity, 1.0);
             let busy_power = (phase_power(profile.prompt.intensity) * profile.prompt.duration_s
                 + phase_power(profile.token.intensity) * profile.token.duration_s)
                 / service;
@@ -136,13 +130,7 @@ impl ProductionReplicator {
         mean_busy_power /= share_total * mean_service;
         // Unoccupied servers sit at hot idle: model loaded, framework
         // busy-polling (§6.4's "all servers serving with models loaded").
-        let gpu = &row.server_spec.gpu;
-        let hot_idle_gpu =
-            gpu.idle_watts + (gpu.transient_peak_watts - gpu.idle_watts) * HOT_IDLE_INTENSITY;
-        let idle_power_w = spec.server_power_watts(
-            hot_idle_gpu * deployment.n_gpus() as f64
-                + (spec.n_gpus - deployment.n_gpus()) as f64 * gpu.idle_watts,
-        );
+        let idle_power_w = spec.power_watts(deployment.n_gpus(), HOT_IDLE_INTENSITY, 1.0);
         ProductionReplicator {
             n_servers: row.total_servers() as f64,
             mean_service_s: mean_service,

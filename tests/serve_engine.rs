@@ -11,9 +11,13 @@
 //!   in the obs metrics and the serve prof counters populated.
 
 use polca::{DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind};
-use polca_cluster::{EngineKind, Priority, Request, RowConfig};
+use polca_cluster::{
+    ControlRequest, ControlTarget, EngineKind, NoopController, Priority, Request, RowConfig,
+    RowSim, ServerSpec, SimConfig,
+};
 use polca_obs::{ObsLevel, ProfCounter, Recorder};
 use polca_sim::SimTime;
+use polca_telemetry::ControlAction;
 use proptest::prelude::*;
 
 /// Runs the quick-demo study under POLCA on the given engine.
@@ -185,4 +189,66 @@ fn split_pools_expose_per_pool_power() {
         prom.contains("serve_pool_power_w{tag=\"decode\"}"),
         "{prom}"
     );
+}
+
+/// A row with no arrivals, stepped by hand.
+type IdleRow = RowSim<NoopController, std::iter::Empty<Request>>;
+
+/// Every server's power on a legacy and a batched row, which must be
+/// bit-identical; returns server 0's.
+fn same_server_watts([legacy, batched]: &[IdleRow; 2]) -> f64 {
+    let engine = batched.batched_row().expect("batched engine");
+    let legacy: Vec<f64> = legacy.servers().iter().map(|s| s.power_watts()).collect();
+    let batched: Vec<f64> = (0..engine.n_servers())
+        .map(|i| engine.server_power_watts(i))
+        .collect();
+    assert_eq!(legacy, batched);
+    legacy[0]
+}
+
+/// Both engines price a server with one power model: the idle servers
+/// of a legacy row and of an aggregated batched row built from the same
+/// `RowConfig` draw bit-identical watts at the full clock, after a
+/// delivered clock lock and after a delivered brake, on an A100 and an
+/// H100 server at a 1.05 power scale.
+#[test]
+fn idle_servers_draw_the_same_power_on_both_engines() {
+    let t = SimTime::from_secs;
+    for spec in [ServerSpec::dgx_a100(), ServerSpec::dgx_h100()] {
+        let mut row = RowConfig::paper_inference_row();
+        row.server_spec = spec;
+        let mut sims: [IdleRow; 2] = [EngineKind::Legacy, batched()].map(|engine| {
+            let config = SimConfig {
+                power_scale: 1.05,
+                engine,
+                ..SimConfig::default()
+            };
+            RowSim::new(
+                row.clone(),
+                config,
+                NoopController,
+                std::iter::empty(),
+                t(120.0),
+            )
+        });
+        let mut watts = vec![same_server_watts(&sims)];
+        // The OOB plane delivers a lock within 40 s and a brake within
+        // 5 s (Table 2).
+        for (at, action) in [
+            (1.0, ControlAction::LockClock { mhz: 1110.0 }),
+            (50.0, ControlAction::PowerBrake { on: true }),
+        ] {
+            for sim in &mut sims {
+                let command = ControlRequest {
+                    target: ControlTarget::All,
+                    action,
+                };
+                sim.inject(t(at), command);
+                sim.step_until(t(at + 41.0));
+            }
+            watts.push(same_server_watts(&sims));
+        }
+        // Full clock > locked > braked: each command was delivered.
+        assert!(watts.windows(2).all(|w| w[1] < w[0]), "{watts:?}");
+    }
 }

@@ -8,16 +8,22 @@
 //!   byte-identical at `jobs=1` and `jobs=4`,
 //! * the full POLCA policy comparison runs end-to-end on the batched
 //!   engine, with KV occupancy, batch size, and per-pool power visible
-//!   in the obs metrics and the serve prof counters populated.
+//!   in the obs metrics and the serve prof counters populated,
+//! * one short traced run per engine shape (legacy, batched
+//!   aggregated, batched split pools) reproduces its events, request
+//!   records, energy ledger, metrics and power integrals bit for bit.
 
 use polca::{DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind};
+use std::path::Path;
+
 use polca_cluster::{
-    ControlRequest, ControlTarget, EngineKind, NoopController, Priority, Request, RowConfig,
-    RowSim, ServerSpec, SimConfig,
+    ControlRequest, ControlTarget, EngineKind, NoopController, PowerController, Priority, Request,
+    RowConfig, RowContext, RowSim, ServerSpec, SimConfig,
 };
-use polca_obs::{ObsLevel, ProfCounter, Recorder};
+use polca_obs::{CarbonSignal, EnergyPlan, ObsLevel, ProfCounter, Recorder, ReqTraceConfig};
 use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
+use polca_trace::{ArrivalGenerator, TraceConfig};
 use proptest::prelude::*;
 
 /// Runs the quick-demo study under POLCA on the given engine.
@@ -250,5 +256,129 @@ fn idle_servers_draw_the_same_power_on_both_engines() {
         }
         // Full clock > locked > braked: each command was delivered.
         assert!(watts.windows(2).all(|w| w[1] < w[0]), "{watts:?}");
+    }
+}
+
+/// Commands issued at fixed telemetry ticks: a class lock, a
+/// one-server lock, a row brake and its release, and a row unlock, so
+/// every kind of delivery lands on both engines mid-request.
+const SCRIPT: [(f64, ControlTarget, ControlAction); 5] = [
+    (
+        10.0,
+        ControlTarget::Priority(Priority::Low),
+        ControlAction::LockClock { mhz: 1110.0 },
+    ),
+    (
+        30.0,
+        ControlTarget::Server(3),
+        ControlAction::LockClock { mhz: 900.0 },
+    ),
+    (
+        60.0,
+        ControlTarget::All,
+        ControlAction::PowerBrake { on: true },
+    ),
+    (
+        80.0,
+        ControlTarget::All,
+        ControlAction::PowerBrake { on: false },
+    ),
+    (100.0, ControlTarget::All, ControlAction::UnlockClock),
+];
+
+/// Replays [`SCRIPT`] whatever the row draws.
+struct Scripted;
+
+impl PowerController for Scripted {
+    fn on_telemetry(
+        &mut self,
+        now: SimTime,
+        _observed: Option<f64>,
+        _ctx: &RowContext,
+    ) -> Vec<ControlRequest> {
+        SCRIPT
+            .iter()
+            .filter(|(at, ..)| now == SimTime::from_secs(*at))
+            .map(|&(_, target, action)| ControlRequest { target, action })
+            .collect()
+    }
+}
+
+/// The files one engine shape's golden run pins: its `events.jsonl`,
+/// `requests.jsonl` (every request traced), `energy.json` (diurnal
+/// carbon), its `metrics.prom` without the `sim_*` queue series and the
+/// `polca_prof_*` lines (they count how the work was scheduled, not
+/// what was simulated), and the bits of the row's mean and peak watts.
+fn engine_golden_files(engine: EngineKind) -> Vec<(&'static str, String)> {
+    let recorder = Recorder::new(ObsLevel::Full)
+        .with_req_trace(ReqTraceConfig { sample: 1 })
+        .with_energy(EnergyPlan::new(CarbonSignal::diurnal_default()));
+    let mut row = RowConfig::paper_inference_row();
+    row.base_servers = 20;
+    let horizon = SimTime::from_secs(150.0);
+    let trace = TraceConfig::paper_mix(17, horizon).scaled(1.0);
+    let config = SimConfig {
+        seed: 17,
+        engine,
+        recorder: recorder.clone(),
+        ..SimConfig::default()
+    };
+    let requests = ArrivalGenerator::new(&trace);
+    let report = RowSim::new(row, config, Scripted, requests, horizon).finish();
+    let run = recorder.artifacts();
+    let prom: String = run
+        .metrics_prometheus()
+        .lines()
+        .filter(|line| {
+            let name = line.strip_prefix("# TYPE ").unwrap_or(line);
+            !name.starts_with("sim_") && !name.starts_with("polca_prof_")
+        })
+        .map(|line| format!("{line}\n"))
+        .collect();
+    let watts = [
+        ("mean_row_watts", report.mean_row_watts),
+        ("peak_row_watts", report.peak_row_watts),
+    ]
+    .map(|(name, w)| format!("{name} {w} {:#018x}\n", w.to_bits()))
+    .concat();
+    vec![
+        ("events.jsonl", run.events_jsonl()),
+        ("requests.jsonl", run.requests_jsonl()),
+        ("energy.json", run.energy_ledger().to_json()),
+        ("metrics.prom", prom),
+        ("watts.txt", watts),
+    ]
+}
+
+/// Each engine shape's short traced run reproduces the files under
+/// `tests/golden/engine/<shape>/` byte for byte: the admission, phase,
+/// completion and delivery paths of both engines, their request spans
+/// and joules, their energy ticks, and the split of the power integral.
+#[test]
+fn every_engine_shape_matches_its_golden_run() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/engine");
+    for (shape, engine) in [
+        ("legacy", EngineKind::Legacy),
+        ("batched", batched()),
+        (
+            "split",
+            DisaggregationConfig::default().batched_engine(true),
+        ),
+    ] {
+        for (name, actual) in engine_golden_files(engine) {
+            let path = dir.join(shape).join(name);
+            let golden = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+            let same = actual
+                .lines()
+                .zip(golden.lines())
+                .take_while(|(a, g)| a == g)
+                .count();
+            assert!(
+                actual == golden,
+                "{shape} run drifted from tests/golden/engine/{shape}/{name} at line {}",
+                same + 1
+            );
+        }
     }
 }

@@ -466,15 +466,11 @@ impl RunSpec {
             ),
         }
         print_site_table(&report, config.site_active());
-        // Fold the row-private energy accounts and profiles into the
-        // site recorder in canonical row order: the site ledger (table,
-        // energy.json) then covers the fleet, and one `prof.json`
-        // answers "where did the whole site run spend its time".
-        for rec in &report.row_recorders {
-            recorder.absorb_energy(rec);
-            recorder.prof().merge_from(rec.prof());
-        }
-        // Only the energy table and the writer read a site's snapshot.
+        // The site recorder holds every row's energy account and
+        // profile: the ledger (table, energy.json) covers the fleet, and
+        // one `prof.json` answers "where did the whole site run spend
+        // its time". Only the energy table and the writer read a site's
+        // snapshot.
         if self.energy.is_some() || self.obs_out.is_some() {
             let run = recorder.artifacts();
             print_energy_summary(&run, report.completed(), "  ");

@@ -120,31 +120,43 @@ impl RowConfig {
         &self.server_spec.gpu
     }
 
-    /// Builds the row's servers with priorities interleaved so that both
-    /// classes spread across the row (the cloud allocator "can make
+    /// Each server's priority class, by server id, interleaved so that
+    /// both classes spread across the row (the cloud allocator "can make
     /// power-oversubscription aware allocation to ensure a good mix of
-    /// high and low-priority jobs in every row", §6.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model does not fit its Table 3 GPU allocation on the
-    /// row's GPU type.
-    pub fn build_servers(&self) -> Vec<InferenceServer> {
+    /// high and low-priority jobs in every row", §6.3). Both serving
+    /// engines lay their servers out this way.
+    pub fn priorities(&self) -> Vec<Priority> {
         let total = self.total_servers();
         let n_low = self.low_priority_servers();
-        let deployment = InferenceModel::new(self.model.clone(), self.server_spec.gpu.clone())
-            .expect("row model must fit its GPU allocation");
         (0..total)
             .map(|id| {
                 // Interleave low-priority servers evenly by accumulating
                 // the fraction (Bresenham-style).
                 let low_before = (id as f64 * n_low as f64 / total as f64).floor() as usize;
                 let low_after = ((id + 1) as f64 * n_low as f64 / total as f64).floor() as usize;
-                let priority = if low_after > low_before {
+                if low_after > low_before {
                     Priority::Low
                 } else {
                     Priority::High
-                };
+                }
+            })
+            .collect()
+    }
+
+    /// Builds the legacy engine's servers, laid out by
+    /// [`priorities`](Self::priorities).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model does not fit its Table 3 GPU allocation on the
+    /// row's GPU type.
+    pub fn build_servers(&self) -> Vec<InferenceServer> {
+        let deployment = InferenceModel::new(self.model.clone(), self.server_spec.gpu.clone())
+            .expect("row model must fit its GPU allocation");
+        self.priorities()
+            .into_iter()
+            .enumerate()
+            .map(|(id, priority)| {
                 let mut server = InferenceServer::new(
                     id,
                     priority,

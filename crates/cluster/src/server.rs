@@ -1,4 +1,5 @@
-//! The *legacy* per-server inference state machine (§6.6).
+//! The *legacy* per-server inference state machine (§6.6) and the row
+//! it runs in.
 //!
 //! Each server runs one tensor-parallel model instance across all its
 //! GPUs (the POLCA evaluation serves BLOOM-176B on 8×A100-80GB), with a
@@ -6,6 +7,14 @@
 //! In-flight requests progress through the prompt and token phases of the
 //! `polca-llm` model; frequency locks and the power brake stretch the
 //! remaining work of whatever phase is active when they land.
+//!
+//! A row of these servers is a `LegacyRow`: it dispatches arrivals
+//! round-robin to idle servers of the request's class, keeps the row's
+//! power sums incrementally and, with request tracing on, the span of
+//! each server's request in service. It answers the cluster simulator
+//! with the method names and outcome types of `polca-serve`'s
+//! `BatchedRow`, so [`crate::sim`] drives both engines through one path
+//! per event.
 //!
 //! This whole-request model is what the paper evaluated and remains the
 //! default — every historical result reproduces on it bit-for-bit. The
@@ -18,6 +27,8 @@ use std::collections::VecDeque;
 
 use polca_gpu::{DvfsModel, ServerSpec, HOT_IDLE_INTENSITY};
 use polca_llm::{InferenceConfig, InferenceModel, RequestProfile};
+use polca_obs::ReqSpan;
+use polca_serve::{AdmissionKind, ArrivalOutcome, Completion, ServeOutcome};
 use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
 
@@ -244,20 +255,6 @@ impl InferenceServer {
         self.power_at(intensity, self.dvfs.power_scale(self.clock_ratio()))
     }
 
-    /// The most this server can draw while serving: workload intensity
-    /// 1 at the full clock. Phase intensities lie in `[0, 1]` and the
-    /// DVFS scale never exceeds 1, so no request, lock or brake can
-    /// push [`power_watts`](Self::power_watts) above it.
-    pub(crate) fn max_serving_watts(&self) -> f64 {
-        self.power_at(1.0, 1.0)
-    }
-
-    /// The most this server can draw while idle: hot-idle intensity at
-    /// the full clock.
-    pub(crate) fn max_idle_watts(&self) -> f64 {
-        self.power_at(HOT_IDLE_INTENSITY, 1.0)
-    }
-
     /// Server power at workload `intensity` with the GPUs' dynamic
     /// power scaled by `dvfs_scale`, times the study's power scale.
     fn power_at(&self, intensity: f64, dvfs_scale: f64) -> f64 {
@@ -396,6 +393,274 @@ impl InferenceServer {
         active.slowdown = new_slowdown;
         self.version += 1;
         Some((end_at, self.version))
+    }
+}
+
+/// The polca-req span of a request in legacy service. The server runs
+/// one request at a time, so its whole draw between power-changing
+/// transitions belongs to that request.
+#[derive(Debug, Clone)]
+struct OpenSpan {
+    /// When the request entered service.
+    started: SimTime,
+    /// When the server's draw was last charged to the span.
+    charged_to: SimTime,
+    span: ReqSpan,
+}
+
+/// The legacy engine's row: its servers, a round-robin dispatch cursor
+/// per priority class, the row's power sums (kept incrementally, so
+/// reading them costs nothing per event) and, with request tracing on,
+/// the span of each server's request in service.
+#[derive(Debug)]
+pub(crate) struct LegacyRow {
+    servers: Vec<InferenceServer>,
+    /// Where the next idle-server search starts, `[low, high]`.
+    cursors: [usize; 2],
+    /// Σ server power.
+    total_power: f64,
+    /// Σ power of the servers that are serving: the source of the
+    /// row's busy energy, which upper-bounds Σ attributed joules.
+    busy_power: f64,
+    /// Σ server power per priority class, `[low, high]`.
+    class_power: [f64; 2],
+    /// One slot per server; empty unless request tracing is on.
+    spans: Vec<Option<OpenSpan>>,
+}
+
+/// Index of `priority` in the `[low, high]` arrays.
+fn class(priority: Priority) -> usize {
+    usize::from(priority == Priority::High)
+}
+
+/// What an operation on one server produced, in the batched engine's
+/// outcome type (the legacy engine never preempts or ships KV).
+fn outcome(
+    server: usize,
+    wake: Option<(SimTime, u64)>,
+    completions: Vec<Completion<Request>>,
+) -> ServeOutcome<Request> {
+    ServeOutcome {
+        server,
+        wake,
+        completions,
+        preemptions: 0,
+        transfers_queued: false,
+    }
+}
+
+impl LegacyRow {
+    /// A row of idle `servers` whose power is scaled by `power_scale`,
+    /// tracing each request's span when `trace_requests` is set.
+    pub(crate) fn new(
+        mut servers: Vec<InferenceServer>,
+        power_scale: f64,
+        trace_requests: bool,
+    ) -> Self {
+        for s in &mut servers {
+            s.set_power_scale(power_scale);
+        }
+        let total_power = servers.iter().map(InferenceServer::power_watts).sum();
+        let busy_power = servers
+            .iter()
+            .filter(|s| !s.is_idle())
+            .map(InferenceServer::power_watts)
+            .sum();
+        let mut class_power = [0.0; 2];
+        for s in &servers {
+            class_power[class(s.priority())] += s.power_watts();
+        }
+        let spans = if trace_requests {
+            vec![None; servers.len()]
+        } else {
+            Vec::new()
+        };
+        LegacyRow {
+            servers,
+            cursors: [0, 0],
+            total_power,
+            busy_power,
+            class_power,
+            spans,
+        }
+    }
+
+    /// The row's servers.
+    pub(crate) fn servers(&self) -> &[InferenceServer] {
+        &self.servers
+    }
+
+    /// Servers in the row.
+    #[inline]
+    pub(crate) fn n_servers(&self) -> usize {
+        self.servers.len()
+    }
+
+    /// Instantaneous row power, in watts.
+    #[inline]
+    pub(crate) fn total_power_watts(&self) -> f64 {
+        self.total_power
+    }
+
+    /// Instantaneous power of the servers that are serving, in watts.
+    #[inline]
+    pub(crate) fn busy_power_watts(&self) -> f64 {
+        self.busy_power
+    }
+
+    /// Instantaneous power per priority class, `[low, high]`.
+    #[inline]
+    pub(crate) fn class_power_watts(&self) -> [f64; 2] {
+        self.class_power
+    }
+
+    /// Fills `out` with the row's one pool, `aggregated`.
+    #[inline]
+    pub(crate) fn write_pool_power(&self, out: &mut Vec<(&'static str, f64)>) {
+        out.clear();
+        out.push(("aggregated", self.total_power));
+    }
+
+    /// Servers that may serve before any further arrival: a server
+    /// leaves hot idle only to serve a buffered request or a new
+    /// arrival, so each busy server and each buffered request counts.
+    pub(crate) fn committed_servers(&self) -> usize {
+        self.servers
+            .iter()
+            .map(|s| usize::from(!s.is_idle()) + s.queue_len())
+            .sum()
+    }
+
+    /// Dispatches an arriving request: to the next idle server of its
+    /// class in round-robin order, else into the shortest buffer of its
+    /// class with space, else it is rejected.
+    pub(crate) fn on_arrival(&mut self, now: SimTime, req: Request) -> ArrivalOutcome<Request> {
+        let n = self.servers.len();
+        let cursor = &mut self.cursors[class(req.priority)];
+        let start = *cursor;
+        let idle = (0..n)
+            .map(|off| (start + off) % n)
+            .find(|&i| self.servers[i].priority() == req.priority && self.servers[i].is_idle());
+        if let Some(i) = idle {
+            *cursor = (i + 1) % n;
+            let wake = self.change(now, i, |s| s.start_request(now, req));
+            self.open_span(now, i);
+            return ArrivalOutcome {
+                kind: AdmissionKind::Started,
+                outcome: outcome(i, Some(wake), Vec::new()),
+            };
+        }
+        let target = self
+            .servers
+            .iter()
+            .filter(|s| s.priority() == req.priority && s.has_buffer_space())
+            .min_by_key(|s| s.queue_len())
+            .map(InferenceServer::id);
+        let kind = match target {
+            Some(i) => {
+                let ok = self.servers[i].enqueue(req);
+                debug_assert!(ok, "buffer space was checked");
+                AdmissionKind::Queued
+            }
+            None => AdmissionKind::Rejected,
+        };
+        ArrivalOutcome {
+            kind,
+            outcome: outcome(target.unwrap_or(0), None, Vec::new()),
+        }
+    }
+
+    /// Handles server `server`'s phase end; `None` if `version` is
+    /// stale (the phase was rescheduled since).
+    pub(crate) fn on_wake(
+        &mut self,
+        now: SimTime,
+        server: usize,
+        version: u64,
+    ) -> Option<ServeOutcome<Request>> {
+        match self.change(now, server, |s| s.on_phase_end(now, version)) {
+            PhaseOutcome::Ignored => None,
+            PhaseOutcome::TokenStarted { end_at, version } => {
+                // Under the whole-request model the first output token
+                // becomes available when the prompt phase ends.
+                if let Some(Some(open)) = self.spans.get_mut(server) {
+                    open.span.prefill_s = now.saturating_sub(open.started).as_secs();
+                    open.span.first_token_s = Some(now.as_secs());
+                }
+                Some(outcome(server, Some((end_at, version)), Vec::new()))
+            }
+            PhaseOutcome::Completed { record, next } => {
+                let mut span = self
+                    .spans
+                    .get_mut(server)
+                    .and_then(Option::take)
+                    .map_or_else(ReqSpan::default, |open| open.span);
+                if let Some(first) = span.first_token_s {
+                    span.decode_s = (now.as_secs() - first).max(0.0);
+                    span.last_token_s = Some(now.as_secs());
+                }
+                if next.is_some() {
+                    // A buffered request was dequeued and started.
+                    self.open_span(now, server);
+                }
+                let done = Completion {
+                    payload: record.request,
+                    server: record.server,
+                    started_at: record.started_at,
+                    span,
+                };
+                Some(outcome(server, next, vec![done]))
+            }
+        }
+    }
+
+    /// Applies a delivered OOB control action to `server`.
+    pub(crate) fn apply_action(
+        &mut self,
+        now: SimTime,
+        server: usize,
+        action: ControlAction,
+    ) -> ServeOutcome<Request> {
+        let wake = self.change(now, server, |s| s.apply_action(now, action));
+        outcome(server, wake, Vec::new())
+    }
+
+    /// Runs `f` against server `idx`: charges the server's draw since
+    /// the last change to its request's span, then folds the power
+    /// change into the row's sums.
+    fn change<T>(
+        &mut self,
+        now: SimTime,
+        idx: usize,
+        f: impl FnOnce(&mut InferenceServer) -> T,
+    ) -> T {
+        let server = &mut self.servers[idx];
+        let before = server.power_watts();
+        let busy_before = if server.is_idle() { 0.0 } else { before };
+        if let Some(Some(open)) = self.spans.get_mut(idx) {
+            open.span.joules += before * now.saturating_sub(open.charged_to).as_secs();
+            open.charged_to = now;
+        }
+        let out = f(server);
+        let after = server.power_watts();
+        self.total_power += after - before;
+        // Class membership is static, so the delta lands in one slot.
+        self.class_power[class(server.priority())] += after - before;
+        let busy_after = if server.is_idle() { 0.0 } else { after };
+        self.busy_power += busy_after - busy_before;
+        out
+    }
+
+    /// Opens a span for the request that just entered service on
+    /// server `idx` (no-op unless request tracing is on).
+    fn open_span(&mut self, now: SimTime, idx: usize) {
+        if let Some(slot) = self.spans.get_mut(idx) {
+            *slot = Some(OpenSpan {
+                started: now,
+                charged_to: now,
+                span: ReqSpan::default(),
+            });
+        }
     }
 }
 

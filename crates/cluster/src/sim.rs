@@ -22,10 +22,12 @@
 //! accounting, and observability planes, so every controller and
 //! downstream consumer works unchanged on either.
 
+use polca_gpu::HOT_IDLE_INTENSITY;
 use polca_llm::InferenceModel;
 use polca_obs::{EnergyAccum, Event, Label, Phase, Recorder, ReqSpan};
 use polca_serve::{
-    AdmissionKind, BatchedRow, BatchedRowParams, ServeConfig, ServeOutcome, ServeRequest,
+    AdmissionKind, ArrivalOutcome, BatchedRow, BatchedRowParams, ServeConfig, ServeOutcome,
+    ServeRequest,
 };
 use polca_sim::{EventQueue, SimTime};
 use polca_stats::TimeSeries;
@@ -33,7 +35,7 @@ use polca_telemetry::{ControlAction, DelayedSignal, OobControlPlane, RowPowerTap
 
 use crate::request::{CompletedRequest, Priority, Request};
 use crate::row::RowConfig;
-use crate::server::{InferenceServer, PhaseOutcome};
+use crate::server::{InferenceServer, LegacyRow};
 
 /// Who a control request targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,10 +160,6 @@ pub struct SimConfig {
     pub telemetry_interval_s: f64,
     /// Row telemetry propagation delay in seconds (Table 2: 2 s).
     pub telemetry_delay_s: f64,
-    /// OOB capping latency range in seconds (Table 2: up to 40 s).
-    pub oob_cap_latency_s: (f64, f64),
-    /// OOB brake latency range in seconds (Table 2: ≤ 5 s).
-    pub oob_brake_latency_s: (f64, f64),
     /// Probability an OOB capping command silently fails (§3.3).
     pub oob_failure_rate: f64,
     /// Multiplier on all server power (the "+5 %" drift experiment).
@@ -188,8 +186,6 @@ impl Default for SimConfig {
             seed: 0,
             telemetry_interval_s: 2.0,
             telemetry_delay_s: 2.0,
-            oob_cap_latency_s: (20.0, 40.0),
-            oob_brake_latency_s: (2.0, 5.0),
             oob_failure_rate: 0.0,
             power_scale: 1.0,
             record_power_series: true,
@@ -282,77 +278,234 @@ impl SimReport {
 #[derive(Debug)]
 enum Ev {
     Arrival(Request),
-    PhaseEnd {
+    /// A server's next scheduled state change: a legacy phase end or a
+    /// batched composition boundary. Stale once the server has been
+    /// rescheduled (its version moved on).
+    Wake {
         server: usize,
         version: u64,
     },
     Telemetry,
     ControlDelivery,
-    /// Batched engine: a server's next composition boundary.
-    ServeWake {
-        server: usize,
-        version: u64,
-    },
     /// Batched engine: the earliest in-flight KV transfer lands.
     ServeTransfer,
 }
 
-/// Per-server polca-req state for the legacy engine: the span of the
-/// request in service plus the last time its energy integral was
-/// folded. The legacy server runs one request at a time, so the whole
-/// server draw between power-changing transitions belongs to it.
-#[derive(Clone, Debug)]
-struct LegacyTrace {
-    /// Last time this server's power was folded into the active span.
-    last_t: SimTime,
-    /// `(service_start, span)` of the request in service, if any.
-    active: Option<(SimTime, ReqSpan)>,
+/// The serving engine behind a row. Both rows answer with one set of
+/// method names and `polca-serve`'s outcome types, so the simulator
+/// keeps one path per event; each arm below is only the forwarding.
+enum Engine {
+    Legacy(LegacyRow),
+    Batched(BatchedRow<Request>),
+}
+
+impl Engine {
+    fn new(
+        row: &RowConfig,
+        config: &SimConfig,
+        deployment: InferenceModel,
+        obs: &Recorder,
+    ) -> Self {
+        match &config.engine {
+            EngineKind::Legacy => Engine::Legacy(LegacyRow::new(
+                row.build_servers(),
+                config.power_scale,
+                obs.req_enabled(),
+            )),
+            EngineKind::Batched(serve_cfg) => {
+                let params = BatchedRowParams {
+                    deployment,
+                    classes: row
+                        .priorities()
+                        .into_iter()
+                        .map(|p| p == Priority::High)
+                        .collect(),
+                    spec: row.server_spec.clone(),
+                    power_scale: config.power_scale,
+                };
+                Engine::Batched(BatchedRow::new(params, serve_cfg, obs.prof().clone()))
+            }
+        }
+    }
+
+    #[inline]
+    fn n_servers(&self) -> usize {
+        match self {
+            Engine::Legacy(row) => row.n_servers(),
+            Engine::Batched(row) => row.n_servers(),
+        }
+    }
+
+    #[inline]
+    fn total_power_watts(&self) -> f64 {
+        match self {
+            Engine::Legacy(row) => row.total_power_watts(),
+            Engine::Batched(row) => row.total_power_watts(),
+        }
+    }
+
+    #[inline]
+    fn busy_power_watts(&self) -> f64 {
+        match self {
+            Engine::Legacy(row) => row.busy_power_watts(),
+            Engine::Batched(row) => row.busy_power_watts(),
+        }
+    }
+
+    #[inline]
+    fn class_power_watts(&self) -> [f64; 2] {
+        match self {
+            Engine::Legacy(row) => row.class_power_watts(),
+            Engine::Batched(row) => row.class_power_watts(),
+        }
+    }
+
+    #[inline]
+    fn write_pool_power(&self, out: &mut Vec<(&'static str, f64)>) {
+        match self {
+            Engine::Legacy(row) => row.write_pool_power(out),
+            Engine::Batched(row) => row.write_pool_power(out),
+        }
+    }
+
+    /// Servers that may serve before any further arrival. Split pools
+    /// move work between batched servers without arrivals, so the
+    /// batched engine commits all of them.
+    #[inline]
+    fn committed_servers(&self) -> usize {
+        match self {
+            Engine::Legacy(row) => row.committed_servers(),
+            Engine::Batched(row) => row.n_servers(),
+        }
+    }
+
+    /// Routes an arrival, and says whether the operation splits the
+    /// row's energy integrals at `now`: every batched arrival does, a
+    /// legacy one only when it starts service (a queued or rejected
+    /// legacy arrival changes no server). The integrals' last bits
+    /// depend on where they are split.
+    #[inline]
+    fn on_arrival(&mut self, now: SimTime, req: Request) -> (ArrivalOutcome<Request>, bool) {
+        match self {
+            Engine::Legacy(row) => {
+                let arrival = row.on_arrival(now, req);
+                let started = arrival.kind == AdmissionKind::Started;
+                (arrival, started)
+            }
+            Engine::Batched(row) => {
+                let serve_req = ServeRequest {
+                    payload: req,
+                    id: req.id,
+                    input_tokens: req.input_tokens,
+                    output_tokens: req.output_tokens,
+                    high_priority: req.priority == Priority::High,
+                };
+                (row.on_arrival(now, serve_req), true)
+            }
+        }
+    }
+
+    #[inline]
+    fn on_wake(
+        &mut self,
+        now: SimTime,
+        server: usize,
+        version: u64,
+    ) -> Option<ServeOutcome<Request>> {
+        match self {
+            Engine::Legacy(row) => row.on_wake(now, server, version),
+            Engine::Batched(row) => row.on_wake(now, server, version),
+        }
+    }
+
+    /// The profiler phase a wake is timed as.
+    #[inline]
+    fn wake_phase(&self) -> Phase {
+        match self {
+            Engine::Legacy(_) => Phase::PhaseEnd,
+            Engine::Batched(_) => Phase::ServeIteration,
+        }
+    }
+
+    #[inline]
+    fn apply_action(
+        &mut self,
+        now: SimTime,
+        server: usize,
+        action: ControlAction,
+    ) -> ServeOutcome<Request> {
+        match self {
+            Engine::Legacy(row) => row.apply_action(now, server, action),
+            Engine::Batched(row) => row.apply_action(now, server, action),
+        }
+    }
+
+    fn on_transfers_due(&mut self, now: SimTime) -> Vec<ServeOutcome<Request>> {
+        match self {
+            Engine::Legacy(_) => Vec::new(),
+            Engine::Batched(row) => row.on_transfers_due(now),
+        }
+    }
+
+    #[inline]
+    fn next_transfer_due(&self) -> Option<SimTime> {
+        match self {
+            Engine::Legacy(_) => None,
+            Engine::Batched(row) => row.next_transfer_due(),
+        }
+    }
+
+    /// Records the batched engine's KV, batch, queue and pool gauges
+    /// (the legacy engine has none of these).
+    fn record_gauges(&self, obs: &Recorder) {
+        if let Engine::Batched(row) = self {
+            obs.gauge("serve.kv_occupancy", Label::Global, row.kv_occupancy());
+            obs.gauge("serve.batch_size", Label::Global, row.mean_batch());
+            obs.gauge(
+                "serve.waiting_depth",
+                Label::Global,
+                row.waiting_depth() as f64,
+            );
+            for (tag, watts) in row.pool_power_watts() {
+                obs.gauge("serve.pool_power_w", Label::Tag(tag), watts);
+            }
+        }
+    }
 }
 
 /// The cluster simulator.
 pub struct ClusterSim<P> {
-    servers: Vec<InferenceServer>,
-    /// The continuous-batching engine when `SimConfig::engine` is
-    /// [`EngineKind::Batched`]; `None` runs the legacy per-server path.
-    engine: Option<BatchedRow<Request>>,
+    engine: Engine,
+    /// Each server's priority class, by server id: what a controller's
+    /// class target resolves against.
+    priorities: Vec<Priority>,
     ctx: RowContext,
     config: SimConfig,
     controller: P,
     plane: OobControlPlane,
     row_signal: DelayedSignal,
     queue: EventQueue<Ev>,
-    /// Cached Σ server power, maintained incrementally.
+    /// The engine's row power as of the last operation.
     row_power_watts: f64,
-    /// Round-robin dispatch cursors per priority (low, high).
-    rr_cursor: (usize, usize),
     report: SimReport,
     /// Integral bookkeeping for mean power.
     last_power_change: SimTime,
     power_integral: f64,
-    /// Cached Σ power of servers that are actively serving, maintained
-    /// incrementally next to `row_power_watts`. Feeds `busy_integral`
-    /// in the same `accumulate_power` fold, so the busy energy is
-    /// exact at event resolution (not a telemetry-window trapezoid) —
-    /// that exactness is what pins the polca-energy reconciliation
-    /// bound: busy energy ≥ Σ per-request attributed joules.
+    /// The engine's power of the servers that are serving, as of the
+    /// last operation. Feeds `busy_integral` in the same
+    /// `accumulate_power` fold, so the busy energy is exact at event
+    /// resolution (not a telemetry-window trapezoid) — that exactness
+    /// is what pins the polca-energy reconciliation bound: busy energy
+    /// ≥ Σ per-request attributed joules.
     busy_watts: f64,
     /// Exact integral of `busy_watts` over time, in joules.
     busy_integral: f64,
     /// polca-energy row accumulator (present when the recorder carries
     /// an energy plan), ticked on the telemetry grid.
     energy: Option<EnergyAccum>,
-    /// Instantaneous per-priority-class power, `[low, high]` — cached
-    /// incrementally next to `row_power_watts` for the legacy server
-    /// path (the batched engine keeps its own class cache), so energy
-    /// ticks cost O(buckets) instead of a per-server scan.
-    class_watts: [f64; 2],
     /// Reusable per-pool `(tag, watts)` buffer for energy ticks.
     pool_scratch: Vec<(&'static str, f64)>,
     obs: Recorder,
-    /// polca-req spans for the legacy engine, one slot per server;
-    /// `None` unless the recorder has request tracing on (the batched
-    /// engine threads spans through its own sequences instead).
-    legacy_trace: Option<Vec<LegacyTrace>>,
     /// The most one server can draw while serving and while idle:
     /// the per-server bounds of the site's `PowerCeiling`, fixed once
     /// the power scale is set.
@@ -361,162 +514,95 @@ pub struct ClusterSim<P> {
 
 impl<P: PowerController> ClusterSim<P> {
     /// Builds a simulator over `row` with the given `controller`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row's model does not fit its GPU allocation.
     pub fn new(row: RowConfig, config: SimConfig, controller: P) -> Self {
-        let mut servers = row.build_servers();
-        for s in &mut servers {
-            s.set_power_scale(config.power_scale);
-        }
         let obs = config.recorder.clone();
-        let engine = match &config.engine {
-            EngineKind::Legacy => None,
-            EngineKind::Batched(serve_cfg) => {
-                let deployment =
-                    InferenceModel::new(row.model.clone(), row.server_spec.gpu.clone())
-                        .expect("row model must fit its GPU allocation");
-                let params = BatchedRowParams {
-                    deployment,
-                    classes: servers
-                        .iter()
-                        .map(|s| s.priority() == Priority::High)
-                        .collect(),
-                    spec: row.server_spec.clone(),
-                    power_scale: config.power_scale,
-                };
-                Some(BatchedRow::new(params, serve_cfg, obs.prof().clone()))
-            }
+        let deployment = InferenceModel::new(row.model.clone(), row.server_spec.gpu.clone())
+            .expect("row model must fit its GPU allocation");
+        // Every server runs one deployment on one spec, on either
+        // engine: its draw at workload intensity 1 and at hot idle, at
+        // the full clock, bounds every server's draw while serving and
+        // while idle (phase intensities lie in [0, 1] and the DVFS
+        // scale never exceeds 1).
+        let server_watts = |intensity| {
+            row.server_spec
+                .power_watts(deployment.n_gpus(), intensity, 1.0)
+                * config.power_scale
         };
-        let max_of =
-            |watts: fn(&InferenceServer) -> f64| servers.iter().map(watts).fold(0.0, f64::max);
-        let max_server_watts = (
-            engine.as_ref().map_or_else(
-                || max_of(InferenceServer::max_serving_watts),
-                BatchedRow::max_server_power_watts,
-            ),
-            max_of(InferenceServer::max_idle_watts),
-        );
-        let row_power_watts: f64 = match &engine {
-            Some(e) => e.total_power_watts(),
-            None => servers.iter().map(InferenceServer::power_watts).sum(),
-        };
-        let busy_watts: f64 = match &engine {
-            Some(e) => e.busy_power_watts(),
-            None => servers
-                .iter()
-                .filter(|s| !s.is_idle())
-                .map(InferenceServer::power_watts)
-                .sum(),
-        };
-        let class_watts: [f64; 2] = match &engine {
-            Some(e) => e.class_power_watts(),
-            None => {
-                let mut cw = [0.0; 2];
-                for s in &servers {
-                    cw[usize::from(s.priority() == Priority::High)] += s.power_watts();
-                }
-                cw
-            }
-        };
+        let max_server_watts = (server_watts(1.0), server_watts(HOT_IDLE_INTENSITY));
+        let engine = Engine::new(&row, &config, deployment, &obs);
+        let row_power_watts = engine.total_power_watts();
         let mut pool_scratch: Vec<(&'static str, f64)> = Vec::new();
-        match &engine {
-            Some(e) => e.write_pool_power(&mut pool_scratch),
-            None => pool_scratch.push(("aggregated", row_power_watts)),
-        }
+        engine.write_pool_power(&mut pool_scratch);
         let energy = obs.energy_plan().map(|plan| {
-            EnergyAccum::new(
-                plan.clone(),
-                0.0,
-                class_watts[0],
-                class_watts[1],
-                &pool_scratch,
-            )
+            let [low, high] = engine.class_power_watts();
+            EnergyAccum::new(plan.clone(), 0.0, low, high, &pool_scratch)
         });
-        let mut plane = OobControlPlane::new(config.seed)
-            .with_cap_latency(config.oob_cap_latency_s.0, config.oob_cap_latency_s.1)
-            .with_brake_latency(config.oob_brake_latency_s.0, config.oob_brake_latency_s.1)
-            .with_failure_rate(config.oob_failure_rate);
+        let mut plane =
+            OobControlPlane::new(config.seed).with_failure_rate(config.oob_failure_rate);
         plane.set_recorder(obs.clone());
         let mut queue = EventQueue::new();
         queue.set_probe(obs.queue_probe());
         let ctx = RowContext {
             provisioned_watts: row.provisioned_watts(),
-            n_servers: servers.len(),
+            n_servers: engine.n_servers(),
         };
-        let legacy_trace = (engine.is_none() && obs.req_enabled()).then(|| {
-            vec![
-                LegacyTrace {
-                    last_t: SimTime::ZERO,
-                    active: None,
-                };
-                servers.len()
-            ]
-        });
         ClusterSim {
             row_signal: DelayedSignal::new(SimTime::from_secs(config.telemetry_delay_s)),
             plane,
             queue,
             report: blank_report(row_power_watts),
             row_power_watts,
-            rr_cursor: (0, 0),
             last_power_change: SimTime::ZERO,
             power_integral: 0.0,
-            busy_watts,
+            busy_watts: engine.busy_power_watts(),
             busy_integral: 0.0,
             energy,
-            class_watts,
             pool_scratch,
             obs,
-            servers,
+            priorities: row.priorities(),
             engine,
             ctx,
             config,
             controller,
-            legacy_trace,
             max_server_watts,
         }
     }
 
-    /// The row context (budget, server count).
-    pub fn context(&self) -> &RowContext {
-        &self.ctx
-    }
-
-    /// Immutable view of the servers (for tests and inspection).
-    ///
-    /// Under [`EngineKind::Batched`] these carry the row's static
-    /// priority layout but see no traffic; inspect
-    /// [`batched_row`](Self::batched_row) instead.
+    /// Immutable view of the legacy engine's servers (for tests and
+    /// inspection); empty under [`EngineKind::Batched`], whose row
+    /// [`batched_row`](Self::batched_row) exposes instead.
     pub fn servers(&self) -> &[InferenceServer] {
-        &self.servers
+        match &self.engine {
+            Engine::Legacy(row) => row.servers(),
+            Engine::Batched(_) => &[],
+        }
     }
 
     /// The continuous-batching engine, when one is configured.
     pub fn batched_row(&self) -> Option<&BatchedRow<Request>> {
-        self.engine.as_ref()
+        match &self.engine {
+            Engine::Legacy(_) => None,
+            Engine::Batched(row) => Some(row),
+        }
     }
 
     /// Runs the simulation over `arrivals` (which must be ordered by
     /// arrival time) until `until`, consuming the simulator and
-    /// returning the report.
+    /// returning the report: one [`RowSim`] stepped straight to the
+    /// horizon, so the resumable engine and this one-shot entry point
+    /// are the same code and produce bit-identical results.
     ///
     /// # Panics
     ///
     /// Panics if `arrivals` yields requests out of order.
     pub fn run(self, arrivals: impl IntoIterator<Item = Request>, until: SimTime) -> SimReport {
-        self.run_source(arrivals.into_iter(), until)
-    }
-
-    /// Like [`run`](Self::run) but consumes any [`RequestSource`] — the
-    /// entry point the real-trace replay path uses.
-    ///
-    /// Internally this is one [`RowSim`] stepped straight to the
-    /// horizon; the resumable engine and this one-shot entry point are
-    /// the same code and produce bit-identical results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source yields requests out of order.
-    pub fn run_source(self, arrivals: impl RequestSource, until: SimTime) -> SimReport {
-        let mut row = self.into_row_sim(arrivals, until);
+        let mut row = self.into_row_sim(arrivals.into_iter(), until);
+        // This step and `finish`'s own are the two `row.step` profiler
+        // frames a run's `metrics.prom` counts.
         row.step_until(until);
         row.finish()
     }
@@ -524,7 +610,7 @@ impl<P: PowerController> ClusterSim<P> {
     /// Converts this simulator into a resumable [`RowSim`] driven by
     /// `arrivals` up to `horizon`. The engine primes the first arrival
     /// and the t = 0 telemetry tick immediately, exactly as
-    /// [`run_source`](Self::run_source) would.
+    /// [`run`](Self::run) would.
     pub fn into_row_sim<S: RequestSource>(self, arrivals: S, horizon: SimTime) -> RowSim<P, S> {
         RowSim::start(self, arrivals, horizon)
     }
@@ -536,43 +622,24 @@ impl<P: PowerController> ClusterSim<P> {
         self.last_power_change = now;
     }
 
-    /// Runs `f` against server `idx`, keeping the cached row power and
-    /// its peak/integral in sync with the server's state change.
-    fn mutate_server<T>(
-        &mut self,
-        now: SimTime,
-        idx: usize,
-        f: impl FnOnce(&mut InferenceServer) -> T,
-    ) -> T {
+    /// Folds an engine operation at `now` into the row's power
+    /// accounts: the integrals close at `now` at the watts the row drew
+    /// before the operation, and the cached draw and the peak take the
+    /// engine's new watts.
+    fn settle_power(&mut self, now: SimTime) {
         self.accumulate_power(now);
-        let before = self.servers[idx].power_watts();
-        let serving_before = !self.servers[idx].is_idle();
-        // polca-req legacy ledger: the server's draw was `before` watts
-        // since the last fold, all of it serving the active request —
-        // charge it before the mutation can change the power.
-        if let Some(traces) = self.legacy_trace.as_mut() {
-            let tr = &mut traces[idx];
-            if let Some((_, span)) = tr.active.as_mut() {
-                span.joules += before * now.saturating_sub(tr.last_t).as_secs();
-            }
-            tr.last_t = now;
-        }
-        let out = f(&mut self.servers[idx]);
-        let after = self.servers[idx].power_watts();
-        self.row_power_watts += after - before;
-        // Class membership is static, so the delta lands in exactly
-        // one slot (the batched engine keeps its own class cache).
-        self.class_watts[usize::from(self.servers[idx].priority() == Priority::High)] +=
-            after - before;
-        let busy_after = if self.servers[idx].is_idle() {
-            0.0
-        } else {
-            after
-        };
-        self.busy_watts += busy_after - if serving_before { before } else { 0.0 };
+        self.row_power_watts = self.engine.total_power_watts();
+        self.busy_watts = self.engine.busy_power_watts();
         if self.row_power_watts > self.report.peak_row_watts {
             self.report.peak_row_watts = self.row_power_watts;
         }
+    }
+
+    /// Runs `op` on the engine at `now`, then settles the row's power
+    /// accounts (see [`settle_power`](Self::settle_power)).
+    fn engine_op<T>(&mut self, now: SimTime, op: impl FnOnce(&mut Engine) -> T) -> T {
+        let out = op(&mut self.engine);
+        self.settle_power(now);
         out
     }
 
@@ -584,28 +651,11 @@ impl<P: PowerController> ClusterSim<P> {
         }
     }
 
-    /// Runs `f` against the batched engine, keeping the cached row
-    /// power and its peak/integral in sync — the batched analog of
-    /// [`mutate_server`](Self::mutate_server).
-    fn serve_op<T>(&mut self, now: SimTime, f: impl FnOnce(&mut BatchedRow<Request>) -> T) -> T {
-        self.accumulate_power(now);
-        let engine = self
-            .engine
-            .as_mut()
-            .expect("serve_op without batched engine");
-        let out = f(engine);
-        self.row_power_watts = engine.total_power_watts();
-        self.busy_watts = engine.busy_power_watts();
-        if self.row_power_watts > self.report.peak_row_watts {
-            self.report.peak_row_watts = self.row_power_watts;
-        }
-        out
-    }
-
-    /// Folds one batched-engine outcome into the report and the event
-    /// queue: completions, preemption counters, the server's next wake,
-    /// and a transfer event for newly queued KV hand-offs.
-    fn absorb_serve(&mut self, now: SimTime, outcome: ServeOutcome<Request>) {
+    /// Folds one engine outcome into the report and the event queue:
+    /// preemption counters, completions (with their request spans),
+    /// the server's next wake, and a transfer event for newly queued
+    /// KV hand-offs.
+    fn absorb(&mut self, now: SimTime, outcome: ServeOutcome<Request>) {
         if outcome.preemptions > 0 {
             self.obs
                 .add("serve.preemptions", Label::Global, outcome.preemptions);
@@ -625,54 +675,43 @@ impl<P: PowerController> ClusterSim<P> {
         if let Some((at, version)) = outcome.wake {
             self.queue.schedule(
                 at,
-                Ev::ServeWake {
+                Ev::Wake {
                     server: outcome.server,
                     version,
                 },
             );
         }
         if outcome.transfers_queued {
-            if let Some(at) = self.engine.as_ref().and_then(BatchedRow::next_transfer_due) {
-                self.queue.schedule(at.max(now), Ev::ServeTransfer);
-            }
+            self.schedule_transfer(now);
         }
     }
 
-    fn on_serve_wake(&mut self, now: SimTime, server: usize, version: u64) {
-        if let Some(outcome) = self.serve_op(now, |e| e.on_wake(now, server, version)) {
-            self.absorb_serve(now, outcome);
-        }
-    }
-
-    fn on_serve_transfer(&mut self, now: SimTime) {
-        let outcomes = self.serve_op(now, |e| e.on_transfers_due(now));
-        for o in outcomes {
-            self.absorb_serve(now, o);
-        }
-        // Re-arm for transfers still crossing the interconnect.
-        if let Some(at) = self.engine.as_ref().and_then(BatchedRow::next_transfer_due) {
+    /// Arms a transfer event for the earliest KV hand-off still
+    /// crossing the interconnect, if any.
+    fn schedule_transfer(&mut self, now: SimTime) {
+        if let Some(at) = self.engine.next_transfer_due() {
             self.queue.schedule(at.max(now), Ev::ServeTransfer);
         }
     }
 
-    /// Arrival path for the batched engine: route into the continuous
-    /// batch, then mirror the legacy accounting and event stream.
-    fn on_serve_arrival(&mut self, now: SimTime, req: Request) {
-        let serve_req = ServeRequest {
-            payload: req,
-            id: req.id,
-            input_tokens: req.input_tokens,
-            output_tokens: req.output_tokens,
-            high_priority: req.priority == Priority::High,
-        };
-        let arrival = self.serve_op(now, |e| e.on_arrival(now, serve_req));
-        self.record_admission(now, &req, arrival.kind, arrival.outcome.server);
-        self.absorb_serve(now, arrival.outcome);
+    fn on_wake(&mut self, now: SimTime, server: usize, version: u64) {
+        if let Some(outcome) = self.engine_op(now, |e| e.on_wake(now, server, version)) {
+            self.absorb(now, outcome);
+        }
     }
 
-    /// Records an arrival's admission, for either engine: the
-    /// dispatch (onto `server`), queue or rejection event, and for a
-    /// rejection the report's and the metric's counts.
+    fn on_serve_transfer(&mut self, now: SimTime) {
+        let outcomes = self.engine_op(now, |e| e.on_transfers_due(now));
+        for o in outcomes {
+            self.absorb(now, o);
+        }
+        // Re-arm for transfers still crossing the interconnect.
+        self.schedule_transfer(now);
+    }
+
+    /// Records an arrival's admission: the dispatch (onto `server`),
+    /// queue or rejection event, and for a rejection the report's and
+    /// the metric's counts.
     fn record_admission(
         &mut self,
         now: SimTime,
@@ -713,104 +752,21 @@ impl<P: PowerController> ClusterSim<P> {
 
     fn on_arrival(&mut self, now: SimTime, req: Request) {
         self.report.offered += 1;
-        let priority = req.priority;
-        match priority {
+        match req.priority {
             Priority::Low => self.report.offered_by_priority.0 += 1,
             Priority::High => self.report.offered_by_priority.1 += 1,
         }
         self.obs.add(
             "cluster.requests_offered",
-            Label::Tag(Self::pri_tag(priority)),
+            Label::Tag(Self::pri_tag(req.priority)),
             1,
         );
-        if self.engine.is_some() {
-            return self.on_serve_arrival(now, req);
+        let (arrival, splits_integrals) = self.engine.on_arrival(now, req);
+        if splits_integrals {
+            self.settle_power(now);
         }
-        let n = self.servers.len();
-        let cursor = match priority {
-            Priority::Low => &mut self.rr_cursor.0,
-            Priority::High => &mut self.rr_cursor.1,
-        };
-        let start = *cursor;
-        // First pass: an idle matching server (round-robin for fairness).
-        let idle = (0..n)
-            .map(|off| (start + off) % n)
-            .find(|&i| self.servers[i].priority() == priority && self.servers[i].is_idle());
-        if let Some(i) = idle {
-            *cursor = (i + 1) % n;
-            self.record_admission(now, &req, AdmissionKind::Started, i);
-            let (end_at, version) = self.mutate_server(now, i, |s| s.start_request(now, req));
-            self.start_legacy_span(now, i);
-            self.queue
-                .schedule(end_at, Ev::PhaseEnd { server: i, version });
-            return;
-        }
-        // Second pass: the matching server with buffer space and the
-        // shortest queue.
-        let target = self
-            .servers
-            .iter()
-            .filter(|s| s.priority() == priority && s.has_buffer_space())
-            .min_by_key(|s| s.queue_len())
-            .map(InferenceServer::id);
-        match target {
-            Some(i) => {
-                self.record_admission(now, &req, AdmissionKind::Queued, i);
-                let ok = self.servers[i].enqueue(req);
-                debug_assert!(ok, "buffer space was checked");
-            }
-            None => self.record_admission(now, &req, AdmissionKind::Rejected, 0),
-        }
-    }
-
-    fn on_phase_end(&mut self, now: SimTime, server: usize, version: u64) {
-        let outcome = self.mutate_server(now, server, |s| s.on_phase_end(now, version));
-        match outcome {
-            PhaseOutcome::Ignored => {}
-            PhaseOutcome::TokenStarted { end_at, version } => {
-                // The prompt phase just finished: under the legacy
-                // whole-request model the first output token becomes
-                // available now.
-                if let Some(traces) = self.legacy_trace.as_mut() {
-                    if let Some((start, span)) = traces[server].active.as_mut() {
-                        span.prefill_s = now.saturating_sub(*start).as_secs();
-                        span.first_token_s = Some(now.as_secs());
-                    }
-                }
-                self.queue
-                    .schedule(end_at, Ev::PhaseEnd { server, version });
-            }
-            PhaseOutcome::Completed { record, next } => {
-                let span = self
-                    .legacy_trace
-                    .as_mut()
-                    .and_then(|traces| traces[server].active.take());
-                self.record_completion(record);
-                if let Some((_, mut span)) = span {
-                    if let Some(first) = span.first_token_s {
-                        span.decode_s = (now.as_secs() - first).max(0.0);
-                        span.last_token_s = Some(now.as_secs());
-                    }
-                    self.record_request_span(&span, &record);
-                }
-                if let Some((end_at, version)) = next {
-                    // A buffered request was dequeued and started.
-                    self.start_legacy_span(now, server);
-                    self.queue
-                        .schedule(end_at, Ev::PhaseEnd { server, version });
-                }
-            }
-        }
-    }
-
-    /// Opens a polca-req span for the request that just entered service
-    /// on legacy server `idx` (no-op unless request tracing is on).
-    fn start_legacy_span(&mut self, now: SimTime, idx: usize) {
-        if let Some(traces) = self.legacy_trace.as_mut() {
-            let tr = &mut traces[idx];
-            tr.active = Some((now, ReqSpan::default()));
-            tr.last_t = now;
-        }
+        self.record_admission(now, &req, arrival.kind, arrival.outcome.server);
+        self.absorb(now, arrival.outcome);
     }
 
     /// Closes `span` against a completed request and lands the derived
@@ -878,28 +834,15 @@ impl<P: PowerController> ClusterSim<P> {
     /// ground-truth draw (no-op when no energy plan is attached). Runs
     /// on the row's own telemetry grid — and once more at the horizon —
     /// so the trapezoidal Wh integral covers exactly the windows every
-    /// other ground-truth consumer sees. All bucket sums are cached
-    /// incrementally (by this sim for the legacy path, by the batched
-    /// engine for itself), so a tick costs O(buckets), not O(servers).
+    /// other ground-truth consumer sees. Both engines keep their bucket
+    /// sums incrementally, so a tick costs O(buckets), not O(servers).
     fn tick_energy(&mut self, now: SimTime) {
-        if self.energy.is_none() {
+        let Some(acc) = self.energy.as_mut() else {
             return;
-        }
-        match &self.engine {
-            Some(e) => {
-                self.class_watts = e.class_power_watts();
-                e.write_pool_power(&mut self.pool_scratch);
-            }
-            None => self.pool_scratch[0].1 = self.row_power_watts,
-        }
-        if let Some(acc) = self.energy.as_mut() {
-            acc.tick(
-                now.as_secs(),
-                self.class_watts[0],
-                self.class_watts[1],
-                &self.pool_scratch,
-            );
-        }
+        };
+        let [low, high] = self.engine.class_power_watts();
+        self.engine.write_pool_power(&mut self.pool_scratch);
+        acc.tick(now.as_secs(), low, high, &self.pool_scratch);
     }
 
     fn on_telemetry(&mut self, now: SimTime) {
@@ -922,20 +865,7 @@ impl<P: PowerController> ClusterSim<P> {
             Label::Global,
             self.row_power_watts / self.ctx.provisioned_watts,
         );
-        if let Some(engine) = &self.engine {
-            self.obs
-                .gauge("serve.kv_occupancy", Label::Global, engine.kv_occupancy());
-            self.obs
-                .gauge("serve.batch_size", Label::Global, engine.mean_batch());
-            self.obs.gauge(
-                "serve.waiting_depth",
-                Label::Global,
-                engine.waiting_depth() as f64,
-            );
-            for (tag, watts) in engine.pool_power_watts() {
-                self.obs.gauge("serve.pool_power_w", Label::Tag(tag), watts);
-            }
-        }
+        self.engine.record_gauges(&self.obs);
         let observed = self.row_signal.read(now);
         // One publish per tick: ground truth plus the delayed view.
         self.config
@@ -948,6 +878,11 @@ impl<P: PowerController> ClusterSim<P> {
         for cr in requests {
             self.issue(now, cr);
         }
+        self.schedule_delivery(now);
+    }
+
+    /// Arms a delivery event for the OOB plane's next command, if any.
+    fn schedule_delivery(&mut self, now: SimTime) {
         if let Some(at) = self.plane.next_delivery() {
             self.queue.schedule(at.max(now), Ev::ControlDelivery);
         }
@@ -958,15 +893,11 @@ impl<P: PowerController> ClusterSim<P> {
             self.report.brake_engagements += 1;
             self.obs.add("cluster.brake_engagements", Label::Global, 1);
         }
+        let n = self.ctx.n_servers;
         let targets: Vec<usize> = match cr.target {
-            ControlTarget::All => (0..self.servers.len()).collect(),
-            ControlTarget::Priority(p) => self
-                .servers
-                .iter()
-                .filter(|s| s.priority() == p)
-                .map(InferenceServer::id)
-                .collect(),
-            ControlTarget::Server(i) => vec![i.min(self.servers.len().saturating_sub(1))],
+            ControlTarget::All => (0..n).collect(),
+            ControlTarget::Priority(p) => (0..n).filter(|&i| self.priorities[i] == p).collect(),
+            ControlTarget::Server(i) => vec![i.min(n.saturating_sub(1))],
         };
         for i in targets {
             self.plane.issue(now, i, cr.action);
@@ -978,7 +909,7 @@ impl<P: PowerController> ClusterSim<P> {
         let due = self.plane.deliver_due(now);
         for cmd in due {
             let idx = cmd.server;
-            if idx >= self.servers.len() {
+            if idx >= self.ctx.n_servers {
                 continue;
             }
             self.obs.record_with(|| {
@@ -999,30 +930,15 @@ impl<P: PowerController> ClusterSim<P> {
                     ControlAction::PowerBrake { on } => Event::BrakeEngaged { t, server: idx, on },
                 }
             });
-            if self.engine.is_some() {
-                let outcome = self.serve_op(now, |e| e.apply_action(now, idx, cmd.action));
-                self.absorb_serve(now, outcome);
-                continue;
-            }
-            let resched = self.mutate_server(now, idx, |s| s.apply_action(now, cmd.action));
-            if let Some((end_at, version)) = resched {
-                self.queue.schedule(
-                    end_at,
-                    Ev::PhaseEnd {
-                        server: idx,
-                        version,
-                    },
-                );
-            }
+            let outcome = self.engine_op(now, |e| e.apply_action(now, idx, cmd.action));
+            self.absorb(now, outcome);
         }
-        if let Some(at) = self.plane.next_delivery() {
-            self.queue.schedule(at.max(now), Ev::ControlDelivery);
-        }
+        self.schedule_delivery(now);
     }
 }
 
-/// A resumable row engine: the body of [`ClusterSim::run_source`]
-/// exposed as an incremental `step_until` API.
+/// A resumable row engine: the body of [`ClusterSim::run`] exposed as
+/// an incremental `step_until` API.
 ///
 /// A `RowSim` owns one row's complete simulation state — servers, event
 /// queue, OOB control plane, delayed telemetry signal, RNG streams —
@@ -1044,7 +960,6 @@ pub struct RowSim<P, S> {
     sim: ClusterSim<P>,
     source: S,
     horizon: SimTime,
-    stepped_to: SimTime,
 }
 
 impl<P: PowerController, S: RequestSource> RowSim<P, S> {
@@ -1065,7 +980,6 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
             sim,
             source,
             horizon,
-            stepped_to: SimTime::ZERO,
         };
         if let Some(first) = row.source.next_request() {
             row.sim.queue.schedule(first.arrival, Ev::Arrival(first));
@@ -1108,9 +1022,9 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
                         self.sim.queue.schedule(next.arrival, Ev::Arrival(next));
                     }
                 }
-                Ev::PhaseEnd { server, version } => {
-                    let _p = prof.time(Phase::PhaseEnd);
-                    self.sim.on_phase_end(now, server, version)
+                Ev::Wake { server, version } => {
+                    let _p = prof.time(self.sim.engine.wake_phase());
+                    self.sim.on_wake(now, server, version)
                 }
                 Ev::Telemetry => {
                     let _p = prof.time(Phase::TelemetryTick);
@@ -1124,29 +1038,12 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
                     let _p = prof.time(Phase::ControlDelivery);
                     self.sim.on_control_delivery(now)
                 }
-                Ev::ServeWake { server, version } => {
-                    let _p = prof.time(Phase::ServeIteration);
-                    self.sim.on_serve_wake(now, server, version)
-                }
                 Ev::ServeTransfer => {
                     let _p = prof.time(Phase::ServeIteration);
                     self.sim.on_serve_transfer(now)
                 }
             }
         }
-        if limit > self.stepped_to {
-            self.stepped_to = limit;
-        }
-    }
-
-    /// How far the engine has been stepped (capped at the horizon).
-    pub fn now(&self) -> SimTime {
-        self.stepped_to
-    }
-
-    /// The fixed simulation horizon.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
     }
 
     /// Instantaneous ground-truth row power, in watts.
@@ -1169,10 +1066,23 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
         &mut self.source
     }
 
+    /// Servers in the row.
+    pub(crate) fn n_servers(&self) -> usize {
+        self.sim.ctx.n_servers
+    }
+
     /// The most one server of the row can draw while serving and while
     /// idle (see [`ClusterSim`]'s `max_server_watts`).
     pub(crate) fn max_server_watts(&self) -> (f64, f64) {
         self.sim.max_server_watts
+    }
+
+    /// Servers that may serve before any arrival still in the source:
+    /// the legacy engine's busy servers and buffered requests, or every
+    /// server of the batched engine. The arrival already waiting in the
+    /// event queue is not counted.
+    pub(crate) fn committed_servers(&self) -> usize {
+        self.sim.engine.committed_servers()
     }
 
     /// Timestamp of the next queued event, or `None` when the queue is
@@ -1186,12 +1096,8 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
         self.sim.queue.peek_time()
     }
 
-    /// The row context (provisioned budget, server count).
-    pub fn context(&self) -> &RowContext {
-        &self.sim.ctx
-    }
-
-    /// Immutable view of the servers.
+    /// Immutable view of the legacy engine's servers (empty under the
+    /// batched engine).
     pub fn servers(&self) -> &[InferenceServer] {
         self.sim.servers()
     }
@@ -1199,12 +1105,6 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
     /// The continuous-batching engine, when one is configured.
     pub fn batched_row(&self) -> Option<&BatchedRow<Request>> {
         self.sim.batched_row()
-    }
-
-    /// Read-only view of the report accumulated so far (totals are
-    /// final only after [`finish`](Self::finish)).
-    pub fn report_so_far(&self) -> &SimReport {
-        &self.sim.report
     }
 
     /// Issues a control request on the row's OOB plane at `now`, as if
@@ -1218,9 +1118,7 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
     /// Panics if `now` is earlier than events already processed.
     pub fn inject(&mut self, now: SimTime, cr: ControlRequest) {
         self.sim.issue(now, cr);
-        if let Some(at) = self.sim.plane.next_delivery() {
-            self.sim.queue.schedule(at.max(now), Ev::ControlDelivery);
-        }
+        self.sim.schedule_delivery(now);
     }
 
     /// Steps to the horizon if not already there, closes the power
@@ -1387,16 +1285,14 @@ mod tests {
             }
         }
 
-        let cfg = SimConfig {
-            oob_cap_latency_s: (1.0, 2.0), // fast plane: the lock lands before requests
-            ..Default::default()
-        };
+        // The lock is issued at t = 0 and lands within 40 s (Table 2),
+        // before the requests arrive.
         let reqs = vec![
             mk_request(1, 60.0, Priority::Low),
             mk_request(2, 60.0, Priority::High),
         ];
-        let capped =
-            ClusterSim::new(small_row(), cfg, LockAll { done: false }).run(reqs.clone(), t(2000.0));
+        let capped = ClusterSim::new(small_row(), SimConfig::default(), LockAll { done: false })
+            .run(reqs.clone(), t(2000.0));
         let free =
             ClusterSim::new(small_row(), SimConfig::default(), NoopController).run(reqs, t(2000.0));
         assert_eq!(capped.completed, 2);
@@ -1497,7 +1393,6 @@ mod tests {
         for s in [0.0, 1.0, 1.0, 3.7, 250.0, 250.0, 999.9, 1500.0] {
             row.step_until(t(s));
         }
-        assert_eq!(row.now(), t(1000.0));
         let stepped = row.finish();
         assert_eq!(stepped.completed, one_shot.completed);
         assert_eq!(stepped.offered, one_shot.offered);
@@ -1518,13 +1413,9 @@ mod tests {
             std::iter::empty(),
             t(100.0),
         );
-        assert_eq!(row.horizon(), t(100.0));
         assert_eq!(row.servers().len(), 4);
-        assert!(row.context().provisioned_watts > 0.0);
         row.step_until(t(10.0));
-        assert_eq!(row.now(), t(10.0));
         assert!(row.row_power_watts() > 0.0);
-        assert!(row.report_so_far().events_processed > 0);
         let report = row.finish();
         assert_eq!(report.duration, t(100.0));
     }

@@ -306,15 +306,16 @@ fn brake_request(on: bool) -> ControlRequest {
 /// bounds the row's power at every instant in `[t, u]`, whatever the
 /// row's controller, its OOB plane or injected brakes do:
 ///
-/// * **legacy engine** — `m·P_max + (n − m)·P_idle` over `n` servers,
-///   where `m = min(n, busy + buffered + 1 + arrivals due by u)`
-///   bounds the servers that can be serving (a server leaves hot idle
-///   only to serve a buffered request or a new arrival; the 1 is the
-///   arrival already waiting in the event queue), `P_max` is a
-///   server's draw at workload intensity 1 and the full clock, and
-///   `P_idle` its hot-idle draw at the full clock;
-/// * **batched engine** — `n·P_max`: split pools move work between
-///   servers without arrivals, so arrivals bound nothing there.
+/// `m·P_max + (n − m)·P_idle` over `n` servers, where
+/// `m = min(n, committed + 1 + arrivals due by u)` bounds the servers
+/// that can be serving, `P_max` is a server's draw at workload
+/// intensity 1 and the full clock, and `P_idle` its hot-idle draw at
+/// the full clock. The 1 is the arrival already waiting in the event
+/// queue. The legacy engine commits its busy servers and buffered
+/// requests (a server leaves hot idle only to serve one of those or a
+/// new arrival); the batched engine commits all `n` servers, since its
+/// split pools move work between servers without arrivals, so it is
+/// bounded at `n·P_max` whatever its feed holds.
 #[derive(Debug, Clone)]
 pub struct PowerCeiling<'a> {
     servers: usize,
@@ -334,23 +335,12 @@ impl<'a> PowerCeiling<'a> {
         row: &'a RowSim<P, S>,
     ) -> Self {
         let (serving_watts, idle_watts) = row.max_server_watts();
-        let (servers, committed, pending) = match row.batched_row() {
-            Some(engine) => (engine.n_servers(), engine.n_servers(), &[][..]),
-            None => {
-                let servers = row.servers();
-                let busy_or_buffered: usize = servers
-                    .iter()
-                    .map(|s| usize::from(!s.is_idle()) + s.queue_len())
-                    .sum();
-                (servers.len(), busy_or_buffered + 1, row.source().pending())
-            }
-        };
         PowerCeiling {
-            servers,
+            servers: row.n_servers(),
             serving_watts,
             idle_watts,
-            committed,
-            pending,
+            committed: row.committed_servers() + 1,
+            pending: row.source().pending(),
             arrived: 0,
         }
     }
@@ -1008,7 +998,10 @@ impl<P: PowerController> SiteSim<P> {
     }
 
     /// Runs every row to the horizon, aggregating power at each
-    /// telemetry-window boundary, and returns the site report.
+    /// telemetry-window boundary, and returns the site report. The
+    /// site recorder then also holds each row's energy account and
+    /// profile, folded in row order: its energy ledger covers the
+    /// whole site, and its profile the whole run.
     pub fn run(mut self) -> SiteReport {
         self.run_epochs();
         self.into_report()
@@ -1016,11 +1009,17 @@ impl<P: PowerController> SiteSim<P> {
 
     fn into_report(self) -> SiteReport {
         let SiteMonitor {
+            obs,
             hierarchy: h,
             levels: [pdus, dcs, site],
             brakes,
             ..
         } = self.monitor;
+        let rows = self.rows.into_iter().map(RowSim::finish).collect();
+        for rec in &self.row_recorders {
+            obs.absorb_energy(rec);
+            obs.prof().merge_from(rec.prof());
+        }
         let peaks = |level: &Level| level.units.iter().map(|u| u.peak).collect();
         SiteReport {
             datacenters: h.n_datacenters(),
@@ -1028,7 +1027,7 @@ impl<P: PowerController> SiteSim<P> {
             pdu_budget_watts: pdus.units.iter().map(|u| u.budget).collect(),
             datacenter_budget_watts: h.datacenter_budget_watts(),
             site_budget_watts: h.site_budget_watts(),
-            rows: self.rows.into_iter().map(RowSim::finish).collect(),
+            rows,
             row_recorders: self.row_recorders,
             pdu_peak_watts: peaks(&pdus),
             datacenter_peak_watts: peaks(&dcs),

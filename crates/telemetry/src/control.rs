@@ -63,6 +63,13 @@ pub struct ControlCommand {
     pub effective_at: SimTime,
 }
 
+/// Capping-path latency range `[min, max)` in seconds (Table 2: up to
+/// 40 s).
+const CAP_LATENCY_S: (f64, f64) = (20.0, 40.0);
+
+/// Brake-path latency range `[min, max)` in seconds (Table 2: ≤ 5 s).
+const BRAKE_LATENCY_S: (f64, f64) = (2.0, 5.0);
+
 /// The OOB command dispatcher.
 ///
 /// # Examples
@@ -81,11 +88,6 @@ pub struct ControlCommand {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OobControlPlane {
-    /// Capping-path latency range `[min, max)` in seconds (Table 2: up to
-    /// 40 s).
-    cap_latency_s: (f64, f64),
-    /// Brake-path latency range `[min, max)` in seconds (Table 2: ≤ 5 s).
-    brake_latency_s: (f64, f64),
     /// Probability a capping command silently fails.
     failure_rate: f64,
     rng: SimRng,
@@ -101,8 +103,6 @@ impl OobControlPlane {
     /// capping 20–40 s, brake 2–5 s, no failure injection.
     pub fn new(seed: u64) -> Self {
         OobControlPlane {
-            cap_latency_s: (20.0, 40.0),
-            brake_latency_s: (2.0, 5.0),
             failure_rate: 0.0,
             rng: SimRng::from_seed_stream(seed, 0x0C01_1701),
             in_flight: VecDeque::new(),
@@ -120,28 +120,6 @@ impl OobControlPlane {
         self.recorder = recorder;
     }
 
-    /// Overrides the capping-path latency range in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or negative.
-    pub fn with_cap_latency(mut self, min_s: f64, max_s: f64) -> Self {
-        assert!(0.0 <= min_s && min_s < max_s, "invalid latency range");
-        self.cap_latency_s = (min_s, max_s);
-        self
-    }
-
-    /// Overrides the brake-path latency range in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or negative.
-    pub fn with_brake_latency(mut self, min_s: f64, max_s: f64) -> Self {
-        assert!(0.0 <= min_s && min_s < max_s, "invalid latency range");
-        self.brake_latency_s = (min_s, max_s);
-        self
-    }
-
     /// Injects silent command failures with probability `rate` (clamped
     /// to `[0, 1]`). Failed commands consume latency and then simply
     /// never arrive — exactly the failure mode §3.3 describes.
@@ -154,9 +132,9 @@ impl OobControlPlane {
     /// command id.
     pub fn issue(&mut self, now: SimTime, server: usize, action: ControlAction) -> u64 {
         let (lo, hi) = if action.is_brake() {
-            self.brake_latency_s
+            BRAKE_LATENCY_S
         } else {
-            self.cap_latency_s
+            CAP_LATENCY_S
         };
         let latency = self.rng.uniform(lo, hi);
         let id = self.next_id;
@@ -321,18 +299,5 @@ mod tests {
         let next = plane.next_delivery().unwrap();
         assert!(next.as_secs() <= 5.0);
         assert_eq!(plane.in_flight_len(), 1);
-    }
-
-    #[test]
-    fn custom_latency_ranges_apply() {
-        let mut plane = OobControlPlane::new(8).with_cap_latency(1.0, 2.0);
-        plane.issue(SimTime::ZERO, 0, ControlAction::LockClock { mhz: 1110.0 });
-        assert_eq!(plane.deliver_due(t(2.0)).len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid latency range")]
-    fn empty_latency_range_rejected() {
-        let _ = OobControlPlane::new(9).with_cap_latency(5.0, 5.0);
     }
 }

@@ -82,8 +82,8 @@ fn arrivals(seed: u64) -> Vec<Request> {
 
 /// One full 2 × 2-datacenter site run at `threads` workers with the
 /// energy ledger attached (per-datacenter PUEs, tight enforced budgets
-/// so brakes fire mid-run), absorbed in canonical row order exactly as
-/// the CLI fleet path does.
+/// so brakes fire mid-run). The site folds its rows' accounts into the
+/// site recorder itself, in row order.
 fn run_energy_site(seed: u64, threads: usize) -> EnergyLedger {
     let plan = EnergyPlan::new(CarbonSignal::diurnal_default()).with_pue(&[1.2, 1.4]);
     let recorder = Recorder::new(ObsLevel::Metrics).with_energy(plan);
@@ -103,7 +103,7 @@ fn run_energy_site(seed: u64, threads: usize) -> EnergyLedger {
     site.base.seed = seed;
     site.base.recorder = recorder.clone();
     let policy = PolcaPolicy::default();
-    let report = SiteSim::new(
+    SiteSim::new(
         row,
         site,
         |_, rec| PolcaController::new(policy.clone()).with_recorder(rec.clone()),
@@ -111,9 +111,6 @@ fn run_energy_site(seed: u64, threads: usize) -> EnergyLedger {
         SimTime::from_secs(20.0 * 60.0 + 600.0),
     )
     .run();
-    for rec in &report.row_recorders {
-        recorder.absorb_energy(rec);
-    }
     recorder.artifacts().energy_ledger()
 }
 

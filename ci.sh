@@ -174,9 +174,19 @@ for d in agg split; do
     done
     grep -q '^serve_kv_occupancy ' "$serve_out/$d/metrics.prom" \
         || { echo "no KV-occupancy gauge in $d/metrics.prom"; exit 1; }
+    # Batched wakes and transfers are timed as serve.iteration; only
+    # legacy phase ends are timed as row.phase_end.
     grep -q '"serve.iteration"' "$serve_out/$d/prof.json" \
         || { echo "no serve.iteration phase in $d/prof.json"; exit 1; }
+    grep -q '"row.phase_end"' "$serve_out/$d/prof.json" \
+        && { echo "batched $d/prof.json lists row.phase_end"; exit 1; }
 done
+cargo run -q --offline --release -p polca-cli -- \
+    evaluate --engine legacy --days 0.02 --obs-out "$serve_out/legacy" > /dev/null
+grep -q '"row.phase_end"' "$serve_out/legacy/prof.json" \
+    || { echo "no row.phase_end phase in legacy/prof.json"; exit 1; }
+grep -q '"serve.iteration"' "$serve_out/legacy/prof.json" \
+    && { echo "legacy prof.json lists serve.iteration"; exit 1; }
 grep -q 'serve_pool_power_w{tag="aggregated"}' "$serve_out/agg/metrics.prom" \
     || { echo "no aggregated pool power gauge"; exit 1; }
 grep -q 'serve_pool_power_w{tag="prefill"}' "$serve_out/split/metrics.prom" \
@@ -185,41 +195,47 @@ grep -q 'serve_pool_power_w{tag="decode"}' "$serve_out/split/metrics.prom" \
     || { echo "no decode pool power gauge"; exit 1; }
 
 echo "== polca-cli req-trace smoke test =="
-req_out="$(scratch)"
-cargo run -q --offline --release -p polca-cli -- \
-    evaluate --engine batched --req-trace --days 0.02 --obs-out "$req_out"
-[[ -s "$req_out/requests.jsonl" ]] \
-    || { echo "req-trace wrote no requests.jsonl"; exit 1; }
-# Every record must carry the lifecycle + energy schema fields.
-for field in '"id"' '"priority"' '"queue_s"' '"ttft_s"' '"tbt_mean_s"' \
-             '"tbt_max_s"' '"preemptions"' '"joules"' '"joules_per_token"' \
-             '"co2e_g"' '"pue_applied"'; do
-    grep -vq "$field" "$req_out/requests.jsonl" \
-        && { echo "requests.jsonl line missing $field"; exit 1; }
+# Both engines trace request spans, each on its own path.
+for engine in batched legacy; do
+    req_out="$(scratch)"
+    cargo run -q --offline --release -p polca-cli -- \
+        evaluate --engine "$engine" --req-trace --days 0.02 --obs-out "$req_out"
+    [[ -s "$req_out/requests.jsonl" ]] \
+        || { echo "$engine req-trace wrote no requests.jsonl"; exit 1; }
+    # Every record must carry the lifecycle + energy schema fields.
+    for field in '"id"' '"priority"' '"queue_s"' '"ttft_s"' '"tbt_mean_s"' \
+                 '"tbt_max_s"' '"preemptions"' '"joules"' '"joules_per_token"' \
+                 '"co2e_g"' '"pue_applied"'; do
+        grep -vq "$field" "$req_out/requests.jsonl" \
+            && { echo "$engine requests.jsonl line missing $field"; exit 1; }
+    done
+    # The per-priority TTFT histograms land in the Prometheus export.
+    grep -q '^# TYPE req_ttft_s summary' "$req_out/metrics.prom" \
+        || { echo "no req_ttft_s histogram in $engine metrics.prom"; exit 1; }
+    grep -q '^req_ttft_s{tag="' "$req_out/metrics.prom" \
+        || { echo "$engine req_ttft_s has no per-priority series"; exit 1; }
+    grep -q '^req_joules_per_token{tag="' "$req_out/metrics.prom" \
+        || { echo "no joules-per-token histogram in $engine metrics.prom"; exit 1; }
 done
-# The per-priority TTFT histograms land in the Prometheus export.
-grep -q '^# TYPE req_ttft_s summary' "$req_out/metrics.prom" \
-    || { echo "no req_ttft_s histogram in metrics.prom"; exit 1; }
-grep -q '^req_ttft_s{tag="' "$req_out/metrics.prom" \
-    || { echo "req_ttft_s has no per-priority series"; exit 1; }
-grep -q '^req_joules_per_token{tag="' "$req_out/metrics.prom" \
-    || { echo "no joules-per-token histogram in metrics.prom"; exit 1; }
 
 echo "== polca-cli energy smoke test =="
-energy_out="$(scratch)"
-cargo run -q --offline --release -p polca-cli -- \
-    evaluate --engine batched --carbon-diurnal --days 0.02 \
-    --obs-out "$energy_out" > "$energy_out/summary.txt"
-for f in energy.json energy.csv metrics.prom; do
-    [[ -s "$energy_out/$f" ]] \
-        || { echo "missing energy artifact: $f"; exit 1; }
+# Both engines keep an energy ledger, each on its own path.
+for engine in batched legacy; do
+    energy_out="$(scratch)"
+    cargo run -q --offline --release -p polca-cli -- \
+        evaluate --engine "$engine" --carbon-diurnal --days 0.02 \
+        --obs-out "$energy_out" > "$energy_out/summary.txt"
+    for f in energy.json energy.csv metrics.prom; do
+        [[ -s "$energy_out/$f" ]] \
+            || { echo "missing $engine energy artifact: $f"; exit 1; }
+    done
+    grep -q '^energy_site_wh ' "$energy_out/metrics.prom" \
+        || { echo "no energy_site_wh gauge in $engine metrics.prom"; exit 1; }
+    grep -q '^carbon_site_g ' "$energy_out/metrics.prom" \
+        || { echo "no carbon_site_g gauge in $engine metrics.prom"; exit 1; }
+    grep -q 'gCO2e' "$energy_out/summary.txt" \
+        || { echo "$engine evaluate printed no energy ledger table"; exit 1; }
 done
-grep -q '^energy_site_wh ' "$energy_out/metrics.prom" \
-    || { echo "no energy_site_wh gauge in metrics.prom"; exit 1; }
-grep -q '^carbon_site_g ' "$energy_out/metrics.prom" \
-    || { echo "no carbon_site_g gauge in metrics.prom"; exit 1; }
-grep -q 'gCO2e' "$energy_out/summary.txt" \
-    || { echo "evaluate printed no energy ledger table"; exit 1; }
 # The bundled grid trace drives the same run (sample-and-hold CSV
 # ingestion), and the ledger lands with a non-trivial carbon account.
 energy_trace_out="$(scratch)"

@@ -15,18 +15,20 @@
 //! * [`server`] — the *legacy* per-server state machine used by the
 //!   paper's §6.6 evaluation: one request in service plus a small
 //!   buffer, prompt → token phase progression, frequency lock / power
-//!   brake effects on in-flight work. The `polca-serve` crate provides
-//!   the alternative continuous-batching engine (iteration-level
-//!   scheduling, paged KV-cache, prefill/decode pools), selected per
-//!   run via [`sim::EngineKind`],
+//!   brake effects on in-flight work — and the row of such servers,
+//!   which answers the simulator as the `polca-serve` crate's
+//!   continuous-batching row does (iteration-level scheduling, paged
+//!   KV-cache, prefill/decode pools); [`sim::EngineKind`] selects one
+//!   per run,
 //! * [`row`] — the row of Table 2: 40 DGX-A100 servers behind one PDU,
-//! * [`sim`] — the event-driven simulator: arrivals, dispatch, phase
-//!   transitions, 2 s row telemetry with propagation delay, OOB command
+//!   and the priority layout both engines share,
+//! * [`sim`] — the event-driven simulator: arrivals, dispatch, server
+//!   wakes, 2 s row telemetry with propagation delay, OOB command
 //!   delivery, and a pluggable [`sim::PowerController`]
-//!   (POLCA and its baselines live in the `polca` crate). The run loop
-//!   is factored into the resumable [`sim::RowSim`] engine, which
-//!   supports `step_until`-style incremental execution and drives
-//!   either serving engine,
+//!   (POLCA and its baselines live in the `polca` crate), with one path
+//!   per event for either serving engine. The run loop is factored into
+//!   the resumable [`sim::RowSim`] engine, which supports
+//!   `step_until`-style incremental execution,
 //! * [`site`] — [`site::SiteSim`]: N datacenters of M rows each under a
 //!   [`hierarchy::SiteHierarchy`] (per-PDU, datacenter, and site
 //!   budgets), stepped by an optional scoped thread pool in epochs of

@@ -534,6 +534,7 @@ impl LegacyRow {
     /// Dispatches an arriving request: to the next idle server of its
     /// class in round-robin order, else into the shortest buffer of its
     /// class with space, else it is rejected.
+    #[inline]
     pub(crate) fn on_arrival(&mut self, now: SimTime, req: Request) -> ArrivalOutcome<Request> {
         let n = self.servers.len();
         let cursor = &mut self.cursors[class(req.priority)];
@@ -572,6 +573,7 @@ impl LegacyRow {
 
     /// Handles server `server`'s phase end; `None` if `version` is
     /// stale (the phase was rescheduled since).
+    #[inline]
     pub(crate) fn on_wake(
         &mut self,
         now: SimTime,
@@ -615,6 +617,7 @@ impl LegacyRow {
     }
 
     /// Applies a delivered OOB control action to `server`.
+    #[inline]
     pub(crate) fn apply_action(
         &mut self,
         now: SimTime,

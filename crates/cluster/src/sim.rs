@@ -18,9 +18,15 @@
 //!   iteration-level scheduling over a paged KV-cache, chunked
 //!   prefill, and optionally disaggregated prefill/decode pools.
 //!
-//! Both engines sit below the same telemetry, OOB control, power
-//! accounting, and observability planes, so every controller and
-//! downstream consumer works unchanged on either.
+//! Each engine is a row type — the legacy `LegacyRow` in
+//! [`crate::server`], `polca_serve::BatchedRow` — answering with one
+//! set of method names and `polca-serve`'s outcome types, so the
+//! simulator keeps one path per event whichever carries the traffic:
+//! one arrival path, one per-server wake, one completion fold, one
+//! control-delivery path and one energy tick. Both engines sit below
+//! the same telemetry, OOB control, power accounting, and
+//! observability planes, so every controller and downstream consumer
+//! works unchanged on either.
 
 use polca_gpu::HOT_IDLE_INTENSITY;
 use polca_llm::InferenceModel;
@@ -71,8 +77,8 @@ pub struct RowContext {
 /// The simulator is source-agnostic: the synthetic
 /// `polca_trace::ArrivalGenerator`, plain request vectors, and
 /// `polca-ingest`'s verbatim replay of an externally captured trace all
-/// drive [`ClusterSim::run_source`] through this trait. Every iterator
-/// of [`Request`]s is a source via the blanket impl, so generators stay
+/// drive a [`RowSim`] through this trait. Every iterator of
+/// [`Request`]s is a source via the blanket impl, so generators stay
 /// lazy and replays can stream from disk.
 pub trait RequestSource {
     /// The next request in arrival order, or `None` when the source is

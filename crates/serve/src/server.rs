@@ -328,14 +328,6 @@ impl<T> BatchServer<T> {
             * self.power_scale;
     }
 
-    /// The most this server can draw: workload intensity 1 at the full
-    /// clock. Iteration intensities are blends of phase intensities in
-    /// `[0, 1]` and the DVFS scale never exceeds 1, so `power_watts`
-    /// stays at or below it whatever the batch, lock or brake.
-    pub fn max_power_watts(&self) -> f64 {
-        self.spec.power_watts(self.deployment.n_gpus(), 1.0, 1.0) * self.power_scale
-    }
-
     /// Advances fluid progress from `epoch_start` to `now` at the
     /// current epoch's rates, growing decode KV allocations and
     /// preempting the youngest sequences if the pool runs dry.

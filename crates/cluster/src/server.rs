@@ -33,6 +33,7 @@ use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
 
 use crate::request::{CompletedRequest, Priority, Request};
+use crate::row::RowConfig;
 
 /// Which phase the active request is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -433,41 +434,17 @@ fn class(priority: Priority) -> usize {
     usize::from(priority == Priority::High)
 }
 
-/// What an operation on one server produced, in the batched engine's
-/// outcome type (the legacy engine never preempts or ships KV).
-fn outcome(
-    server: usize,
-    wake: Option<(SimTime, u64)>,
-    completions: Vec<Completion<Request>>,
-) -> ServeOutcome<Request> {
-    ServeOutcome {
-        server,
-        wake,
-        completions,
-        preemptions: 0,
-        transfers_queued: false,
-    }
-}
-
 impl LegacyRow {
-    /// A row of idle `servers` whose power is scaled by `power_scale`,
-    /// tracing each request's span when `trace_requests` is set.
-    pub(crate) fn new(
-        mut servers: Vec<InferenceServer>,
-        power_scale: f64,
-        trace_requests: bool,
-    ) -> Self {
+    /// The idle servers of `row`, whose power is scaled by
+    /// `power_scale`, tracing each request's span when `trace_requests`
+    /// is set.
+    pub(crate) fn new(row: &RowConfig, power_scale: f64, trace_requests: bool) -> Self {
+        let mut servers = row.build_servers();
+        let mut total_power = 0.0;
+        let mut class_power = [0.0; 2];
         for s in &mut servers {
             s.set_power_scale(power_scale);
-        }
-        let total_power = servers.iter().map(InferenceServer::power_watts).sum();
-        let busy_power = servers
-            .iter()
-            .filter(|s| !s.is_idle())
-            .map(InferenceServer::power_watts)
-            .sum();
-        let mut class_power = [0.0; 2];
-        for s in &servers {
+            total_power += s.power_watts();
             class_power[class(s.priority())] += s.power_watts();
         }
         let spans = if trace_requests {
@@ -479,7 +456,8 @@ impl LegacyRow {
             servers,
             cursors: [0, 0],
             total_power,
-            busy_power,
+            // Every server starts idle.
+            busy_power: 0.0,
             class_power,
             spans,
         }
@@ -488,12 +466,6 @@ impl LegacyRow {
     /// The row's servers.
     pub(crate) fn servers(&self) -> &[InferenceServer] {
         &self.servers
-    }
-
-    /// Servers in the row.
-    #[inline]
-    pub(crate) fn n_servers(&self) -> usize {
-        self.servers.len()
     }
 
     /// Instantaneous row power, in watts.
@@ -548,7 +520,7 @@ impl LegacyRow {
             self.open_span(now, i);
             return ArrivalOutcome {
                 kind: AdmissionKind::Started,
-                outcome: outcome(i, Some(wake), Vec::new()),
+                outcome: ServeOutcome::new(i, Some(wake), Vec::new()),
             };
         }
         let target = self
@@ -567,7 +539,7 @@ impl LegacyRow {
         };
         ArrivalOutcome {
             kind,
-            outcome: outcome(target.unwrap_or(0), None, Vec::new()),
+            outcome: ServeOutcome::new(target.unwrap_or(0), None, Vec::new()),
         }
     }
 
@@ -589,7 +561,11 @@ impl LegacyRow {
                     open.span.prefill_s = now.saturating_sub(open.started).as_secs();
                     open.span.first_token_s = Some(now.as_secs());
                 }
-                Some(outcome(server, Some((end_at, version)), Vec::new()))
+                Some(ServeOutcome::new(
+                    server,
+                    Some((end_at, version)),
+                    Vec::new(),
+                ))
             }
             PhaseOutcome::Completed { record, next } => {
                 let mut span = self
@@ -611,7 +587,7 @@ impl LegacyRow {
                     started_at: record.started_at,
                     span,
                 };
-                Some(outcome(server, next, vec![done]))
+                Some(ServeOutcome::new(server, next, vec![done]))
             }
         }
     }
@@ -625,7 +601,7 @@ impl LegacyRow {
         action: ControlAction,
     ) -> ServeOutcome<Request> {
         let wake = self.change(now, server, |s| s.apply_action(now, action));
-        outcome(server, wake, Vec::new())
+        ServeOutcome::new(server, wake, Vec::new())
     }
 
     /// Runs `f` against server `idx`: charges the server's draw since

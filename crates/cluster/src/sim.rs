@@ -299,89 +299,40 @@ enum Ev {
 
 /// The serving engine behind a row. Both rows answer with one set of
 /// method names and `polca-serve`'s outcome types, so the simulator
-/// keeps one path per event; each arm below is only the forwarding.
+/// keeps one path per event: `each_row!` calls a shared method on
+/// whichever row it is, and the methods below hold what differs.
 enum Engine {
     Legacy(LegacyRow),
     Batched(BatchedRow<Request>),
 }
 
+/// Calls a method that both row types have on whichever row `$engine`
+/// holds.
+macro_rules! each_row {
+    ($engine:expr, $row:ident => $call:expr) => {
+        match $engine {
+            Engine::Legacy($row) => $call,
+            Engine::Batched($row) => $call,
+        }
+    };
+}
+
 impl Engine {
-    fn new(
-        row: &RowConfig,
-        config: &SimConfig,
-        deployment: InferenceModel,
-        obs: &Recorder,
-    ) -> Self {
+    fn new(row: &RowConfig, config: &SimConfig, priorities: &[Priority], obs: &Recorder) -> Self {
         match &config.engine {
-            EngineKind::Legacy => Engine::Legacy(LegacyRow::new(
-                row.build_servers(),
-                config.power_scale,
-                obs.req_enabled(),
-            )),
+            EngineKind::Legacy => {
+                Engine::Legacy(LegacyRow::new(row, config.power_scale, obs.req_enabled()))
+            }
             EngineKind::Batched(serve_cfg) => {
                 let params = BatchedRowParams {
-                    deployment,
-                    classes: row
-                        .priorities()
-                        .into_iter()
-                        .map(|p| p == Priority::High)
-                        .collect(),
+                    deployment: InferenceModel::new(row.model.clone(), row.server_spec.gpu.clone())
+                        .expect("row model must fit its GPU allocation"),
+                    classes: priorities.iter().map(|&p| p == Priority::High).collect(),
                     spec: row.server_spec.clone(),
                     power_scale: config.power_scale,
                 };
                 Engine::Batched(BatchedRow::new(params, serve_cfg, obs.prof().clone()))
             }
-        }
-    }
-
-    #[inline]
-    fn n_servers(&self) -> usize {
-        match self {
-            Engine::Legacy(row) => row.n_servers(),
-            Engine::Batched(row) => row.n_servers(),
-        }
-    }
-
-    #[inline]
-    fn total_power_watts(&self) -> f64 {
-        match self {
-            Engine::Legacy(row) => row.total_power_watts(),
-            Engine::Batched(row) => row.total_power_watts(),
-        }
-    }
-
-    #[inline]
-    fn busy_power_watts(&self) -> f64 {
-        match self {
-            Engine::Legacy(row) => row.busy_power_watts(),
-            Engine::Batched(row) => row.busy_power_watts(),
-        }
-    }
-
-    #[inline]
-    fn class_power_watts(&self) -> [f64; 2] {
-        match self {
-            Engine::Legacy(row) => row.class_power_watts(),
-            Engine::Batched(row) => row.class_power_watts(),
-        }
-    }
-
-    #[inline]
-    fn write_pool_power(&self, out: &mut Vec<(&'static str, f64)>) {
-        match self {
-            Engine::Legacy(row) => row.write_pool_power(out),
-            Engine::Batched(row) => row.write_pool_power(out),
-        }
-    }
-
-    /// Servers that may serve before any further arrival. Split pools
-    /// move work between batched servers without arrivals, so the
-    /// batched engine commits all of them.
-    #[inline]
-    fn committed_servers(&self) -> usize {
-        match self {
-            Engine::Legacy(row) => row.committed_servers(),
-            Engine::Batched(row) => row.n_servers(),
         }
     }
 
@@ -411,38 +362,12 @@ impl Engine {
         }
     }
 
-    #[inline]
-    fn on_wake(
-        &mut self,
-        now: SimTime,
-        server: usize,
-        version: u64,
-    ) -> Option<ServeOutcome<Request>> {
-        match self {
-            Engine::Legacy(row) => row.on_wake(now, server, version),
-            Engine::Batched(row) => row.on_wake(now, server, version),
-        }
-    }
-
     /// The profiler phase a wake is timed as.
     #[inline]
     fn wake_phase(&self) -> Phase {
         match self {
             Engine::Legacy(_) => Phase::PhaseEnd,
             Engine::Batched(_) => Phase::ServeIteration,
-        }
-    }
-
-    #[inline]
-    fn apply_action(
-        &mut self,
-        now: SimTime,
-        server: usize,
-        action: ControlAction,
-    ) -> ServeOutcome<Request> {
-        match self {
-            Engine::Legacy(row) => row.apply_action(now, server, action),
-            Engine::Batched(row) => row.apply_action(now, server, action),
         }
     }
 
@@ -453,7 +378,6 @@ impl Engine {
         }
     }
 
-    #[inline]
     fn next_transfer_due(&self) -> Option<SimTime> {
         match self {
             Engine::Legacy(_) => None,
@@ -526,25 +450,14 @@ impl<P: PowerController> ClusterSim<P> {
     /// Panics if the row's model does not fit its GPU allocation.
     pub fn new(row: RowConfig, config: SimConfig, controller: P) -> Self {
         let obs = config.recorder.clone();
-        let deployment = InferenceModel::new(row.model.clone(), row.server_spec.gpu.clone())
-            .expect("row model must fit its GPU allocation");
-        // Every server runs one deployment on one spec, on either
-        // engine: its draw at workload intensity 1 and at hot idle, at
-        // the full clock, bounds every server's draw while serving and
-        // while idle (phase intensities lie in [0, 1] and the DVFS
-        // scale never exceeds 1).
-        let server_watts = |intensity| {
-            row.server_spec
-                .power_watts(deployment.n_gpus(), intensity, 1.0)
-                * config.power_scale
-        };
-        let max_server_watts = (server_watts(1.0), server_watts(HOT_IDLE_INTENSITY));
-        let engine = Engine::new(&row, &config, deployment, &obs);
-        let row_power_watts = engine.total_power_watts();
+        let max_server_watts = max_server_watts(&row, config.power_scale);
+        let priorities = row.priorities();
+        let engine = Engine::new(&row, &config, &priorities, &obs);
+        let row_power_watts = each_row!(&engine, r => r.total_power_watts());
         let mut pool_scratch: Vec<(&'static str, f64)> = Vec::new();
-        engine.write_pool_power(&mut pool_scratch);
+        each_row!(&engine, r => r.write_pool_power(&mut pool_scratch));
         let energy = obs.energy_plan().map(|plan| {
-            let [low, high] = engine.class_power_watts();
+            let [low, high] = each_row!(&engine, r => r.class_power_watts());
             EnergyAccum::new(plan.clone(), 0.0, low, high, &pool_scratch)
         });
         let mut plane =
@@ -554,7 +467,7 @@ impl<P: PowerController> ClusterSim<P> {
         queue.set_probe(obs.queue_probe());
         let ctx = RowContext {
             provisioned_watts: row.provisioned_watts(),
-            n_servers: engine.n_servers(),
+            n_servers: row.total_servers(),
         };
         ClusterSim {
             row_signal: DelayedSignal::new(SimTime::from_secs(config.telemetry_delay_s)),
@@ -564,35 +477,17 @@ impl<P: PowerController> ClusterSim<P> {
             row_power_watts,
             last_power_change: SimTime::ZERO,
             power_integral: 0.0,
-            busy_watts: engine.busy_power_watts(),
+            busy_watts: each_row!(&engine, r => r.busy_power_watts()),
             busy_integral: 0.0,
             energy,
             pool_scratch,
             obs,
-            priorities: row.priorities(),
+            priorities,
             engine,
             ctx,
             config,
             controller,
             max_server_watts,
-        }
-    }
-
-    /// Immutable view of the legacy engine's servers (for tests and
-    /// inspection); empty under [`EngineKind::Batched`], whose row
-    /// [`batched_row`](Self::batched_row) exposes instead.
-    pub fn servers(&self) -> &[InferenceServer] {
-        match &self.engine {
-            Engine::Legacy(row) => row.servers(),
-            Engine::Batched(_) => &[],
-        }
-    }
-
-    /// The continuous-batching engine, when one is configured.
-    pub fn batched_row(&self) -> Option<&BatchedRow<Request>> {
-        match &self.engine {
-            Engine::Legacy(_) => None,
-            Engine::Batched(row) => Some(row),
         }
     }
 
@@ -618,7 +513,16 @@ impl<P: PowerController> ClusterSim<P> {
     /// and the t = 0 telemetry tick immediately, exactly as
     /// [`run`](Self::run) would.
     pub fn into_row_sim<S: RequestSource>(self, arrivals: S, horizon: SimTime) -> RowSim<P, S> {
-        RowSim::start(self, arrivals, horizon)
+        let mut row = RowSim {
+            sim: self,
+            source: arrivals,
+            horizon,
+        };
+        if let Some(first) = row.source.next_request() {
+            row.sim.queue.schedule(first.arrival, Ev::Arrival(first));
+        }
+        row.sim.queue.schedule(SimTime::ZERO, Ev::Telemetry);
+        row
     }
 
     fn accumulate_power(&mut self, now: SimTime) {
@@ -634,8 +538,8 @@ impl<P: PowerController> ClusterSim<P> {
     /// engine's new watts.
     fn settle_power(&mut self, now: SimTime) {
         self.accumulate_power(now);
-        self.row_power_watts = self.engine.total_power_watts();
-        self.busy_watts = self.engine.busy_power_watts();
+        self.row_power_watts = each_row!(&self.engine, r => r.total_power_watts());
+        self.busy_watts = each_row!(&self.engine, r => r.busy_power_watts());
         if self.row_power_watts > self.report.peak_row_watts {
             self.report.peak_row_watts = self.row_power_watts;
         }
@@ -701,7 +605,9 @@ impl<P: PowerController> ClusterSim<P> {
     }
 
     fn on_wake(&mut self, now: SimTime, server: usize, version: u64) {
-        if let Some(outcome) = self.engine_op(now, |e| e.on_wake(now, server, version)) {
+        if let Some(outcome) =
+            self.engine_op(now, |e| each_row!(e, r => r.on_wake(now, server, version)))
+        {
             self.absorb(now, outcome);
         }
     }
@@ -846,8 +752,8 @@ impl<P: PowerController> ClusterSim<P> {
         let Some(acc) = self.energy.as_mut() else {
             return;
         };
-        let [low, high] = self.engine.class_power_watts();
-        self.engine.write_pool_power(&mut self.pool_scratch);
+        let [low, high] = each_row!(&self.engine, r => r.class_power_watts());
+        each_row!(&self.engine, r => r.write_pool_power(&mut self.pool_scratch));
         acc.tick(now.as_secs(), low, high, &self.pool_scratch);
     }
 
@@ -936,7 +842,10 @@ impl<P: PowerController> ClusterSim<P> {
                     ControlAction::PowerBrake { on } => Event::BrakeEngaged { t, server: idx, on },
                 }
             });
-            let outcome = self.engine_op(now, |e| e.apply_action(now, idx, cmd.action));
+            let outcome = self.engine_op(
+                now,
+                |e| each_row!(e, r => r.apply_action(now, idx, cmd.action)),
+            );
             self.absorb(now, outcome);
         }
         self.schedule_delivery(now);
@@ -979,19 +888,6 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
         horizon: SimTime,
     ) -> Self {
         ClusterSim::new(row, config, controller).into_row_sim(source, horizon)
-    }
-
-    fn start(sim: ClusterSim<P>, source: S, horizon: SimTime) -> Self {
-        let mut row = RowSim {
-            sim,
-            source,
-            horizon,
-        };
-        if let Some(first) = row.source.next_request() {
-            row.sim.queue.schedule(first.arrival, Ev::Arrival(first));
-        }
-        row.sim.queue.schedule(SimTime::ZERO, Ev::Telemetry);
-        row
     }
 
     /// Processes every event at or before `min(t, horizon)`. Calling
@@ -1083,12 +979,16 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
         self.sim.max_server_watts
     }
 
-    /// Servers that may serve before any arrival still in the source:
+    /// Servers that may serve before any arrival still in the source
+    /// (the arrival already waiting in the event queue is not counted):
     /// the legacy engine's busy servers and buffered requests, or every
-    /// server of the batched engine. The arrival already waiting in the
-    /// event queue is not counted.
+    /// server of the batched engine, whose split pools move work
+    /// between servers without arrivals.
     pub(crate) fn committed_servers(&self) -> usize {
-        self.sim.engine.committed_servers()
+        match &self.sim.engine {
+            Engine::Legacy(row) => row.committed_servers(),
+            Engine::Batched(row) => row.n_servers(),
+        }
     }
 
     /// Timestamp of the next queued event, or `None` when the queue is
@@ -1102,15 +1002,22 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
         self.sim.queue.peek_time()
     }
 
-    /// Immutable view of the legacy engine's servers (empty under the
-    /// batched engine).
+    /// Immutable view of the legacy engine's servers (for tests and
+    /// inspection); empty under [`EngineKind::Batched`], whose row
+    /// [`batched_row`](Self::batched_row) exposes instead.
     pub fn servers(&self) -> &[InferenceServer] {
-        self.sim.servers()
+        match &self.sim.engine {
+            Engine::Legacy(row) => row.servers(),
+            Engine::Batched(_) => &[],
+        }
     }
 
     /// The continuous-batching engine, when one is configured.
     pub fn batched_row(&self) -> Option<&BatchedRow<Request>> {
-        self.sim.batched_row()
+        match &self.sim.engine {
+            Engine::Legacy(_) => None,
+            Engine::Batched(row) => Some(row),
+        }
     }
 
     /// Issues a control request on the row's OOB plane at `now`, as if
@@ -1149,6 +1056,22 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
         };
         std::mem::replace(&mut sim.report, blank_report(0.0))
     }
+}
+
+/// The most one server of `row` draws while serving and while idle, at
+/// `power_scale`: workload intensity 1 and hot idle at the full clock.
+/// Every server of either engine runs one deployment on one spec, phase
+/// and iteration intensities lie in `[0, 1]` and the DVFS scale never
+/// exceeds 1, so no request, lock or brake lifts a server above these.
+fn max_server_watts(row: &RowConfig, power_scale: f64) -> (f64, f64) {
+    let deployment = InferenceModel::new(row.model.clone(), row.server_spec.gpu.clone())
+        .expect("row model must fit its GPU allocation");
+    let watts = |intensity| {
+        row.server_spec
+            .power_watts(deployment.n_gpus(), intensity, 1.0)
+            * power_scale
+    };
+    (watts(1.0), watts(HOT_IDLE_INTENSITY))
 }
 
 /// An empty [`SimReport`] used to move the real one out of the engine.
@@ -1192,9 +1115,15 @@ mod tests {
 
     #[test]
     fn empty_run_reports_idle_power() {
-        let sim = ClusterSim::new(small_row(), SimConfig::default(), NoopController);
-        let idle = sim.servers()[0].power_watts() * 4.0;
-        let report = sim.run(std::iter::empty(), t(100.0));
+        let row = RowSim::new(
+            small_row(),
+            SimConfig::default(),
+            NoopController,
+            std::iter::empty(),
+            t(100.0),
+        );
+        let idle = row.servers()[0].power_watts() * 4.0;
+        let report = row.finish();
         assert_eq!(report.completed, 0);
         assert_eq!(report.offered, 0);
         assert!((report.mean_row_watts - idle).abs() < 1.0);
@@ -1256,12 +1185,18 @@ mod tests {
 
     #[test]
     fn power_rises_while_serving() {
-        let sim = ClusterSim::new(small_row(), SimConfig::default(), NoopController);
-        let idle_watts = sim.servers().iter().map(|s| s.power_watts()).sum::<f64>();
         let reqs = (0..4)
             .map(|i| mk_request(i, 10.0, Priority::Low))
             .collect::<Vec<_>>();
-        let report = sim.run(reqs, t(300.0));
+        let row = RowSim::new(
+            small_row(),
+            SimConfig::default(),
+            NoopController,
+            reqs.into_iter(),
+            t(300.0),
+        );
+        let idle_watts = row.servers().iter().map(|s| s.power_watts()).sum::<f64>();
+        let report = row.finish();
         assert!(report.peak_row_watts > idle_watts + 1000.0);
         assert!(!report.row_power.is_empty());
         assert!(report.row_power.peak().unwrap() <= report.peak_row_watts);

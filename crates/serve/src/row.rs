@@ -65,6 +65,24 @@ pub struct ServeOutcome<T> {
     pub transfers_queued: bool,
 }
 
+impl<T> ServeOutcome<T> {
+    /// What an operation that neither preempted nor queued a KV
+    /// transfer produced for `server`.
+    pub fn new(
+        server: usize,
+        wake: Option<(SimTime, u64)>,
+        completions: Vec<Completion<T>>,
+    ) -> Self {
+        ServeOutcome {
+            server,
+            wake,
+            completions,
+            preemptions: 0,
+            transfers_queued: false,
+        }
+    }
+}
+
 /// An arrival's admission decision plus the server activity it caused.
 #[derive(Debug)]
 pub struct ArrivalOutcome<T> {
@@ -378,13 +396,7 @@ impl<T> BatchedRow<T> {
     pub fn on_arrival(&mut self, now: SimTime, req: ServeRequest<T>) -> ArrivalOutcome<T> {
         let reject = |server| ArrivalOutcome {
             kind: AdmissionKind::Rejected,
-            outcome: ServeOutcome {
-                server,
-                wake: None,
-                completions: Vec::new(),
-                preemptions: 0,
-                transfers_queued: false,
-            },
+            outcome: ServeOutcome::new(server, None, Vec::new()),
         };
         let Some(idx) = self.route_arrival(req.high_priority) else {
             return reject(0);

@@ -386,8 +386,9 @@ impl Engine {
     }
 
     /// Records the batched engine's KV, batch, queue and pool gauges
-    /// (the legacy engine has none of these).
-    fn record_gauges(&self, obs: &Recorder) {
+    /// (the legacy engine has none of these), reading the pools
+    /// through `pools`.
+    fn record_gauges(&self, obs: &Recorder, pools: &mut Vec<(&'static str, f64)>) {
         if let Engine::Batched(row) = self {
             obs.gauge("serve.kv_occupancy", Label::Global, row.kv_occupancy());
             obs.gauge("serve.batch_size", Label::Global, row.mean_batch());
@@ -396,7 +397,8 @@ impl Engine {
                 Label::Global,
                 row.waiting_depth() as f64,
             );
-            for (tag, watts) in row.pool_power_watts() {
+            row.write_pool_power(pools);
+            for &(tag, watts) in pools.iter() {
                 obs.gauge("serve.pool_power_w", Label::Tag(tag), watts);
             }
         }
@@ -777,7 +779,7 @@ impl<P: PowerController> ClusterSim<P> {
             Label::Global,
             self.row_power_watts / self.ctx.provisioned_watts,
         );
-        self.engine.record_gauges(&self.obs);
+        self.engine.record_gauges(&self.obs, &mut self.pool_scratch);
         let observed = self.row_signal.read(now);
         // One publish per tick: ground truth plus the delayed view.
         self.config

@@ -317,7 +317,8 @@ mod tests {
         h.drain();
         assert_eq!(h.done.len(), 3);
         assert_eq!(h.row.transfers_in_flight(), 0);
-        let pools = h.row.pool_power_watts();
+        let mut pools = Vec::new();
+        h.row.write_pool_power(&mut pools);
         let tags: Vec<&str> = pools.iter().map(|(t, _)| *t).collect();
         assert_eq!(tags, vec!["prefill", "decode"]);
     }

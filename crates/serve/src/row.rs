@@ -222,7 +222,7 @@ impl<T> BatchedRow<T> {
 
     /// Fixed slot of a pool role in the cached [`Self::role_power`]
     /// array; the order matches the role-tag order of
-    /// [`pool_power_watts`](Self::pool_power_watts).
+    /// [`write_pool_power`](Self::write_pool_power).
     fn role_idx(role: PoolRole) -> usize {
         match role {
             PoolRole::Prefill => 0,
@@ -266,17 +266,10 @@ impl<T> BatchedRow<T> {
         self.busy_power
     }
 
-    /// Instantaneous power summed per pool role, in role-tag order
-    /// (only roles present in the row appear; cached incrementally).
-    pub fn pool_power_watts(&self) -> Vec<(&'static str, f64)> {
-        let mut pools = Vec::new();
-        self.write_pool_power(&mut pools);
-        pools
-    }
-
-    /// Fills `out` with the cached per-pool power, in role-tag order,
-    /// without allocating when `out` already has capacity — the
-    /// polca-energy tick path calls this every telemetry window.
+    /// Fills `out` with the power summed per pool role, in role-tag
+    /// order (only roles present in the row appear; cached
+    /// incrementally), without allocating when `out` already has
+    /// capacity — the telemetry tick calls this every window.
     pub fn write_pool_power(&self, out: &mut Vec<(&'static str, f64)>) {
         out.clear();
         for role in [PoolRole::Prefill, PoolRole::Decode, PoolRole::Aggregated] {

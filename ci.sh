@@ -195,13 +195,19 @@ grep -q 'serve_pool_power_w{tag="decode"}' "$serve_out/split/metrics.prom" \
     || { echo "no decode pool power gauge"; exit 1; }
 
 echo "== polca-cli req-trace smoke test =="
-# Both engines trace request spans, each on its own path.
+# Both engines trace request spans, each on its own path, and tracing
+# is write-only: the same run without --req-trace logs the same events.
 for engine in batched legacy; do
     req_out="$(scratch)"
     cargo run -q --offline --release -p polca-cli -- \
         evaluate --engine "$engine" --req-trace --days 0.02 --obs-out "$req_out"
     [[ -s "$req_out/requests.jsonl" ]] \
         || { echo "$engine req-trace wrote no requests.jsonl"; exit 1; }
+    untraced_out="$(scratch)"
+    cargo run -q --offline --release -p polca-cli -- \
+        evaluate --engine "$engine" --days 0.02 --obs-out "$untraced_out" > /dev/null
+    cmp "$req_out/events.jsonl" "$untraced_out/events.jsonl" \
+        || { echo "$engine events.jsonl differs without --req-trace"; exit 1; }
     # Every record must carry the lifecycle + energy schema fields.
     for field in '"id"' '"priority"' '"queue_s"' '"ttft_s"' '"tbt_mean_s"' \
                  '"tbt_max_s"' '"preemptions"' '"joules"' '"joules_per_token"' \

@@ -330,6 +330,7 @@ impl Engine {
                     classes: priorities.iter().map(|&p| p == Priority::High).collect(),
                     spec: row.server_spec.clone(),
                     power_scale: config.power_scale,
+                    trace_requests: obs.req_enabled(),
                 };
                 Engine::Batched(BatchedRow::new(params, serve_cfg, obs.prof().clone()))
             }

@@ -11,6 +11,7 @@
 
 use std::fmt;
 use std::io;
+use std::mem;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -461,18 +462,37 @@ impl Recorder {
     }
 
     /// Writes the level-appropriate artifact files into `dir`
-    /// (creating it), returning the paths written. A disabled recorder
-    /// writes nothing.
+    /// (creating it), returning the paths written: the bytes
+    /// [`artifacts`](Self::artifacts)`().write_dir(dir)` would write,
+    /// rendered from the recorder's own contents without copying them,
+    /// which stay as they were whether or not the write succeeds. A
+    /// disabled recorder writes nothing.
     /// Recorder I/O time lands in the [`Phase::RecorderIo`] phase; as
     /// the snapshot is taken before the files are rendered, it shows
     /// up in *subsequent* exports (e.g. the attribution table printed
     /// after the artifacts are on disk).
     pub fn write_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        if !self.is_enabled() {
+        let Some(mut core) = self.lock() else {
             return Ok(Vec::new());
-        }
+        };
         let _io = self.prof.time(Phase::RecorderIo);
-        self.artifacts().write_dir(dir)
+        // The core stays locked while its contents are lent to the
+        // bundle that renders them, and they move back afterwards.
+        let run = RunArtifacts {
+            level: self.level,
+            events: mem::take(&mut core.events),
+            metrics: mem::take(&mut core.metrics),
+            requests: mem::take(&mut core.requests),
+            req_trace: self.req.is_some(),
+            energy_rows: mem::take(&mut core.energy_rows),
+            prof: self.prof.snapshot(),
+        };
+        let written = run.write_dir(dir);
+        core.events = run.events;
+        core.metrics = run.metrics;
+        core.requests = run.requests;
+        core.energy_rows = run.energy_rows;
+        written
     }
 }
 
@@ -735,6 +755,46 @@ mod tests {
         a.absorb(&b);
         let ids: Vec<u64> = a.artifacts().requests.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![1, 2]);
+    }
+
+    #[test]
+    fn write_dir_leaves_the_recorder_as_it_was() {
+        use std::fs;
+
+        let r = Recorder::new(ObsLevel::Full).with_req_trace(ReqTraceConfig::default());
+        r.record(Event::PowerSample {
+            t: 1.0,
+            watts: 150.0,
+        });
+        r.add("reqs", Label::Global, 2);
+        r.record_request(&req_record(3));
+        let before = r.artifacts();
+        let base = std::env::temp_dir().join(format!(
+            "polca-recorder-write-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&base);
+        fs::create_dir_all(&base).unwrap();
+        // A write that fails: the directory would sit under a file.
+        let file = base.join("file");
+        fs::write(&file, "").unwrap();
+        assert!(r.write_dir(&file.join("out")).is_err());
+        // A write that succeeds renders what the snapshot renders.
+        let out = base.join("out");
+        assert_eq!(r.write_dir(&out).unwrap().len(), 10);
+        let after = r.artifacts();
+        assert_eq!(after.events_jsonl(), before.events_jsonl());
+        assert_eq!(after.requests_jsonl(), before.requests_jsonl());
+        assert_eq!(
+            after.metrics.to_prometheus(),
+            before.metrics.to_prometheus()
+        );
+        let read = |name: &str| fs::read_to_string(out.join(name)).unwrap();
+        assert_eq!(read("events.jsonl"), before.events_jsonl());
+        assert_eq!(read("requests.jsonl"), before.requests_jsonl());
+        assert_eq!(read("metrics.json"), before.metrics_json());
+        fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -37,6 +37,7 @@
 
 pub mod config;
 pub mod pager;
+mod profile;
 mod row;
 mod server;
 
@@ -63,6 +64,7 @@ mod tests {
             classes,
             spec,
             power_scale: 1.0,
+            trace_requests: true,
         }
     }
 

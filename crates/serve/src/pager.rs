@@ -48,6 +48,23 @@ impl KvPager {
         ((tokens - TOKEN_EPS) / self.block_tokens as f64).ceil() as u32
     }
 
+    /// Blocks a sequence holding `held` must add to hold `tokens` KV
+    /// entries: `blocks_for_tokens(tokens).saturating_sub(held)`,
+    /// without the division when the held blocks already cover
+    /// `tokens`. When `held × block_tokens` fits a `u32` it is exact as
+    /// an `f64`, and division rounds monotonically, so
+    /// `tokens − ε ≤ held × block_tokens` implies
+    /// `⌈(tokens − ε) / block_tokens⌉ ≤ held`.
+    #[inline]
+    pub(crate) fn blocks_to_grow(&self, tokens: f64, held: u32) -> u32 {
+        if let Some(capacity) = held.checked_mul(self.block_tokens) {
+            if tokens - TOKEN_EPS <= f64::from(capacity) {
+                return 0;
+            }
+        }
+        self.blocks_for_tokens(tokens).saturating_sub(held)
+    }
+
     /// Claims `blocks` from the free pool; `false` (and no change) if
     /// the pool cannot satisfy the request.
     pub fn try_alloc(&mut self, blocks: u32) -> bool {
@@ -97,6 +114,7 @@ impl KvPager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polca_sim::SimRng;
 
     #[test]
     fn block_math_rounds_up() {
@@ -107,6 +125,35 @@ mod tests {
         assert_eq!(p.blocks_for_tokens(17.0), 2);
         // Float noise at a block boundary does not claim a block.
         assert_eq!(p.blocks_for_tokens(32.0 + 1e-9), 2);
+    }
+
+    #[test]
+    fn block_shortcut_matches_the_division() {
+        let mut rng = SimRng::from_seed_stream(17, 0);
+        for block_tokens in [16, 7] {
+            let p = KvPager::new(1 << 16, block_tokens);
+            let bt = f64::from(block_tokens);
+            for _ in 0..20_000 {
+                let boundary = rng.uniform_u64(0, 4096) as f64 * bt;
+                // Anywhere in a block, or within 1e-9 of its boundary
+                // (either side, where TOKEN_EPS decides).
+                let tokens = match rng.uniform_u64(0, 2) {
+                    0 => rng.uniform(0.0, 4096.0 * bt),
+                    1 => boundary + rng.uniform(-1e-9, 1e-9),
+                    _ => boundary + TOKEN_EPS + rng.uniform(-1e-9, 1e-9),
+                };
+                let exact = p.blocks_for_tokens(tokens.max(0.0));
+                // Held counts around the exact need, and past it.
+                let held = (exact + rng.uniform_u64(0, 2) as u32).saturating_sub(1);
+                for held in [held, 0, exact, exact + 1, u32::MAX / 2] {
+                    assert_eq!(
+                        p.blocks_to_grow(tokens, held),
+                        p.blocks_for_tokens(tokens).saturating_sub(held),
+                        "tokens {tokens} held {held} block_tokens {block_tokens}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! A row of batched servers with class-aware routing, optional
 //! prefill/decode pools, and in-flight KV transfers.
 
+use std::sync::Arc;
+
 use polca_gpu::ServerSpec;
 use polca_llm::InferenceModel;
 use polca_obs::Profiler;
@@ -9,6 +11,7 @@ use polca_telemetry::ControlAction;
 
 use crate::config::{PoolTopology, ServeConfig};
 use crate::pager::KvPager;
+use crate::profile::ProfileTable;
 use crate::server::{BatchScheduler, BatchServer, Completion, PoolRole, PumpResult, Seq};
 
 /// GiB in bytes.
@@ -104,6 +107,10 @@ pub struct BatchedRowParams {
     pub spec: ServerSpec,
     /// Study-wide power multiplier.
     pub power_scale: f64,
+    /// Whether to keep each request's polca-req span (the req plane's
+    /// switch). Off, every [`Completion::span`] is empty and the engine
+    /// skips the span arithmetic; no outcome depends on it.
+    pub trace_requests: bool,
 }
 
 /// The batched row engine: one `BatchServer` per cluster server,
@@ -132,6 +139,15 @@ pub struct BatchedRow<T> {
     role_power: [f64; 3],
     /// Which pool roles exist in this row (fixed at construction).
     roles_present: [bool; 3],
+    /// Per class, `[low, high]`: the servers fresh arrivals route to
+    /// (aggregated or prefill role), in id order. Roles and classes are
+    /// fixed at construction.
+    arrival_servers: [Vec<usize>; 2],
+    /// Per class, `[low, high]`: the decode-pool servers KV transfers
+    /// route to, in id order.
+    decode_servers: [Vec<usize>; 2],
+    /// Whether arrivals carry a request span.
+    trace_requests: bool,
     prof: Profiler,
 }
 
@@ -182,13 +198,22 @@ impl<T> BatchedRow<T> {
             }
         };
 
+        let profiles = Arc::new(ProfileTable::new(params.deployment.clone(), &sched));
         let servers: Vec<BatchServer<T>> = roles
             .iter()
             .enumerate()
             .map(|(id, &role)| {
                 let pool_clock = (role == PoolRole::Decode).then_some(decode_clock).flatten();
                 let pager = KvPager::new(kv_blocks, config.block_tokens);
-                BatchServer::new(id, role, sched, pager, pool_clock, &params)
+                BatchServer::new(
+                    id,
+                    role,
+                    sched,
+                    pager,
+                    pool_clock,
+                    &params,
+                    Arc::clone(&profiles),
+                )
             })
             .collect();
         let total_power = servers.iter().map(|s| s.power_watts).sum();
@@ -200,10 +225,18 @@ impl<T> BatchedRow<T> {
         let mut class_power = [0.0; 2];
         let mut role_power = [0.0; 3];
         let mut roles_present = [false; 3];
+        let mut arrival_servers = [Vec::new(), Vec::new()];
+        let mut decode_servers = [Vec::new(), Vec::new()];
         for s in &servers {
-            class_power[usize::from(s.high_priority)] += s.power_watts;
+            let class = usize::from(s.high_priority);
+            class_power[class] += s.power_watts;
             role_power[Self::role_idx(s.role)] += s.power_watts;
             roles_present[Self::role_idx(s.role)] = true;
+            if s.role == PoolRole::Decode {
+                decode_servers[class].push(s.id);
+            } else {
+                arrival_servers[class].push(s.id);
+            }
         }
         BatchedRow {
             servers,
@@ -216,6 +249,9 @@ impl<T> BatchedRow<T> {
             class_power,
             role_power,
             roles_present,
+            arrival_servers,
+            decode_servers,
+            trace_requests: params.trace_requests,
             prof,
         }
     }
@@ -349,8 +385,10 @@ impl<T> BatchedRow<T> {
             let bandwidth = self
                 .interconnect_bytes_per_s
                 .expect("hand-off from a prefill pool requires an interconnect");
-            seq.trace.kv_hops += 1;
-            seq.trace.kv_ship_s += bytes / bandwidth;
+            if let Some(span) = seq.trace.as_deref_mut() {
+                span.kv_hops += 1;
+                span.kv_ship_s += bytes / bandwidth;
+            }
             let due = now + SimTime::from_secs(bytes / bandwidth);
             self.in_flight.push((due, seq));
             transfers_queued = true;
@@ -364,24 +402,23 @@ impl<T> BatchedRow<T> {
         }
     }
 
+    /// Least-loaded of the servers `ids`, lowest index on ties.
+    fn least_loaded(&self, ids: &[usize]) -> Option<usize> {
+        ids.iter()
+            .copied()
+            .min_by_key(|&i| (self.servers[i].load(), i))
+    }
+
     /// Least-loaded server of `class` eligible for fresh arrivals
     /// (aggregated or prefill role), lowest index on ties.
     fn route_arrival(&self, high: bool) -> Option<usize> {
-        self.servers
-            .iter()
-            .filter(|s| s.high_priority == high && s.role != PoolRole::Decode)
-            .min_by_key(|s| (s.load(), s.id))
-            .map(|s| s.id)
+        self.least_loaded(&self.arrival_servers[usize::from(high)])
     }
 
     /// Least-loaded decode-pool server of `class`, lowest index on
     /// ties.
     fn route_transfer(&self, high: bool) -> Option<usize> {
-        self.servers
-            .iter()
-            .filter(|s| s.high_priority == high && s.role == PoolRole::Decode)
-            .min_by_key(|s| (s.load(), s.id))
-            .map(|s| s.id)
+        self.least_loaded(&self.decode_servers[usize::from(high)])
     }
 
     /// Routes an arriving request to the least-loaded eligible server
@@ -410,10 +447,11 @@ impl<T> BatchedRow<T> {
             req.input_tokens,
             req.output_tokens,
             req.high_priority,
+            self.trace_requests,
         );
         self.servers[idx].push_waiting(seq);
         let outcome = self.run_on_server(idx, now, |s, prof, r| s.pump(now, prof, r));
-        let kind = if self.servers[idx].has_waiting(id) {
+        let kind = if self.servers[idx].is_last_waiting(id) {
             AdmissionKind::Queued
         } else {
             AdmissionKind::Started

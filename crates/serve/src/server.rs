@@ -5,22 +5,30 @@
 //! milliseconds of simulated time each), the server computes the
 //! current batch composition once, derives the iteration latency,
 //! power intensity, and per-sequence progress rates from
-//! [`InferenceModel::iteration_profile`], and then advances *fluidly*
+//! [`InferenceModel::iteration_profile`](polca_llm::InferenceModel::iteration_profile),
+//! and then advances *fluidly*
 //! until the earliest composition change: a prefill chunk finishing, a
 //! sequence emitting its last token, or the KV pool running dry. Each
 //! of those boundaries is computed in closed form, so the discrete
 //! event count stays proportional to requests, not tokens.
+//!
+//! Each sequence's polca-req span is kept only when the row traces
+//! requests (the req plane is on), as the legacy engine's row keeps its
+//! per-server spans. Scheduling never reads a span, so with tracing off
+//! the engine skips the span arithmetic altogether and every outcome
+//! stays bit-identical.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use polca_gpu::{DvfsModel, ServerSpec, HOT_IDLE_INTENSITY};
-use polca_llm::{BatchComposition, InferenceModel};
 use polca_obs::{Phase, ProfCounter, Profiler, ReqSpan};
 use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
 
 use crate::config::ServeConfig;
 use crate::pager::{KvPager, TOKEN_EPS};
+use crate::profile::ProfileTable;
 use crate::row::BatchedRowParams;
 
 /// Which serving phase(s) a server accepts under its row's
@@ -82,14 +90,17 @@ impl BatchScheduler {
         if prefill_remaining <= TOKEN_EPS {
             return 0;
         }
+        (prefill_remaining.ceil() as u32).min(self.full_chunk(decode_seqs))
+    }
+
+    /// The chunk a prompt with at least that much left prefills beside
+    /// `decode_seqs` decoding sequences (at least one token).
+    pub(crate) fn full_chunk(&self, decode_seqs: u32) -> u32 {
         let budget_left = self
             .iteration_budget_tokens
             .saturating_sub(decode_seqs)
             .max(1);
-        (prefill_remaining.ceil() as u32)
-            .min(self.chunk_tokens)
-            .min(budget_left)
-            .max(1)
+        self.chunk_tokens.min(budget_left).max(1)
     }
 }
 
@@ -117,19 +128,24 @@ pub(crate) struct Seq<T> {
     pub kv_tokens: f64,
     /// KV blocks held from the server's pager.
     pub blocks: u32,
-    /// polca-req lifecycle accumulator. Write-only from the engine's
-    /// perspective — scheduling never reads it, so tracing cannot
-    /// perturb outcomes.
-    pub trace: ReqSpan,
+    /// polca-req lifecycle accumulator, present only when the row
+    /// traces requests (boxed, so an untraced sequence stays small for
+    /// the per-epoch walks over the batch). Write-only from the
+    /// engine's perspective — scheduling never reads it, so tracing
+    /// cannot perturb outcomes.
+    pub trace: Option<Box<ReqSpan>>,
 }
 
 impl<T> Seq<T> {
+    /// A sequence that has not entered service, with a span when
+    /// `traced`.
     pub fn fresh(
         payload: T,
         id: u64,
         input_tokens: u32,
         output_tokens: u32,
         high_priority: bool,
+        traced: bool,
     ) -> Self {
         Seq {
             payload,
@@ -143,7 +159,7 @@ impl<T> Seq<T> {
             decoded: 0.0,
             kv_tokens: 0.0,
             blocks: 0,
-            trace: ReqSpan::default(),
+            trace: traced.then(Box::default),
         }
     }
 
@@ -167,7 +183,8 @@ pub struct Completion<T> {
     pub server: usize,
     /// When the request first entered service (prefill start).
     pub started_at: SimTime,
-    /// The accumulated polca-req lifecycle span.
+    /// The accumulated polca-req lifecycle span (empty unless the row
+    /// traces requests).
     pub span: ReqSpan,
 }
 
@@ -206,13 +223,22 @@ pub(crate) struct BatchServer<T> {
     waiting: VecDeque<Seq<T>>,
     prefilling: VecDeque<Seq<T>>,
     decoding: Vec<Seq<T>>,
+    /// Whether the row traces requests: then the epoch's energy is
+    /// split across the batch's spans.
+    trace_requests: bool,
 
-    deployment: InferenceModel,
+    /// The row's memoised iteration profiles (and its deployment).
+    profiles: Arc<ProfileTable>,
     spec: ServerSpec,
     dvfs: DvfsModel,
     locked_mhz: Option<f64>,
     pool_clock_mhz: Option<f64>,
     brake: bool,
+    /// SM clock over the maximum, clamped to `[1e-3, 1]`: a function of
+    /// the clock inputs above, refreshed only when they change.
+    clock_ratio: f64,
+    /// DVFS power multiplier at `clock_ratio`.
+    dvfs_scale: f64,
 
     /// Start of the current fluid epoch.
     epoch_start: SimTime,
@@ -234,7 +260,8 @@ pub(crate) struct BatchServer<T> {
 
 impl<T> BatchServer<T> {
     /// Server `id` of `params`' row, in pool `role` (a decode server
-    /// runs under `pool_clock_mhz`, when set).
+    /// runs under `pool_clock_mhz`, when set), reading iteration
+    /// profiles from the row's `profiles`.
     pub fn new(
         id: usize,
         role: PoolRole,
@@ -242,6 +269,7 @@ impl<T> BatchServer<T> {
         pager: KvPager,
         pool_clock_mhz: Option<f64>,
         params: &BatchedRowParams,
+        profiles: Arc<ProfileTable>,
     ) -> Self {
         let mut server = BatchServer {
             id,
@@ -252,12 +280,15 @@ impl<T> BatchServer<T> {
             waiting: VecDeque::new(),
             prefilling: VecDeque::new(),
             decoding: Vec::new(),
-            deployment: params.deployment.clone(),
+            trace_requests: params.trace_requests,
+            profiles,
             spec: params.spec.clone(),
             dvfs: DvfsModel::default(),
             locked_mhz: None,
             pool_clock_mhz,
             brake: false,
+            clock_ratio: 1.0,
+            dvfs_scale: 1.0,
             epoch_start: SimTime::ZERO,
             iter_s: f64::INFINITY,
             prefill_per_iter: 0.0,
@@ -266,6 +297,7 @@ impl<T> BatchServer<T> {
             power_watts: 0.0,
             power_scale: params.power_scale,
         };
+        server.refresh_clock();
         server.refresh_power();
         server
     }
@@ -283,8 +315,12 @@ impl<T> BatchServer<T> {
         self.running() + self.waiting.len()
     }
 
-    pub fn has_waiting(&self, id: u64) -> bool {
-        self.waiting.iter().any(|s| s.id == id)
+    /// Whether sequence `id` is last in the waiting queue. An arrival
+    /// is pushed to the back, and a service cycle only pops the front
+    /// (admission) or pushes to it (preemption), so right after one it
+    /// says whether that arrival is still waiting.
+    pub fn is_last_waiting(&self, id: u64) -> bool {
+        self.waiting.back().is_some_and(|s| s.id == id)
     }
 
     /// Whether a request needing `tokens` KV entries can ever run here.
@@ -309,8 +345,12 @@ impl<T> BatchServer<T> {
             .clock_mhz(self.brake, self.locked_mhz, self.pool_clock_mhz)
     }
 
-    fn clock_ratio(&self) -> f64 {
-        (self.effective_clock_mhz() / self.spec.gpu.max_sm_clock_mhz).clamp(1e-3, 1.0)
+    /// Re-derives the cached clock ratio and DVFS power scale from the
+    /// clock inputs (brake, lock, pool clock).
+    fn refresh_clock(&mut self) {
+        self.clock_ratio =
+            (self.effective_clock_mhz() / self.spec.gpu.max_sm_clock_mhz).clamp(1e-3, 1.0);
+        self.dvfs_scale = self.dvfs.power_scale(self.clock_ratio);
     }
 
     /// Recomputes the cached instantaneous power from the current
@@ -321,11 +361,11 @@ impl<T> BatchServer<T> {
         } else {
             self.intensity
         };
-        let dvfs_scale = self.dvfs.power_scale(self.clock_ratio());
-        self.power_watts = self
-            .spec
-            .power_watts(self.deployment.n_gpus(), intensity, dvfs_scale)
-            * self.power_scale;
+        self.power_watts = self.spec.power_watts(
+            self.profiles.deployment().n_gpus(),
+            intensity,
+            self.dvfs_scale,
+        ) * self.power_scale;
     }
 
     /// Advances fluid progress from `epoch_start` to `now` at the
@@ -340,13 +380,103 @@ impl<T> BatchServer<T> {
             return 0;
         }
         let iters = dt / self.iter_s;
+        let joules_per_token = if self.trace_requests {
+            self.joules_per_token(iters, dt)
+        } else {
+            0.0
+        };
 
-        // polca-req energy attribution: this epoch burned
-        // `power_watts × dt` joules (the power cached at the last
-        // recompute, so a capped or braked epoch is priced at its
-        // slowed draw). Split it across the batch in proportion to
-        // token progress — the requests inside a brake-slowed
-        // iteration visibly pay for it.
+        if let Some(head) = self.prefilling.front_mut() {
+            let adv = (iters * self.prefill_per_iter).min(head.prefill_total - head.prefill_done);
+            head.prefill_done += adv;
+            head.kv_tokens += adv;
+            if let Some(span) = head.trace.as_deref_mut() {
+                span.joules += adv * joules_per_token;
+                if span.preemptions > 0 {
+                    span.recompute_s += dt;
+                } else {
+                    span.prefill_s += dt;
+                }
+            }
+        }
+        // Decode progress, and the KV blocks it takes.
+        let mut need = 0;
+        for seq in &mut self.decoding {
+            let before = seq.decoded;
+            let adv = iters.min((seq.output_tokens as f64 - seq.decoded).max(0.0));
+            seq.decoded += adv;
+            seq.kv_tokens += adv;
+            need += self.pager.blocks_to_grow(seq.kv_tokens, seq.blocks);
+            let Some(span) = seq.trace.as_deref_mut().filter(|_| adv > 0.0) else {
+                continue;
+            };
+            span.joules += adv * joules_per_token;
+            span.decode_s += dt;
+            if span.first_token_s.is_none() && seq.decoded + TOKEN_EPS >= 1.0 {
+                // The first token crossed inside this epoch; it
+                // completed after the fraction of an iteration it
+                // still needed.
+                span.first_token_s = Some(t0 + (1.0 - before).max(0.0) * self.iter_s);
+            }
+            if let Some(prev) = span.last_token_s {
+                // The gap spanning the epoch boundary: the first
+                // token of this epoch lands one iteration in.
+                span.tbt_max_s = span.tbt_max_s.max(t0 + self.iter_s - prev);
+            }
+            if adv > 1.0 {
+                span.tbt_max_s = span.tbt_max_s.max(self.iter_s);
+            }
+            span.last_token_s = Some(t0 + adv * self.iter_s);
+        }
+
+        let _g = prof.time(Phase::ServeKvAlloc);
+        let mut preempted = 0;
+        while need > self.pager.free_blocks() {
+            // KV exhaustion: preempt the youngest running sequence —
+            // free its blocks, remember its generated tokens, and
+            // recompute its prefill when it is next admitted.
+            let mut victim = self.decoding.pop().expect("KV exhaustion with empty batch");
+            self.pager.free(victim.blocks);
+            victim.blocks = 0;
+            victim.prefill_total = victim.input_tokens as f64 + victim.decoded;
+            victim.prefill_done = 0.0;
+            victim.kv_tokens = 0.0;
+            if let Some(span) = victim.trace.as_deref_mut() {
+                span.preemptions += 1;
+                span.recompute_tokens += victim.prefill_total;
+            }
+            self.waiting.push_front(victim);
+            preempted += 1;
+            need = self.decode_need_at(0.0);
+        }
+        if need > 0 {
+            for seq in &mut self.decoding {
+                let need = self.pager.blocks_to_grow(seq.kv_tokens, seq.blocks);
+                if need > 0 {
+                    let ok = self.pager.try_alloc(need);
+                    debug_assert!(ok, "growth allocation after preemption must fit");
+                    seq.blocks += need;
+                }
+            }
+        }
+        prof.record_max(
+            ProfCounter::ServeKvPeakBlocks,
+            self.pager.used_blocks() as u64,
+        );
+        if preempted > 0 {
+            prof.count(ProfCounter::ServePreemptions, preempted);
+        }
+        preempted
+    }
+
+    /// polca-req energy attribution: an epoch of `dt` seconds
+    /// (`iters` iterations) burned `power_watts × dt` joules (the power
+    /// cached at the last recompute, so a capped or braked epoch is
+    /// priced at its slowed draw). It is split across the batch in
+    /// proportion to token progress — the requests inside a
+    /// brake-slowed iteration visibly pay for it. Returns the joules
+    /// per token of progress.
+    fn joules_per_token(&self, iters: f64, dt: f64) -> f64 {
         let prefill_adv = self
             .prefilling
             .front()
@@ -358,97 +488,11 @@ impl<T> BatchServer<T> {
             .map(|s| iters.min((s.output_tokens as f64 - s.decoded).max(0.0)))
             .sum();
         let advanced = prefill_adv + decode_adv;
-        let joules_per_token = if advanced > TOKEN_EPS {
+        if advanced > TOKEN_EPS {
             self.power_watts * dt / advanced
         } else {
             0.0
-        };
-
-        if let Some(head) = self.prefilling.front_mut() {
-            let adv = (iters * self.prefill_per_iter).min(head.prefill_total - head.prefill_done);
-            head.prefill_done += adv;
-            head.kv_tokens += adv;
-            head.trace.joules += adv * joules_per_token;
-            if head.trace.preemptions > 0 {
-                head.trace.recompute_s += dt;
-            } else {
-                head.trace.prefill_s += dt;
-            }
         }
-        for seq in &mut self.decoding {
-            let before = seq.decoded;
-            let adv = iters.min((seq.output_tokens as f64 - seq.decoded).max(0.0));
-            seq.decoded += adv;
-            seq.kv_tokens += adv;
-            if adv > 0.0 {
-                seq.trace.joules += adv * joules_per_token;
-                seq.trace.decode_s += dt;
-                if seq.trace.first_token_s.is_none() && seq.decoded + TOKEN_EPS >= 1.0 {
-                    // The first token crossed inside this epoch; it
-                    // completed after the fraction of an iteration it
-                    // still needed.
-                    seq.trace.first_token_s = Some(t0 + (1.0 - before).max(0.0) * self.iter_s);
-                }
-                if let Some(prev) = seq.trace.last_token_s {
-                    // The gap spanning the epoch boundary: the first
-                    // token of this epoch lands one iteration in.
-                    seq.trace.tbt_max_s = seq.trace.tbt_max_s.max(t0 + self.iter_s - prev);
-                }
-                if adv > 1.0 {
-                    seq.trace.tbt_max_s = seq.trace.tbt_max_s.max(self.iter_s);
-                }
-                seq.trace.last_token_s = Some(t0 + adv * self.iter_s);
-            }
-        }
-
-        let _g = prof.time(Phase::ServeKvAlloc);
-        let mut preempted = 0;
-        loop {
-            let need: u32 = self
-                .decoding
-                .iter()
-                .map(|s| {
-                    self.pager
-                        .blocks_for_tokens(s.kv_tokens)
-                        .saturating_sub(s.blocks)
-                })
-                .sum();
-            if need <= self.pager.free_blocks() {
-                break;
-            }
-            // KV exhaustion: preempt the youngest running sequence —
-            // free its blocks, remember its generated tokens, and
-            // recompute its prefill when it is next admitted.
-            let mut victim = self.decoding.pop().expect("KV exhaustion with empty batch");
-            self.pager.free(victim.blocks);
-            victim.blocks = 0;
-            victim.prefill_total = victim.input_tokens as f64 + victim.decoded;
-            victim.prefill_done = 0.0;
-            victim.kv_tokens = 0.0;
-            victim.trace.preemptions += 1;
-            victim.trace.recompute_tokens += victim.prefill_total;
-            self.waiting.push_front(victim);
-            preempted += 1;
-        }
-        for seq in &mut self.decoding {
-            let need = self
-                .pager
-                .blocks_for_tokens(seq.kv_tokens)
-                .saturating_sub(seq.blocks);
-            if need > 0 {
-                let ok = self.pager.try_alloc(need);
-                debug_assert!(ok, "growth allocation after preemption must fit");
-                seq.blocks += need;
-            }
-        }
-        prof.record_max(
-            ProfCounter::ServeKvPeakBlocks,
-            self.pager.used_blocks() as u64,
-        );
-        if preempted > 0 {
-            prof.count(ProfCounter::ServePreemptions, preempted);
-        }
-        preempted
     }
 
     /// Processes composition boundaries reached by `advance_to`:
@@ -479,7 +523,7 @@ impl<T> BatchServer<T> {
                     payload: seq.payload,
                     server: self.id,
                     started_at: seq.started_at.expect("completed without admission"),
-                    span: seq.trace,
+                    span: seq.trace.map_or_else(ReqSpan::default, |span| *span),
                 });
             } else {
                 i += 1;
@@ -542,13 +586,10 @@ impl<T> BatchServer<T> {
             self.refresh_power();
             return None;
         }
-        let profile = self.deployment.iteration_profile(&BatchComposition {
-            prefill_tokens: p,
-            decode_seqs: d,
-        });
+        let profile = self.profiles.get(p, d);
         let slowdown = self
             .dvfs
-            .slowdown(self.clock_ratio(), profile.compute_fraction);
+            .slowdown(self.clock_ratio, profile.compute_fraction);
         self.iter_s = profile.duration_s * slowdown;
         self.prefill_per_iter = p as f64;
         debug_assert!(
@@ -582,30 +623,49 @@ impl<T> BatchServer<T> {
     /// (block demand is monotone in the iteration count).
     fn exhaustion_iters(&self, bound: u64) -> Option<u64> {
         let free = self.pager.free_blocks();
-        let need_at = |n: f64| -> u32 {
-            self.decoding
-                .iter()
-                .map(|s| {
-                    let adv = n.min((s.output_tokens as f64 - s.decoded).max(0.0));
-                    self.pager
-                        .blocks_for_tokens(s.kv_tokens + adv)
-                        .saturating_sub(s.blocks)
-                })
-                .sum()
-        };
-        if need_at(bound as f64) <= free {
+        // Every decoding sequence already holds the blocks for its
+        // current KV (admission allocates them up front and
+        // `advance_to` grows them), and within `bound` iterations its KV
+        // grows by at most `bound` tokens: in exact arithmetic, at most
+        // ⌈bound / block_tokens⌉ new blocks. `blocks_for_tokens` rounds
+        // `kv + adv − ε` and its quotient, and the held count was itself
+        // reached through rounded quotients; together those errors are a
+        // few ulps of the token count, far below one block, so they can
+        // lift the ceiling across one more integer at most: +1. The
+        // second +1 is margin, so the test needs no error bound tighter
+        // than "under one block". A batch that fits the free pool at
+        // that rate cannot run dry within `bound`.
+        let per_seq = bound
+            .div_ceil(u64::from(self.pager.block_tokens()))
+            .saturating_add(2);
+        if (self.decoding.len() as u64).saturating_mul(per_seq) <= u64::from(free) {
+            debug_assert!(self.decode_need_at(bound as f64) <= free);
+            return None;
+        }
+        if self.decode_need_at(bound as f64) <= free {
             return None;
         }
         let (mut lo, mut hi) = (1u64, bound);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if need_at(mid as f64) > free {
+            if self.decode_need_at(mid as f64) > free {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
         Some(lo)
+    }
+
+    /// New KV blocks the decode batch needs after `n` more iterations.
+    fn decode_need_at(&self, n: f64) -> u32 {
+        self.decoding
+            .iter()
+            .map(|s| {
+                let adv = n.min((s.output_tokens as f64 - s.decoded).max(0.0));
+                self.pager.blocks_to_grow(s.kv_tokens + adv, s.blocks)
+            })
+            .sum()
     }
 
     /// Full service cycle at `now`: advance fluid progress, process
@@ -644,6 +704,7 @@ impl<T> BatchServer<T> {
             ControlAction::PowerBrake { on } => self.brake = on,
             ControlAction::PowerCap { .. } | ControlAction::ClearPowerCap => {}
         }
+        self.refresh_clock();
         if (self.effective_clock_mhz() - before).abs() > f64::EPSILON {
             self.boundaries(result);
             self.admit(now, prof);
@@ -654,5 +715,116 @@ impl<T> BatchServer<T> {
     /// Mean KV occupancy of this server's pager.
     pub fn kv_occupancy(&self) -> f64 {
         self.pager.occupancy()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use polca_llm::{InferenceModel, ModelSpec};
+    use polca_sim::SimRng;
+
+    /// An idle aggregated server over a pool of `kv_blocks` blocks of
+    /// `block_tokens` tokens.
+    fn server(kv_blocks: u32, block_tokens: u32) -> BatchServer<()> {
+        let spec = ServerSpec::dgx_a100();
+        let params = BatchedRowParams {
+            deployment: InferenceModel::new(ModelSpec::bloom_176b(), spec.gpu.clone()).unwrap(),
+            classes: vec![false],
+            spec,
+            power_scale: 1.0,
+            trace_requests: false,
+        };
+        let sched = BatchScheduler::from_config(&ServeConfig::default());
+        let profiles = Arc::new(ProfileTable::new(params.deployment.clone(), &sched));
+        let pager = KvPager::new(kv_blocks, block_tokens);
+        BatchServer::new(
+            0,
+            PoolRole::Aggregated,
+            sched,
+            pager,
+            None,
+            &params,
+            profiles,
+        )
+    }
+
+    /// The search before the integer bound and the block shortcut: the
+    /// sweep at `bound`, then a binary search over whole iterations.
+    fn plain_exhaustion_iters(s: &BatchServer<()>, bound: u64) -> Option<u64> {
+        let free = s.pager.free_blocks();
+        let need_at = |n: f64| -> u32 {
+            s.decoding
+                .iter()
+                .map(|q| {
+                    let adv = n.min((q.output_tokens as f64 - q.decoded).max(0.0));
+                    s.pager
+                        .blocks_for_tokens(q.kv_tokens + adv)
+                        .saturating_sub(q.blocks)
+                })
+                .sum()
+        };
+        if need_at(bound as f64) <= free {
+            return None;
+        }
+        let (mut lo, mut hi) = (1u64, bound);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if need_at(mid as f64) > free {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo)
+    }
+
+    #[test]
+    fn exhaustion_iters_matches_the_plain_search() {
+        let mut rng = SimRng::from_seed_stream(42, 0);
+        let (mut bounded, mut exhausted) = (0, 0);
+        for case in 0..4_000 {
+            let block_tokens = if case % 2 == 0 { 16 } else { 7 };
+            let mut s = server(rng.uniform_u64(64, 8192) as u32, block_tokens);
+            for id in 0..rng.uniform_u64(1, 32) {
+                let input = rng.uniform_u64(1, 2048) as u32;
+                let output = rng.uniform_u64(1, 1024) as u32;
+                let mut seq = Seq::fresh((), id, input, output, false, false);
+                seq.prefill_done = seq.prefill_total;
+                seq.decoded = rng.uniform(0.0, f64::from(output));
+                seq.kv_tokens = f64::from(input) + seq.decoded;
+                if rng.chance(0.25) {
+                    // Land the KV within 1e-9 of a block boundary.
+                    seq.kv_tokens = (seq.kv_tokens / f64::from(block_tokens)).round()
+                        * f64::from(block_tokens)
+                        + rng.uniform(-1e-9, 1e-9);
+                }
+                // Every decoding sequence holds at least the blocks for
+                // its current KV (some hold one more, as after an
+                // admission's up-front allocation).
+                let blocks =
+                    s.pager.blocks_for_tokens(seq.kv_tokens) + rng.uniform_u64(0, 1) as u32;
+                if !s.pager.try_alloc(blocks) {
+                    break;
+                }
+                seq.blocks = blocks;
+                s.decoding.push(seq);
+            }
+            if s.decoding.is_empty() {
+                continue;
+            }
+            let bound = rng.uniform_u64(1, 1024);
+            let per_seq = bound.div_ceil(u64::from(block_tokens)) + 2;
+            bounded +=
+                usize::from(s.decoding.len() as u64 * per_seq <= u64::from(s.pager.free_blocks()));
+            let want = plain_exhaustion_iters(&s, bound);
+            exhausted += usize::from(want.is_some());
+            assert_eq!(s.exhaustion_iters(bound), want, "case {case}");
+        }
+        // Both the integer bound and the search were exercised.
+        assert!(
+            bounded > 100 && exhausted > 100,
+            "{bounded} bounded, {exhausted} exhausted"
+        );
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! * request tracing is observation, not intervention: turning it on
 //!   leaves outcomes and `events.jsonl` byte-identical on both
-//!   engines, at any seed,
+//!   engines, at any seed, and leaves the whole `SimReport` bit-identical
+//!   on batched rows whose KV pools preempt, aggregated or split,
 //! * `requests.jsonl` is byte-identical at `jobs=1` and `jobs=4` on
 //!   the four-policy panel — the per-cell recorders absorb in
 //!   canonical order,
@@ -15,14 +16,17 @@
 //! * the per-priority TTFT/TBT/energy histograms render to a pinned
 //!   Prometheus exposition.
 
-use polca::{CostModel, DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind};
-use polca_cluster::{EngineKind, Priority, Request, RowConfig};
+use polca::{
+    CostModel, DisaggregationConfig, OversubscriptionStudy, PolcaController, PolcaPolicy,
+    PolicyKind,
+};
+use polca_cluster::{ClusterSim, EngineKind, Priority, Request, RowConfig, SimConfig, SimReport};
 use polca_ingest::{IngestedTrace, ReplayOptions, TraceReplay};
 use polca_obs::{
     CarbonSignal, EnergyPlan, ObsLevel, ProfCounter, Recorder, ReqSpan, ReqTraceConfig,
 };
 use polca_serve::ServeConfig;
-use polca_sim::SimTime;
+use polca_sim::{SimRng, SimTime};
 use proptest::prelude::*;
 
 /// The aggregated batched engine built from the §5.2 constants.
@@ -41,6 +45,79 @@ fn run_quick(seed: u64, engine: EngineKind, traced: bool) -> (polca::PolicyOutco
     study.set_recorder(recorder.clone());
     study.set_engine(engine);
     (study.run(PolicyKind::Polca, 0.30, 1.0), recorder)
+}
+
+/// A seeded burst of short requests under POLCA on a 4-server batched
+/// row (`serve`'s pools, 8 KV blocks of 16 tokens per server), with or
+/// without request tracing: a few sequences fill a pool, so the pager
+/// preempts. Returns the report and `serve.preemptions`.
+fn kv_pressure_report(seed: u64, serve: &ServeConfig, traced: bool) -> (SimReport, u64) {
+    let mut recorder = Recorder::new(ObsLevel::Full);
+    if traced {
+        recorder = recorder.with_req_trace(ReqTraceConfig::default());
+    }
+    let mut row = RowConfig::paper_inference_row();
+    row.base_servers = 4;
+    let mut rng = SimRng::from_seed_stream(seed, 0);
+    let requests: Vec<Request> = (0..80)
+        .map(|i| {
+            Request::new(
+                i,
+                SimTime::from_secs(i as f64 * 0.25),
+                rng.uniform_u64(16, 60) as u32,
+                rng.uniform_u64(8, 60) as u32,
+                if rng.chance(0.5) {
+                    Priority::High
+                } else {
+                    Priority::Low
+                },
+            )
+        })
+        .collect();
+    let config = SimConfig {
+        seed,
+        engine: EngineKind::Batched(ServeConfig {
+            kv_blocks: Some(8),
+            ..serve.clone()
+        }),
+        recorder: recorder.clone(),
+        ..SimConfig::default()
+    };
+    let controller = PolcaController::new(PolcaPolicy::default());
+    let report = ClusterSim::new(row, config, controller).run(requests, SimTime::from_secs(900.0));
+    let preemptions = recorder
+        .prof()
+        .snapshot()
+        .counter(ProfCounter::ServePreemptions);
+    (report, preemptions)
+}
+
+/// Every field of `report`, floats as their bits.
+fn report_bits(report: &SimReport) -> Vec<u64> {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let mut all = vec![
+        report.offered,
+        report.completed,
+        report.rejected,
+        report.completed_by_priority.0,
+        report.completed_by_priority.1,
+        report.offered_by_priority.0,
+        report.offered_by_priority.1,
+        report.rejected_by_priority.0,
+        report.rejected_by_priority.1,
+        report.peak_row_watts.to_bits(),
+        report.mean_row_watts.to_bits(),
+        report.brake_engagements,
+        report.commands_issued,
+        report.events_processed,
+        report.duration.as_secs().to_bits(),
+    ];
+    all.extend(bits(&report.low_latencies_s));
+    all.push(u64::MAX);
+    all.extend(bits(&report.high_latencies_s));
+    all.push(u64::MAX);
+    all.extend(bits(report.row_power.values()));
+    all
 }
 
 proptest! {
@@ -66,6 +143,17 @@ proptest! {
             // Tracing actually produced records — one per completion.
             prop_assert!(a.requests.is_empty());
             prop_assert_eq!(b.requests.len() as u64, on.counts.1);
+        }
+        // The quick demo may never preempt. Under KV pressure, with
+        // aggregated and with split pools, the whole report matches
+        // bit for bit.
+        for serve in [ServeConfig::default(), ServeConfig::split_pools(200e9, Some(1110.0))] {
+            let (off, preempted_off) = kv_pressure_report(seed, &serve, false);
+            let (on, preempted_on) = kv_pressure_report(seed, &serve, true);
+            prop_assert!(preempted_off > 0, "{:?} never preempted", serve.pools);
+            prop_assert_eq!(preempted_off, preempted_on);
+            prop_assert!(off.completed > 0);
+            prop_assert_eq!(report_bits(&off), report_bits(&on));
         }
     }
 }

@@ -14,6 +14,19 @@
 /// error) does not claim a block for the error term.
 pub(crate) const TOKEN_EPS: f64 = 1e-6;
 
+/// `x.ceil() as u32`, bit for bit, without the libm call that baseline
+/// x86-64 (no rounding instruction) makes for `ceil`: the saturating
+/// truncation, plus one when it fell short of `x`.
+#[inline]
+pub(crate) fn ceil_u32(x: f64) -> u32 {
+    let t = x as u32;
+    if f64::from(t) < x {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// A per-server paged KV-cache allocator: `total_blocks` blocks of
 /// `block_tokens` tokens each.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +58,7 @@ impl KvPager {
         if tokens <= TOKEN_EPS {
             return 0;
         }
-        ((tokens - TOKEN_EPS) / self.block_tokens as f64).ceil() as u32
+        ceil_u32((tokens - TOKEN_EPS) / self.block_tokens as f64)
     }
 
     /// Blocks a sequence holding `held` must add to hold `tokens` KV
@@ -125,6 +138,37 @@ mod tests {
         assert_eq!(p.blocks_for_tokens(17.0), 2);
         // Float noise at a block boundary does not claim a block.
         assert_eq!(p.blocks_for_tokens(32.0 + 1e-9), 2);
+    }
+
+    #[test]
+    fn ceil_u32_is_the_saturating_ceil_cast() {
+        let mut rng = SimRng::from_seed_stream(42, 0);
+        let edges = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.5,
+            -0.0,
+            0.0,
+            1e-300,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            4_294_967_294.5,
+            4_294_967_295.0,
+            4_294_967_295.5,
+            4_294_967_296.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        let random = (0..20_000).map(|i| match i % 3 {
+            0 => rng.uniform(0.0, 70_000.0),
+            1 => rng.uniform_u64(0, 70_000) as f64 + rng.uniform(-1e-9, 1e-9),
+            _ => rng.uniform(-10.0, 10.0),
+        });
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(ceil_u32(x), x.ceil() as u32, "x = {x:e}");
+        }
     }
 
     #[test]

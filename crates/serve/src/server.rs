@@ -27,7 +27,7 @@ use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
 
 use crate::config::ServeConfig;
-use crate::pager::{KvPager, TOKEN_EPS};
+use crate::pager::{ceil_u32, KvPager, TOKEN_EPS};
 use crate::profile::ProfileTable;
 use crate::row::BatchedRowParams;
 
@@ -90,7 +90,7 @@ impl BatchScheduler {
         if prefill_remaining <= TOKEN_EPS {
             return 0;
         }
-        (prefill_remaining.ceil() as u32).min(self.full_chunk(decode_seqs))
+        ceil_u32(prefill_remaining).min(self.full_chunk(decode_seqs))
     }
 
     /// The chunk a prompt with at least that much left prefills beside
@@ -399,14 +399,26 @@ impl<T> BatchServer<T> {
                 }
             }
         }
-        // Decode progress, and the KV blocks it takes.
-        let mut need = 0;
+        // Decode progress. A sequence whose KV crossed into new blocks
+        // takes them at once while the pool holds them all; from the
+        // first that it cannot, the pool is short and the growth waits
+        // for the preemptions below. Growing oldest first changes no
+        // decision: a victim frees what it grew, so the pool then holds
+        // exactly what it would have held had nothing grown yet.
+        let mut short = false;
         for seq in &mut self.decoding {
             let before = seq.decoded;
             let adv = iters.min((seq.output_tokens as f64 - seq.decoded).max(0.0));
             seq.decoded += adv;
             seq.kv_tokens += adv;
-            need += self.pager.blocks_to_grow(seq.kv_tokens, seq.blocks);
+            let need = self.pager.blocks_to_grow(seq.kv_tokens, seq.blocks);
+            if need > 0 {
+                if !short && self.pager.try_alloc(need) {
+                    seq.blocks += need;
+                } else {
+                    short = true;
+                }
+            }
             let Some(span) = seq.trace.as_deref_mut().filter(|_| adv > 0.0) else {
                 continue;
             };
@@ -431,7 +443,7 @@ impl<T> BatchServer<T> {
 
         let _g = prof.time(Phase::ServeKvAlloc);
         let mut preempted = 0;
-        while need > self.pager.free_blocks() {
+        while short && self.decode_need_at(0.0) > self.pager.free_blocks() {
             // KV exhaustion: preempt the youngest running sequence —
             // free its blocks, remember its generated tokens, and
             // recompute its prefill when it is next admitted.
@@ -447,9 +459,8 @@ impl<T> BatchServer<T> {
             }
             self.waiting.push_front(victim);
             preempted += 1;
-            need = self.decode_need_at(0.0);
         }
-        if need > 0 {
+        if short {
             for seq in &mut self.decoding {
                 let need = self.pager.blocks_to_grow(seq.kv_tokens, seq.blocks);
                 if need > 0 {
@@ -608,7 +619,8 @@ impl<T> BatchServer<T> {
             iters = iters.min((seq.output_tokens as f64 - seq.decoded).max(TOKEN_EPS));
         }
         if d > 0 {
-            let bound = iters.ceil().max(1.0) as u64;
+            // `iters` is at most a sequence's remaining output tokens.
+            let bound = u64::from(ceil_u32(iters)).max(1);
             if let Some(n) = self.exhaustion_iters(bound) {
                 iters = iters.min(n as f64);
             }
@@ -777,6 +789,103 @@ mod tests {
             }
         }
         Some(lo)
+    }
+
+    /// `advance_to`'s decode step as it ran before growth moved into
+    /// the progress pass: progress for every sequence, then the demand
+    /// sweep, a preemption while it exceeds the pool, and the growth
+    /// pass.
+    fn sweep_then_grow(s: &mut BatchServer<()>, iters: f64) -> u64 {
+        for seq in &mut s.decoding {
+            let adv = iters.min((seq.output_tokens as f64 - seq.decoded).max(0.0));
+            seq.decoded += adv;
+            seq.kv_tokens += adv;
+        }
+        let need = |s: &BatchServer<()>| -> u32 {
+            s.decoding
+                .iter()
+                .map(|q| {
+                    s.pager
+                        .blocks_for_tokens(q.kv_tokens)
+                        .saturating_sub(q.blocks)
+                })
+                .sum()
+        };
+        let mut preempted = 0;
+        while need(s) > s.pager.free_blocks() {
+            let mut victim = s.decoding.pop().expect("a victim");
+            s.pager.free(victim.blocks);
+            victim.blocks = 0;
+            victim.prefill_total = victim.input_tokens as f64 + victim.decoded;
+            victim.prefill_done = 0.0;
+            victim.kv_tokens = 0.0;
+            s.waiting.push_front(victim);
+            preempted += 1;
+        }
+        for seq in &mut s.decoding {
+            let need = s
+                .pager
+                .blocks_for_tokens(seq.kv_tokens)
+                .saturating_sub(seq.blocks);
+            assert!(s.pager.try_alloc(need));
+            seq.blocks += need;
+        }
+        preempted
+    }
+
+    /// Every field the decode step writes, floats as bits.
+    fn decode_state(s: &BatchServer<()>) -> Vec<[u64; 5]> {
+        s.decoding
+            .iter()
+            .chain(&s.waiting)
+            .map(|q| {
+                [
+                    q.id,
+                    q.decoded.to_bits(),
+                    q.kv_tokens.to_bits(),
+                    q.prefill_total.to_bits(),
+                    u64::from(q.blocks),
+                ]
+            })
+            .chain([[u64::from(s.pager.free_blocks()); 5]])
+            .collect()
+    }
+
+    #[test]
+    fn growth_in_the_progress_pass_preempts_as_sweep_then_grow() {
+        let mut rng = SimRng::from_seed_stream(7, 0);
+        let mut short = 0;
+        for case in 0..2_000 {
+            let block_tokens = if case % 2 == 0 { 16 } else { 7 };
+            let mut s = server(rng.uniform_u64(16, 2048) as u32, block_tokens);
+            for id in 0..rng.uniform_u64(1, 32) {
+                let input = rng.uniform_u64(1, 512) as u32;
+                let output = rng.uniform_u64(1, 512) as u32;
+                let mut seq = Seq::fresh((), id, input, output, false, false);
+                seq.prefill_done = seq.prefill_total;
+                seq.decoded = rng.uniform(0.0, f64::from(output));
+                seq.kv_tokens = f64::from(input) + seq.decoded;
+                let blocks = s.pager.blocks_for_tokens(seq.kv_tokens);
+                if !s.pager.try_alloc(blocks) {
+                    break;
+                }
+                seq.blocks = blocks;
+                s.decoding.push(seq);
+            }
+            if s.decoding.is_empty() {
+                continue;
+            }
+            // An epoch of up to 64 iterations from t = 0.
+            s.iter_s = 0.02;
+            let dt = rng.uniform(0.001, 1.28);
+            let mut want = s.clone();
+            let preempted = sweep_then_grow(&mut want, dt / s.iter_s);
+            short += usize::from(preempted > 0);
+            let got = s.advance_to(SimTime::from_secs(dt), &Profiler::disabled());
+            assert_eq!(got, preempted, "case {case}");
+            assert_eq!(decode_state(&s), decode_state(&want), "case {case}");
+        }
+        assert!(short > 100, "only {short} cases ran the pool short");
     }
 
     #[test]

@@ -36,16 +36,18 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== bench-digest (polca-benchmark vs benchmark/expected.json) =="
 # Every rep of every benchmark workload must reproduce the outcome
-# digests pinned in benchmark/expected.json, which cover the simulated
-# outcome and the bytes of the pinned artifacts. The last stdout line
-# of each run is its verdict.
-for workload in row_6wk site_day serve_day replay_obs; do
-    verdict="$(cargo run --release --offline --quiet \
-        --manifest-path benchmark/Cargo.toml --bin polca-benchmark -- \
-        --workload "$workload" --seed 17 --seconds 1 --trace 0 | tail -n 1)" || :
-    [[ "$verdict" == *'"correct":true'* ]] \
-        || { echo "bench-digest: $workload drifted from benchmark/expected.json: $verdict"; exit 1; }
-    echo "  $workload: correct"
+# digests pinned in benchmark/expected.json, at both pinned seeds, which
+# cover the simulated outcome and the bytes of the pinned artifacts. The
+# last stdout line of each run is its verdict.
+for seed in 17 42; do
+    for workload in row_6wk site_day serve_day replay_obs; do
+        verdict="$(cargo run --release --offline --quiet \
+            --manifest-path benchmark/Cargo.toml --bin polca-benchmark -- \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 0 | tail -n 1)" || :
+        [[ "$verdict" == *'"correct":true'* ]] \
+            || { echo "bench-digest: $workload at seed $seed drifted from benchmark/expected.json: $verdict"; exit 1; }
+        echo "  $workload, seed $seed: correct"
+    done
 done
 
 echo "== polca-cli ingest smoke test =="
@@ -195,26 +197,34 @@ grep -q 'serve_pool_power_w{tag="decode"}' "$serve_out/split/metrics.prom" \
     || { echo "no decode pool power gauge"; exit 1; }
 
 echo "== polca-cli req-trace smoke test =="
-# Both engines trace request spans, each on its own path, and tracing
-# is write-only: the same run without --req-trace logs the same events.
-for engine in batched legacy; do
+# Every engine shape traces request spans (split pools are the one shape
+# where an operation touches several servers and where spans record KV
+# hops), and tracing is write-only: the same run without --req-trace
+# logs the same events.
+for engine in batched "batched --split-pools" legacy; do
+    read -r -a engine_args <<< "--engine $engine"
     req_out="$(scratch)"
     cargo run -q --offline --release -p polca-cli -- \
-        evaluate --engine "$engine" --req-trace --days 0.02 --obs-out "$req_out"
+        evaluate "${engine_args[@]}" --req-trace --days 0.02 --obs-out "$req_out"
     [[ -s "$req_out/requests.jsonl" ]] \
         || { echo "$engine req-trace wrote no requests.jsonl"; exit 1; }
     untraced_out="$(scratch)"
     cargo run -q --offline --release -p polca-cli -- \
-        evaluate --engine "$engine" --days 0.02 --obs-out "$untraced_out" > /dev/null
+        evaluate "${engine_args[@]}" --days 0.02 --obs-out "$untraced_out" > /dev/null
     cmp "$req_out/events.jsonl" "$untraced_out/events.jsonl" \
         || { echo "$engine events.jsonl differs without --req-trace"; exit 1; }
     # Every record must carry the lifecycle + energy schema fields.
     for field in '"id"' '"priority"' '"queue_s"' '"ttft_s"' '"tbt_mean_s"' \
                  '"tbt_max_s"' '"preemptions"' '"joules"' '"joules_per_token"' \
-                 '"co2e_g"' '"pue_applied"'; do
+                 '"co2e_g"' '"pue_applied"' '"kv_hops"' '"kv_ship_s"'; do
         grep -vq "$field" "$req_out/requests.jsonl" \
             && { echo "$engine requests.jsonl line missing $field"; exit 1; }
     done
+    # Only split pools ship KV between servers.
+    if [[ "$engine" == *--split-pools ]]; then
+        grep -q '"kv_hops":[1-9]' "$req_out/requests.jsonl" \
+            || { echo "$engine requests.jsonl records no KV hop"; exit 1; }
+    fi
     # The per-priority TTFT histograms land in the Prometheus export.
     grep -q '^# TYPE req_ttft_s summary' "$req_out/metrics.prom" \
         || { echo "no req_ttft_s histogram in $engine metrics.prom"; exit 1; }

@@ -62,7 +62,7 @@ pub mod training;
 
 pub use hierarchy::SiteHierarchy;
 pub use polca_gpu::{ServerSpec, HOT_IDLE_INTENSITY};
-pub use request::{CompletedRequest, Priority, Request};
+pub use request::{Priority, Request};
 pub use row::RowConfig;
 pub use server::{InferenceServer, ServerState};
 pub use sim::{

@@ -72,47 +72,9 @@ impl Request {
     }
 }
 
-/// The record kept when a request finishes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompletedRequest {
-    /// The original request.
-    pub request: Request,
-    /// When service started on a server.
-    pub started_at: SimTime,
-    /// When the last token was produced.
-    pub completed_at: SimTime,
-    /// Which server served it.
-    pub server: usize,
-}
-
-impl CompletedRequest {
-    /// End-to-end latency (queueing + service) in seconds.
-    pub fn latency_s(&self) -> f64 {
-        (self.completed_at - self.request.arrival).as_secs()
-    }
-
-    /// Time spent waiting before service, in seconds.
-    pub fn queue_wait_s(&self) -> f64 {
-        (self.started_at - self.request.arrival).as_secs()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_decomposes_into_wait_and_service() {
-        let req = Request::new(1, SimTime::from_secs(10.0), 1024, 256, Priority::High);
-        let done = CompletedRequest {
-            request: req,
-            started_at: SimTime::from_secs(12.0),
-            completed_at: SimTime::from_secs(30.0),
-            server: 4,
-        };
-        assert_eq!(done.latency_s(), 20.0);
-        assert_eq!(done.queue_wait_s(), 2.0);
-    }
 
     #[test]
     #[should_panic(expected = "output_tokens")]

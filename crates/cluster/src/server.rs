@@ -10,11 +10,12 @@
 //!
 //! A row of these servers is a `LegacyRow`: it dispatches arrivals
 //! round-robin to idle servers of the request's class, keeps the row's
-//! power sums incrementally and, with request tracing on, the span of
-//! each server's request in service. It answers the cluster simulator
-//! with the method names and outcome types of `polca-serve`'s
-//! `BatchedRow`, so [`crate::sim`] drives both engines through one path
-//! per event.
+//! power sums in `polca-serve`'s `RowWatts` and, with request tracing
+//! on, the span of each server's request in service. It answers the
+//! cluster simulator with the method names of `polca-serve`'s
+//! `BatchedRow`, and each operation appends its wakes and completions
+//! to the same `ServeOutcome` buffer, so [`crate::sim`] drives both
+//! engines through one path per event.
 //!
 //! This whole-request model is what the paper evaluated and remains the
 //! default — every historical result reproduces on it bit-for-bit. The
@@ -28,11 +29,11 @@ use std::collections::VecDeque;
 use polca_gpu::{DvfsModel, ServerSpec, HOT_IDLE_INTENSITY};
 use polca_llm::{InferenceConfig, InferenceModel, RequestProfile};
 use polca_obs::ReqSpan;
-use polca_serve::{AdmissionKind, ArrivalOutcome, Completion, ServeOutcome};
+use polca_serve::{AdmissionKind, Completion, PoolRole, RowWatts, ServeOutcome};
 use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
 
-use crate::request::{CompletedRequest, Priority, Request};
+use crate::request::{Priority, Request};
 use crate::row::RowConfig;
 
 /// Which phase the active request is in.
@@ -82,8 +83,10 @@ pub enum PhaseOutcome {
     /// The request completed; if the buffer was non-empty the next
     /// request started its prompt phase immediately.
     Completed {
-        /// The finished request's record.
-        record: CompletedRequest,
+        /// The finished request.
+        request: Request,
+        /// When it entered service.
+        started_at: SimTime,
         /// Phase end of the next request's prompt, if one started.
         next: Option<(SimTime, u64)>,
     },
@@ -256,6 +259,13 @@ impl InferenceServer {
         self.power_at(intensity, self.dvfs.power_scale(self.clock_ratio()))
     }
 
+    /// The server's class and its `(watts, serving)` draw, as the row's
+    /// [`RowWatts`] takes them.
+    fn ledger_entry(&self) -> (bool, (f64, bool)) {
+        let high = self.priority == Priority::High;
+        (high, (self.power_watts(), !self.is_idle()))
+    }
+
     /// Server power at workload `intensity` with the GPUs' dynamic
     /// power scaled by `dvfs_scale`, times the study's power scale.
     fn power_at(&self, intensity: f64, dvfs_scale: f64) -> f64 {
@@ -344,17 +354,15 @@ impl InferenceServer {
                 }
             }
             Phase::Token => {
-                let record = CompletedRequest {
-                    request: req,
-                    started_at,
-                    completed_at: now,
-                    server: self.id,
-                };
                 let next = self
                     .buffer
                     .pop_front()
                     .map(|next_req| self.start_request(now, next_req));
-                PhaseOutcome::Completed { record, next }
+                PhaseOutcome::Completed {
+                    request: req,
+                    started_at,
+                    next,
+                }
             }
         }
     }
@@ -406,25 +414,19 @@ struct OpenSpan {
     started: SimTime,
     /// When the server's draw was last charged to the span.
     charged_to: SimTime,
-    span: ReqSpan,
+    span: Box<ReqSpan>,
 }
 
 /// The legacy engine's row: its servers, a round-robin dispatch cursor
-/// per priority class, the row's power sums (kept incrementally, so
-/// reading them costs nothing per event) and, with request tracing on,
-/// the span of each server's request in service.
+/// per priority class, the row's power sums (one pool, `aggregated`)
+/// and, with request tracing on, the span of each server's request in
+/// service.
 #[derive(Debug)]
 pub(crate) struct LegacyRow {
     servers: Vec<InferenceServer>,
     /// Where the next idle-server search starts, `[low, high]`.
     cursors: [usize; 2],
-    /// Σ server power.
-    total_power: f64,
-    /// Σ power of the servers that are serving: the source of the
-    /// row's busy energy, which upper-bounds Σ attributed joules.
-    busy_power: f64,
-    /// Σ server power per priority class, `[low, high]`.
-    class_power: [f64; 2],
+    watts: RowWatts,
     /// One slot per server; empty unless request tracing is on.
     spans: Vec<Option<OpenSpan>>,
 }
@@ -440,13 +442,13 @@ impl LegacyRow {
     /// is set.
     pub(crate) fn new(row: &RowConfig, power_scale: f64, trace_requests: bool) -> Self {
         let mut servers = row.build_servers();
-        let mut total_power = 0.0;
-        let mut class_power = [0.0; 2];
         for s in &mut servers {
             s.set_power_scale(power_scale);
-            total_power += s.power_watts();
-            class_power[class(s.priority())] += s.power_watts();
         }
+        let watts = RowWatts::new(servers.iter().map(|s| {
+            let (high, draw) = s.ledger_entry();
+            (high, PoolRole::Aggregated, draw)
+        }));
         let spans = if trace_requests {
             vec![None; servers.len()]
         } else {
@@ -455,10 +457,7 @@ impl LegacyRow {
         LegacyRow {
             servers,
             cursors: [0, 0],
-            total_power,
-            // Every server starts idle.
-            busy_power: 0.0,
-            class_power,
+            watts,
             spans,
         }
     }
@@ -468,29 +467,10 @@ impl LegacyRow {
         &self.servers
     }
 
-    /// Instantaneous row power, in watts.
+    /// The row's power sums.
     #[inline]
-    pub(crate) fn total_power_watts(&self) -> f64 {
-        self.total_power
-    }
-
-    /// Instantaneous power of the servers that are serving, in watts.
-    #[inline]
-    pub(crate) fn busy_power_watts(&self) -> f64 {
-        self.busy_power
-    }
-
-    /// Instantaneous power per priority class, `[low, high]`.
-    #[inline]
-    pub(crate) fn class_power_watts(&self) -> [f64; 2] {
-        self.class_power
-    }
-
-    /// Fills `out` with the row's one pool, `aggregated`.
-    #[inline]
-    pub(crate) fn write_pool_power(&self, out: &mut Vec<(&'static str, f64)>) {
-        out.clear();
-        out.push(("aggregated", self.total_power));
+    pub(crate) fn watts(&self) -> &RowWatts {
+        &self.watts
     }
 
     /// Servers that may serve before any further arrival: a server
@@ -505,9 +485,16 @@ impl LegacyRow {
 
     /// Dispatches an arriving request: to the next idle server of its
     /// class in round-robin order, else into the shortest buffer of its
-    /// class with space, else it is rejected.
+    /// class with space, else it is rejected. Returns the admission and
+    /// the server (0 on rejection); a started request's wake goes to
+    /// `out`.
     #[inline]
-    pub(crate) fn on_arrival(&mut self, now: SimTime, req: Request) -> ArrivalOutcome<Request> {
+    pub(crate) fn on_arrival(
+        &mut self,
+        now: SimTime,
+        req: Request,
+        out: &mut ServeOutcome<Request>,
+    ) -> (AdmissionKind, usize) {
         let n = self.servers.len();
         let cursor = &mut self.cursors[class(req.priority)];
         let start = *cursor;
@@ -516,12 +503,10 @@ impl LegacyRow {
             .find(|&i| self.servers[i].priority() == req.priority && self.servers[i].is_idle());
         if let Some(i) = idle {
             *cursor = (i + 1) % n;
-            let wake = self.change(now, i, |s| s.start_request(now, req));
+            let (at, version) = self.change(now, i, |s| s.start_request(now, req));
             self.open_span(now, i);
-            return ArrivalOutcome {
-                kind: AdmissionKind::Started,
-                outcome: ServeOutcome::new(i, Some(wake), Vec::new()),
-            };
+            out.wakes.push((i, at, version));
+            return (AdmissionKind::Started, i);
         }
         let target = self
             .servers
@@ -537,23 +522,22 @@ impl LegacyRow {
             }
             None => AdmissionKind::Rejected,
         };
-        ArrivalOutcome {
-            kind,
-            outcome: ServeOutcome::new(target.unwrap_or(0), None, Vec::new()),
-        }
+        (kind, target.unwrap_or(0))
     }
 
-    /// Handles server `server`'s phase end; `None` if `version` is
-    /// stale (the phase was rescheduled since).
+    /// Handles server `server`'s phase end, appending its completion
+    /// and next wake to `out`; a stale `version` (the phase was
+    /// rescheduled since) does nothing.
     #[inline]
     pub(crate) fn on_wake(
         &mut self,
         now: SimTime,
         server: usize,
         version: u64,
-    ) -> Option<ServeOutcome<Request>> {
+        out: &mut ServeOutcome<Request>,
+    ) {
         match self.change(now, server, |s| s.on_phase_end(now, version)) {
-            PhaseOutcome::Ignored => None,
+            PhaseOutcome::Ignored => {}
             PhaseOutcome::TokenStarted { end_at, version } => {
                 // Under the whole-request model the first output token
                 // becomes available when the prompt phase ends.
@@ -561,47 +545,53 @@ impl LegacyRow {
                     open.span.prefill_s = now.saturating_sub(open.started).as_secs();
                     open.span.first_token_s = Some(now.as_secs());
                 }
-                Some(ServeOutcome::new(
-                    server,
-                    Some((end_at, version)),
-                    Vec::new(),
-                ))
+                out.wakes.push((server, end_at, version));
             }
-            PhaseOutcome::Completed { record, next } => {
-                let mut span = self
+            PhaseOutcome::Completed {
+                request,
+                started_at,
+                next,
+            } => {
+                let span = self
                     .spans
                     .get_mut(server)
                     .and_then(Option::take)
-                    .map_or_else(ReqSpan::default, |open| open.span);
-                if let Some(first) = span.first_token_s {
-                    span.decode_s = (now.as_secs() - first).max(0.0);
-                    span.last_token_s = Some(now.as_secs());
-                }
-                if next.is_some() {
+                    .map(|open| {
+                        let mut span = open.span;
+                        if let Some(first) = span.first_token_s {
+                            span.decode_s = (now.as_secs() - first).max(0.0);
+                            span.last_token_s = Some(now.as_secs());
+                        }
+                        span
+                    });
+                out.completions.push(Completion {
+                    payload: request,
+                    server,
+                    started_at,
+                    span,
+                });
+                if let Some((at, version)) = next {
                     // A buffered request was dequeued and started.
                     self.open_span(now, server);
+                    out.wakes.push((server, at, version));
                 }
-                let done = Completion {
-                    payload: record.request,
-                    server: record.server,
-                    started_at: record.started_at,
-                    span,
-                };
-                Some(ServeOutcome::new(server, next, vec![done]))
             }
         }
     }
 
-    /// Applies a delivered OOB control action to `server`.
+    /// Applies a delivered OOB control action to `server`, appending
+    /// its rescheduled wake to `out`.
     #[inline]
     pub(crate) fn apply_action(
         &mut self,
         now: SimTime,
         server: usize,
         action: ControlAction,
-    ) -> ServeOutcome<Request> {
-        let wake = self.change(now, server, |s| s.apply_action(now, action));
-        ServeOutcome::new(server, wake, Vec::new())
+        out: &mut ServeOutcome<Request>,
+    ) {
+        if let Some((at, version)) = self.change(now, server, |s| s.apply_action(now, action)) {
+            out.wakes.push((server, at, version));
+        }
     }
 
     /// Runs `f` against server `idx`: charges the server's draw since
@@ -614,19 +604,14 @@ impl LegacyRow {
         f: impl FnOnce(&mut InferenceServer) -> T,
     ) -> T {
         let server = &mut self.servers[idx];
-        let before = server.power_watts();
-        let busy_before = if server.is_idle() { 0.0 } else { before };
+        let (high, before) = server.ledger_entry();
         if let Some(Some(open)) = self.spans.get_mut(idx) {
-            open.span.joules += before * now.saturating_sub(open.charged_to).as_secs();
+            open.span.joules += before.0 * now.saturating_sub(open.charged_to).as_secs();
             open.charged_to = now;
         }
         let out = f(server);
-        let after = server.power_watts();
-        self.total_power += after - before;
-        // Class membership is static, so the delta lands in one slot.
-        self.class_power[class(server.priority())] += after - before;
-        let busy_after = if server.is_idle() { 0.0 } else { after };
-        self.busy_power += busy_after - busy_before;
+        let (_, after) = server.ledger_entry();
+        self.watts.change(high, PoolRole::Aggregated, before, after);
         out
     }
 
@@ -637,7 +622,7 @@ impl LegacyRow {
             *slot = Some(OpenSpan {
                 started: now,
                 charged_to: now,
-                span: ReqSpan::default(),
+                span: Box::default(),
             });
         }
     }
@@ -648,6 +633,7 @@ mod tests {
     use super::*;
     use polca_gpu::GpuSpec;
     use polca_llm::ModelSpec;
+    use polca_sim::SimRng;
 
     fn server(priority: Priority) -> InferenceServer {
         let deployment =
@@ -675,10 +661,14 @@ mod tests {
         assert!(token_end > prompt_end);
 
         match s.on_phase_end(token_end, v2) {
-            PhaseOutcome::Completed { record, next } => {
-                assert_eq!(record.request.id, 1);
+            PhaseOutcome::Completed {
+                request,
+                started_at,
+                next,
+            } => {
+                assert_eq!(request.id, 1);
                 assert!(next.is_none());
-                assert_eq!(record.completed_at, token_end);
+                assert_eq!(started_at, SimTime::ZERO);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -867,5 +857,88 @@ mod tests {
     fn phase_aware_rejects_invalid_clock() {
         let mut s = server(Priority::Low);
         s.set_phase_aware(Some(50.0));
+    }
+
+    /// Asserts that `row`'s ledger matches its servers recounted from
+    /// scratch, within 1e-9 of the row's total draw.
+    fn assert_ledger_matches_servers(row: &LegacyRow, step: u64) {
+        let want = RowWatts::new(row.servers.iter().map(|s| {
+            let (high, draw) = s.ledger_entry();
+            (high, PoolRole::Aggregated, draw)
+        }));
+        let got = row.watts();
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * want.total();
+        assert!(
+            close(got.total(), want.total()),
+            "step {step}: {got:?} vs {want:?}"
+        );
+        assert!(
+            close(got.busy(), want.busy()),
+            "step {step}: {got:?} vs {want:?}"
+        );
+        for (a, b) in got.class().into_iter().zip(want.class()) {
+            assert!(close(a, b), "step {step}: {got:?} vs {want:?}");
+        }
+        let (mut got_pools, mut want_pools) = (Vec::new(), Vec::new());
+        got.write_pools(&mut got_pools);
+        want.write_pools(&mut want_pools);
+        assert_eq!(got_pools.len(), want_pools.len());
+        for ((tag_a, a), (tag_b, b)) in got_pools.into_iter().zip(want_pools) {
+            assert!(
+                tag_a == tag_b && close(a, b),
+                "step {step}: {got:?} vs {want:?}"
+            );
+        }
+    }
+
+    /// Seeded random arrivals, phase ends (stale ones included), clock
+    /// locks and brakes on a traced 8-server row: after every operation
+    /// the incremental ledger equals a recount.
+    #[test]
+    fn power_ledger_matches_the_servers_after_every_operation() {
+        let mut config = RowConfig::paper_inference_row();
+        config.base_servers = 8;
+        let mut row = LegacyRow::new(&config, 1.05, true);
+        let mut rng = SimRng::from_seed_stream(3, 0);
+        let mut out = ServeOutcome::default();
+        let mut wakes: Vec<(SimTime, usize, u64)> = Vec::new();
+        // The time of the next arrival or control action.
+        let mut external = SimTime::ZERO;
+        let (mut completed, mut actions) = (0, 0);
+        for step in 0..4_000 {
+            let wake = wakes.iter().map(|w| w.0).min();
+            if wake.is_some_and(|w| w <= external) {
+                let pos = wakes.iter().position(|w| Some(w.0) == wake).unwrap();
+                let (at, server, version) = wakes.swap_remove(pos);
+                row.on_wake(at, server, version, &mut out);
+            } else {
+                if rng.chance(0.8) {
+                    let input = rng.uniform_u64(128, 2048) as u32;
+                    let output = rng.uniform_u64(16, 256) as u32;
+                    let priority = Priority::all()[rng.uniform_u64(0, 1) as usize];
+                    let req = Request::new(step, external, input, output, priority);
+                    row.on_arrival(external, req, &mut out);
+                } else {
+                    let action = match rng.uniform_u64(0, 3) {
+                        0 => ControlAction::LockClock {
+                            mhz: rng.uniform(210.0, 1410.0),
+                        },
+                        1 => ControlAction::UnlockClock,
+                        on => ControlAction::PowerBrake { on: on == 2 },
+                    };
+                    let server = rng.uniform_u64(0, 7) as usize;
+                    row.apply_action(external, server, action, &mut out);
+                    actions += 1;
+                }
+                external += SimTime::from_secs(rng.exponential(1.0));
+            }
+            wakes.extend(out.wakes.drain(..).map(|(s, at, v)| (at, s, v)));
+            completed += out.completions.drain(..).count();
+            assert_ledger_matches_servers(&row, step);
+        }
+        assert!(
+            completed > 100 && actions > 100,
+            "{completed} completed, {actions} actions"
+        );
     }
 }

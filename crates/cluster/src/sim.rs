@@ -20,11 +20,14 @@
 //!
 //! Each engine is a row type — the legacy `LegacyRow` in
 //! [`crate::server`], `polca_serve::BatchedRow` — answering with one
-//! set of method names and `polca-serve`'s outcome types, so the
-//! simulator keeps one path per event whichever carries the traffic:
-//! one arrival path, one per-server wake, one completion fold, one
-//! control-delivery path and one energy tick. Both engines sit below
-//! the same telemetry, OOB control, power accounting, and
+//! set of method names. Every operation of either row appends its
+//! wakes, completions and preemptions to the run's one outcome buffer
+//! (`polca_serve::ServeOutcome`), and each row keeps its power sums in
+//! one `polca_serve::RowWatts`. So the simulator keeps one path per
+//! event whichever carries the traffic: one arrival path, one
+//! per-server wake, one control-delivery path, one energy tick, and
+//! one fold that drains the buffer after each operation. Both engines
+//! sit below the same telemetry, OOB control, power accounting, and
 //! observability planes, so every controller and downstream consumer
 //! works unchanged on either.
 
@@ -32,14 +35,14 @@ use polca_gpu::HOT_IDLE_INTENSITY;
 use polca_llm::InferenceModel;
 use polca_obs::{EnergyAccum, Event, Label, Phase, Recorder, ReqSpan};
 use polca_serve::{
-    AdmissionKind, ArrivalOutcome, BatchedRow, BatchedRowParams, ServeConfig, ServeOutcome,
+    AdmissionKind, BatchedRow, BatchedRowParams, Completion, RowWatts, ServeConfig, ServeOutcome,
     ServeRequest,
 };
 use polca_sim::{EventQueue, SimTime};
 use polca_stats::TimeSeries;
 use polca_telemetry::{ControlAction, DelayedSignal, OobControlPlane, RowPowerTaps};
 
-use crate::request::{CompletedRequest, Priority, Request};
+use crate::request::{Priority, Request};
 use crate::row::RowConfig;
 use crate::server::{InferenceServer, LegacyRow};
 
@@ -298,9 +301,10 @@ enum Ev {
 }
 
 /// The serving engine behind a row. Both rows answer with one set of
-/// method names and `polca-serve`'s outcome types, so the simulator
-/// keeps one path per event: `each_row!` calls a shared method on
-/// whichever row it is, and the methods below hold what differs.
+/// method names, append to one outcome buffer and keep one power
+/// ledger, so the simulator keeps one path per event: `each_row!` calls
+/// a shared method on whichever row it is, and the methods below hold
+/// what differs.
 enum Engine {
     Legacy(LegacyRow),
     Batched(BatchedRow<Request>),
@@ -337,19 +341,27 @@ impl Engine {
         }
     }
 
-    /// Routes an arrival, and says whether the operation splits the
+    /// The row's power sums.
+    #[inline]
+    fn watts(&self) -> &RowWatts {
+        each_row!(self, r => r.watts())
+    }
+
+    /// Routes an arrival, appending what it caused to `out`. Returns
+    /// the admission, its server, and whether the operation splits the
     /// row's energy integrals at `now`: every batched arrival does, a
     /// legacy one only when it starts service (a queued or rejected
     /// legacy arrival changes no server). The integrals' last bits
     /// depend on where they are split.
     #[inline]
-    fn on_arrival(&mut self, now: SimTime, req: Request) -> (ArrivalOutcome<Request>, bool) {
-        match self {
-            Engine::Legacy(row) => {
-                let arrival = row.on_arrival(now, req);
-                let started = arrival.kind == AdmissionKind::Started;
-                (arrival, started)
-            }
+    fn on_arrival(
+        &mut self,
+        now: SimTime,
+        req: Request,
+        out: &mut ServeOutcome<Request>,
+    ) -> (AdmissionKind, usize, bool) {
+        let (kind, server) = match self {
+            Engine::Legacy(row) => row.on_arrival(now, req, out),
             Engine::Batched(row) => {
                 let serve_req = ServeRequest {
                     payload: req,
@@ -358,9 +370,11 @@ impl Engine {
                     output_tokens: req.output_tokens,
                     high_priority: req.priority == Priority::High,
                 };
-                (row.on_arrival(now, serve_req), true)
+                row.on_arrival(now, serve_req, out)
             }
-        }
+        };
+        let splits = kind == AdmissionKind::Started || matches!(self, Engine::Batched(_));
+        (kind, server, splits)
     }
 
     /// The profiler phase a wake is timed as.
@@ -372,10 +386,9 @@ impl Engine {
         }
     }
 
-    fn on_transfers_due(&mut self, now: SimTime) -> Vec<ServeOutcome<Request>> {
-        match self {
-            Engine::Legacy(_) => Vec::new(),
-            Engine::Batched(row) => row.on_transfers_due(now),
+    fn on_transfers_due(&mut self, now: SimTime, out: &mut ServeOutcome<Request>) {
+        if let Engine::Batched(row) = self {
+            row.on_transfers_due(now, out);
         }
     }
 
@@ -398,7 +411,7 @@ impl Engine {
                 Label::Global,
                 row.waiting_depth() as f64,
             );
-            row.write_pool_power(pools);
+            row.watts().write_pools(pools);
             for &(tag, watts) in pools.iter() {
                 obs.gauge("serve.pool_power_w", Label::Tag(tag), watts);
             }
@@ -418,6 +431,9 @@ pub struct ClusterSim<P> {
     plane: OobControlPlane,
     row_signal: DelayedSignal,
     queue: EventQueue<Ev>,
+    /// What the engine's last operation produced; drained by
+    /// [`fold`](Self::fold) after each one, so the run reuses it.
+    outcome: ServeOutcome<Request>,
     /// The engine's row power as of the last operation.
     row_power_watts: f64,
     report: SimReport,
@@ -456,11 +472,12 @@ impl<P: PowerController> ClusterSim<P> {
         let max_server_watts = max_server_watts(&row, config.power_scale);
         let priorities = row.priorities();
         let engine = Engine::new(&row, &config, &priorities, &obs);
-        let row_power_watts = each_row!(&engine, r => r.total_power_watts());
+        let watts = engine.watts();
+        let (row_power_watts, busy_watts) = (watts.total(), watts.busy());
         let mut pool_scratch: Vec<(&'static str, f64)> = Vec::new();
-        each_row!(&engine, r => r.write_pool_power(&mut pool_scratch));
+        watts.write_pools(&mut pool_scratch);
         let energy = obs.energy_plan().map(|plan| {
-            let [low, high] = each_row!(&engine, r => r.class_power_watts());
+            let [low, high] = watts.class();
             EnergyAccum::new(plan.clone(), 0.0, low, high, &pool_scratch)
         });
         let mut plane =
@@ -476,11 +493,12 @@ impl<P: PowerController> ClusterSim<P> {
             row_signal: DelayedSignal::new(SimTime::from_secs(config.telemetry_delay_s)),
             plane,
             queue,
+            outcome: ServeOutcome::default(),
             report: blank_report(row_power_watts),
             row_power_watts,
             last_power_change: SimTime::ZERO,
             power_integral: 0.0,
-            busy_watts: each_row!(&engine, r => r.busy_power_watts()),
+            busy_watts,
             busy_integral: 0.0,
             energy,
             pool_scratch,
@@ -541,19 +559,25 @@ impl<P: PowerController> ClusterSim<P> {
     /// engine's new watts.
     fn settle_power(&mut self, now: SimTime) {
         self.accumulate_power(now);
-        self.row_power_watts = each_row!(&self.engine, r => r.total_power_watts());
-        self.busy_watts = each_row!(&self.engine, r => r.busy_power_watts());
+        let watts = self.engine.watts();
+        self.row_power_watts = watts.total();
+        self.busy_watts = watts.busy();
         if self.row_power_watts > self.report.peak_row_watts {
             self.report.peak_row_watts = self.row_power_watts;
         }
     }
 
-    /// Runs `op` on the engine at `now`, then settles the row's power
-    /// accounts (see [`settle_power`](Self::settle_power)).
-    fn engine_op<T>(&mut self, now: SimTime, op: impl FnOnce(&mut Engine) -> T) -> T {
-        let out = op(&mut self.engine);
+    /// Runs `op` on the engine at `now` with the outcome buffer, settles
+    /// the row's power accounts (see [`settle_power`](Self::settle_power)),
+    /// then folds what the operation produced.
+    fn engine_op(
+        &mut self,
+        now: SimTime,
+        op: impl FnOnce(&mut Engine, &mut ServeOutcome<Request>),
+    ) {
+        op(&mut self.engine, &mut self.outcome);
         self.settle_power(now);
-        out
+        self.fold(now);
     }
 
     /// Metric/event label for a priority class.
@@ -564,39 +588,28 @@ impl<P: PowerController> ClusterSim<P> {
         }
     }
 
-    /// Folds one engine outcome into the report and the event queue:
-    /// preemption counters, completions (with their request spans),
-    /// the server's next wake, and a transfer event for newly queued
-    /// KV hand-offs.
-    fn absorb(&mut self, now: SimTime, outcome: ServeOutcome<Request>) {
-        if outcome.preemptions > 0 {
+    /// Drains the outcome buffer into the report and the event queue:
+    /// the preemption counter, the completions (with their request
+    /// spans, when traced), then each server's next wake in the order
+    /// the servers ran, and last a transfer event for newly queued KV
+    /// hand-offs.
+    fn fold(&mut self, now: SimTime) {
+        let mut out = std::mem::take(&mut self.outcome);
+        if out.preemptions > 0 {
             self.obs
-                .add("serve.preemptions", Label::Global, outcome.preemptions);
+                .add("serve.preemptions", Label::Global, out.preemptions);
+            out.preemptions = 0;
         }
-        for c in outcome.completions {
-            let record = CompletedRequest {
-                request: c.payload,
-                started_at: c.started_at,
-                completed_at: now,
-                server: c.server,
-            };
-            self.record_completion(record);
-            if self.obs.req_enabled() {
-                self.record_request_span(&c.span, &record);
-            }
+        for done in out.completions.drain(..) {
+            self.record_completion(now, done);
         }
-        if let Some((at, version)) = outcome.wake {
-            self.queue.schedule(
-                at,
-                Ev::Wake {
-                    server: outcome.server,
-                    version,
-                },
-            );
+        for (server, at, version) in out.wakes.drain(..) {
+            self.queue.schedule(at, Ev::Wake { server, version });
         }
-        if outcome.transfers_queued {
+        if std::mem::take(&mut out.transfers_queued) {
             self.schedule_transfer(now);
         }
+        self.outcome = out;
     }
 
     /// Arms a transfer event for the earliest KV hand-off still
@@ -608,18 +621,14 @@ impl<P: PowerController> ClusterSim<P> {
     }
 
     fn on_wake(&mut self, now: SimTime, server: usize, version: u64) {
-        if let Some(outcome) =
-            self.engine_op(now, |e| each_row!(e, r => r.on_wake(now, server, version)))
-        {
-            self.absorb(now, outcome);
-        }
+        self.engine_op(
+            now,
+            |e, out| each_row!(e, r => r.on_wake(now, server, version, out)),
+        );
     }
 
     fn on_serve_transfer(&mut self, now: SimTime) {
-        let outcomes = self.engine_op(now, |e| e.on_transfers_due(now));
-        for o in outcomes {
-            self.absorb(now, o);
-        }
+        self.engine_op(now, |e, out| e.on_transfers_due(now, out));
         // Re-arm for transfers still crossing the interconnect.
         self.schedule_transfer(now);
     }
@@ -676,28 +685,28 @@ impl<P: PowerController> ClusterSim<P> {
             Label::Tag(Self::pri_tag(req.priority)),
             1,
         );
-        let (arrival, splits_integrals) = self.engine.on_arrival(now, req);
+        let (kind, server, splits_integrals) = self.engine.on_arrival(now, req, &mut self.outcome);
         if splits_integrals {
             self.settle_power(now);
         }
-        self.record_admission(now, &req, arrival.kind, arrival.outcome.server);
-        self.absorb(now, arrival.outcome);
+        self.record_admission(now, &req, kind, server);
+        self.fold(now);
     }
 
-    /// Closes `span` against a completed request and lands the derived
-    /// record in the polca-req plane. The legacy engine serves the
-    /// token phase as one fluid span, so its `tbt_max` falls back to
-    /// the mean gap; the batched engine reports real per-iteration
-    /// gaps.
-    fn record_request_span(&self, span: &ReqSpan, record: &CompletedRequest) {
-        let req = record.request;
+    /// Closes `span` against request `done`, completed at `now`, and
+    /// lands the derived record in the polca-req plane. The legacy
+    /// engine serves the token phase as one fluid span, so its
+    /// `tbt_max` falls back to the mean gap; the batched engine reports
+    /// real per-iteration gaps.
+    fn record_request_span(&self, span: &ReqSpan, done: &Completion<Request>, now: SimTime) {
+        let req = done.payload;
         let mut rec = span.finish(
             req.id,
             Self::pri_tag(req.priority),
-            record.server,
+            done.server,
             req.arrival.as_secs(),
-            record.started_at.as_secs(),
-            record.completed_at.as_secs(),
+            done.started_at.as_secs(),
+            now.as_secs(),
             req.input_tokens,
             req.output_tokens,
         );
@@ -706,22 +715,21 @@ impl<P: PowerController> ClusterSim<P> {
         // the request completed.
         if let Some(acc) = self.energy.as_ref() {
             rec.pue_applied = acc.pue();
-            rec.co2e_g =
-                rec.joules / 3.6e6 * rec.pue_applied * acc.g_per_kwh(record.completed_at.as_secs());
+            rec.co2e_g = rec.joules / 3.6e6 * rec.pue_applied * acc.g_per_kwh(now.as_secs());
         }
         self.obs.record_request(&rec);
     }
 
-    fn record_completion(&mut self, record: CompletedRequest) {
+    /// Records request `done`, completed at `now`: the report's and the
+    /// metrics' counts and latency, its event, and its span when traced.
+    fn record_completion(&mut self, now: SimTime, done: Completion<Request>) {
+        let req = done.payload;
         self.report.completed += 1;
         if let Some(acc) = self.energy.as_mut() {
-            acc.add_tokens(
-                record.request.priority == Priority::High,
-                u64::from(record.request.output_tokens),
-            );
+            acc.add_tokens(req.priority == Priority::High, u64::from(req.output_tokens));
         }
-        let latency = record.latency_s();
-        match record.request.priority {
+        let latency = (now - req.arrival).as_secs();
+        match req.priority {
             Priority::Low => {
                 self.report.completed_by_priority.0 += 1;
                 self.report.low_latencies_s.push(latency);
@@ -731,18 +739,21 @@ impl<P: PowerController> ClusterSim<P> {
                 self.report.high_latencies_s.push(latency);
             }
         }
-        let tag = Self::pri_tag(record.request.priority);
+        let tag = Self::pri_tag(req.priority);
         self.obs
             .add("cluster.requests_completed", Label::Tag(tag), 1);
         self.obs
             .observe("cluster.latency_s", Label::Tag(tag), latency);
         self.obs.record(Event::RequestCompleted {
-            t: record.completed_at.as_secs(),
-            server: record.server,
-            request: record.request.id,
+            t: now.as_secs(),
+            server: done.server,
+            request: req.id,
             priority: tag,
             latency_s: latency,
         });
+        if let Some(span) = &done.span {
+            self.record_request_span(span, &done, now);
+        }
     }
 
     /// Ticks the polca-energy accumulator with the current per-bucket
@@ -755,8 +766,9 @@ impl<P: PowerController> ClusterSim<P> {
         let Some(acc) = self.energy.as_mut() else {
             return;
         };
-        let [low, high] = each_row!(&self.engine, r => r.class_power_watts());
-        each_row!(&self.engine, r => r.write_pool_power(&mut self.pool_scratch));
+        let watts = self.engine.watts();
+        let [low, high] = watts.class();
+        watts.write_pools(&mut self.pool_scratch);
         acc.tick(now.as_secs(), low, high, &self.pool_scratch);
     }
 
@@ -845,11 +857,10 @@ impl<P: PowerController> ClusterSim<P> {
                     ControlAction::PowerBrake { on } => Event::BrakeEngaged { t, server: idx, on },
                 }
             });
-            let outcome = self.engine_op(
+            self.engine_op(
                 now,
-                |e| each_row!(e, r => r.apply_action(now, idx, cmd.action)),
+                |e, out| each_row!(e, r => r.apply_action(now, idx, cmd.action, out)),
             );
-            self.absorb(now, outcome);
         }
         self.schedule_delivery(now);
     }

@@ -43,9 +43,7 @@ mod server;
 
 pub use config::{PoolTopology, ServeConfig};
 pub use pager::KvPager;
-pub use row::{
-    AdmissionKind, ArrivalOutcome, BatchedRow, BatchedRowParams, ServeOutcome, ServeRequest,
-};
+pub use row::{AdmissionKind, BatchedRow, BatchedRowParams, RowWatts, ServeOutcome, ServeRequest};
 pub use server::{BatchScheduler, Completion, PoolRole};
 
 #[cfg(test)]
@@ -57,7 +55,7 @@ mod tests {
     use polca_sim::SimTime;
     use polca_telemetry::ControlAction;
 
-    fn params(classes: Vec<bool>) -> BatchedRowParams {
+    pub(crate) fn params(classes: Vec<bool>) -> BatchedRowParams {
         let spec = ServerSpec::dgx_a100();
         BatchedRowParams {
             deployment: InferenceModel::new(ModelSpec::bloom_176b(), spec.gpu.clone()).unwrap(),
@@ -68,7 +66,7 @@ mod tests {
         }
     }
 
-    fn request(id: u64, input: u32, output: u32, high: bool) -> ServeRequest<u64> {
+    pub(crate) fn request(id: u64, input: u32, output: u32, high: bool) -> ServeRequest<u64> {
         ServeRequest {
             payload: id,
             id,
@@ -82,6 +80,7 @@ mod tests {
     /// cluster integration plays this role in production.
     struct Harness {
         row: BatchedRow<u64>,
+        out: ServeOutcome<u64>,
         wakes: Vec<(SimTime, usize, u64)>,
         done: Vec<u64>,
         preemptions: u64,
@@ -91,26 +90,28 @@ mod tests {
         fn new(row: BatchedRow<u64>) -> Self {
             Harness {
                 row,
+                out: ServeOutcome::default(),
                 wakes: Vec::new(),
                 done: Vec::new(),
                 preemptions: 0,
             }
         }
 
-        fn absorb(&mut self, o: ServeOutcome<u64>) {
-            self.preemptions += o.preemptions;
+        /// Drains the outcome buffer after an operation.
+        fn absorb(&mut self) {
+            self.preemptions += std::mem::take(&mut self.out.preemptions);
             self.done
-                .extend(o.completions.into_iter().map(|c| c.payload));
-            if let Some((at, v)) = o.wake {
-                self.wakes.retain(|w| w.1 != o.server);
-                self.wakes.push((at, o.server, v));
+                .extend(self.out.completions.drain(..).map(|c| c.payload));
+            for (server, at, v) in self.out.wakes.drain(..) {
+                self.wakes.retain(|w| w.1 != server);
+                self.wakes.push((at, server, v));
             }
+            self.out.transfers_queued = false;
         }
 
         fn arrive(&mut self, now: SimTime, req: ServeRequest<u64>) -> AdmissionKind {
-            let a = self.row.on_arrival(now, req);
-            let kind = a.kind;
-            self.absorb(a.outcome);
+            let (kind, _) = self.row.on_arrival(now, req, &mut self.out);
+            self.absorb();
             kind
         }
 
@@ -131,8 +132,8 @@ mod tests {
                         }
                     }
                 };
-                let outcomes = if is_transfer {
-                    self.row.on_transfers_due(now)
+                if is_transfer {
+                    self.row.on_transfers_due(now, &mut self.out);
                 } else {
                     let pos = self
                         .wakes
@@ -140,11 +141,9 @@ mod tests {
                         .position(|w| w.0 == now)
                         .expect("wake present");
                     let (_, server, version) = self.wakes.remove(pos);
-                    self.row.on_wake(now, server, version).into_iter().collect()
-                };
-                for o in outcomes {
-                    self.absorb(o);
+                    self.row.on_wake(now, server, version, &mut self.out);
                 }
+                self.absorb();
             }
             panic!("row failed to drain");
         }
@@ -320,7 +319,7 @@ mod tests {
         assert_eq!(h.done.len(), 3);
         assert_eq!(h.row.transfers_in_flight(), 0);
         let mut pools = Vec::new();
-        h.row.write_pool_power(&mut pools);
+        h.row.watts().write_pools(&mut pools);
         let tags: Vec<&str> = pools.iter().map(|(t, _)| *t).collect();
         assert_eq!(tags, vec!["prefill", "decode"]);
     }
@@ -333,17 +332,16 @@ mod tests {
             Profiler::disabled(),
         ));
         h.arrive(SimTime::ZERO, request(1, 2048, 256, false));
-        let busy_power = h.row.total_power_watts();
-        let outcome = h
-            .row
-            .apply_action(SimTime::ZERO, 0, ControlAction::PowerBrake { on: true });
-        assert!(h.row.total_power_watts() < busy_power);
-        assert!(outcome.wake.is_some(), "brake reschedules the wake");
+        let busy_power = h.row.watts().total();
+        let brake = ControlAction::PowerBrake { on: true };
+        h.row.apply_action(SimTime::ZERO, 0, brake, &mut h.out);
+        assert!(h.row.watts().total() < busy_power);
+        assert_eq!(h.out.wakes.len(), 1, "brake reschedules the wake");
+        h.absorb();
         // Unchanged clock (cap actions are ignored) keeps the wake.
-        let noop = h
-            .row
-            .apply_action(SimTime::ZERO, 0, ControlAction::PowerCap { watts: 300.0 });
-        assert!(noop.wake.is_none());
+        let cap = ControlAction::PowerCap { watts: 300.0 };
+        h.row.apply_action(SimTime::ZERO, 0, cap, &mut h.out);
+        assert!(h.out.wakes.is_empty());
     }
 
     #[test]

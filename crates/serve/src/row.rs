@@ -12,7 +12,7 @@ use polca_telemetry::ControlAction;
 use crate::config::{PoolTopology, ServeConfig};
 use crate::pager::KvPager;
 use crate::profile::ProfileTable;
-use crate::server::{BatchScheduler, BatchServer, Completion, PoolRole, PumpResult, Seq};
+use crate::server::{BatchScheduler, BatchServer, Completion, PoolRole, Seq};
 
 /// GiB in bytes.
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -51,48 +51,126 @@ pub enum AdmissionKind {
     Rejected,
 }
 
-/// Everything one engine operation produced for one server.
+/// What a row's operations produced. Each operation appends to it and
+/// the caller drains it after each one, so one buffer serves a run.
 #[derive(Debug)]
 pub struct ServeOutcome<T> {
-    /// The affected server.
-    pub server: usize,
-    /// New `(at, version)` wake to schedule for that server; `None`
-    /// leaves any previously scheduled wake in place.
-    pub wake: Option<(SimTime, u64)>,
-    /// Requests that finished on this operation.
+    /// `(server, at, version)` wakes to schedule, in the order the
+    /// servers ran. A server's new wake makes its earlier ones stale;
+    /// a server with no entry keeps the wake it has.
+    pub wakes: Vec<(usize, SimTime, u64)>,
+    /// Requests that finished, in the order they finished.
     pub completions: Vec<Completion<T>>,
-    /// Sequences preempted on KV exhaustion during this operation.
+    /// Sequences preempted on KV exhaustion.
     pub preemptions: u64,
     /// Whether new KV transfers were queued (the caller should
     /// re-arm its transfer event at [`BatchedRow::next_transfer_due`]).
     pub transfers_queued: bool,
 }
 
-impl<T> ServeOutcome<T> {
-    /// What an operation that neither preempted nor queued a KV
-    /// transfer produced for `server`.
-    pub fn new(
-        server: usize,
-        wake: Option<(SimTime, u64)>,
-        completions: Vec<Completion<T>>,
-    ) -> Self {
+impl<T> Default for ServeOutcome<T> {
+    fn default() -> Self {
         ServeOutcome {
-            server,
-            wake,
-            completions,
+            wakes: Vec::new(),
+            completions: Vec::new(),
             preemptions: 0,
             transfers_queued: false,
         }
     }
 }
 
-/// An arrival's admission decision plus the server activity it caused.
-#[derive(Debug)]
-pub struct ArrivalOutcome<T> {
-    /// What happened to the request.
-    pub kind: AdmissionKind,
-    /// Server activity (empty and wake-less on rejection).
-    pub outcome: ServeOutcome<T>,
+/// A row's power sums: the whole row, the servers that are serving,
+/// each priority class and each pool role. Both serving engines fold
+/// every server change through [`change`](Self::change), so reading a
+/// sum costs nothing per event.
+#[derive(Debug, Clone, Default)]
+pub struct RowWatts {
+    total: f64,
+    /// Σ power of the servers that are serving: the source of the
+    /// row's busy energy, which upper-bounds Σ attributed joules.
+    busy: f64,
+    /// Per priority class, `[low, high]`.
+    class: [f64; 2],
+    /// Per pool role, in [`role_slot`] order.
+    role: [f64; 3],
+    /// Which pool roles the row has.
+    present: [bool; 3],
+}
+
+/// A pool role's slot in [`RowWatts`], in role-tag order.
+fn role_slot(role: PoolRole) -> usize {
+    match role {
+        PoolRole::Prefill => 0,
+        PoolRole::Decode => 1,
+        PoolRole::Aggregated => 2,
+    }
+}
+
+/// The busy share of a server's `(watts, serving)` draw.
+fn busy_watts((watts, serving): (f64, bool)) -> f64 {
+    if serving {
+        watts
+    } else {
+        0.0
+    }
+}
+
+impl RowWatts {
+    /// The sums over a row, given each server's class (`true` = high),
+    /// pool role and `(watts, serving)` draw, in id order.
+    pub fn new(servers: impl IntoIterator<Item = (bool, PoolRole, (f64, bool))>) -> Self {
+        let mut sums = RowWatts::default();
+        for (high, role, draw) in servers {
+            sums.total += draw.0;
+            sums.busy += busy_watts(draw);
+            sums.class[usize::from(high)] += draw.0;
+            sums.role[role_slot(role)] += draw.0;
+            sums.present[role_slot(role)] = true;
+        }
+        sums
+    }
+
+    /// Folds one server's change, given its class, its role and its
+    /// `(watts, serving)` draw before and after. Class and role are
+    /// fixed, so the delta lands in one slot of each.
+    #[inline]
+    pub fn change(&mut self, high: bool, role: PoolRole, before: (f64, bool), after: (f64, bool)) {
+        let delta = after.0 - before.0;
+        self.total += delta;
+        self.class[usize::from(high)] += delta;
+        self.role[role_slot(role)] += delta;
+        self.busy += busy_watts(after) - busy_watts(before);
+    }
+
+    /// Instantaneous row power, in watts.
+    #[inline]
+    pub fn total(&self) -> f64 {
+        self.total
+    }
+
+    /// Instantaneous power of the servers that are serving, in watts.
+    #[inline]
+    pub fn busy(&self) -> f64 {
+        self.busy
+    }
+
+    /// Instantaneous power per priority class, `[low, high]`.
+    #[inline]
+    pub fn class(&self) -> [f64; 2] {
+        self.class
+    }
+
+    /// Fills `out` with the power of each pool role the row has, in
+    /// role-tag order, without allocating when `out` already has
+    /// capacity (the telemetry tick calls this every window).
+    pub fn write_pools(&self, out: &mut Vec<(&'static str, f64)>) {
+        out.clear();
+        for role in [PoolRole::Prefill, PoolRole::Decode, PoolRole::Aggregated] {
+            if self.present[role_slot(role)] {
+                out.push((role.tag(), self.role[role_slot(role)]));
+            }
+        }
+    }
 }
 
 /// Static inputs the cluster layer derives from its `RowConfig` and
@@ -108,7 +186,7 @@ pub struct BatchedRowParams {
     /// Study-wide power multiplier.
     pub power_scale: f64,
     /// Whether to keep each request's polca-req span (the req plane's
-    /// switch). Off, every [`Completion::span`] is empty and the engine
+    /// switch). Off, every [`Completion::span`] is `None` and the engine
     /// skips the span arithmetic; no outcome depends on it.
     pub trace_requests: bool,
 }
@@ -125,20 +203,8 @@ pub struct BatchedRow<T> {
     interconnect_bytes_per_s: Option<f64>,
     kv_bytes_per_token: f64,
     kv_blocks_per_server: u32,
-    total_power: f64,
-    /// Power drawn by servers with a non-empty running batch (cached
-    /// incrementally like `total_power`) — the polca-energy busy
-    /// integral's source on this engine.
-    busy_power: f64,
-    /// Instantaneous power per priority class, `[low, high]` (cached
-    /// incrementally; class membership is static, so every power delta
-    /// lands in exactly one slot).
-    class_power: [f64; 2],
-    /// Instantaneous power per pool role, indexed by [`Self::role_idx`]
-    /// (cached incrementally; roles are assigned at construction).
-    role_power: [f64; 3],
-    /// Which pool roles exist in this row (fixed at construction).
-    roles_present: [bool; 3],
+    /// The row's power sums, updated after every server operation.
+    watts: RowWatts,
     /// Per class, `[low, high]`: the servers fresh arrivals route to
     /// (aggregated or prefill role), in id order. Roles and classes are
     /// fixed at construction.
@@ -216,22 +282,11 @@ impl<T> BatchedRow<T> {
                 )
             })
             .collect();
-        let total_power = servers.iter().map(|s| s.power_watts).sum();
-        let busy_power = servers
-            .iter()
-            .filter(|s| s.running() > 0)
-            .map(|s| s.power_watts)
-            .sum();
-        let mut class_power = [0.0; 2];
-        let mut role_power = [0.0; 3];
-        let mut roles_present = [false; 3];
+        let watts = RowWatts::new(servers.iter().map(|s| (s.high_priority, s.role, s.draw())));
         let mut arrival_servers = [Vec::new(), Vec::new()];
         let mut decode_servers = [Vec::new(), Vec::new()];
         for s in &servers {
             let class = usize::from(s.high_priority);
-            class_power[class] += s.power_watts;
-            role_power[Self::role_idx(s.role)] += s.power_watts;
-            roles_present[Self::role_idx(s.role)] = true;
             if s.role == PoolRole::Decode {
                 decode_servers[class].push(s.id);
             } else {
@@ -244,26 +299,11 @@ impl<T> BatchedRow<T> {
             interconnect_bytes_per_s: interconnect,
             kv_bytes_per_token,
             kv_blocks_per_server: kv_blocks,
-            total_power,
-            busy_power,
-            class_power,
-            role_power,
-            roles_present,
+            watts,
             arrival_servers,
             decode_servers,
             trace_requests: params.trace_requests,
             prof,
-        }
-    }
-
-    /// Fixed slot of a pool role in the cached [`Self::role_power`]
-    /// array; the order matches the role-tag order of
-    /// [`write_pool_power`](Self::write_pool_power).
-    fn role_idx(role: PoolRole) -> usize {
-        match role {
-            PoolRole::Prefill => 0,
-            PoolRole::Decode => 1,
-            PoolRole::Aggregated => 2,
         }
     }
 
@@ -283,42 +323,15 @@ impl<T> BatchedRow<T> {
         self.kv_blocks_per_server
     }
 
-    /// Instantaneous whole-row power in watts (cached; updated on
-    /// every engine operation).
-    pub fn total_power_watts(&self) -> f64 {
-        self.total_power
+    /// The row's power sums (updated on every engine operation).
+    #[inline]
+    pub fn watts(&self) -> &RowWatts {
+        &self.watts
     }
 
     /// Instantaneous power of one server.
     pub fn server_power_watts(&self, i: usize) -> f64 {
         self.servers[i].power_watts
-    }
-
-    /// Instantaneous power drawn by servers that are actively serving
-    /// (running batch non-empty), in watts. Upper-bounds the power the
-    /// iteration loop attributes to requests, since attribution only
-    /// charges epochs with token progress.
-    pub fn busy_power_watts(&self) -> f64 {
-        self.busy_power
-    }
-
-    /// Fills `out` with the power summed per pool role, in role-tag
-    /// order (only roles present in the row appear; cached
-    /// incrementally), without allocating when `out` already has
-    /// capacity — the telemetry tick calls this every window.
-    pub fn write_pool_power(&self, out: &mut Vec<(&'static str, f64)>) {
-        out.clear();
-        for role in [PoolRole::Prefill, PoolRole::Decode, PoolRole::Aggregated] {
-            if self.roles_present[Self::role_idx(role)] {
-                out.push((role.tag(), self.role_power[Self::role_idx(role)]));
-            }
-        }
-    }
-
-    /// Instantaneous power per priority class, `[low, high]` (cached
-    /// incrementally).
-    pub fn class_power_watts(&self) -> [f64; 2] {
-        self.class_power
     }
 
     /// Mean KV-pool occupancy across servers in `[0, 1]`.
@@ -351,36 +364,22 @@ impl<T> BatchedRow<T> {
             .reduce(SimTime::min)
     }
 
-    /// Runs `op` against server `idx`, folding its power delta into
-    /// the cached row total and extracting hand-offs into the
-    /// interconnect.
+    /// Runs `op` against server `idx`, appending to `out`, folds its
+    /// power change into the row's sums and ships its hand-offs onto
+    /// the interconnect.
     fn run_on_server(
         &mut self,
         idx: usize,
         now: SimTime,
-        op: impl FnOnce(&mut BatchServer<T>, &Profiler, &mut PumpResult<T>),
-    ) -> ServeOutcome<T> {
-        let before = self.servers[idx].power_watts;
-        let busy_before = if self.servers[idx].running() > 0 {
-            before
-        } else {
-            0.0
-        };
-        let mut result = PumpResult::default();
-        op(&mut self.servers[idx], &self.prof, &mut result);
-        let delta = self.servers[idx].power_watts - before;
-        self.total_power += delta;
-        self.class_power[usize::from(self.servers[idx].high_priority)] += delta;
-        self.role_power[Self::role_idx(self.servers[idx].role)] += delta;
-        let busy_after = if self.servers[idx].running() > 0 {
-            self.servers[idx].power_watts
-        } else {
-            0.0
-        };
-        self.busy_power += busy_after - busy_before;
-
-        let mut transfers_queued = false;
-        for mut seq in result.handoffs.drain(..) {
+        out: &mut ServeOutcome<T>,
+        op: impl FnOnce(&mut BatchServer<T>, &Profiler, &mut ServeOutcome<T>),
+    ) {
+        let server = &mut self.servers[idx];
+        let before = server.draw();
+        op(server, &self.prof, out);
+        self.watts
+            .change(server.high_priority, server.role, before, server.draw());
+        for mut seq in server.handoffs.drain(..) {
             let bytes = seq.kv_tokens * self.kv_bytes_per_token;
             let bandwidth = self
                 .interconnect_bytes_per_s
@@ -391,14 +390,7 @@ impl<T> BatchedRow<T> {
             }
             let due = now + SimTime::from_secs(bytes / bandwidth);
             self.in_flight.push((due, seq));
-            transfers_queued = true;
-        }
-        ServeOutcome {
-            server: idx,
-            wake: result.wake,
-            completions: result.completions,
-            preemptions: result.preemptions,
-            transfers_queued,
+            out.transfers_queued = true;
         }
     }
 
@@ -422,14 +414,17 @@ impl<T> BatchedRow<T> {
     }
 
     /// Routes an arriving request to the least-loaded eligible server
-    /// of its class and runs an admission cycle there.
-    pub fn on_arrival(&mut self, now: SimTime, req: ServeRequest<T>) -> ArrivalOutcome<T> {
-        let reject = |server| ArrivalOutcome {
-            kind: AdmissionKind::Rejected,
-            outcome: ServeOutcome::new(server, None, Vec::new()),
-        };
+    /// of its class and runs an admission cycle there, appending what
+    /// it caused to `out`. Returns the admission and the server (0 when
+    /// the class has none).
+    pub fn on_arrival(
+        &mut self,
+        now: SimTime,
+        req: ServeRequest<T>,
+        out: &mut ServeOutcome<T>,
+    ) -> (AdmissionKind, usize) {
         let Some(idx) = self.route_arrival(req.high_priority) else {
-            return reject(0);
+            return (AdmissionKind::Rejected, 0);
         };
         // The full context (prompt + generation + the final decode
         // step) must fit a server's KV pool, or the request can never
@@ -438,7 +433,7 @@ impl<T> BatchedRow<T> {
         if !self.servers[idx].fits(lifetime_tokens)
             || self.servers[idx].waiting_len() >= self.servers[idx].sched.max_waiting
         {
-            return reject(idx);
+            return (AdmissionKind::Rejected, idx);
         }
         let id = req.id;
         let seq = Seq::fresh(
@@ -450,43 +445,40 @@ impl<T> BatchedRow<T> {
             self.trace_requests,
         );
         self.servers[idx].push_waiting(seq);
-        let outcome = self.run_on_server(idx, now, |s, prof, r| s.pump(now, prof, r));
+        self.run_on_server(idx, now, out, |s, prof, out| s.pump(now, prof, out));
         let kind = if self.servers[idx].is_last_waiting(id) {
             AdmissionKind::Queued
         } else {
             AdmissionKind::Started
         };
-        ArrivalOutcome { kind, outcome }
+        (kind, idx)
     }
 
-    /// Handles a scheduled wake for `server`; `None` if `version` is
-    /// stale (the composition changed since it was scheduled).
+    /// Handles a scheduled wake for `server`, appending what it caused
+    /// to `out`; a stale `version` (the composition changed since the
+    /// wake was scheduled) does nothing.
     pub fn on_wake(
         &mut self,
         now: SimTime,
         server: usize,
         version: u64,
-    ) -> Option<ServeOutcome<T>> {
-        if !self.servers[server].wake_is_live(version) {
-            return None;
+        out: &mut ServeOutcome<T>,
+    ) {
+        if self.servers[server].wake_is_live(version) {
+            self.run_on_server(server, now, out, |s, prof, out| s.pump(now, prof, out));
         }
-        Some(self.run_on_server(server, now, |s, prof, r| s.pump(now, prof, r)))
     }
 
     /// Delivers every KV transfer that has arrived by `now` to the
     /// least-loaded decode server of its class, then runs an admission
-    /// cycle on each affected server. Transfers are delivered in
-    /// `(arrival, id)` order for determinism.
-    pub fn on_transfers_due(&mut self, now: SimTime) -> Vec<ServeOutcome<T>> {
-        let mut due: Vec<(SimTime, Seq<T>)> = Vec::new();
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].0 <= now {
-                due.push(self.in_flight.remove(i));
-            } else {
-                i += 1;
-            }
-        }
+    /// cycle on each affected server, appending what they caused to
+    /// `out`. Transfers are delivered in `(arrival, id)` order for
+    /// determinism.
+    pub fn on_transfers_due(&mut self, now: SimTime, out: &mut ServeOutcome<T>) {
+        let mut due: Vec<(SimTime, Seq<T>)> = self
+            .in_flight
+            .extract_if(.., |(at, _)| *at <= now)
+            .collect();
         due.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
         let mut touched: Vec<usize> = Vec::new();
         for (_, seq) in due {
@@ -498,21 +490,125 @@ impl<T> BatchedRow<T> {
                 touched.push(idx);
             }
         }
-        touched
-            .into_iter()
-            .map(|idx| self.run_on_server(idx, now, |s, prof, r| s.pump(now, prof, r)))
-            .collect()
+        for idx in touched {
+            self.run_on_server(idx, now, out, |s, prof, out| s.pump(now, prof, out));
+        }
     }
 
-    /// Applies a delivered OOB control action to `server`.
+    /// Applies a delivered OOB control action to `server`, appending
+    /// what it caused to `out`.
     pub fn apply_action(
         &mut self,
         now: SimTime,
         server: usize,
         action: ControlAction,
-    ) -> ServeOutcome<T> {
-        self.run_on_server(server, now, |s, prof, r| {
-            s.apply_action(now, action, prof, r)
-        })
+        out: &mut ServeOutcome<T>,
+    ) {
+        self.run_on_server(server, now, out, |s, prof, out| {
+            s.apply_action(now, action, prof, out)
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::{params, request};
+    use polca_sim::SimRng;
+
+    /// Asserts that `row`'s ledger matches its servers recounted from
+    /// scratch, within 1e-9 of the row's total draw.
+    fn assert_ledger_matches_servers(row: &BatchedRow<u64>, step: u64) {
+        let want = RowWatts::new(
+            row.servers
+                .iter()
+                .map(|s| (s.high_priority, s.role, s.draw())),
+        );
+        let got = row.watts();
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * want.total();
+        assert!(
+            close(got.total(), want.total()),
+            "step {step}: {got:?} vs {want:?}"
+        );
+        assert!(
+            close(got.busy(), want.busy()),
+            "step {step}: {got:?} vs {want:?}"
+        );
+        for (a, b) in got.class().into_iter().zip(want.class()) {
+            assert!(close(a, b), "step {step}: {got:?} vs {want:?}");
+        }
+        let (mut got_pools, mut want_pools) = (Vec::new(), Vec::new());
+        got.write_pools(&mut got_pools);
+        want.write_pools(&mut want_pools);
+        assert_eq!(got_pools.len(), want_pools.len());
+        for ((tag_a, a), (tag_b, b)) in got_pools.into_iter().zip(want_pools) {
+            assert!(
+                tag_a == tag_b && close(a, b),
+                "step {step}: {got:?} vs {want:?}"
+            );
+        }
+    }
+
+    /// Seeded random arrivals, wakes (stale ones included), KV transfers,
+    /// clock locks and brakes on a tight-KV row, aggregated and split:
+    /// after every operation the incremental ledger equals a recount.
+    #[test]
+    fn power_ledger_matches_the_servers_after_every_operation() {
+        let split = ServeConfig::split_pools(200e9, Some(1110.0)).pools;
+        for (seed, pools) in [(1, PoolTopology::Aggregated), (2, split)] {
+            let config = ServeConfig {
+                kv_blocks: Some(64),
+                pools,
+                ..ServeConfig::default()
+            };
+            let classes = (0..8).map(|i| i % 2 == 1).collect();
+            let mut row = BatchedRow::new(params(classes), &config, Profiler::disabled());
+            let mut rng = SimRng::from_seed_stream(seed, 0);
+            let mut out = ServeOutcome::default();
+            let mut wakes: Vec<(SimTime, usize, u64)> = Vec::new();
+            // The time of the next arrival or control action.
+            let mut external = SimTime::ZERO;
+            let (mut completed, mut preempted, mut actions) = (0, 0, 0);
+            for step in 0..4_000 {
+                let wake = wakes.iter().map(|w| w.0).min();
+                let transfer = row.next_transfer_due();
+                if let Some(t) = transfer.filter(|&t| t <= external && wake.is_none_or(|w| t <= w))
+                {
+                    row.on_transfers_due(t, &mut out);
+                } else if wake.is_some_and(|w| w <= external) {
+                    let pos = wakes.iter().position(|w| Some(w.0) == wake).unwrap();
+                    let (at, server, version) = wakes.swap_remove(pos);
+                    row.on_wake(at, server, version, &mut out);
+                } else {
+                    if rng.chance(0.8) {
+                        let input = rng.uniform_u64(32, 512) as u32;
+                        let output = rng.uniform_u64(16, 256) as u32;
+                        let req = request(step, input, output, rng.chance(0.5));
+                        row.on_arrival(external, req, &mut out);
+                    } else {
+                        let action = match rng.uniform_u64(0, 3) {
+                            0 => ControlAction::LockClock {
+                                mhz: rng.uniform(210.0, 1410.0),
+                            },
+                            1 => ControlAction::UnlockClock,
+                            on => ControlAction::PowerBrake { on: on == 2 },
+                        };
+                        let server = rng.uniform_u64(0, 7) as usize;
+                        row.apply_action(external, server, action, &mut out);
+                        actions += 1;
+                    }
+                    external += SimTime::from_secs(rng.exponential(2.0));
+                }
+                wakes.extend(out.wakes.drain(..).map(|(s, at, v)| (at, s, v)));
+                completed += out.completions.drain(..).count();
+                preempted += std::mem::take(&mut out.preemptions);
+                out.transfers_queued = false;
+                assert_ledger_matches_servers(&row, step);
+            }
+            assert!(
+                completed > 100 && preempted > 0 && actions > 100,
+                "{completed} completed, {preempted} preempted, {actions} actions"
+            );
+        }
     }
 }

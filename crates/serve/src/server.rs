@@ -29,7 +29,7 @@ use polca_telemetry::ControlAction;
 use crate::config::ServeConfig;
 use crate::pager::{ceil_u32, KvPager, TOKEN_EPS};
 use crate::profile::ProfileTable;
-use crate::row::BatchedRowParams;
+use crate::row::{BatchedRowParams, ServeOutcome};
 
 /// Which serving phase(s) a server accepts under its row's
 /// [`PoolTopology`](crate::PoolTopology).
@@ -183,33 +183,9 @@ pub struct Completion<T> {
     pub server: usize,
     /// When the request first entered service (prefill start).
     pub started_at: SimTime,
-    /// The accumulated polca-req lifecycle span (empty unless the row
-    /// traces requests).
-    pub span: ReqSpan,
-}
-
-/// Everything one engine operation produced for one server.
-#[derive(Debug)]
-pub(crate) struct PumpResult<T> {
-    pub completions: Vec<Completion<T>>,
-    /// Sequences that finished prefill on a prefill-pool server and
-    /// now need a KV transfer to a decode server.
-    pub handoffs: Vec<Seq<T>>,
-    pub preemptions: u64,
-    /// New `(at, version)` wake for this server; `None` keeps any
-    /// previously scheduled wake (version unchanged) or means idle.
-    pub wake: Option<(SimTime, u64)>,
-}
-
-impl<T> Default for PumpResult<T> {
-    fn default() -> Self {
-        PumpResult {
-            completions: Vec::new(),
-            handoffs: Vec::new(),
-            preemptions: 0,
-            wake: None,
-        }
-    }
+    /// The accumulated polca-req lifecycle span, present only when the
+    /// row traces requests.
+    pub span: Option<Box<ReqSpan>>,
 }
 
 /// One server of the batched row.
@@ -223,6 +199,9 @@ pub(crate) struct BatchServer<T> {
     waiting: VecDeque<Seq<T>>,
     prefilling: VecDeque<Seq<T>>,
     decoding: Vec<Seq<T>>,
+    /// Sequences that finished prefill on a prefill-pool server, waiting
+    /// for the row to ship their KV to a decode server.
+    pub handoffs: Vec<Seq<T>>,
     /// Whether the row traces requests: then the epoch's energy is
     /// split across the batch's spans.
     trace_requests: bool,
@@ -280,6 +259,7 @@ impl<T> BatchServer<T> {
             waiting: VecDeque::new(),
             prefilling: VecDeque::new(),
             decoding: Vec::new(),
+            handoffs: Vec::new(),
             trace_requests: params.trace_requests,
             profiles,
             spec: params.spec.clone(),
@@ -304,6 +284,12 @@ impl<T> BatchServer<T> {
 
     pub fn running(&self) -> usize {
         self.prefilling.len() + self.decoding.len()
+    }
+
+    /// The server's draw as [`RowWatts::change`](crate::RowWatts::change)
+    /// folds it: `(watts, serving)`.
+    pub fn draw(&self) -> (f64, bool) {
+        (self.power_watts, self.running() > 0)
     }
 
     pub fn waiting_len(&self) -> usize {
@@ -507,9 +493,11 @@ impl<T> BatchServer<T> {
     }
 
     /// Processes composition boundaries reached by `advance_to`:
-    /// finished prefills move to decode (or hand off on a prefill-pool
-    /// server), finished decodes complete and free their KV.
-    fn boundaries(&mut self, result: &mut PumpResult<T>) {
+    /// finished prefills move to decode (or to the hand-offs on a
+    /// prefill-pool server), finished decodes complete and free their
+    /// KV. Completions leave in batch order, and the sequences left
+    /// keep theirs (it picks preemption victims).
+    fn boundaries(&mut self, out: &mut ServeOutcome<T>) {
         while let Some(head) = self.prefilling.front() {
             if head.is_prefilling() {
                 break;
@@ -520,25 +508,22 @@ impl<T> BatchServer<T> {
             if self.role == PoolRole::Prefill {
                 self.pager.free(seq.blocks);
                 seq.blocks = 0;
-                result.handoffs.push(seq);
+                self.handoffs.push(seq);
             } else {
                 self.decoding.push(seq);
             }
         }
-        let mut i = 0;
-        while i < self.decoding.len() {
-            if self.decoding[i].decoded + TOKEN_EPS >= self.decoding[i].output_tokens as f64 {
-                let seq = self.decoding.remove(i);
-                self.pager.free(seq.blocks);
-                result.completions.push(Completion {
-                    payload: seq.payload,
-                    server: self.id,
-                    started_at: seq.started_at.expect("completed without admission"),
-                    span: seq.trace.map_or_else(ReqSpan::default, |span| *span),
-                });
-            } else {
-                i += 1;
-            }
+        let finished = self
+            .decoding
+            .extract_if(.., |s| s.decoded + TOKEN_EPS >= s.output_tokens as f64);
+        for seq in finished {
+            self.pager.free(seq.blocks);
+            out.completions.push(Completion {
+                payload: seq.payload,
+                server: self.id,
+                started_at: seq.started_at.expect("completed without admission"),
+                span: seq.trace,
+            });
         }
     }
 
@@ -680,13 +665,21 @@ impl<T> BatchServer<T> {
             .sum()
     }
 
-    /// Full service cycle at `now`: advance fluid progress, process
-    /// boundaries, admit from the waiting queue, re-derive the epoch.
-    pub fn pump(&mut self, now: SimTime, prof: &Profiler, result: &mut PumpResult<T>) {
-        result.preemptions += self.advance_to(now, prof);
-        self.boundaries(result);
+    /// Full service cycle at `now`: advance fluid progress, then
+    /// [`serve`](Self::serve).
+    pub fn pump(&mut self, now: SimTime, prof: &Profiler, out: &mut ServeOutcome<T>) {
+        out.preemptions += self.advance_to(now, prof);
+        self.serve(now, prof, out);
+    }
+
+    /// Processes boundaries, admits from the waiting queue and
+    /// re-derives the epoch, appending the server's new wake.
+    fn serve(&mut self, now: SimTime, prof: &Profiler, out: &mut ServeOutcome<T>) {
+        self.boundaries(out);
         self.admit(now, prof);
-        result.wake = self.recompute(now);
+        if let Some((at, version)) = self.recompute(now) {
+            out.wakes.push((self.id, at, version));
+        }
     }
 
     /// Whether `version` is the server's live wake.
@@ -704,9 +697,9 @@ impl<T> BatchServer<T> {
         now: SimTime,
         action: ControlAction,
         prof: &Profiler,
-        result: &mut PumpResult<T>,
+        out: &mut ServeOutcome<T>,
     ) {
-        result.preemptions += self.advance_to(now, prof);
+        out.preemptions += self.advance_to(now, prof);
         let before = self.effective_clock_mhz();
         match action {
             ControlAction::LockClock { mhz } => {
@@ -718,9 +711,7 @@ impl<T> BatchServer<T> {
         }
         self.refresh_clock();
         if (self.effective_clock_mhz() - before).abs() > f64::EPSILON {
-            self.boundaries(result);
-            self.admit(now, prof);
-            result.wake = self.recompute(now);
+            self.serve(now, prof, out);
         }
     }
 

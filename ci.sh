@@ -6,6 +6,10 @@
 #   ./ci.sh          # fmt + clippy + rustdoc + full workspace test suite
 #   ./ci.sh quick    # fmt + clippy + rustdoc + unit tests only (skips the
 #                    # multi-day end-to-end simulations)
+#
+# Every cargo build, test and run passes `--locked`, so a change to the
+# dependency graph fails here instead of silently rewriting `Cargo.lock`
+# or `benchmark/Cargo.lock`.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -13,26 +17,26 @@ echo "== cargo fmt --check =="
 cargo fmt --all --check
 
 echo "== cargo clippy -D warnings =="
-cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --locked --offline -- -D warnings
 
 echo "== cargo doc -D warnings =="
 # Catches what clippy and the tests do not: an intra-doc link left
 # dangling by a rename or a deletion, or a public doc linking a private
 # item.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
 
 echo "== cargo test =="
 if [[ "${1:-}" == "quick" ]]; then
-    cargo test -q --offline --workspace --lib --bins
+    cargo test -q --locked --offline --workspace --lib --bins
 else
-    cargo test -q --offline --workspace
+    cargo test -q --locked --offline --workspace
 fi
 
 echo "== polca-benchmark tests =="
 # The benchmark is a package of its own, outside the workspace: its
 # tests (digest stability, traced == untraced digests, the
 # conservation check) run against its own manifest.
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --locked --offline --manifest-path benchmark/Cargo.toml
 
 echo "== bench-digest (polca-benchmark vs benchmark/expected.json) =="
 # Every rep of every benchmark workload must reproduce the outcome
@@ -41,7 +45,7 @@ echo "== bench-digest (polca-benchmark vs benchmark/expected.json) =="
 # last stdout line of each run is its verdict.
 for seed in 17 42; do
     for workload in row_6wk site_day serve_day replay_obs; do
-        verdict="$(cargo run --release --offline --quiet \
+        verdict="$(cargo run --release --locked --offline --quiet \
             --manifest-path benchmark/Cargo.toml --bin polca-benchmark -- \
             --workload "$workload" --seed "$seed" --seconds 1 --trace 0 | tail -n 1)" || :
         [[ "$verdict" == *'"correct":true'* ]] \
@@ -51,7 +55,7 @@ for seed in 17 42; do
 done
 
 echo "== polca-cli ingest smoke test =="
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     ingest tests/golden/sample_trace.csv
 
 echo "== polca-cli fleet smoke test =="
@@ -62,7 +66,7 @@ scratch_root="$(mktemp -d)"
 trap 'rm -rf "$scratch_root"' EXIT
 scratch() { mktemp -d "$scratch_root/XXXXXX"; }
 fleet_out="$(scratch)"
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --trace-csv tests/golden/sample_trace.csv \
     --rows 4 --servers 10 --obs-out "$fleet_out"
 for row in row0 row1 row2 row3; do
@@ -87,11 +91,11 @@ same_site_artifacts() {  # SEQ_DIR PAR_DIR WHAT
 }
 site_seq="$(scratch)"
 site_par="$(scratch)"
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --trace-csv tests/golden/sample_trace.csv \
     --rows 2 --datacenters 3 --servers 10 --enforce-budgets \
     --fleet-threads 1 --obs-out "$site_seq" > /dev/null
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --trace-csv tests/golden/sample_trace.csv \
     --rows 2 --datacenters 3 --servers 10 --enforce-budgets \
     --fleet-threads 2 --obs-out "$site_par" > /dev/null
@@ -104,11 +108,11 @@ grep -q 'datacenter="2"' "$site_seq/metrics.prom" \
 # --fleet-threads.
 brake_seq="$(scratch)"
 brake_par="$(scratch)"
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --trace-csv tests/golden/sample_trace.csv \
     --rows 2 --datacenters 3 --servers 10 --enforce-budgets \
     --site-budget-mw 0.30 --fleet-threads 1 --obs-out "$brake_seq" > /dev/null
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --trace-csv tests/golden/sample_trace.csv \
     --rows 2 --datacenters 3 --servers 10 --enforce-budgets \
     --site-budget-mw 0.30 --fleet-threads 2 --obs-out "$brake_par" > /dev/null
@@ -120,10 +124,10 @@ grep -q '"ev":"budget_violation","t":[^,]*,"scope":"site"' "$brake_seq/events.js
 # brakes fire: its artifacts must not depend on --fleet-threads either.
 synth_seq="$(scratch)"
 synth_par="$(scratch)"
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --rows 2 --datacenters 3 --days 0.05 --enforce-budgets \
     --oversub-site 30 --fleet-threads 1 --obs-out "$synth_seq" > /dev/null
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --rows 2 --datacenters 3 --days 0.05 --enforce-budgets \
     --oversub-site 30 --fleet-threads 2 --obs-out "$synth_par" > /dev/null
 same_site_artifacts "$synth_seq" "$synth_par" "synthesized site"
@@ -136,7 +140,7 @@ panel_dirs=()
 for jobs in 1 2; do
     dir="$(scratch)"
     panel_dirs+=("$dir")
-    cargo run -q --offline --release -p polca-cli -- \
+    cargo run -q --locked --offline --release -p polca-cli -- \
         evaluate --trace-csv tests/golden/sample_trace.csv --servers 10 --watch \
         --jobs "$jobs" --obs-out "$dir/out" | sed "s#$dir#DIR#" > "$dir/stdout.txt"
 done
@@ -147,7 +151,7 @@ done
 
 echo "== polca-cli watch smoke test =="
 watch_out="$(scratch)"
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --trace-csv tests/golden/sample_trace.csv \
     --policy polca --watch --obs-out "$watch_out"
 for f in incidents.jsonl report.md metrics.prom trace.json; do
@@ -164,9 +168,9 @@ fi
 
 echo "== polca-cli serve smoke test =="
 serve_out="$(scratch)"
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --engine batched --days 0.02 --obs-out "$serve_out/agg"
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --engine batched --split-pools --days 0.02 \
     --obs-out "$serve_out/split"
 for d in agg split; do
@@ -183,7 +187,7 @@ for d in agg split; do
     grep -q '"row.phase_end"' "$serve_out/$d/prof.json" \
         && { echo "batched $d/prof.json lists row.phase_end"; exit 1; }
 done
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --engine legacy --days 0.02 --obs-out "$serve_out/legacy" > /dev/null
 grep -q '"row.phase_end"' "$serve_out/legacy/prof.json" \
     || { echo "no row.phase_end phase in legacy/prof.json"; exit 1; }
@@ -204,12 +208,12 @@ echo "== polca-cli req-trace smoke test =="
 for engine in batched "batched --split-pools" legacy; do
     read -r -a engine_args <<< "--engine $engine"
     req_out="$(scratch)"
-    cargo run -q --offline --release -p polca-cli -- \
+    cargo run -q --locked --offline --release -p polca-cli -- \
         evaluate "${engine_args[@]}" --req-trace --days 0.02 --obs-out "$req_out"
     [[ -s "$req_out/requests.jsonl" ]] \
         || { echo "$engine req-trace wrote no requests.jsonl"; exit 1; }
     untraced_out="$(scratch)"
-    cargo run -q --offline --release -p polca-cli -- \
+    cargo run -q --locked --offline --release -p polca-cli -- \
         evaluate "${engine_args[@]}" --days 0.02 --obs-out "$untraced_out" > /dev/null
     cmp "$req_out/events.jsonl" "$untraced_out/events.jsonl" \
         || { echo "$engine events.jsonl differs without --req-trace"; exit 1; }
@@ -238,7 +242,7 @@ echo "== polca-cli energy smoke test =="
 # Both engines keep an energy ledger, each on its own path.
 for engine in batched legacy; do
     energy_out="$(scratch)"
-    cargo run -q --offline --release -p polca-cli -- \
+    cargo run -q --locked --offline --release -p polca-cli -- \
         evaluate --engine "$engine" --carbon-diurnal --days 0.02 \
         --obs-out "$energy_out" > "$energy_out/summary.txt"
     for f in energy.json energy.csv metrics.prom; do
@@ -255,7 +259,7 @@ done
 # The bundled grid trace drives the same run (sample-and-hold CSV
 # ingestion), and the ledger lands with a non-trivial carbon account.
 energy_trace_out="$(scratch)"
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     evaluate --engine batched --days 0.02 \
     --carbon-trace tests/golden/carbon_intensity_24h.csv \
     --obs-out "$energy_trace_out"
@@ -267,7 +271,7 @@ echo "== polca-cli profile smoke test =="
 # attribution table ends in its `accounted:` line. Simulator speed is
 # gated by polca-benchmark (see benchmark/README.md), not here.
 profile_out="$(scratch)"
-cargo run -q --offline --release -p polca-cli -- \
+cargo run -q --locked --offline --release -p polca-cli -- \
     profile --reps 1 > "$profile_out/profile.txt"
 grep -q '^accounted: ' "$profile_out/profile.txt" \
     || { echo "profile printed no attribution table"; exit 1; }
@@ -278,7 +282,7 @@ echo "== results/ vs polca-cli figures =="
 # change that moves a figure also re-pins its result file.
 for file in results/*.txt; do
     id="$(basename "$file" .txt)"
-    cargo run -q --offline --release -p polca-cli -- figures "$id" | cmp - "$file" \
+    cargo run -q --locked --offline --release -p polca-cli -- figures "$id" | cmp - "$file" \
         || { echo "results/$id.txt differs from \`polca-cli figures $id\`"; exit 1; }
 done
 

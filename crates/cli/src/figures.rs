@@ -529,10 +529,11 @@ fn extension_selective(ctx: &Ctx, out: &mut String) -> Result<(), CliError> {
     // from max clock to the T1 clock sheds roughly this many watts.
     let reclaim = 250.0;
     let low_ids: Vec<usize> = row
-        .build_servers()
-        .iter()
-        .filter(|s| s.priority() == Priority::Low)
-        .map(|s| s.id())
+        .priorities()
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, priority)| priority == Priority::Low)
+        .map(|(id, _)| id)
         .collect();
     writeln!(
         out,

@@ -378,9 +378,6 @@ impl InferenceServer {
             }
             ControlAction::UnlockClock => self.locked_mhz = None,
             ControlAction::PowerBrake { on } => self.brake = on,
-            // The cluster policies drive frequency, not reactive caps;
-            // accept and ignore cap actions for forward compatibility.
-            ControlAction::PowerCap { .. } | ControlAction::ClearPowerCap => {}
         }
         if (self.effective_clock_mhz() - before).abs() < f64::EPSILON {
             return None;

@@ -57,13 +57,36 @@ pub enum ControlTarget {
     Server(usize),
 }
 
-/// A control decision emitted by a [`PowerController`].
+/// A control decision emitted by a [`PowerController`] or a site's
+/// budget enforcer. A policy may ask two things of a row, and these
+/// constructors build them: lock (or unlock) a target's GPU clocks, or
+/// engage (or release) the power brake on every server.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlRequest {
     /// Which servers to touch.
     pub target: ControlTarget,
     /// What to do to them.
     pub action: ControlAction,
+}
+
+impl ControlRequest {
+    /// Locks `target`'s GPU clocks at `mhz`, or lifts the lock when
+    /// `mhz` is `None`.
+    pub const fn clock(target: ControlTarget, mhz: Option<f64>) -> Self {
+        let action = match mhz {
+            Some(mhz) => ControlAction::LockClock { mhz },
+            None => ControlAction::UnlockClock,
+        };
+        ControlRequest { target, action }
+    }
+
+    /// Engages (`on`) or releases the power brake on every server.
+    pub const fn brake(on: bool) -> Self {
+        ControlRequest {
+            target: ControlTarget::All,
+            action: ControlAction::PowerBrake { on },
+        }
+    }
 }
 
 /// Read-only facts a controller may use.
@@ -815,18 +838,23 @@ impl<P: PowerController> ClusterSim<P> {
         }
     }
 
+    /// Puts `cr` on the OOB plane: one command per server it targets,
+    /// in server order. A server id outside the row targets nothing, so
+    /// it issues and counts nothing.
     fn issue(&mut self, now: SimTime, cr: ControlRequest) {
+        let n = self.ctx.n_servers;
+        let (servers, class) = match cr.target {
+            ControlTarget::All => (0..n, None),
+            ControlTarget::Priority(p) => (0..n, Some(p)),
+            ControlTarget::Server(i) if i < n => (i..i + 1, None),
+            ControlTarget::Server(_) => return,
+        };
         if matches!(cr.action, ControlAction::PowerBrake { on: true }) {
             self.report.brake_engagements += 1;
             self.obs.add("cluster.brake_engagements", Label::Global, 1);
         }
-        let n = self.ctx.n_servers;
-        let targets: Vec<usize> = match cr.target {
-            ControlTarget::All => (0..n).collect(),
-            ControlTarget::Priority(p) => (0..n).filter(|&i| self.priorities[i] == p).collect(),
-            ControlTarget::Server(i) => vec![i.min(n.saturating_sub(1))],
-        };
-        for i in targets {
+        let priorities = &self.priorities;
+        for i in servers.filter(|&i| class.is_none_or(|p| priorities[i] == p)) {
             self.plane.issue(now, i, cr.action);
             self.report.commands_issued += 1;
         }
@@ -836,9 +864,6 @@ impl<P: PowerController> ClusterSim<P> {
         let due = self.plane.deliver_due(now);
         for cmd in due {
             let idx = cmd.server;
-            if idx >= self.ctx.n_servers {
-                continue;
-            }
             self.obs.record_with(|| {
                 let t = now.as_secs();
                 match cmd.action {
@@ -848,12 +873,6 @@ impl<P: PowerController> ClusterSim<P> {
                         mhz,
                     },
                     ControlAction::UnlockClock => Event::Uncap { t, server: idx },
-                    ControlAction::PowerCap { watts } => Event::PowerCapApplied {
-                        t,
-                        server: idx,
-                        watts,
-                    },
-                    ControlAction::ClearPowerCap => Event::PowerCapCleared { t, server: idx },
                     ControlAction::PowerBrake { on } => Event::BrakeEngaged { t, server: idx, on },
                 }
             });
@@ -1233,10 +1252,7 @@ mod tests {
                     return Vec::new();
                 }
                 self.done = true;
-                vec![ControlRequest {
-                    target: ControlTarget::All,
-                    action: ControlAction::LockClock { mhz: 1110.0 },
-                }]
+                vec![ControlRequest::clock(ControlTarget::All, Some(1110.0))]
             }
         }
 
@@ -1276,10 +1292,7 @@ mod tests {
                     return Vec::new();
                 }
                 self.fired = true;
-                vec![ControlRequest {
-                    target: ControlTarget::All,
-                    action: ControlAction::PowerBrake { on: true },
-                }]
+                vec![ControlRequest::brake(true)]
             }
         }
         let report = ClusterSim::new(
@@ -1388,13 +1401,7 @@ mod tests {
             t(1000.0),
         );
         row.step_until(t(10.0));
-        row.inject(
-            t(10.0),
-            ControlRequest {
-                target: ControlTarget::All,
-                action: ControlAction::PowerBrake { on: true },
-            },
-        );
+        row.inject(t(10.0), ControlRequest::brake(true));
         let braked = row.finish();
         assert_eq!(braked.brake_engagements, 1);
         assert!(braked.commands_issued >= 4);
@@ -1407,6 +1414,26 @@ mod tests {
             braked.mean_row_watts,
             free.mean_row_watts
         );
+    }
+
+    #[test]
+    fn a_server_outside_the_row_is_no_target() {
+        let mut row = RowSim::new(
+            small_row(),
+            SimConfig::default(),
+            NoopController,
+            std::iter::empty(),
+            t(100.0),
+        );
+        let n = row.servers().len();
+        row.inject(
+            SimTime::ZERO,
+            ControlRequest::clock(ControlTarget::Server(n), Some(1110.0)),
+        );
+        // Every OOB command has landed by 40 s (Table 2).
+        row.step_until(t(60.0));
+        assert!(row.servers().iter().all(|s| s.locked_mhz().is_none()));
+        assert_eq!(row.finish().commands_issued, 0);
     }
 
     #[test]

@@ -113,14 +113,12 @@ use std::sync::{Barrier, Mutex, MutexGuard};
 
 use polca_obs::{Event, Label, Phase, ProfCounter, Recorder};
 use polca_sim::SimTime;
-use polca_telemetry::ControlAction;
 
 use crate::hierarchy::{sum_in_order, SiteHierarchy};
 use crate::request::{Priority, Request};
 use crate::row::RowConfig;
 use crate::sim::{
-    ClusterSim, ControlRequest, ControlTarget, PowerController, RequestSource, RowSim, SimConfig,
-    SimReport,
+    ClusterSim, ControlRequest, PowerController, RequestSource, RowSim, SimConfig, SimReport,
 };
 
 /// Aggregate power must fall below this fraction of a budget before an
@@ -288,14 +286,6 @@ impl Dispatcher {
 /// [`SiteSim::plan_epoch`] step for step.
 fn epoch_reach(t: SimTime, window: SimTime, horizon: SimTime, windows: usize) -> SimTime {
     (0..windows).fold(t, |boundary, _| (boundary + window).min(horizon))
-}
-
-/// The brake command a budget enforcer injects into member rows.
-fn brake_request(on: bool) -> ControlRequest {
-    ControlRequest {
-        target: ControlTarget::All,
-        action: ControlAction::PowerBrake { on },
-    }
 }
 
 /// A sound upper bound on one row's power over the coming telemetry
@@ -1211,7 +1201,7 @@ impl<P: PowerController> SiteSim<P> {
                 continue;
             }
             for &(row, on) in toggles {
-                row_mut(chunks, row).inject(boundary, brake_request(on));
+                row_mut(chunks, row).inject(boundary, ControlRequest::brake(on));
             }
         }
     }
@@ -1584,7 +1574,7 @@ mod tests {
                 return Vec::new();
             }
             self.braked = !self.braked;
-            vec![brake_request(self.braked)]
+            vec![ControlRequest::brake(self.braked)]
         }
     }
 

@@ -5,42 +5,102 @@
 //! commands over the slow OOB plane. They emit commands only on state
 //! *transitions* — re-sending the full cap set every tick would swamp a
 //! 40 s-latency control path.
+//!
+//! Every policy, the §6.7 [`SelectiveController`](crate::SelectiveController)
+//! included, runs its own capping rule inside one `Governor`: the same
+//! UPS-triggered brake net (§6.6) and the same transition trace. The
+//! policies Figures 17–18 compare therefore differ only in what they
+//! lock, and every clock they lock is a Table 5 clock read from
+//! [`PowerMode`].
 
 use polca_cluster::{ControlRequest, ControlTarget, PowerController, Priority, RowContext};
 use polca_obs::{Event, Label, Recorder};
 use polca_sim::SimTime;
-use polca_telemetry::ControlAction;
 
-use crate::policy::PolcaPolicy;
+use crate::policy::{PolcaPolicy, PowerMode};
 
-/// Internal mode of the dual-threshold state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Uncapped,
-    T1,
-    T2 {
-        /// Whether the high-priority gentle cap has been applied (it
-        /// only is when power stays above T2 after the low-priority cap).
-        hp_capped: bool,
-    },
-    Brake,
+/// What every policy shares around its own capping rule: the policy's
+/// thresholds, the power-brake safety net and the transition trace.
+#[derive(Debug, Clone)]
+pub(crate) struct Governor {
+    pub(crate) policy: PolcaPolicy,
+    pub(crate) recorder: Recorder,
+    transitions: u64,
 }
 
-impl Mode {
-    /// Trace label for the mode (the `from`/`to` of
-    /// `controller_transition` events).
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Uncapped => "Uncapped",
-            Mode::T1 => "T1",
-            Mode::T2 { hp_capped: false } => "T2",
-            Mode::T2 { hp_capped: true } => "T2+HP",
-            Mode::Brake => "Brake",
+impl Governor {
+    pub(crate) fn new(policy: PolcaPolicy) -> Self {
+        Governor {
+            policy,
+            recorder: Recorder::disabled(),
+            transitions: 0,
         }
+    }
+
+    /// The brake net: whether a brake that is `engaged` toggles at row
+    /// utilisation `u`. It engages at the provisioned limit
+    /// (`brake_frac`) and releases at or below `brake_release_frac`; a
+    /// toggle pushes its `PowerBrake` command onto `cmds`.
+    pub(crate) fn brake_toggles(
+        &self,
+        engaged: bool,
+        u: f64,
+        cmds: &mut Vec<ControlRequest>,
+    ) -> bool {
+        let p = &self.policy;
+        let toggles = if engaged {
+            u <= p.brake_release_frac
+        } else {
+            u >= p.brake_frac
+        };
+        if toggles {
+            cmds.push(ControlRequest::brake(!engaged));
+        }
+        toggles
+    }
+
+    /// Closes a tick that moved the policy from state `before` to
+    /// `after`: a change is counted in `controller.transitions` (per
+    /// state entered) and traced as a `controller_transition` event
+    /// between the states' `label`s. Returns whether the state changed;
+    /// a tick that changes nothing looks up no label.
+    pub(crate) fn transition<S: PartialEq>(
+        &mut self,
+        now: SimTime,
+        before: S,
+        after: S,
+        label: fn(&S) -> &'static str,
+    ) -> bool {
+        if before == after {
+            return false;
+        }
+        let (from, to) = (label(&before), label(&after));
+        self.transitions += 1;
+        self.recorder
+            .add("controller.transitions", Label::Tag(to), 1);
+        self.recorder.record(Event::ControllerTransition {
+            t: now.as_secs(),
+            from,
+            to,
+        });
+        true
+    }
+}
+
+/// The trace label of a baseline's `(braked, capped)` state.
+pub(crate) fn baseline_label(&(braked, capped): &(bool, bool)) -> &'static str {
+    match (braked, capped) {
+        (true, _) => "Brake",
+        (false, true) => "Capped",
+        (false, false) => "Uncapped",
     }
 }
 
 /// The POLCA power manager (§6.3).
+///
+/// Its state is the row's Table 5 [`PowerMode`] plus whether T2's gentle
+/// high-priority cap is on, and each lock it sends sets a priority class
+/// to the clock its mode gives that class.
 ///
 /// # Control flow (the paper's Figure 12)
 ///
@@ -79,25 +139,25 @@ impl Mode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PolcaController {
-    policy: PolcaPolicy,
-    mode: Mode,
-    transitions: u64,
+    gov: Governor,
+    mode: PowerMode,
+    /// Whether T2's high-priority cap is on. It only is in T2, once
+    /// power stays above T2 after the low-priority cap (§6.3).
+    hp_capped: bool,
     /// When observed power first dipped below the current mode's uncap
     /// level (`None` while at or above it). De-escalation waits until
     /// the dip has lasted `uncap_dwell_s` — see [`PolcaPolicy`].
     below_since: Option<SimTime>,
-    recorder: Recorder,
 }
 
 impl PolcaController {
     /// Creates the controller in the uncapped state.
     pub fn new(policy: PolcaPolicy) -> Self {
         PolcaController {
-            policy,
-            mode: Mode::Uncapped,
-            transitions: 0,
+            gov: Governor::new(policy),
+            mode: PowerMode::Uncapped,
+            hp_capped: false,
             below_since: None,
-            recorder: Recorder::disabled(),
         }
     }
 
@@ -105,46 +165,61 @@ impl PolcaController {
     /// mode changes are traced as `controller_transition` events and
     /// counted per target mode.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
+        self.gov.recorder = recorder;
         self
     }
 
     /// The policy in force.
     pub fn policy(&self) -> &PolcaPolicy {
-        &self.policy
+        &self.gov.policy
     }
 
     /// Mode transitions performed so far (capping churn; the hysteresis
     /// ablation measures this).
     pub fn transitions(&self) -> u64 {
-        self.transitions
+        self.gov.transitions
     }
 
-    fn cap_low(&self, mhz: f64) -> ControlRequest {
-        ControlRequest {
-            target: ControlTarget::Priority(Priority::Low),
-            action: ControlAction::LockClock { mhz },
+    /// Sets `priority`'s servers to the clock Table 5 gives that class
+    /// in the current mode (high priority only once `hp_capped`).
+    fn set_clock(&self, priority: Priority) -> ControlRequest {
+        let p = &self.gov.policy;
+        let mhz = match priority {
+            Priority::Low => self.mode.low_priority_clock_mhz(p),
+            Priority::High if self.hp_capped => self.mode.high_priority_clock_mhz(p),
+            Priority::High => None,
+        };
+        ControlRequest::clock(ControlTarget::Priority(priority), mhz)
+    }
+
+    /// Whether power at `u` has stayed below the current mode's uncap
+    /// level for the dwell. Conservative uncapping: one worst-case OOB
+    /// round trip must pass before caps are released, or a burst
+    /// arriving during the 20–40 s command flight would find the row
+    /// uncapped.
+    fn uncap_ready(&mut self, now: SimTime, u: f64) -> bool {
+        let p = &self.gov.policy;
+        let below_uncap = match self.mode {
+            PowerMode::T1 => u < p.t1_uncap_frac(),
+            PowerMode::T2 => u < p.t2_uncap_frac(),
+            PowerMode::Uncapped | PowerMode::Brake => false,
+        };
+        if !below_uncap {
+            self.below_since = None;
+            return false;
         }
+        let since = *self.below_since.get_or_insert(now);
+        now.as_secs() - since.as_secs() >= p.uncap_dwell_s
     }
 
-    fn cap_high(&self, mhz: f64) -> ControlRequest {
-        ControlRequest {
-            target: ControlTarget::Priority(Priority::High),
-            action: ControlAction::LockClock { mhz },
-        }
-    }
-
-    fn uncap(&self, priority: Priority) -> ControlRequest {
-        ControlRequest {
-            target: ControlTarget::Priority(priority),
-            action: ControlAction::UnlockClock,
-        }
-    }
-
-    fn brake(&self, on: bool) -> ControlRequest {
-        ControlRequest {
-            target: ControlTarget::All,
-            action: ControlAction::PowerBrake { on },
+    /// The trace label of a `(mode, hp_capped)` state.
+    fn label(&(mode, hp_capped): &(PowerMode, bool)) -> &'static str {
+        match mode {
+            PowerMode::Uncapped => "Uncapped",
+            PowerMode::T1 => "T1",
+            PowerMode::T2 if hp_capped => "T2+HP",
+            PowerMode::T2 => "T2",
+            PowerMode::Brake => "Brake",
         }
     }
 }
@@ -160,165 +235,97 @@ impl PowerController for PolcaController {
             return Vec::new();
         };
         let u = watts / ctx.provisioned_watts;
-        let before = self.mode;
+        let before = (self.mode, self.hp_capped);
         let mut cmds = Vec::new();
-
-        // Conservative uncapping: the dip below the uncap level must
-        // persist for a full dwell (one worst-case OOB round trip)
-        // before caps are released, or a burst arriving during the
-        // 20–40 s command flight would find the row uncapped.
-        let below_uncap = match self.mode {
-            Mode::T1 => u < self.policy.t1_uncap_frac(),
-            Mode::T2 { .. } => u < self.policy.t2_uncap_frac(),
-            Mode::Uncapped | Mode::Brake => false,
-        };
-        let uncap_ready = if below_uncap {
-            let since = *self.below_since.get_or_insert(now);
-            now.as_secs() - since.as_secs() >= self.policy.uncap_dwell_s
+        let uncap_ready = self.uncap_ready(now, u);
+        let braked = self.mode == PowerMode::Brake;
+        if self.gov.brake_toggles(braked, u, &mut cmds) {
+            if braked {
+                // Release the brake but resume fully capped: the row was
+                // at the limit moments ago.
+                (self.mode, self.hp_capped) = (PowerMode::T2, true);
+                cmds.push(self.set_clock(Priority::Low));
+                cmds.push(self.set_clock(Priority::High));
+            } else {
+                (self.mode, self.hp_capped) = (PowerMode::Brake, false);
+            }
         } else {
-            self.below_since = None;
-            false
-        };
-
-        let p = &self.policy;
-        self.mode = match self.mode {
-            Mode::Brake => {
-                if u <= p.brake_release_frac {
-                    // Release the brake but resume fully capped: the row
-                    // was at the limit moments ago.
-                    cmds.push(self.brake(false));
-                    cmds.push(self.cap_low(p.t2_low_mhz));
-                    cmds.push(self.cap_high(p.t2_high_mhz));
-                    Mode::T2 { hp_capped: true }
-                } else {
-                    Mode::Brake
+            let p = &self.gov.policy;
+            let (above_t1, above_t2) = (u >= p.t1_frac, u >= p.t2_frac);
+            match self.mode {
+                PowerMode::Uncapped | PowerMode::T1 if above_t2 => {
+                    self.mode = PowerMode::T2;
+                    cmds.push(self.set_clock(Priority::Low));
                 }
-            }
-            Mode::Uncapped => {
-                if u >= p.brake_frac {
-                    cmds.push(self.brake(true));
-                    Mode::Brake
-                } else if u >= p.t2_frac {
-                    cmds.push(self.cap_low(p.t2_low_mhz));
-                    Mode::T2 { hp_capped: false }
-                } else if u >= p.t1_frac {
-                    cmds.push(self.cap_low(p.t1_low_mhz));
-                    Mode::T1
-                } else {
-                    Mode::Uncapped
+                PowerMode::Uncapped if above_t1 => {
+                    self.mode = PowerMode::T1;
+                    cmds.push(self.set_clock(Priority::Low));
                 }
-            }
-            Mode::T1 => {
-                if u >= p.brake_frac {
-                    cmds.push(self.brake(true));
-                    Mode::Brake
-                } else if u >= p.t2_frac {
-                    cmds.push(self.cap_low(p.t2_low_mhz));
-                    Mode::T2 { hp_capped: false }
-                } else if uncap_ready {
-                    cmds.push(self.uncap(Priority::Low));
-                    Mode::Uncapped
-                } else {
-                    Mode::T1
+                PowerMode::T1 if uncap_ready => {
+                    self.mode = PowerMode::Uncapped;
+                    cmds.push(self.set_clock(Priority::Low));
                 }
-            }
-            Mode::T2 { hp_capped } => {
-                if u >= p.brake_frac {
-                    cmds.push(self.brake(true));
-                    Mode::Brake
-                } else if u >= p.t2_frac && !hp_capped {
+                PowerMode::T2 if above_t2 && !self.hp_capped => {
                     // The low-priority cap did not bring power under T2:
                     // gently cap high priority too (§6.3).
-                    cmds.push(self.cap_high(p.t2_high_mhz));
-                    Mode::T2 { hp_capped: true }
-                } else if uncap_ready {
-                    if hp_capped {
-                        cmds.push(self.uncap(Priority::High));
-                    }
-                    cmds.push(self.cap_low(p.t1_low_mhz));
-                    Mode::T1
-                } else {
-                    Mode::T2 { hp_capped }
+                    self.hp_capped = true;
+                    cmds.push(self.set_clock(Priority::High));
                 }
+                PowerMode::T2 if uncap_ready => {
+                    if self.hp_capped {
+                        self.hp_capped = false;
+                        cmds.push(self.set_clock(Priority::High));
+                    }
+                    self.mode = PowerMode::T1;
+                    cmds.push(self.set_clock(Priority::Low));
+                }
+                _ => {}
             }
-        };
-        if self.mode != before {
-            self.transitions += 1;
+        }
+        let after = (self.mode, self.hp_capped);
+        if self.gov.transition(now, before, after, Self::label) {
             self.below_since = None;
-            self.recorder
-                .add("controller.transitions", Label::Tag(self.mode.name()), 1);
-            self.recorder.record(Event::ControllerTransition {
-                t: now.as_secs(),
-                from: before.name(),
-                to: self.mode.name(),
-            });
         }
         cmds
     }
 }
 
 /// The `1-Thresh-Low-Pri` and `1-Thresh-All` baselines (§6.6): a single
-/// threshold at T2 that immediately applies the hard cap, with the same
-/// UPS brake fallback.
+/// threshold at T2 that immediately applies T2's hard low-priority cap,
+/// with the same UPS brake fallback.
 #[derive(Debug, Clone)]
 pub struct SingleThresholdController {
-    policy: PolcaPolicy,
-    /// Whether the threshold caps every server or only low priority.
-    cap_all: bool,
+    gov: Governor,
+    /// The servers the threshold caps: low priority, or every server.
+    target: ControlTarget,
     capped: bool,
     braked: bool,
-    recorder: Recorder,
 }
 
 impl SingleThresholdController {
     /// `1-Thresh-Low-Pri`: one threshold (T2) capping low priority only.
     pub fn low_priority_only(policy: PolcaPolicy) -> Self {
-        SingleThresholdController {
-            policy,
-            cap_all: false,
-            capped: false,
-            braked: false,
-            recorder: Recorder::disabled(),
-        }
+        Self::new(policy, ControlTarget::Priority(Priority::Low))
     }
 
     /// `1-Thresh-All`: one threshold (T2) capping every server.
     pub fn all_workloads(policy: PolcaPolicy) -> Self {
+        Self::new(policy, ControlTarget::All)
+    }
+
+    fn new(policy: PolcaPolicy, target: ControlTarget) -> Self {
         SingleThresholdController {
-            policy,
-            cap_all: true,
+            gov: Governor::new(policy),
+            target,
             capped: false,
             braked: false,
-            recorder: Recorder::disabled(),
         }
     }
 
     /// Returns the controller with an observability recorder attached.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
+        self.gov.recorder = recorder;
         self
-    }
-
-    fn state_name(capped: bool, braked: bool) -> &'static str {
-        match (braked, capped) {
-            (true, _) => "Brake",
-            (false, true) => "Capped",
-            (false, false) => "Uncapped",
-        }
-    }
-
-    fn trace_transition(&self, now: SimTime, from: (bool, bool)) {
-        let from = Self::state_name(from.0, from.1);
-        let to = Self::state_name(self.capped, self.braked);
-        if from != to {
-            self.recorder
-                .add("controller.transitions", Label::Tag(to), 1);
-            self.recorder.record(Event::ControllerTransition {
-                t: now.as_secs(),
-                from,
-                to,
-            });
-        }
     }
 }
 
@@ -333,52 +340,31 @@ impl PowerController for SingleThresholdController {
             return Vec::new();
         };
         let u = watts / ctx.provisioned_watts;
-        let p = &self.policy;
-        let before = (self.capped, self.braked);
+        let before = (self.braked, self.capped);
         let mut cmds = Vec::new();
-        if self.braked {
-            if u <= p.brake_release_frac {
-                self.braked = false;
-                cmds.push(ControlRequest {
-                    target: ControlTarget::All,
-                    action: ControlAction::PowerBrake { on: false },
-                });
-            } else {
-                return cmds;
-            }
-        } else if u >= p.brake_frac {
-            self.braked = true;
-            cmds.push(ControlRequest {
-                target: ControlTarget::All,
-                action: ControlAction::PowerBrake { on: true },
-            });
-            self.trace_transition(now, before);
-            return cmds;
+        if self.gov.brake_toggles(self.braked, u, &mut cmds) {
+            self.braked = !self.braked;
         }
-        if !self.capped && u >= p.t2_frac {
-            self.capped = true;
-            let target = if self.cap_all {
-                ControlTarget::All
+        let p = &self.gov.policy;
+        let capped = if self.capped {
+            u >= p.t2_uncap_frac()
+        } else {
+            u >= p.t2_frac
+        };
+        if !self.braked && capped != self.capped {
+            self.capped = capped;
+            let mode = if capped {
+                PowerMode::T2
             } else {
-                ControlTarget::Priority(Priority::Low)
+                PowerMode::Uncapped
             };
-            cmds.push(ControlRequest {
-                target,
-                action: ControlAction::LockClock { mhz: p.t2_low_mhz },
-            });
-        } else if self.capped && u < p.t2_uncap_frac() {
-            self.capped = false;
-            let target = if self.cap_all {
-                ControlTarget::All
-            } else {
-                ControlTarget::Priority(Priority::Low)
-            };
-            cmds.push(ControlRequest {
-                target,
-                action: ControlAction::UnlockClock,
-            });
+            cmds.push(ControlRequest::clock(
+                self.target,
+                mode.low_priority_clock_mhz(p),
+            ));
         }
-        self.trace_transition(now, before);
+        let after = (self.braked, self.capped);
+        self.gov.transition(now, before, after, baseline_label);
         cmds
     }
 }
@@ -390,40 +376,23 @@ impl PowerController for SingleThresholdController {
 /// and P100 latency" costs.
 #[derive(Debug, Clone)]
 pub struct NoCapController {
-    policy: PolcaPolicy,
+    gov: Governor,
     braked: bool,
-    recorder: Recorder,
 }
 
 impl NoCapController {
     /// Creates the baseline with the default brake limits.
     pub fn new(policy: PolcaPolicy) -> Self {
         NoCapController {
-            policy,
+            gov: Governor::new(policy),
             braked: false,
-            recorder: Recorder::disabled(),
         }
     }
 
     /// Returns the controller with an observability recorder attached.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
+        self.gov.recorder = recorder;
         self
-    }
-
-    fn trace_transition(&self, now: SimTime, to_braked: bool) {
-        let (from, to) = if to_braked {
-            ("Uncapped", "Brake")
-        } else {
-            ("Brake", "Uncapped")
-        };
-        self.recorder
-            .add("controller.transitions", Label::Tag(to), 1);
-        self.recorder.record(Event::ControllerTransition {
-            t: now.as_secs(),
-            from,
-            to,
-        });
     }
 }
 
@@ -437,25 +406,17 @@ impl PowerController for NoCapController {
         let Some(watts) = observed_row_watts else {
             return Vec::new();
         };
-        let u = watts / ctx.provisioned_watts;
-        let p = &self.policy;
-        if !self.braked && u >= p.brake_frac {
-            self.braked = true;
-            self.trace_transition(now, true);
-            return vec![ControlRequest {
-                target: ControlTarget::All,
-                action: ControlAction::PowerBrake { on: true },
-            }];
+        let before = (self.braked, false);
+        let mut cmds = Vec::new();
+        if self
+            .gov
+            .brake_toggles(self.braked, watts / ctx.provisioned_watts, &mut cmds)
+        {
+            self.braked = !self.braked;
         }
-        if self.braked && u <= p.brake_release_frac {
-            self.braked = false;
-            self.trace_transition(now, false);
-            return vec![ControlRequest {
-                target: ControlTarget::All,
-                action: ControlAction::PowerBrake { on: false },
-            }];
-        }
-        Vec::new()
+        let after = (self.braked, false);
+        self.gov.transition(now, before, after, baseline_label);
+        cmds
     }
 }
 
@@ -474,9 +435,13 @@ mod tests {
         c.on_telemetry(SimTime::from_secs(t), Some(frac * 100_000.0), &ctx())
     }
 
+    /// `priority`'s servers set to `mhz` (unlocked when `None`).
+    fn clock(priority: Priority, mhz: Option<f64>) -> ControlRequest {
+        ControlRequest::clock(ControlTarget::Priority(priority), mhz)
+    }
+
     fn is_lock(cr: &ControlRequest, priority: Priority, mhz: f64) -> bool {
-        cr.target == ControlTarget::Priority(priority)
-            && cr.action == ControlAction::LockClock { mhz }
+        *cr == clock(priority, Some(mhz))
     }
 
     #[test]
@@ -520,8 +485,7 @@ mod tests {
         assert!(tick(&mut c, 4.0, 0.78).is_empty());
         // Only below 75 % does it uncap.
         let cmds = tick(&mut c, 6.0, 0.74);
-        assert_eq!(cmds.len(), 1);
-        assert_eq!(cmds[0].action, ControlAction::UnlockClock);
+        assert_eq!(cmds, [clock(Priority::Low, None)]);
         assert_eq!(c.transitions(), 2);
     }
 
@@ -532,29 +496,72 @@ mod tests {
         tick(&mut c, 2.0, 0.90); // hp capped
         let cmds = tick(&mut c, 4.0, 0.80); // below T2 uncap (84 %)
                                             // Expect: unlock high, relax low to the T1 clock.
-        assert_eq!(cmds.len(), 2);
-        assert!(cmds
-            .iter()
-            .any(|c| c.target == ControlTarget::Priority(Priority::High)
-                && c.action == ControlAction::UnlockClock));
-        assert!(cmds.iter().any(|c| is_lock(c, Priority::Low, 1275.0)));
+        assert_eq!(
+            cmds,
+            [
+                clock(Priority::High, None),
+                clock(Priority::Low, Some(1275.0))
+            ]
+        );
     }
 
     #[test]
     fn brake_fires_at_provisioned_limit_and_releases_into_t2() {
         let mut c = PolcaController::new(PolcaPolicy::default());
         let cmds = tick(&mut c, 0.0, 1.01);
-        assert_eq!(cmds.len(), 1);
-        assert_eq!(cmds[0].action, ControlAction::PowerBrake { on: true });
-        assert_eq!(cmds[0].target, ControlTarget::All);
+        assert_eq!(cmds, [ControlRequest::brake(true)]);
         // Still high: hold the brake.
         assert!(tick(&mut c, 2.0, 0.95).is_empty());
         // Released below 92 %: caps resume at full T2.
         let cmds = tick(&mut c, 4.0, 0.85);
-        assert_eq!(cmds.len(), 3);
-        assert_eq!(cmds[0].action, ControlAction::PowerBrake { on: false });
-        assert!(cmds.iter().any(|c| is_lock(c, Priority::Low, 1110.0)));
-        assert!(cmds.iter().any(|c| is_lock(c, Priority::High, 1305.0)));
+        assert_eq!(
+            cmds,
+            [
+                ControlRequest::brake(false),
+                clock(Priority::Low, Some(1110.0)),
+                clock(Priority::High, Some(1305.0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn every_lock_sets_the_clock_table5_gives_the_mode_entered() {
+        // Dwell 0 so each de-escalation lands on the tick that asks.
+        let policy = PolcaPolicy::default().with_uncap_dwell(0.0);
+        let mut c = PolcaController::new(policy.clone());
+        let walk = [
+            (0.82, PowerMode::T1, false),
+            (0.90, PowerMode::T2, false),
+            (0.90, PowerMode::T2, true),
+            (1.01, PowerMode::Brake, false),
+            (0.85, PowerMode::T2, true), // released
+            (0.80, PowerMode::T1, false),
+            (0.70, PowerMode::Uncapped, false),
+        ];
+        let mut clock_cmds = 0;
+        for (k, &(u, mode, hp_capped)) in walk.iter().enumerate() {
+            let cmds = tick(&mut c, k as f64 * 2.0, u);
+            assert_eq!((c.mode, c.hp_capped), (mode, hp_capped), "tick {k}");
+            assert!(!cmds.is_empty(), "tick {k} entered a mode silently");
+            for cmd in cmds {
+                let expected = match cmd.target {
+                    ControlTarget::Priority(Priority::Low) => mode.low_priority_clock_mhz(&policy),
+                    ControlTarget::Priority(Priority::High) => {
+                        mode.high_priority_clock_mhz(&policy)
+                    }
+                    _ => {
+                        assert!(cmd == ControlRequest::brake(mode == PowerMode::Brake));
+                        continue;
+                    }
+                };
+                assert_eq!(cmd, ControlRequest::clock(cmd.target, expected), "tick {k}");
+                clock_cmds += 1;
+            }
+        }
+        // T1, T2, T2+HP, the two re-locks on release, both classes
+        // into T1, and low priority uncapped.
+        assert_eq!(clock_cmds, 8);
+        assert_eq!(c.transitions(), walk.len() as u64);
     }
 
     #[test]
@@ -596,8 +603,7 @@ mod tests {
         assert!(tick(&mut c, 100.0, 0.74).is_empty()); // 58 s < dwell
                                                        // …and only a dip that outlasts the dwell uncaps.
         let cmds = tick(&mut c, 104.0, 0.74); // 62 s ≥ dwell
-        assert_eq!(cmds.len(), 1);
-        assert_eq!(cmds[0].action, ControlAction::UnlockClock);
+        assert_eq!(cmds, [clock(Priority::Low, None)]);
     }
 
     #[test]
@@ -613,12 +619,13 @@ mod tests {
     fn single_threshold_all_caps_everyone() {
         let mut c = SingleThresholdController::all_workloads(PolcaPolicy::default());
         let cmds = tick(&mut c, 0.0, 0.90);
-        assert_eq!(cmds.len(), 1);
-        assert_eq!(cmds[0].target, ControlTarget::All);
-        assert_eq!(cmds[0].action, ControlAction::LockClock { mhz: 1110.0 });
+        assert_eq!(
+            cmds,
+            [ControlRequest::clock(ControlTarget::All, Some(1110.0))]
+        );
         // Uncap below 84 %.
         let cmds = tick(&mut c, 2.0, 0.83);
-        assert_eq!(cmds[0].action, ControlAction::UnlockClock);
+        assert_eq!(cmds, [ControlRequest::clock(ControlTarget::All, None)]);
     }
 
     #[test]
@@ -626,10 +633,9 @@ mod tests {
         let mut c = NoCapController::new(PolcaPolicy::default());
         assert!(tick(&mut c, 0.0, 0.95).is_empty());
         let cmds = tick(&mut c, 2.0, 1.02);
-        assert_eq!(cmds.len(), 1);
-        assert_eq!(cmds[0].action, ControlAction::PowerBrake { on: true });
+        assert_eq!(cmds, [ControlRequest::brake(true)]);
         let cmds = tick(&mut c, 4.0, 0.80);
-        assert_eq!(cmds[0].action, ControlAction::PowerBrake { on: false });
+        assert_eq!(cmds, [ControlRequest::brake(false)]);
     }
 
     #[test]
@@ -644,11 +650,10 @@ mod tests {
         for (k, &f) in trajectory.iter().enumerate() {
             polca_caps += tick(&mut polca, k as f64 * 2.0, f)
                 .iter()
-                .filter(|c| matches!(c.action, ControlAction::LockClock { .. }))
+                .filter(|c| c.target != ControlTarget::All)
                 .count();
-            nocap_braked |= tick(&mut nocap, k as f64 * 2.0, f)
-                .iter()
-                .any(|c| c.action == ControlAction::PowerBrake { on: true });
+            nocap_braked |=
+                tick(&mut nocap, k as f64 * 2.0, f).contains(&ControlRequest::brake(true));
         }
         assert!(polca_caps >= 2, "POLCA should have escalated caps");
         assert!(nocap_braked, "No-cap should have hit the UPS brake");

@@ -19,14 +19,18 @@
 //! * **Power-brake safety net.** If power still reaches the provisioned
 //!   limit, the fast (≤5 s) OOB power brake halts all GPUs before the
 //!   10 s UPS deadline — POLCA's thresholds are chosen so this (almost)
-//!   never fires.
+//!   never fires. Every policy sits behind the same brake net, which
+//!   engages at the limit and releases at `brake_release_frac`, and a
+//!   braked server runs at its GPU's brake clock (Table 5's brake row).
 //! * **Trained thresholds.** [`thresholds::ThresholdTrainer`] derives
 //!   T1/T2 from a historical trace: T2 absorbs the maximum power spike
 //!   within the 40 s OOB capping latency (Table 4: 11.8 %).
 //!
 //! Baselines from §6.6 — `1-Thresh-Low-Pri`, `1-Thresh-All`, `No-cap` —
-//! are in [`controller`], and [`experiment`] drives the full evaluation
-//! (Figures 13–18, Table 6).
+//! are in [`controller`], beside POLCA, and share its brake net and
+//! transition trace with the §6.7 [`selective`] extension; each clock
+//! any of them locks is read from Table 5's [`policy::PowerMode`].
+//! [`experiment`] drives the full evaluation (Figures 13–18, Table 6).
 //!
 //! # Examples
 //!

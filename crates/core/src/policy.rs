@@ -1,6 +1,14 @@
 //! The POLCA policy parameters and the power modes of Table 5.
 
+use polca_gpu::GpuSpec;
+
+/// The clock Table 5's power brake runs every GPU at: the A100's brake
+/// clock, the clock a braked server runs at.
+const BRAKE_MHZ: f64 = GpuSpec::a100_80gb().power_brake_clock_mhz();
+
 /// The capping state a server group is in, per the paper's Table 5.
+/// [`PolcaController`](crate::PolcaController) steps through these
+/// modes and locks each priority class at the clock its mode gives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum PowerMode {
     /// No caps anywhere.
@@ -11,7 +19,7 @@ pub enum PowerMode {
     /// Threshold T2 breached: low priority capped hard (1110 MHz); high
     /// priority gently capped (1305 MHz) if power stays high.
     T2,
-    /// Power brake: everything at 288 MHz.
+    /// Power brake: everything at the GPU's brake clock (288 MHz).
     Brake,
 }
 
@@ -23,7 +31,7 @@ impl PowerMode {
             PowerMode::Uncapped => None,
             PowerMode::T1 => Some(policy.t1_low_mhz),
             PowerMode::T2 => Some(policy.t2_low_mhz),
-            PowerMode::Brake => Some(policy.brake_mhz),
+            PowerMode::Brake => Some(BRAKE_MHZ),
         }
     }
 
@@ -34,7 +42,7 @@ impl PowerMode {
         match self {
             PowerMode::Uncapped | PowerMode::T1 => None,
             PowerMode::T2 => Some(policy.t2_high_mhz),
-            PowerMode::Brake => Some(policy.brake_mhz),
+            PowerMode::Brake => Some(BRAKE_MHZ),
         }
     }
 }
@@ -56,7 +64,7 @@ pub struct PolcaPolicy {
     pub uncap_gap: f64,
     /// Fraction at which the power brake fires (the provisioned limit).
     pub brake_frac: f64,
-    /// Fraction below which an engaged brake is released.
+    /// Fraction at or below which an engaged brake is released.
     pub brake_release_frac: f64,
     /// T1 low-priority clock in MHz (paper: 1275, the A100 base clock).
     pub t1_low_mhz: f64,
@@ -64,8 +72,6 @@ pub struct PolcaPolicy {
     pub t2_low_mhz: f64,
     /// T2 high-priority clock in MHz (paper: 1305).
     pub t2_high_mhz: f64,
-    /// Power-brake clock in MHz (paper: 288).
-    pub brake_mhz: f64,
     /// How long observed power must stay below an uncap level before
     /// the controller de-escalates, in seconds.
     ///
@@ -93,7 +99,6 @@ impl Default for PolcaPolicy {
             t1_low_mhz: 1275.0,
             t2_low_mhz: 1110.0,
             t2_high_mhz: 1305.0,
-            brake_mhz: 288.0,
             // Worst-case OOB latency (40 s) + telemetry staleness (2 s)
             // with margin: a dip must outlast one full actuation round
             // trip before caps are released.
@@ -178,7 +183,6 @@ mod tests {
         assert_eq!(p.t1_low_mhz, 1275.0);
         assert_eq!(p.t2_low_mhz, 1110.0);
         assert_eq!(p.t2_high_mhz, 1305.0);
-        assert_eq!(p.brake_mhz, 288.0);
         // One worst-case control round trip (40s OOB + 2s telemetry,
         // with margin) before caps are released.
         assert_eq!(p.uncap_dwell_s, 60.0);

@@ -6,13 +6,15 @@
 //! server when a threshold trips; [`SelectiveController`] instead
 //! estimates how many watts must be reclaimed and caps only the minimum
 //! number of low-priority servers that covers it, expanding or shrinking
-//! the capped set as the overshoot evolves.
+//! the capped set as the overshoot evolves. It sits behind the same
+//! brake net and transition trace as every other policy.
 
 use polca_cluster::{ControlRequest, ControlTarget, PowerController, RowContext};
+use polca_obs::Recorder;
 use polca_sim::SimTime;
-use polca_telemetry::ControlAction;
 
-use crate::policy::PolcaPolicy;
+use crate::controller::{baseline_label, Governor};
+use crate::policy::{PolcaPolicy, PowerMode};
 
 /// A proportional, per-server variant of the POLCA controller.
 ///
@@ -24,7 +26,7 @@ use crate::policy::PolcaPolicy;
 /// performance impact.
 #[derive(Debug, Clone)]
 pub struct SelectiveController {
-    policy: PolcaPolicy,
+    gov: Governor,
     /// Watts one capped low-priority server reclaims (from the workload
     /// power profile; a BLOOM token-phase server at 1110 MHz sheds
     /// ~600 W).
@@ -56,7 +58,7 @@ impl SelectiveController {
             "per-server reclaim must be positive"
         );
         SelectiveController {
-            policy,
+            gov: Governor::new(policy),
             reclaim_per_server_watts,
             low_priority_servers,
             capped: 0,
@@ -65,34 +67,41 @@ impl SelectiveController {
         }
     }
 
+    /// Returns the controller with an observability recorder attached:
+    /// entering and leaving capping or the brake is traced as a
+    /// `controller_transition` event.
+    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        self.gov.recorder = recorder;
+        self
+    }
+
     /// How many low-priority servers are currently capped.
     pub fn capped_servers(&self) -> usize {
         self.capped
     }
 
-    fn server_at(&self, idx: usize) -> usize {
+    /// Sets the `idx`-th server of the rotated pool to the clock Table 5
+    /// gives low priority in `mode`.
+    fn set_clock(&self, idx: usize, mode: PowerMode) -> ControlRequest {
         let n = self.low_priority_servers.len();
-        self.low_priority_servers[(self.rotation + idx) % n]
+        let server = self.low_priority_servers[(self.rotation + idx) % n];
+        ControlRequest::clock(
+            ControlTarget::Server(server),
+            mode.low_priority_clock_mhz(&self.gov.policy),
+        )
     }
 
-    /// Adjusts the capped prefix to `target`, emitting only the deltas.
+    /// Adjusts the capped prefix to `target`, emitting only the deltas:
+    /// a capped server runs at the T1 clock.
     fn resize_capped(&mut self, target: usize, cmds: &mut Vec<ControlRequest>) {
         let target = target.min(self.low_priority_servers.len());
         while self.capped < target {
-            cmds.push(ControlRequest {
-                target: ControlTarget::Server(self.server_at(self.capped)),
-                action: ControlAction::LockClock {
-                    mhz: self.policy.t1_low_mhz,
-                },
-            });
+            cmds.push(self.set_clock(self.capped, PowerMode::T1));
             self.capped += 1;
         }
         while self.capped > target {
             self.capped -= 1;
-            cmds.push(ControlRequest {
-                target: ControlTarget::Server(self.server_at(self.capped)),
-                action: ControlAction::UnlockClock,
-            });
+            cmds.push(self.set_clock(self.capped, PowerMode::Uncapped));
         }
         if target == 0 && !self.low_priority_servers.is_empty() {
             // Rotate the pool so capping burden moves around.
@@ -104,7 +113,7 @@ impl SelectiveController {
 impl PowerController for SelectiveController {
     fn on_telemetry(
         &mut self,
-        _now: SimTime,
+        now: SimTime,
         observed_row_watts: Option<f64>,
         ctx: &RowContext,
     ) -> Vec<ControlRequest> {
@@ -112,43 +121,32 @@ impl PowerController for SelectiveController {
             return Vec::new();
         };
         let u = watts / ctx.provisioned_watts;
-        let p = &self.policy;
+        let before = (self.braked, self.capped > 0);
         let mut cmds = Vec::new();
-
-        // Brake safety net, identical to the baseline controllers.
-        if self.braked {
-            if u <= p.brake_release_frac {
-                self.braked = false;
-                cmds.push(ControlRequest {
-                    target: ControlTarget::All,
-                    action: ControlAction::PowerBrake { on: false },
-                });
-            } else {
-                return cmds;
-            }
-        } else if u >= p.brake_frac {
-            self.braked = true;
-            return vec![ControlRequest {
-                target: ControlTarget::All,
-                action: ControlAction::PowerBrake { on: true },
-            }];
+        if self.gov.brake_toggles(self.braked, u, &mut cmds) {
+            self.braked = !self.braked;
         }
-
-        if u >= p.t1_frac {
-            // Cap exactly enough servers to bring power back to the
-            // uncap level (hysteresis built into the target).
-            let target_watts = p.t1_uncap_frac() * ctx.provisioned_watts;
-            let overshoot = watts - target_watts;
-            let needed = (overshoot / self.reclaim_per_server_watts).ceil() as usize;
-            if needed > self.capped {
-                self.resize_capped(needed, &mut cmds);
+        // Capping waits while the brake holds.
+        if !self.braked {
+            let p = &self.gov.policy;
+            if u >= p.t1_frac {
+                // Cap exactly enough servers to bring power back to the
+                // uncap level (hysteresis built into the target).
+                let target_watts = p.t1_uncap_frac() * ctx.provisioned_watts;
+                let overshoot = watts - target_watts;
+                let needed = (overshoot / self.reclaim_per_server_watts).ceil() as usize;
+                if needed > self.capped {
+                    self.resize_capped(needed, &mut cmds);
+                }
+            } else if u < p.t1_uncap_frac() && self.capped > 0 {
+                // Release one server per tick: gradual uncapping avoids
+                // the sawtooth a bulk release would cause.
+                let target = self.capped - 1;
+                self.resize_capped(target, &mut cmds);
             }
-        } else if u < p.t1_uncap_frac() && self.capped > 0 {
-            // Release one server per tick: gradual uncapping avoids the
-            // sawtooth a bulk release would cause.
-            let target = self.capped - 1;
-            self.resize_capped(target, &mut cmds);
         }
+        let after = (self.braked, self.capped > 0);
+        self.gov.transition(now, before, after, baseline_label);
         cmds
     }
 }
@@ -222,7 +220,10 @@ mod tests {
                 match cmd.target {
                     ControlTarget::Server(id) => assert!([0, 2, 4, 6].contains(&id)),
                     ControlTarget::All => {
-                        assert!(matches!(cmd.action, ControlAction::PowerBrake { .. }))
+                        assert!(
+                            cmd == ControlRequest::brake(true)
+                                || cmd == ControlRequest::brake(false)
+                        )
                     }
                     other => panic!("unexpected target {other:?}"),
                 }
@@ -234,11 +235,28 @@ mod tests {
     fn brake_fires_at_the_limit() {
         let mut c = controller();
         let cmds = tick(&mut c, 0.0, 1.01);
-        assert_eq!(cmds.len(), 1);
-        assert_eq!(cmds[0].action, ControlAction::PowerBrake { on: true });
+        assert_eq!(cmds, [ControlRequest::brake(true)]);
         // And releases below the release threshold.
         let cmds = tick(&mut c, 2.0, 0.80);
-        assert_eq!(cmds[0].action, ControlAction::PowerBrake { on: false });
+        assert_eq!(cmds[0], ControlRequest::brake(false));
+    }
+
+    #[test]
+    fn capping_and_the_brake_are_traced_as_transitions() {
+        use polca_obs::{Event, ObsLevel};
+
+        let recorder = Recorder::new(ObsLevel::Events);
+        let mut c = controller().with_recorder(recorder.clone());
+        tick(&mut c, 0.0, 0.82); // caps three servers
+        tick(&mut c, 2.0, 0.83); // still three: no transition
+        tick(&mut c, 4.0, 1.01); // brakes
+        let transitions: Vec<_> = (recorder.artifacts().events.iter())
+            .filter_map(|e| match e {
+                Event::ControllerTransition { from, to, .. } => Some((*from, *to)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(transitions, [("Uncapped", "Capped"), ("Capped", "Brake")]);
     }
 
     #[test]

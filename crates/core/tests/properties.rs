@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 
-use polca::{NoCapController, PolcaController, PolcaPolicy};
+use polca::{
+    NoCapController, PolcaController, PolcaPolicy, SelectiveController, SingleThresholdController,
+};
 use polca_cluster::{ControlRequest, PowerController, RowContext};
 use polca_sim::SimTime;
 use polca_telemetry::ControlAction;
@@ -108,6 +110,40 @@ proptest! {
                     "No-cap issued {cmd:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn every_policy_brakes_at_the_same_ticks(
+        observed in prop::collection::vec(prop::option::of(0.0..1.3f64), 1..300),
+    ) {
+        // One brake net serves every policy, so whatever each caps, the
+        // brake engages and releases on the same ticks for all five.
+        let policy = PolcaPolicy::default();
+        let mut controllers: Vec<Box<dyn PowerController>> = vec![
+            Box::new(PolcaController::new(policy.clone())),
+            Box::new(SingleThresholdController::low_priority_only(policy.clone())),
+            Box::new(SingleThresholdController::all_workloads(policy.clone())),
+            Box::new(NoCapController::new(policy.clone())),
+            Box::new(SelectiveController::new(policy, (0..26).collect(), 600.0)),
+        ];
+        let brakes: Vec<Vec<(usize, bool)>> = controllers
+            .iter_mut()
+            .map(|c| {
+                let mut brakes = Vec::new();
+                for (k, u) in observed.iter().enumerate() {
+                    let now = SimTime::from_secs(k as f64 * 2.0);
+                    for cmd in c.on_telemetry(now, u.map(|u| u * 100_000.0), &ctx()) {
+                        if let ControlAction::PowerBrake { on } = cmd.action {
+                            brakes.push((k, on));
+                        }
+                    }
+                }
+                brakes
+            })
+            .collect();
+        for other in &brakes[1..] {
+            prop_assert_eq!(other, &brakes[0]);
         }
     }
 

@@ -8,7 +8,7 @@
 //! * `tid 0` is the cluster/controller track (power counter, controller
 //!   transitions, SLO violations, queue/reject instants),
 //! * `tid N+1` is server `N`'s track, showing request execution spans
-//!   and cap / power-cap / brake spans,
+//!   and cap / brake spans,
 //! * aggregate power becomes a counter (`"C"`) series, so the row power
 //!   timeline renders as a graph above the server tracks.
 //!
@@ -92,7 +92,6 @@ pub(crate) fn write_trace(
     // Open-span state, keyed for deterministic flush order at the end.
     let mut open_requests: BTreeMap<u64, (f64, usize, &'static str)> = BTreeMap::new();
     let mut open_caps: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
-    let mut open_power_caps: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
     let mut open_brakes: BTreeMap<usize, f64> = BTreeMap::new();
 
     for ev in events {
@@ -129,14 +128,6 @@ pub(crate) fn write_trace(
             Event::Uncap { t, server } => {
                 if let Some((t0, mhz)) = open_caps.remove(server) {
                     cap_span(out, *server, t0, *t, mhz);
-                }
-            }
-            Event::PowerCapApplied { t, server, watts } => {
-                open_power_caps.entry(*server).or_insert((*t, *watts));
-            }
-            Event::PowerCapCleared { t, server } => {
-                if let Some((t0, watts)) = open_power_caps.remove(server) {
-                    power_cap_span(out, *server, t0, *t, watts);
                 }
             }
             Event::BrakeEngaged { t, server, on } => {
@@ -219,9 +210,6 @@ pub(crate) fn write_trace(
     for (server, (t0, mhz)) in open_caps {
         cap_span(out, server, t0, t_end, mhz);
     }
-    for (server, (t0, watts)) in open_power_caps {
-        power_cap_span(out, server, t0, t_end, watts);
-    }
     for (server, t0) in open_brakes {
         brake_span(out, server, t0, t_end);
     }
@@ -264,14 +252,6 @@ fn cap_span(out: &mut String, server: usize, t0: f64, t1: f64, mhz: f64) {
     complete_span(out, "cap", "power", tid(server), t0, t1, |out| {
         out.push_str("{\"mhz\":");
         push_num(out, mhz);
-        out.push('}');
-    });
-}
-
-fn power_cap_span(out: &mut String, server: usize, t0: f64, t1: f64, watts: f64) {
-    complete_span(out, "powercap", "power", tid(server), t0, t1, |out| {
-        out.push_str("{\"watts\":");
-        push_num(out, watts);
         out.push('}');
     });
 }

@@ -74,22 +74,6 @@ pub enum Event {
         /// Target server index.
         server: usize,
     },
-    /// A power cap took effect on a server.
-    PowerCapApplied {
-        /// Simulation time in seconds.
-        t: f64,
-        /// Target server index.
-        server: usize,
-        /// Cap in watts.
-        watts: f64,
-    },
-    /// A power cap was cleared on a server.
-    PowerCapCleared {
-        /// Simulation time in seconds.
-        t: f64,
-        /// Target server index.
-        server: usize,
-    },
     /// The hardware power brake was asserted or released on a server.
     BrakeEngaged {
         /// Simulation time in seconds.
@@ -178,8 +162,6 @@ impl Event {
             | Event::RequestCompleted { t, .. }
             | Event::CapApplied { t, .. }
             | Event::Uncap { t, .. }
-            | Event::PowerCapApplied { t, .. }
-            | Event::PowerCapCleared { t, .. }
             | Event::BrakeEngaged { t, .. }
             | Event::OobCommandSent { t, .. }
             | Event::OobCommandLost { t, .. }
@@ -200,8 +182,6 @@ impl Event {
             Event::RequestCompleted { .. } => "request_completed",
             Event::CapApplied { .. } => "cap_applied",
             Event::Uncap { .. } => "uncap",
-            Event::PowerCapApplied { .. } => "power_cap_applied",
-            Event::PowerCapCleared { .. } => "power_cap_cleared",
             Event::BrakeEngaged { .. } => "brake",
             Event::OobCommandSent { .. } => "oob_sent",
             Event::OobCommandLost { .. } => "oob_lost",
@@ -220,8 +200,6 @@ impl Event {
             | Event::RequestCompleted { server, .. }
             | Event::CapApplied { server, .. }
             | Event::Uncap { server, .. }
-            | Event::PowerCapApplied { server, .. }
-            | Event::PowerCapCleared { server, .. }
             | Event::BrakeEngaged { server, .. }
             | Event::OobCommandSent { server, .. }
             | Event::OobCommandLost { server, .. } => Some(*server),
@@ -272,12 +250,8 @@ impl Event {
                 push_field_usize(s, "server", *server);
                 push_num_field(s, "mhz", *mhz);
             }
-            Event::Uncap { server, .. } | Event::PowerCapCleared { server, .. } => {
+            Event::Uncap { server, .. } => {
                 push_field_usize(s, "server", *server);
-            }
-            Event::PowerCapApplied { server, watts, .. } => {
-                push_field_usize(s, "server", *server);
-                push_num_field(s, "watts", *watts);
             }
             Event::BrakeEngaged { server, on, .. } => {
                 push_field_usize(s, "server", *server);

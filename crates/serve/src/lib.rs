@@ -338,9 +338,8 @@ mod tests {
         assert!(h.row.watts().total() < busy_power);
         assert_eq!(h.out.wakes.len(), 1, "brake reschedules the wake");
         h.absorb();
-        // Unchanged clock (cap actions are ignored) keeps the wake.
-        let cap = ControlAction::PowerCap { watts: 300.0 };
-        h.row.apply_action(SimTime::ZERO, 0, cap, &mut h.out);
+        // An action that leaves the clock unchanged keeps the wake.
+        h.row.apply_action(SimTime::ZERO, 0, brake, &mut h.out);
         assert!(h.out.wakes.is_empty());
     }
 

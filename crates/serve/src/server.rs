@@ -690,8 +690,7 @@ impl<T> BatchServer<T> {
     /// Applies a delivered OOB control action. Progress is advanced at
     /// the old rates first; if the effective clock changed, the epoch
     /// is re-derived (legacy `remaining-work` rescaling falls out of
-    /// the fluid model). Cap actions are accepted and ignored, like
-    /// the legacy server.
+    /// the fluid model).
     pub fn apply_action(
         &mut self,
         now: SimTime,
@@ -707,7 +706,6 @@ impl<T> BatchServer<T> {
             }
             ControlAction::UnlockClock => self.locked_mhz = None,
             ControlAction::PowerBrake { on } => self.brake = on,
-            ControlAction::PowerCap { .. } | ControlAction::ClearPowerCap => {}
         }
         self.refresh_clock();
         if (self.effective_clock_mhz() - before).abs() > f64::EPSILON {

@@ -16,7 +16,8 @@ use std::collections::VecDeque;
 use polca_obs::{Event, Label, ProfCounter, Recorder};
 use polca_sim::{SimRng, SimTime};
 
-/// A power-management action targeting one server's GPUs.
+/// A power-management action targeting one server's GPUs: the three
+/// things a power policy may ask of a server.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlAction {
     /// Lock all GPUs' SM clocks to the given frequency.
@@ -26,13 +27,6 @@ pub enum ControlAction {
     },
     /// Remove the frequency lock.
     UnlockClock,
-    /// Set a per-GPU power cap.
-    PowerCap {
-        /// Cap in watts per GPU.
-        watts: f64,
-    },
-    /// Remove the power cap.
-    ClearPowerCap,
     /// Engage or release the power brake.
     PowerBrake {
         /// `true` to engage.
@@ -268,7 +262,7 @@ mod tests {
     fn silent_failures_never_deliver() {
         let mut plane = OobControlPlane::new(4).with_failure_rate(1.0);
         for _ in 0..10 {
-            plane.issue(SimTime::ZERO, 0, ControlAction::PowerCap { watts: 325.0 });
+            plane.issue(SimTime::ZERO, 0, ControlAction::LockClock { mhz: 1110.0 });
         }
         assert!(plane.deliver_due(t(1000.0)).is_empty());
         assert_eq!(plane.silently_failed_count(), 10);

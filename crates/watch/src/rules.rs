@@ -29,9 +29,9 @@
 //! * `absence` — no delayed sample for more than `gap` (staleness: §3.3
 //!   notes OOB telemetry "may sometimes fail without signaling").
 //! * `count` — at least `k` events with tag `event` within `window`.
-//!   Tags are the obs event kinds (`cap_applied`, `power_cap_applied`,
-//!   `oob_lost`, …) plus `brake_on` / `brake_off` for the two halves of
-//!   the `brake` event.
+//!   Tags are the obs event kinds (`cap_applied`, `uncap`, `oob_lost`,
+//!   …) plus `brake_on` / `brake_off` for the two halves of the `brake`
+//!   event.
 
 use std::error::Error;
 use std::fmt;

@@ -4,7 +4,11 @@
 //! workspace.
 
 use polca::{OversubscriptionStudy, PolcaPolicy, PolicyKind};
-use polca_cluster::RowConfig;
+use polca_cluster::{ClusterSim, RowConfig, SimConfig, SimReport};
+use polca_obs::Recorder;
+use polca_sim::SimTime;
+use polca_trace::replicate::{production_reference, ProductionReplicator};
+use polca_trace::{ArrivalGenerator, TraceConfig, WorkloadClass};
 
 fn study(days: f64, seed: u64) -> OversubscriptionStudy {
     OversubscriptionStudy::new(
@@ -113,4 +117,92 @@ fn deeper_oversubscription_eventually_brakes() {
         extreme.brake_engagements > 0,
         "+60 % must exceed what capping can absorb"
     );
+}
+
+/// One row at +30 % servers under `kind` and `policy`, fed the same
+/// 1.3×-scaled production stream for a quarter day.
+fn quarter_day(kind: PolicyKind, policy: &PolcaPolicy) -> SimReport {
+    let base_row = RowConfig::paper_inference_row();
+    let until = SimTime::from_days(0.25);
+    let profile = production_reference(&base_row, 0.25, 60.0, 23);
+    let schedule = ProductionReplicator::new(&base_row, &WorkloadClass::table6())
+        .schedule_from_profile(&profile)
+        .expect("synthesized profile is well-formed")
+        .scaled(1.3);
+    let trace = TraceConfig {
+        seed: 23,
+        horizon: until,
+        schedule,
+        mix: WorkloadClass::table6(),
+    };
+    let config = SimConfig {
+        seed: 23,
+        record_power_series: false,
+        ..SimConfig::default()
+    };
+    let controller = kind.controller(policy, &Recorder::disabled());
+    ClusterSim::new(base_row.with_added_servers(0.30), config, controller)
+        .run(ArrivalGenerator::new(&trace), until)
+}
+
+#[test]
+fn policies_that_never_trip_run_the_same_row() {
+    // With every threshold, the brake included, above any power the row
+    // can reach, no policy has anything to do: all four issue no
+    // command and simulate the same row, bit for bit.
+    let unreachable = PolcaPolicy {
+        t1_frac: 10.0,
+        t2_frac: 10.0,
+        brake_frac: 10.0,
+        ..PolcaPolicy::default()
+    };
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let reports: Vec<SimReport> = PolicyKind::all()
+        .into_iter()
+        .map(|kind| quarter_day(kind, &unreachable))
+        .collect();
+    let first = &reports[0];
+    assert_eq!(first.commands_issued, 0);
+    for (kind, r) in PolicyKind::all().into_iter().zip(&reports).skip(1) {
+        let name = kind.name();
+        assert_eq!(r.commands_issued, 0, "{name}");
+        assert_eq!(r.brake_engagements, 0, "{name}");
+        assert_eq!(
+            (r.offered, r.completed, r.rejected, r.events_processed),
+            (
+                first.offered,
+                first.completed,
+                first.rejected,
+                first.events_processed
+            ),
+            "{name}"
+        );
+        assert_eq!(
+            r.completed_by_priority, first.completed_by_priority,
+            "{name}"
+        );
+        assert_eq!(r.rejected_by_priority, first.rejected_by_priority, "{name}");
+        assert_eq!(
+            bits(&r.low_latencies_s),
+            bits(&first.low_latencies_s),
+            "{name}"
+        );
+        assert_eq!(
+            bits(&r.high_latencies_s),
+            bits(&first.high_latencies_s),
+            "{name}"
+        );
+        assert_eq!(
+            [r.peak_row_watts.to_bits(), r.mean_row_watts.to_bits()],
+            [
+                first.peak_row_watts.to_bits(),
+                first.mean_row_watts.to_bits()
+            ],
+            "{name}"
+        );
+    }
+    // The same stream does make the paper's POLCA act, so the relation
+    // above is not vacuous.
+    let polca = quarter_day(PolicyKind::Polca, &PolcaPolicy::default());
+    assert!(polca.commands_issued > 0);
 }

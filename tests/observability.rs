@@ -137,7 +137,7 @@ fn chrome_trace_matches_golden_file() {
 
 /// One event of every [`Event`] variant, chosen to reach each branch of
 /// the `events.jsonl` and Chrome-trace writers: a `request_completed`
-/// with no matching dispatch, request/cap/power-cap/brake spans still
+/// with no matching dispatch, request/cap/brake spans still
 /// open at the end of the log, an `uncap` with no open cap, a NaN watts
 /// reading (which must render as `null`), timestamps that format with
 /// long shortest-round-trip digits, and an SLO detail that needs every
@@ -200,21 +200,10 @@ fn every_event_variant() -> Vec<Event> {
             request: 3,
             priority: "low",
         },
-        Event::PowerCapApplied {
-            t: 1.8,
-            server: 1,
-            watts: 4_500.5,
-        },
         Event::BrakeEngaged {
             t: 2.0,
             server: 1,
             on: true,
-        },
-        Event::PowerCapCleared { t: 2.2, server: 1 },
-        Event::PowerCapApplied {
-            t: 2.4,
-            server: 5,
-            watts: 4_000.0,
         },
         Event::BrakeEngaged {
             t: 2.5,

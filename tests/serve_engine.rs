@@ -22,7 +22,6 @@ use polca_cluster::{
 };
 use polca_obs::{CarbonSignal, EnergyPlan, ObsLevel, ProfCounter, Recorder, ReqTraceConfig};
 use polca_sim::SimTime;
-use polca_telemetry::ControlAction;
 use polca_trace::{ArrivalGenerator, TraceConfig};
 use proptest::prelude::*;
 
@@ -240,15 +239,11 @@ fn idle_servers_draw_the_same_power_on_both_engines() {
         let mut watts = vec![same_server_watts(&sims)];
         // The OOB plane delivers a lock within 40 s and a brake within
         // 5 s (Table 2).
-        for (at, action) in [
-            (1.0, ControlAction::LockClock { mhz: 1110.0 }),
-            (50.0, ControlAction::PowerBrake { on: true }),
+        for (at, command) in [
+            (1.0, ControlRequest::clock(ControlTarget::All, Some(1110.0))),
+            (50.0, ControlRequest::brake(true)),
         ] {
             for sim in &mut sims {
-                let command = ControlRequest {
-                    target: ControlTarget::All,
-                    action,
-                };
                 sim.inject(t(at), command);
                 sim.step_until(t(at + 41.0));
             }
@@ -262,28 +257,18 @@ fn idle_servers_draw_the_same_power_on_both_engines() {
 /// Commands issued at fixed telemetry ticks: a class lock, a
 /// one-server lock, a row brake and its release, and a row unlock, so
 /// every kind of delivery lands on both engines mid-request.
-const SCRIPT: [(f64, ControlTarget, ControlAction); 5] = [
+const SCRIPT: [(f64, ControlRequest); 5] = [
     (
         10.0,
-        ControlTarget::Priority(Priority::Low),
-        ControlAction::LockClock { mhz: 1110.0 },
+        ControlRequest::clock(ControlTarget::Priority(Priority::Low), Some(1110.0)),
     ),
     (
         30.0,
-        ControlTarget::Server(3),
-        ControlAction::LockClock { mhz: 900.0 },
+        ControlRequest::clock(ControlTarget::Server(3), Some(900.0)),
     ),
-    (
-        60.0,
-        ControlTarget::All,
-        ControlAction::PowerBrake { on: true },
-    ),
-    (
-        80.0,
-        ControlTarget::All,
-        ControlAction::PowerBrake { on: false },
-    ),
-    (100.0, ControlTarget::All, ControlAction::UnlockClock),
+    (60.0, ControlRequest::brake(true)),
+    (80.0, ControlRequest::brake(false)),
+    (100.0, ControlRequest::clock(ControlTarget::All, None)),
 ];
 
 /// Replays [`SCRIPT`] whatever the row draws.
@@ -298,8 +283,8 @@ impl PowerController for Scripted {
     ) -> Vec<ControlRequest> {
         SCRIPT
             .iter()
-            .filter(|(at, ..)| now == SimTime::from_secs(*at))
-            .map(|&(_, target, action)| ControlRequest { target, action })
+            .filter(|(at, _)| now == SimTime::from_secs(*at))
+            .map(|&(_, command)| command)
             .collect()
     }
 }

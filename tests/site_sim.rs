@@ -25,12 +25,11 @@ use std::sync::Arc;
 
 use polca::{DisaggregationConfig, PolcaController, PolcaPolicy};
 use polca_cluster::{
-    row_seed, ControlRequest, ControlTarget, NoopController, PowerCeiling, PowerController,
-    Priority, Request, RowConfig, RowContext, RowSim, SimConfig, SimReport, SiteConfig, SiteSim,
+    row_seed, ControlRequest, NoopController, PowerCeiling, PowerController, Priority, Request,
+    RowConfig, RowContext, RowSim, SimConfig, SimReport, SiteConfig, SiteSim,
 };
 use polca_obs::{Event, ObsLevel, Recorder, ReqTraceConfig};
 use polca_sim::{SimRng, SimTime};
-use polca_telemetry::ControlAction;
 use polca_telemetry::{merge_tick_columns, RowPowerTaps, RowTickBuffer};
 use polca_trace::{ArrivalGenerator, TraceConfig};
 use polca_watch::{WatchConfig, WatchPlane};
@@ -274,10 +273,7 @@ proptest! {
             }
             if rng.chance(0.02) {
                 braked = !braked;
-                row.inject(boundary, ControlRequest {
-                    target: ControlTarget::All,
-                    action: ControlAction::PowerBrake { on: braked },
-                });
+                row.inject(boundary, ControlRequest::brake(braked));
             }
             boundary = (boundary + window).min(until);
             row.step_until(boundary);

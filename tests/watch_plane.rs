@@ -11,12 +11,12 @@
 
 use polca::{OversubscriptionStudy, PolicyKind, PolicyOutcome, SloTargets};
 use polca_cluster::{
-    ClusterSim, ControlRequest, ControlTarget, NoopController, PowerController, Priority, Request,
-    RowConfig, RowContext, SimConfig,
+    ClusterSim, ControlRequest, NoopController, PowerController, Priority, Request, RowConfig,
+    RowContext, SimConfig,
 };
 use polca_obs::{ObsLevel, Recorder};
 use polca_sim::SimTime;
-use polca_telemetry::{ControlAction, RowPowerTaps};
+use polca_telemetry::RowPowerTaps;
 use polca_watch::{BurnConfig, RuleSet, Severity, WatchArtifacts, WatchConfig, WatchPlane};
 use proptest::prelude::*;
 
@@ -216,10 +216,7 @@ impl PowerController for BrakeStorm {
         let on = matches!(s, 60 | 100 | 140);
         let off = matches!(s, 70 | 110 | 150);
         if on || off {
-            vec![ControlRequest {
-                target: ControlTarget::All,
-                action: ControlAction::PowerBrake { on },
-            }]
+            vec![ControlRequest::brake(on)]
         } else {
             Vec::new()
         }

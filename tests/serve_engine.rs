@@ -11,7 +11,8 @@
 //!   in the obs metrics and the serve prof counters populated,
 //! * one short traced run per engine shape (legacy, batched
 //!   aggregated, batched split pools) reproduces its events, request
-//!   records, energy ledger, metrics and power integrals bit for bit.
+//!   records, energy ledger, metrics, event-queue series and power
+//!   integrals bit for bit.
 
 use polca::{DisaggregationConfig, OversubscriptionStudy, PolcaPolicy, PolicyKind};
 use std::path::Path;
@@ -294,6 +295,9 @@ impl PowerController for Scripted {
 /// carbon), its `metrics.prom` without the `sim_*` queue series and the
 /// `polca_prof_*` lines (they count how the work was scheduled, not
 /// what was simulated), and the bits of the row's mean and peak watts.
+/// `queue.prom` pins the `sim_*` queue series and the report's
+/// `events_processed` apart, so a change to the event queue is checked
+/// against the same run.
 fn engine_golden_files(engine: EngineKind) -> Vec<(&'static str, String)> {
     let recorder = Recorder::new(ObsLevel::Full)
         .with_req_trace(ReqTraceConfig { sample: 1 })
@@ -311,15 +315,17 @@ fn engine_golden_files(engine: EngineKind) -> Vec<(&'static str, String)> {
     let requests = ArrivalGenerator::new(&trace);
     let report = RowSim::new(row, config, Scripted, requests, horizon).finish();
     let run = recorder.artifacts();
-    let prom: String = run
-        .metrics_prometheus()
-        .lines()
-        .filter(|line| {
-            let name = line.strip_prefix("# TYPE ").unwrap_or(line);
-            !name.starts_with("sim_") && !name.starts_with("polca_prof_")
-        })
-        .map(|line| format!("{line}\n"))
-        .collect();
+    let metrics = run.metrics_prometheus();
+    let series = |keep: fn(&str) -> bool| -> String {
+        metrics
+            .lines()
+            .filter(|line| keep(line.strip_prefix("# TYPE ").unwrap_or(line)))
+            .map(|line| format!("{line}\n"))
+            .collect()
+    };
+    let prom = series(|name| !name.starts_with("sim_") && !name.starts_with("polca_prof_"));
+    let queue = series(|name| name.starts_with("sim_"))
+        + &format!("events_processed {}\n", report.events_processed);
     let watts = [
         ("mean_row_watts", report.mean_row_watts),
         ("peak_row_watts", report.peak_row_watts),
@@ -331,6 +337,7 @@ fn engine_golden_files(engine: EngineKind) -> Vec<(&'static str, String)> {
         ("requests.jsonl", run.requests_jsonl()),
         ("energy.json", run.energy_ledger().to_json()),
         ("metrics.prom", prom),
+        ("queue.prom", queue),
         ("watts.txt", watts),
     ]
 }
@@ -338,7 +345,8 @@ fn engine_golden_files(engine: EngineKind) -> Vec<(&'static str, String)> {
 /// Each engine shape's short traced run reproduces the files under
 /// `tests/golden/engine/<shape>/` byte for byte: the admission, phase,
 /// completion and delivery paths of both engines, their request spans
-/// and joules, their energy ticks, and the split of the power integral.
+/// and joules, their energy ticks, the events their queue scheduled and
+/// popped, and the split of the power integral.
 #[test]
 fn every_engine_shape_matches_its_golden_run() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/engine");

@@ -52,6 +52,7 @@
 
 #![deny(missing_docs)]
 
+mod agenda;
 pub mod hierarchy;
 pub mod request;
 pub mod row;

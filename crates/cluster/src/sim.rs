@@ -38,10 +38,11 @@ use polca_serve::{
     AdmissionKind, BatchedRow, BatchedRowParams, Completion, RowWatts, ServeConfig, ServeOutcome,
     ServeRequest,
 };
-use polca_sim::{EventQueue, SimTime};
+use polca_sim::SimTime;
 use polca_stats::TimeSeries;
 use polca_telemetry::{ControlAction, DelayedSignal, OobControlPlane, RowPowerTaps};
 
+use crate::agenda::{Agenda, Ev};
 use crate::request::{Priority, Request};
 use crate::row::RowConfig;
 use crate::server::{InferenceServer, LegacyRow};
@@ -306,23 +307,6 @@ impl SimReport {
     }
 }
 
-/// Internal event alphabet.
-#[derive(Debug)]
-enum Ev {
-    Arrival(Request),
-    /// A server's next scheduled state change: a legacy phase end or a
-    /// batched composition boundary. Stale once the server has been
-    /// rescheduled (its version moved on).
-    Wake {
-        server: usize,
-        version: u64,
-    },
-    Telemetry,
-    ControlDelivery,
-    /// Batched engine: the earliest in-flight KV transfer lands.
-    ServeTransfer,
-}
-
 /// The serving engine behind a row. Both rows answer with one set of
 /// method names, append to one outcome buffer and keep one power
 /// ledger, so the simulator keeps one path per event: `each_row!` calls
@@ -453,7 +437,7 @@ pub struct ClusterSim<P> {
     controller: P,
     plane: OobControlPlane,
     row_signal: DelayedSignal,
-    queue: EventQueue<Ev>,
+    agenda: Agenda,
     /// What the engine's last operation produced; drained by
     /// [`fold`](Self::fold) after each one, so the run reuses it.
     outcome: ServeOutcome<Request>,
@@ -506,8 +490,6 @@ impl<P: PowerController> ClusterSim<P> {
         let mut plane =
             OobControlPlane::new(config.seed).with_failure_rate(config.oob_failure_rate);
         plane.set_recorder(obs.clone());
-        let mut queue = EventQueue::new();
-        queue.set_probe(obs.queue_probe());
         let ctx = RowContext {
             provisioned_watts: row.provisioned_watts(),
             n_servers: row.total_servers(),
@@ -515,7 +497,7 @@ impl<P: PowerController> ClusterSim<P> {
         ClusterSim {
             row_signal: DelayedSignal::new(SimTime::from_secs(config.telemetry_delay_s)),
             plane,
-            queue,
+            agenda: Agenda::new(obs.queue_probe()),
             outcome: ServeOutcome::default(),
             report: blank_report(row_power_watts),
             row_power_watts,
@@ -563,9 +545,9 @@ impl<P: PowerController> ClusterSim<P> {
             horizon,
         };
         if let Some(first) = row.source.next_request() {
-            row.sim.queue.schedule(first.arrival, Ev::Arrival(first));
+            row.sim.agenda.schedule(first.arrival, Ev::Arrival(first));
         }
-        row.sim.queue.schedule(SimTime::ZERO, Ev::Telemetry);
+        row.sim.agenda.schedule(SimTime::ZERO, Ev::Telemetry);
         row
     }
 
@@ -627,7 +609,7 @@ impl<P: PowerController> ClusterSim<P> {
             self.record_completion(now, done);
         }
         for (server, at, version) in out.wakes.drain(..) {
-            self.queue.schedule(at, Ev::Wake { server, version });
+            self.agenda.schedule(at, Ev::Wake { server, version });
         }
         if std::mem::take(&mut out.transfers_queued) {
             self.schedule_transfer(now);
@@ -639,7 +621,7 @@ impl<P: PowerController> ClusterSim<P> {
     /// crossing the interconnect, if any.
     fn schedule_transfer(&mut self, now: SimTime) {
         if let Some(at) = self.engine.next_transfer_due() {
-            self.queue.schedule(at.max(now), Ev::ServeTransfer);
+            self.agenda.schedule(at.max(now), Ev::ServeTransfer);
         }
     }
 
@@ -834,7 +816,7 @@ impl<P: PowerController> ClusterSim<P> {
     /// Arms a delivery event for the OOB plane's next command, if any.
     fn schedule_delivery(&mut self, now: SimTime) {
         if let Some(at) = self.plane.next_delivery() {
-            self.queue.schedule(at.max(now), Ev::ControlDelivery);
+            self.agenda.schedule(at.max(now), Ev::ControlDelivery);
         }
     }
 
@@ -938,11 +920,7 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
         // Outer frame: its self-time is the event loop itself (peek,
         // match dispatch, bookkeeping) net of the per-event phases.
         let _step = prof.time(Phase::RowStep);
-        while let Some(next_at) = self.sim.queue.peek_time() {
-            if next_at > limit {
-                break;
-            }
-            let (now, ev) = self.sim.queue.pop().expect("peeked event exists");
+        while let Some((now, ev)) = self.sim.agenda.pop_through(limit) {
             self.sim.report.events_processed += 1;
             match ev {
                 Ev::Arrival(req) => {
@@ -954,7 +932,7 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
                             "arrival stream out of order at request {}",
                             next.id
                         );
-                        self.sim.queue.schedule(next.arrival, Ev::Arrival(next));
+                        self.sim.agenda.schedule(next.arrival, Ev::Arrival(next));
                     }
                 }
                 Ev::Wake { server, version } => {
@@ -966,7 +944,7 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
                     self.sim.on_telemetry(now);
                     let next_tick = now + SimTime::from_secs(self.sim.config.telemetry_interval_s);
                     if next_tick <= self.horizon {
-                        self.sim.queue.schedule(next_tick, Ev::Telemetry);
+                        self.sim.agenda.schedule(next_tick, Ev::Telemetry);
                     }
                 }
                 Ev::ControlDelivery => {
@@ -1032,7 +1010,7 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
     /// event lies beyond a window boundary needs no `step_until` call
     /// there at all — by construction it would process zero events.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.sim.queue.peek_time()
+        self.sim.agenda.peek_time()
     }
 
     /// Immutable view of the legacy engine's servers (for tests and

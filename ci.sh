@@ -193,6 +193,19 @@ grep -q '"row.phase_end"' "$serve_out/legacy/prof.json" \
     || { echo "no row.phase_end phase in legacy/prof.json"; exit 1; }
 grep -q '"serve.iteration"' "$serve_out/legacy/prof.json" \
     && { echo "legacy prof.json lists serve.iteration"; exit 1; }
+# Every push and pop of a row's event queue passes both of its probe
+# hooks, so the profiler's queue.push and queue.pop calls equal the
+# scheduled and popped counts: a queue that skips a hook fails here.
+for d in agg split legacy; do
+    for pair in "queue.push sim_events_scheduled_total" "queue.pop sim_events_popped_total"; do
+        read -r phase series <<< "$pair"
+        calls="$(awk -v k="polca_prof_phase_calls_total{phase=\"$phase\"}" \
+            '$1 == k { print $2 }' "$serve_out/$d/metrics.prom")"
+        count="$(awk -v k="$series" '$1 == k { print $2 }' "$serve_out/$d/metrics.prom")"
+        [[ -n "$calls" && "$calls" == "$count" ]] \
+            || { echo "$d: $phase ran ${calls:-0} times, $series is ${count:-absent}"; exit 1; }
+    done
+done
 grep -q 'serve_pool_power_w{tag="aggregated"}' "$serve_out/agg/metrics.prom" \
     || { echo "no aggregated pool power gauge"; exit 1; }
 grep -q 'serve_pool_power_w{tag="prefill"}' "$serve_out/split/metrics.prom" \

@@ -111,6 +111,10 @@ pub struct InferenceServer {
     buffer: VecDeque<Request>,
     buffer_capacity: usize,
     version: u64,
+    /// `dvfs.power_scale` at the current clock ratio, refreshed
+    /// whenever the brake, the lock, the phase-aware clock or the
+    /// active phase changes the clock.
+    dvfs_scale: f64,
     /// Multiplier on emitted power (the "+5 % more power-intensive
     /// workloads" experiment of §6.6).
     power_scale: f64,
@@ -125,7 +129,7 @@ impl InferenceServer {
         deployment: InferenceModel,
         buffer_capacity: usize,
     ) -> Self {
-        InferenceServer {
+        let mut server = InferenceServer {
             id,
             priority,
             spec,
@@ -138,8 +142,11 @@ impl InferenceServer {
             buffer: VecDeque::new(),
             buffer_capacity,
             version: 0,
+            dvfs_scale: 0.0,
             power_scale: 1.0,
-        }
+        };
+        server.refresh_clock();
+        server
     }
 
     /// Scales all emitted power by `factor` (workload-drift experiments).
@@ -215,6 +222,7 @@ impl InferenceServer {
             );
         }
         self.phase_aware_token_mhz = token_mhz;
+        self.refresh_clock();
     }
 
     /// The configured phase-aware token clock, if any.
@@ -250,13 +258,19 @@ impl InferenceServer {
         self.clock_mhz_for_phase(phase) / self.spec.gpu.max_sm_clock_mhz
     }
 
+    /// Re-derives the cached DVFS power scale from the clock inputs
+    /// (brake, lock, phase-aware clock, active phase).
+    fn refresh_clock(&mut self) {
+        self.dvfs_scale = self.dvfs.power_scale(self.clock_ratio());
+    }
+
     /// Instantaneous server power in watts.
     pub fn power_watts(&self) -> f64 {
         let intensity = match &self.state {
             None => HOT_IDLE_INTENSITY,
             Some((_, _, active, _)) => active.intensity,
         };
-        self.power_at(intensity, self.dvfs.power_scale(self.clock_ratio()))
+        self.power_at(intensity, self.dvfs_scale)
     }
 
     /// The server's class and its `(watts, serving)` draw, as the row's
@@ -311,6 +325,8 @@ impl InferenceServer {
             },
             profile,
         ));
+        // An idle server already runs at the prompt clock, so the
+        // cached DVFS scale still holds.
         (end_at, self.version)
     }
 
@@ -331,7 +347,7 @@ impl InferenceServer {
             return PhaseOutcome::Ignored;
         }
         let (req, started_at, active, profile) = self.state.take().expect("state checked above");
-        match active.phase {
+        let outcome = match active.phase {
             Phase::Prompt => {
                 let slowdown = self.slowdown_for(Phase::Token, profile.token.compute_fraction);
                 let end_at = now + SimTime::from_secs(profile.token.duration_s * slowdown);
@@ -364,7 +380,9 @@ impl InferenceServer {
                     next,
                 }
             }
-        }
+        };
+        self.refresh_clock();
+        outcome
     }
 
     /// Applies a delivered control action. If the effective clock changed
@@ -379,6 +397,7 @@ impl InferenceServer {
             ControlAction::UnlockClock => self.locked_mhz = None,
             ControlAction::PowerBrake { on } => self.brake = on,
         }
+        self.refresh_clock();
         if (self.effective_clock_mhz() - before).abs() < f64::EPSILON {
             return None;
         }
@@ -854,6 +873,69 @@ mod tests {
     fn phase_aware_rejects_invalid_clock() {
         let mut s = server(Priority::Low);
         s.set_phase_aware(Some(50.0));
+    }
+
+    /// Seeded arrivals, phase ends (stale ones included), locks,
+    /// unlocks and brakes, with the phase-aware clock off, on, and
+    /// switched mid-run: after every step the cached DVFS scale equals
+    /// a fresh `power_scale` at the current clock, bit for bit.
+    #[test]
+    fn cached_dvfs_scale_tracks_every_clock_change() {
+        let mut rng = SimRng::from_seed_stream(5, 0);
+        let mut counts = [0u32; 5];
+        for phase_aware in [None, Some(1110.0)] {
+            let mut s = server(Priority::Low);
+            s.set_phase_aware(phase_aware);
+            let mut now = SimTime::ZERO;
+            let mut wakes: Vec<(SimTime, u64)> = Vec::new();
+            for step in 0..3_000 {
+                let kind = rng.uniform_u64(0, 4) as usize;
+                match kind {
+                    0 => {
+                        let request = Request::new(step, now, 512, 64, Priority::Low);
+                        if s.is_idle() {
+                            wakes.push(s.start_request(now, request));
+                        } else {
+                            s.enqueue(request);
+                        }
+                    }
+                    1 => {
+                        let Some(i) = (0..wakes.len()).min_by_key(|&i| wakes[i].0) else {
+                            continue;
+                        };
+                        let (at, version) = wakes.swap_remove(i);
+                        now = now.max(at);
+                        match s.on_phase_end(now, version) {
+                            PhaseOutcome::TokenStarted { end_at, version } => {
+                                wakes.push((end_at, version));
+                            }
+                            PhaseOutcome::Completed {
+                                next: Some(next), ..
+                            } => wakes.push(next),
+                            _ => {}
+                        }
+                    }
+                    2 => {
+                        let action = match rng.uniform_u64(0, 3) {
+                            0 => ControlAction::LockClock {
+                                mhz: rng.uniform(210.0, 1410.0),
+                            },
+                            1 => ControlAction::UnlockClock,
+                            on => ControlAction::PowerBrake { on: on == 2 },
+                        };
+                        wakes.extend(s.apply_action(now, action));
+                    }
+                    3 => s.set_phase_aware(
+                        [None, Some(900.0), Some(1110.0)][rng.uniform_u64(0, 2) as usize],
+                    ),
+                    _ => now += SimTime::from_secs(rng.exponential(0.5)),
+                }
+                counts[kind] += 1;
+                let fresh = s.dvfs.power_scale(s.clock_ratio());
+                assert_eq!(s.dvfs_scale.to_bits(), fresh.to_bits(), "step {step}");
+            }
+        }
+        assert!(counts.iter().all(|&n| n > 500), "{counts:?}");
     }
 
     /// Asserts that `row`'s ledger matches its servers recounted from

@@ -53,6 +53,8 @@ impl TraceConfig {
 pub struct ArrivalGenerator {
     schedule: RateSchedule,
     mix: Vec<WorkloadClass>,
+    /// The classes' shares, in mix order.
+    shares: Vec<f64>,
     horizon_s: f64,
     max_rate: f64,
     rng: SimRng,
@@ -66,6 +68,7 @@ impl ArrivalGenerator {
         ArrivalGenerator {
             schedule: config.schedule.clone(),
             mix: config.mix.clone(),
+            shares: config.mix.iter().map(|c| c.share).collect(),
             horizon_s: config.horizon.as_secs().min(config.schedule.horizon_s()),
             max_rate: config.schedule.max_rate(),
             rng: SimRng::from_seed_stream(config.seed, 0xA221),
@@ -91,7 +94,7 @@ impl Iterator for ArrivalGenerator {
             if !self.rng.chance(accept_p) {
                 continue;
             }
-            let class = &self.mix[pick_class(&self.mix, &mut self.rng)];
+            let class = &self.mix[pick_class(&self.shares, &mut self.rng)];
             let (input, output, priority) = class.sample(&mut self.rng);
             let id = self.next_id;
             self.next_id += 1;

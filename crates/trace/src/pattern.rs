@@ -137,7 +137,9 @@ impl RateSchedule {
         if t < 0.0 {
             return 0.0;
         }
-        let idx = (t / self.step_s).floor() as usize;
+        // `t / step_s` is not negative (or is NaN) here, so truncating
+        // picks the step `floor` would, without the libm call.
+        let idx = (t / self.step_s) as usize;
         self.rates.get(idx).copied().unwrap_or(0.0)
     }
 
@@ -230,6 +232,43 @@ mod tests {
         assert_eq!(s.rate_at(29.99), 3.0);
         assert_eq!(s.rate_at(30.0), 0.0);
         assert_eq!(s.rate_at(-1.0), 0.0);
+    }
+
+    #[test]
+    fn rate_at_picks_the_step_floor_picks() {
+        let floor_form = |s: &RateSchedule, t: f64| {
+            if t < 0.0 {
+                return 0.0;
+            }
+            let idx = (t / s.step_s()).floor() as usize;
+            s.rates().get(idx).copied().unwrap_or(0.0)
+        };
+        let mut rng = SimRng::from_seed_stream(9, 0);
+        for step in [60.0, 0.1, 7.3] {
+            let s = RateSchedule::new(step, (1..=100).map(f64::from).collect());
+            let mut times = vec![
+                -1.0,
+                -0.0,
+                0.0,
+                f64::NAN,
+                f64::MIN_POSITIVE,
+                1e300,
+                f64::MAX,
+                f64::INFINITY,
+            ];
+            for i in 0..=101 {
+                let boundary = f64::from(i) * step;
+                times.extend([boundary.next_down(), boundary, boundary.next_up()]);
+            }
+            times.extend((0..10_000).map(|_| rng.uniform(0.0, 110.0 * step)));
+            for t in times {
+                assert_eq!(
+                    s.rate_at(t).to_bits(),
+                    floor_form(&s, t).to_bits(),
+                    "step {step}, t = {t}"
+                );
+            }
+        }
     }
 
     #[test]

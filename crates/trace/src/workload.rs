@@ -80,14 +80,14 @@ impl WorkloadClass {
     }
 }
 
-/// Picks a class index from `mix` according to the classes' shares.
+/// Picks a class index according to `shares`, the classes' shares in
+/// mix order.
 ///
 /// # Panics
 ///
-/// Panics if `mix` is empty or all shares are zero.
-pub fn pick_class(mix: &[WorkloadClass], rng: &mut SimRng) -> usize {
-    let weights: Vec<f64> = mix.iter().map(|c| c.share).collect();
-    rng.weighted_index(&weights)
+/// Panics if `shares` is empty or all zero.
+pub fn pick_class(shares: &[f64], rng: &mut SimRng) -> usize {
+    rng.weighted_index(shares)
         .expect("workload mix must have positive shares")
 }
 
@@ -148,11 +148,11 @@ mod tests {
 
     #[test]
     fn class_mix_follows_shares() {
-        let mix = WorkloadClass::table6();
+        let shares: Vec<f64> = WorkloadClass::table6().iter().map(|c| c.share).collect();
         let mut rng = SimRng::from_seed_stream(4, 0);
         let mut counts = [0usize; 3];
         for _ in 0..30_000 {
-            counts[pick_class(&mix, &mut rng)] += 1;
+            counts[pick_class(&shares, &mut rng)] += 1;
         }
         let frac_chat = counts[2] as f64 / 30_000.0;
         assert!((frac_chat - 0.5).abs() < 0.02, "chat frac {frac_chat}");

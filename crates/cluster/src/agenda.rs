@@ -127,6 +127,7 @@ pub(crate) struct Agenda {
     deliveries: VecDeque<Key>,
     /// Pending KV-transfer landings, sorted by key.
     transfers: VecDeque<Key>,
+    /// Pending server wakes, stale ones included.
     wakes: BinaryHeap<Reverse<Wake>>,
     /// The sequence number the next event takes.
     seq: u64,
@@ -313,15 +314,16 @@ mod tests {
     /// order puts it before `0.0`, where both start.
     #[test]
     fn negative_zero_is_in_the_past_at_the_start() {
-        let refuses = |f: Box<dyn FnOnce()>| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        let refuses = |schedule: &dyn Fn()| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(schedule)).is_err()
         };
-        assert!(refuses(Box::new(|| {
-            Agenda::new(Recorder::disabled().queue_probe()).schedule(t(-0.0), Ev::Telemetry)
-        })));
-        assert!(refuses(Box::new(|| {
-            EventQueue::new().schedule(t(-0.0), Ev::Telemetry)
-        })));
+        let probe = Recorder::disabled().queue_probe();
+        assert!(refuses(&|| {
+            Agenda::new(probe.clone()).schedule(t(-0.0), Ev::Telemetry)
+        }));
+        assert!(refuses(
+            &|| EventQueue::new().schedule(t(-0.0), Ev::Telemetry)
+        ));
     }
 
     /// The event a random step schedules.

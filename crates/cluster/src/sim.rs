@@ -30,6 +30,12 @@
 //! sit below the same telemetry, OOB control, power accounting, and
 //! observability planes, so every controller and downstream consumer
 //! works unchanged on either.
+//!
+//! A row's pending events wait in its agenda (`crate::agenda`), one
+//! lane per event source: the next arrival, the next telemetry tick,
+//! OOB deliveries, KV transfers and server wakes. It pops them in
+//! time order, ties in scheduling order, exactly as one heap over all
+//! of them would, and keeps every event the simulator schedules.
 
 use polca_gpu::HOT_IDLE_INTENSITY;
 use polca_llm::InferenceModel;
@@ -593,7 +599,7 @@ impl<P: PowerController> ClusterSim<P> {
         }
     }
 
-    /// Drains the outcome buffer into the report and the event queue:
+    /// Drains the outcome buffer into the report and the agenda:
     /// the preemption counter, the completions (with their request
     /// spans, when traced), then each server's next wake in the order
     /// the servers ran, and last a transfer event for newly queued KV
@@ -870,8 +876,9 @@ impl<P: PowerController> ClusterSim<P> {
 /// A resumable row engine: the body of [`ClusterSim::run`] exposed as
 /// an incremental `step_until` API.
 ///
-/// A `RowSim` owns one row's complete simulation state — servers, event
-/// queue, OOB control plane, delayed telemetry signal, RNG streams —
+/// A `RowSim` owns one row's complete simulation state — servers,
+/// pending events, OOB control plane, delayed telemetry signal, RNG
+/// streams —
 /// and advances it in bounded time slices instead of straight to the
 /// horizon. That is what lets `SiteSim` interleave N rows (stepping
 /// each row boundary by boundary through an epoch of telemetry windows
@@ -965,7 +972,7 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
     }
 
     /// The arrival source still to be drawn from (read-only). The next
-    /// arrival has already left it: it waits in the event queue. In a
+    /// arrival has already left it: it waits in the agenda. In a
     /// `SiteSim` the source is the row's feed, which holds only what
     /// the site's dispatcher has dealt the row so far: at least its
     /// arrivals up to the end of the current epoch, plus one.
@@ -991,7 +998,7 @@ impl<P: PowerController, S: RequestSource> RowSim<P, S> {
     }
 
     /// Servers that may serve before any arrival still in the source
-    /// (the arrival already waiting in the event queue is not counted):
+    /// (the arrival already waiting in the agenda is not counted):
     /// the legacy engine's busy servers and buffered requests, or every
     /// server of the batched engine, whose split pools move work
     /// between servers without arrivals.

@@ -7,7 +7,9 @@
 //!
 //! * [`SimTime`] — a total-ordered simulation timestamp in seconds,
 //! * [`EventQueue`] — a monotonic priority queue of timed events with
-//!   FIFO tie-breaking at equal timestamps,
+//!   FIFO tie-breaking at equal timestamps (the row engine in
+//!   `polca-cluster` keeps this order in per-source lanes, tested
+//!   against this queue),
 //! * [`rng`] — seedable, stream-split random number generation plus the
 //!   distribution samplers used by the workload generators (exponential
 //!   inter-arrivals, Box-Muller normals, log-normal bursts).

@@ -1,4 +1,9 @@
-//! The event queue at the heart of the discrete-event simulator.
+//! A general event queue for discrete-event loops.
+//!
+//! Its order (time, then scheduling order) is the one every event loop
+//! here keeps. The cluster row engine keeps its events in one lane per
+//! event source instead, and its tests drive those lanes and this
+//! queue side by side.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

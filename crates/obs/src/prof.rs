@@ -53,9 +53,11 @@ pub enum Phase {
     /// One `RowSim::step_until` slice: the event loop itself (peek,
     /// match dispatch, bookkeeping), net of the per-event phases below.
     RowStep,
-    /// `EventQueue::schedule` — heap push plus probe bookkeeping.
+    /// Scheduling an event (the row engine's agenda, or
+    /// `EventQueue::schedule`) plus probe bookkeeping.
     QueuePush,
-    /// `EventQueue::pop` — heap pop plus probe bookkeeping.
+    /// Popping the next event (the row engine's agenda, or
+    /// `EventQueue::pop`) plus probe bookkeeping.
     QueuePop,
     /// Arrival handling: server selection, dispatch or queue/reject.
     Dispatch,

@@ -498,8 +498,9 @@ impl Recorder {
 
 /// Instrumentation hook for the discrete-event queue.
 ///
-/// `polca_sim::EventQueue` accepts one of these and reports scheduling
-/// activity through it; the probe turns that into `sim.events_*`
+/// `polca_sim::EventQueue` and the cluster row engine's agenda accept
+/// one of these and report scheduling activity through it, with the
+/// number of events pending; the probe turns that into `sim.events_*`
 /// counters and a `sim.queue_depth` histogram. All methods are no-ops
 /// when the underlying recorder is disabled.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -531,14 +532,14 @@ impl QueueProbe {
             .gauge("sim.queue_depth_last", Label::Global, depth as f64);
     }
 
-    /// Starts timing a heap push ([`Phase::QueuePush`]); `None` unless
+    /// Starts timing a queue push ([`Phase::QueuePush`]); `None` unless
     /// the recorder profiles.
     #[inline]
     pub fn time_push(&self) -> Option<ProfGuard> {
         self.rec.prof().time(Phase::QueuePush)
     }
 
-    /// Starts timing a heap pop ([`Phase::QueuePop`]); `None` unless
+    /// Starts timing a queue pop ([`Phase::QueuePop`]); `None` unless
     /// the recorder profiles.
     #[inline]
     pub fn time_pop(&self) -> Option<ProfGuard> {

@@ -23,7 +23,7 @@
 //! scheduling order) by comparing at most five lane heads. It keeps
 //! every event the simulator schedules, stale wakes and deliveries
 //! that find nothing due included, and calls the queue probe where
-//! `EventQueue` does with the length over all lanes, so a run's
+//! `EventQueue` does, with the length over all lanes, so a run's
 //! events, metrics and `sim_*` queue series are the ones the heap
 //! produced.
 
@@ -265,8 +265,8 @@ fn front(lane: &VecDeque<Key>) -> Key {
 }
 
 /// Inserts `key` into the sorted `lane`, scanning from the back: a new
-/// key holds the largest sequence number, so it nearly always lands
-/// there.
+/// arm nearly always lands there, and among equal times its sequence
+/// number puts it last.
 fn insert_sorted(lane: &mut VecDeque<Key>, key: Key) {
     let at = lane.iter().rposition(|&k| k < key).map_or(0, |i| i + 1);
     lane.insert(at, key);

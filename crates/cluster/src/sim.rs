@@ -878,9 +878,8 @@ impl<P: PowerController> ClusterSim<P> {
 ///
 /// A `RowSim` owns one row's complete simulation state — servers,
 /// pending events, OOB control plane, delayed telemetry signal, RNG
-/// streams —
-/// and advances it in bounded time slices instead of straight to the
-/// horizon. That is what lets `SiteSim` interleave N rows (stepping
+/// streams — and advances it in bounded time slices instead of straight
+/// to the horizon. That is what lets `SiteSim` interleave N rows (stepping
 /// each row boundary by boundary through an epoch of telemetry windows
 /// and inspecting aggregate power at every boundary) while each row
 /// replays *exactly*

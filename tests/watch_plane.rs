@@ -14,11 +14,15 @@ use polca_cluster::{
     ClusterSim, ControlRequest, NoopController, PowerController, Priority, Request, RowConfig,
     RowContext, SimConfig,
 };
-use polca_obs::{ObsLevel, Recorder};
+use polca_obs::{CarbonSignal, Event, ObsLevel, Recorder, ReqRecord};
 use polca_sim::SimTime;
 use polca_telemetry::RowPowerTaps;
-use polca_watch::{BurnConfig, RuleSet, Severity, WatchArtifacts, WatchConfig, WatchPlane};
+use polca_watch::{
+    BurnConfig, IncidentState, RuleSet, Severity, WatchArtifacts, WatchConfig, WatchEnergyConfig,
+    WatchPlane, CARBON_BUDGET_RULE, CARBON_PER_TOKEN_RULE,
+};
 use proptest::prelude::*;
+use std::path::Path;
 
 fn t(s: f64) -> SimTime {
     SimTime::from_secs(s)
@@ -265,4 +269,232 @@ fn brake_storm_incident_log_matches_golden_file() {
     let report = a.report_md();
     assert!(report.contains("brake-storm"), "{report}");
     assert!(report.starts_with("# Watch report"), "{report}");
+}
+
+/// Telemetry interval of the scripted run behind `tests/golden/watch/`.
+const SCRIPT_TICK_S: f64 = 2.0;
+/// Horizon of the scripted run.
+const SCRIPT_END_S: f64 = 3600.0;
+
+/// Ground-truth row watts of the scripted run at `t` (the row is
+/// provisioned at 1 kW): calm, a surge, a dip, a regression, a
+/// truth-only surge the stuck sensor hides, calm again.
+fn script_truth(t: f64) -> f64 {
+    if (600.0..900.0).contains(&t) || (1000.0..1100.0).contains(&t) {
+        990.0
+    } else if (900.0..1000.0).contains(&t) {
+        800.0
+    } else if (1600.0..1700.0).contains(&t) {
+        990.0
+    } else {
+        500.0
+    }
+}
+
+/// The delayed reading of the scripted run at `t`: ground truth one
+/// tick late, silent for 14 s and again for the last 20 s, and stuck at
+/// calm while truth surges between 1,600 and 1,700 s.
+fn script_observed(t: f64) -> Option<f64> {
+    if (100.0..=112.0).contains(&t) || t >= SCRIPT_END_S - 20.0 {
+        None
+    } else if (1600.0..=1700.0).contains(&t) {
+        Some(500.0)
+    } else {
+        Some(script_truth((t - SCRIPT_TICK_S).max(0.0)))
+    }
+}
+
+/// One polca-req record of the scripted run, with every field the
+/// plane does not read zeroed.
+fn script_record(
+    t: f64,
+    priority: &'static str,
+    ttft_s: f64,
+    tbt_s: f64,
+    tokens: u32,
+) -> ReqRecord {
+    ReqRecord {
+        id: 0,
+        priority,
+        server: 0,
+        arrival_s: t,
+        started_s: t,
+        first_token_s: t,
+        completed_s: t,
+        input_tokens: 0,
+        output_tokens: tokens,
+        queue_s: 0.0,
+        ttft_s,
+        tbt_mean_s: tbt_s,
+        tbt_max_s: tbt_s,
+        prefill_s: 0.0,
+        decode_s: 0.0,
+        preemptions: 0,
+        recompute_tokens: 0.0,
+        recompute_s: 0.0,
+        kv_hops: 0,
+        kv_ship_s: 0.0,
+        joules: 0.0,
+        joules_per_token: 0.0,
+        co2e_g: 0.0,
+        pue_applied: 1.0,
+    }
+}
+
+/// The watch config of the scripted run: the built-in rules plus both
+/// carbon rules (a 350 gCO2e/h budget, 0.01 gCO2e per token) on a flat
+/// 400 gCO2e/kWh grid.
+fn script_config() -> WatchConfig {
+    WatchConfig::new(1000.0).with_energy(WatchEnergyConfig::new(
+        CarbonSignal::Constant(400.0),
+        1.25,
+        350.0,
+        0.01,
+    ))
+}
+
+/// Drives one plane through its public feeds for an hour: a power tick
+/// every 2 s, then between ticks one completion and one polca-req record
+/// per priority class, plus a cap burst, two brakes and events no rule
+/// counts. Latency, TTFT and TBT each turn bad for ten minutes, and the
+/// output tokens collapse for ten.
+fn scripted_watch_run() -> WatchArtifacts {
+    let plane = WatchPlane::new(script_config());
+    let sub = plane.subscriber();
+    let tap = plane.event_tap();
+    let ticks = (SCRIPT_END_S / SCRIPT_TICK_S) as u32;
+    for i in 0..ticks {
+        let now = f64::from(i) * SCRIPT_TICK_S;
+        sub.on_tick(0, t(now), script_truth(now), script_observed(now));
+        let at = now + 1.0;
+        let bad = |from: f64| (from..from + 600.0).contains(&now);
+        let tokens = if bad(2400.0) { 1 } else { 20 };
+        for priority in ["high", "low"] {
+            tap.on_event(&Event::RequestCompleted {
+                t: at,
+                server: 0,
+                request: u64::from(i),
+                priority,
+                latency_s: if bad(1200.0) { 100.0 } else { 1.0 },
+            });
+            let ttft_s = if bad(1300.0) { 50.0 } else { 1.0 };
+            let tbt_s = if bad(1400.0) { 1.0 } else { 0.1 };
+            tap.on_request(&script_record(at, priority, ttft_s, tbt_s, tokens));
+        }
+        if (640.0..660.0).contains(&now) {
+            tap.on_event(&Event::CapApplied {
+                t: at,
+                server: i as usize % 4,
+                mhz: 1200.0,
+            });
+        }
+        if now == 700.0 || now == 710.0 || now == 704.0 {
+            tap.on_event(&Event::BrakeEngaged {
+                t: at,
+                server: 0,
+                on: now != 704.0,
+            });
+        }
+        if now == 800.0 {
+            tap.on_event(&Event::Uncap { t: at, server: 1 });
+            tap.on_event(&Event::PowerSample {
+                t: at,
+                watts: 5000.0,
+            });
+        }
+    }
+    plane.finalize(t(SCRIPT_END_S))
+}
+
+/// The files the scripted run pins: `incidents.jsonl` and `report.md`
+/// as `--obs-out` writes them, one line per alert (time, rule, severity,
+/// value bits, ground-truth time, detail) and one per trace annotation.
+fn watch_golden_files(run: &WatchArtifacts) -> Vec<(&'static str, String)> {
+    let alerts = run
+        .alerts()
+        .iter()
+        .map(|a| {
+            let truth_t = a.truth_t.map_or("null".to_string(), |t| t.to_string());
+            format!(
+                "{}\t{}\t{}\t{:#018x}\t{truth_t}\t{}\n",
+                a.t,
+                a.rule,
+                a.severity,
+                a.value.to_bits(),
+                a.detail
+            )
+        })
+        .collect();
+    let annotations = run
+        .annotations()
+        .iter()
+        .map(|a| format!("{}\t{}\t{}\n", a.t, a.name, a.detail))
+        .collect();
+    vec![
+        ("incidents.jsonl", run.incidents_jsonl()),
+        ("report.md", run.report_md()),
+        ("alerts.txt", alerts),
+        ("annotations.txt", annotations),
+    ]
+}
+
+/// Every rule kind the plane runs fires in one scripted run, and the run
+/// reproduces `tests/golden/watch/` byte for byte: every built-in rule
+/// (threshold, rate, absence, count), both carbon rules and all six burn
+/// rules fire; one rule clears, one regresses while its mitigation is
+/// observed and escalates, and one incident resolves.
+#[test]
+fn every_rule_kind_matches_its_golden_run() {
+    let run = scripted_watch_run();
+    let fired: Vec<&str> = run.alerts().iter().map(|a| a.rule.as_str()).collect();
+    let mut rules: Vec<String> = RuleSet::default_rules()
+        .rules()
+        .iter()
+        .map(|r| r.name.clone())
+        .collect();
+    rules.extend([CARBON_BUDGET_RULE, CARBON_PER_TOKEN_RULE].map(String::from));
+    for signal in ["slo", "ttft", "tbt"] {
+        for class in ["high", "low"] {
+            rules.push(format!("{signal}-burn-{class}"));
+        }
+    }
+    for rule in &rules {
+        assert!(fired.contains(&rule.as_str()), "{rule} never fired");
+    }
+    let incidents = run.incidents();
+    assert!(incidents.iter().any(|i| i.mitigated_t.is_some()));
+    assert!(incidents.iter().any(|i| i.state == IncidentState::Resolved));
+    // Fewer alerts than the escalation count, all of one severity: the
+    // escalation can only be a regression during mitigation.
+    let escalate_after = script_config().escalate_after_alerts;
+    assert!(
+        incidents.iter().any(|i| {
+            i.escalated_t.is_some()
+                && i.alerts < escalate_after
+                && run
+                    .alerts()
+                    .iter()
+                    .filter(|a| a.rule == i.rule)
+                    .all(|a| a.severity == i.severity)
+        }),
+        "no incident regressed: {}",
+        run.incidents_jsonl()
+    );
+
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/watch");
+    for (name, actual) in watch_golden_files(&run) {
+        let path = dir.join(name);
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        let same = actual
+            .lines()
+            .zip(golden.lines())
+            .take_while(|(a, g)| a == g)
+            .count();
+        assert!(
+            actual == golden,
+            "scripted run drifted from tests/golden/watch/{name} at line {}",
+            same + 1
+        );
+    }
 }

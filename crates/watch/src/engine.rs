@@ -1017,6 +1017,208 @@ mod tests {
             .all(|a| a.rule != CARBON_BUDGET_RULE && a.rule != CARBON_PER_TOKEN_RULE));
     }
 
+    /// One step of a seeded feed.
+    enum Feed {
+        Tick {
+            t: f64,
+            truth: f64,
+            observed: Option<f64>,
+        },
+        Event(Event),
+        Request {
+            t: f64,
+            priority: Priority,
+            ttft_s: f64,
+            tbt_s: f64,
+            tokens: u64,
+        },
+    }
+
+    /// A seeded two hours of feeds for a 1 kW row: power that wanders
+    /// and jumps across every built-in threshold, a delayed view one
+    /// tick behind truth that sometimes disagrees with it or goes
+    /// silent, cap and brake bursts, and a completion plus a request
+    /// record per class per tick whose latency, TTFT, TBT and token
+    /// count turn bad in episodes.
+    fn seeded_feed(seed: u64) -> Vec<Feed> {
+        let mut rng = polca_sim::SimRng::from_seed_stream(seed, 0);
+        let mut feed = Vec::new();
+        let (mut frac, mut last_truth) = (0.6, 600.0);
+        let (mut silent_ticks, mut caps_p) = (0u32, 0.0);
+        let mut bad = [false; 4];
+        for i in 0..3600u32 {
+            let t = f64::from(i) * 2.0;
+            frac = if rng.chance(0.02) {
+                rng.uniform(0.4, 1.05)
+            } else {
+                (frac + rng.normal(0.0, 0.01)).clamp(0.3, 1.1)
+            };
+            let truth = frac * 1000.0;
+            if silent_ticks == 0 && rng.chance(0.004) {
+                silent_ticks = rng.uniform_u64(1, 8) as u32;
+            }
+            let observed = if silent_ticks > 0 {
+                silent_ticks -= 1;
+                None
+            } else if rng.chance(0.05) {
+                Some(rng.uniform(300.0, 1050.0))
+            } else {
+                Some(last_truth)
+            };
+            last_truth = truth;
+            feed.push(Feed::Tick { t, truth, observed });
+            for flag in &mut bad {
+                if rng.chance(0.004) {
+                    *flag = !*flag;
+                }
+            }
+            if rng.chance(0.01) {
+                caps_p = rng.uniform(0.0, 0.3);
+            }
+            let at = t + rng.uniform(0.0, 2.0);
+            if rng.chance(caps_p) {
+                feed.push(Feed::Event(Event::CapApplied {
+                    t: at,
+                    server: 0,
+                    mhz: 1200.0,
+                }));
+            }
+            if rng.chance(0.01) {
+                let on = rng.chance(0.7);
+                feed.push(Feed::Event(Event::BrakeEngaged {
+                    t: at,
+                    server: 0,
+                    on,
+                }));
+            }
+            for (priority, tag) in [(Priority::High, "high"), (Priority::Low, "low")] {
+                let latency_s = if bad[0] { 100.0 } else { 1.0 };
+                feed.push(Feed::Event(Event::RequestCompleted {
+                    t: at,
+                    server: 0,
+                    request: u64::from(i),
+                    priority: tag,
+                    latency_s,
+                }));
+                feed.push(Feed::Request {
+                    t: at,
+                    priority,
+                    ttft_s: if bad[1] { 50.0 } else { 1.0 },
+                    tbt_s: if bad[2] { 1.0 } else { 0.1 },
+                    tokens: if bad[3] { 1 } else { 20 },
+                });
+            }
+        }
+        feed
+    }
+
+    /// An engine with the built-in rules and both carbon rules.
+    fn seeded_engine() -> WatchEngine {
+        let mut e = engine(crate::rules::DEFAULT_RULES);
+        e.attach_energy(WatchEnergyConfig::new(
+            CarbonSignal::Constant(400.0),
+            1.25,
+            400.0,
+            0.01,
+        ));
+        e
+    }
+
+    /// Runs `feed` through a fresh engine, with or without its truth
+    /// readings and with or without everything else.
+    fn replay(feed: &[Feed], truth: bool, rest: bool) -> WatchEngine {
+        let mut e = seeded_engine();
+        for step in feed {
+            match *step {
+                Feed::Tick {
+                    t,
+                    truth: watts,
+                    observed,
+                } => {
+                    if truth {
+                        e.truth(t, watts);
+                    }
+                    match observed {
+                        Some(watts) if rest => e.observe(t, watts),
+                        None if rest => e.gap(t),
+                        _ => {}
+                    }
+                }
+                Feed::Event(ref event) if rest => e.event(event),
+                Feed::Request {
+                    t,
+                    priority,
+                    ttft_s,
+                    tbt_s,
+                    tokens,
+                } if rest => {
+                    e.request(t, priority, ttft_s, tbt_s);
+                    e.request_tokens(t, tokens);
+                }
+                _ => {}
+            }
+        }
+        e.finalize(7200.0);
+        e
+    }
+
+    /// Ground truth never decides an alert: the same delayed, event and
+    /// request feed with and without the truth feed fires the same
+    /// alerts and opens the same incidents, apart from the ground-truth
+    /// annotations, and a truth-only feed fires nothing.
+    #[test]
+    fn truth_never_decides_an_alert() {
+        let mut fired = std::collections::BTreeSet::new();
+        let mut annotated = 0;
+        for seed in [1, 2, 3, 17, 42] {
+            let feed = seeded_feed(seed);
+            let (with, without) = (replay(&feed, true, true), replay(&feed, false, true));
+            let alerts = |e: &WatchEngine| -> Vec<Alert> {
+                let strip = |a: &Alert| Alert {
+                    truth_t: None,
+                    ..a.clone()
+                };
+                e.alerts().iter().map(strip).collect()
+            };
+            assert_eq!(alerts(&with), alerts(&without), "seed {seed}");
+            let incidents = |e: &WatchEngine| -> Vec<_> {
+                let strip = |i: &crate::Incident| crate::Incident {
+                    truth_t: None,
+                    detection_lag_s: None,
+                    ..i.clone()
+                };
+                e.incidents().incidents().iter().map(strip).collect()
+            };
+            assert_eq!(incidents(&with), incidents(&without), "seed {seed}");
+            annotated += with
+                .alerts()
+                .iter()
+                .zip(without.alerts())
+                .filter(|(a, b)| a.truth_t != b.truth_t)
+                .count();
+            fired.extend(with.alerts().iter().map(|a| a.rule.clone()));
+
+            let truth_only = replay(&feed, true, false);
+            assert!(truth_only.alerts().is_empty(), "seed {seed}");
+            assert!(truth_only.incidents().incidents().is_empty());
+        }
+        assert!(annotated > 0, "the truth feed annotated no alert");
+        let mut rules: Vec<String> = RuleSet::default_rules()
+            .rules()
+            .iter()
+            .map(|r| r.name.clone())
+            .collect();
+        rules.extend([CARBON_BUDGET_RULE, CARBON_PER_TOKEN_RULE].map(String::from));
+        for signal in ["slo", "ttft", "tbt"] {
+            for class in ["high", "low"] {
+                rules.push(format!("{signal}-burn-{class}"));
+            }
+        }
+        for rule in &rules {
+            assert!(fired.contains(rule), "{rule} never fired: {fired:?}");
+        }
+    }
+
     #[test]
     fn engine_is_deterministic() {
         let run = || {

@@ -71,32 +71,6 @@ impl Default for BurnConfig {
     }
 }
 
-impl BurnConfig {
-    /// The good-latency bound for `priority`.
-    pub fn good_latency_s(&self, priority: Priority) -> f64 {
-        match priority {
-            Priority::Low => self.low_good_latency_s,
-            Priority::High => self.high_good_latency_s,
-        }
-    }
-
-    /// The good-TTFT bound for `priority`.
-    pub fn good_ttft_s(&self, priority: Priority) -> f64 {
-        match priority {
-            Priority::Low => self.low_good_ttft_s,
-            Priority::High => self.high_good_ttft_s,
-        }
-    }
-
-    /// The good mean-TBT bound for `priority`.
-    pub fn good_tbt_s(&self, priority: Priority) -> f64 {
-        match priority {
-            Priority::Low => self.low_good_tbt_s,
-            Priority::High => self.high_good_tbt_s,
-        }
-    }
-}
-
 /// Which SLO signal a burn observation or transition concerns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BurnSignal {
@@ -151,7 +125,7 @@ pub struct BurnSummary {
 }
 
 /// Per-class streaming window state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ClassBurn {
     /// `(bucket_start_s, good, bad)`, oldest first; spans ≤ the slow
     /// window.
@@ -163,39 +137,18 @@ struct ClassBurn {
     peak_slow: f64,
 }
 
-impl ClassBurn {
-    fn new() -> Self {
-        ClassBurn {
-            buckets: Vec::new(),
-            level: None,
-            total: 0,
-            bad: 0,
-            peak_fast: 0.0,
-            peak_slow: 0.0,
-        }
-    }
-}
+/// The signals, in evaluation order and in the order of
+/// [`BurnTracker`]'s tables.
+const SIGNALS: [BurnSignal; 3] = [BurnSignal::Latency, BurnSignal::Ttft, BurnSignal::Tbt];
+/// The classes, in evaluation order and in the order of
+/// [`BurnTracker`]'s tables: high priority first.
+const CLASSES: [Priority; 2] = [Priority::High, Priority::Low];
 
-/// Both priority classes of one SLO signal.
-#[derive(Debug, Clone)]
-struct SignalBurn {
-    low: ClassBurn,
-    high: ClassBurn,
-}
-
-impl SignalBurn {
-    fn new() -> Self {
-        SignalBurn {
-            low: ClassBurn::new(),
-            high: ClassBurn::new(),
-        }
-    }
-
-    fn class_mut(&mut self, priority: Priority) -> &mut ClassBurn {
-        match priority {
-            Priority::Low => &mut self.low,
-            Priority::High => &mut self.high,
-        }
+/// `priority`'s index in [`CLASSES`].
+fn class_index(priority: Priority) -> usize {
+    match priority {
+        Priority::High => 0,
+        Priority::Low => 1,
     }
 }
 
@@ -205,33 +158,35 @@ impl SignalBurn {
 #[derive(Debug, Clone)]
 pub struct BurnTracker {
     cfg: BurnConfig,
-    latency: SignalBurn,
-    ttft: SignalBurn,
-    tbt: SignalBurn,
+    /// Good bounds in seconds, indexed like `classes`.
+    good_s: [[f64; 2]; 3],
+    /// Windows indexed `[signal][class]` in [`SIGNALS`] × [`CLASSES`]
+    /// order.
+    classes: [[ClassBurn; 2]; 3],
 }
 
 impl BurnTracker {
     /// A tracker with the given parameters.
     pub fn new(cfg: BurnConfig) -> Self {
+        let good_s = [
+            [cfg.high_good_latency_s, cfg.low_good_latency_s],
+            [cfg.high_good_ttft_s, cfg.low_good_ttft_s],
+            [cfg.high_good_tbt_s, cfg.low_good_tbt_s],
+        ];
         BurnTracker {
             cfg,
-            latency: SignalBurn::new(),
-            ttft: SignalBurn::new(),
-            tbt: SignalBurn::new(),
+            good_s,
+            classes: Default::default(),
         }
     }
 
-    fn signal_mut(&mut self, signal: BurnSignal) -> &mut SignalBurn {
-        match signal {
-            BurnSignal::Latency => &mut self.latency,
-            BurnSignal::Ttft => &mut self.ttft,
-            BurnSignal::Tbt => &mut self.tbt,
-        }
-    }
-
-    fn observe(&mut self, signal: BurnSignal, t: f64, priority: Priority, good: bool) {
+    /// Buckets one observation of `signal`, good when at or under the
+    /// class's bound.
+    fn observe(&mut self, signal: BurnSignal, t: f64, priority: Priority, value_s: f64) {
+        let (s, c) = (signal as usize, class_index(priority));
+        let good = value_s <= self.good_s[s][c];
         let bucket = (t / self.cfg.bucket_s).floor() * self.cfg.bucket_s;
-        let class = self.signal_mut(signal).class_mut(priority);
+        let class = &mut self.classes[s][c];
         class.total += 1;
         if !good {
             class.bad += 1;
@@ -254,17 +209,14 @@ impl BurnTracker {
 
     /// Records one completion (the end-to-end latency signal).
     pub fn record(&mut self, t: f64, priority: Priority, latency_s: f64) {
-        let good = latency_s <= self.cfg.good_latency_s(priority);
-        self.observe(BurnSignal::Latency, t, priority, good);
+        self.observe(BurnSignal::Latency, t, priority, latency_s);
     }
 
     /// Records one polca-req lifecycle record: TTFT and mean TBT each
     /// feed their own burn windows.
     pub fn record_req(&mut self, t: f64, priority: Priority, ttft_s: f64, tbt_s: f64) {
-        let ttft_good = ttft_s <= self.cfg.good_ttft_s(priority);
-        self.observe(BurnSignal::Ttft, t, priority, ttft_good);
-        let tbt_good = tbt_s <= self.cfg.good_tbt_s(priority);
-        self.observe(BurnSignal::Tbt, t, priority, tbt_good);
+        self.observe(BurnSignal::Ttft, t, priority, ttft_s);
+        self.observe(BurnSignal::Tbt, t, priority, tbt_s);
     }
 
     /// Burn multiple over `[now - window, now]` for a class, plus the
@@ -292,15 +244,14 @@ impl BurnTracker {
     /// buckets, and returns any level transitions (latency first, then
     /// TTFT, then TBT; high priority before low within each).
     pub fn evaluate(&mut self, now: f64) -> Vec<BurnTransition> {
+        let cfg = &self.cfg;
         let mut out = Vec::new();
-        for signal in [BurnSignal::Latency, BurnSignal::Ttft, BurnSignal::Tbt] {
-            for priority in [Priority::High, Priority::Low] {
-                let cfg = self.cfg.clone();
-                let class = self.signal_mut(signal).class_mut(priority);
+        for (signal, classes) in SIGNALS.into_iter().zip(&mut self.classes) {
+            for (priority, class) in CLASSES.into_iter().zip(classes) {
                 let horizon = now - cfg.slow_window_s - cfg.bucket_s;
                 class.buckets.retain(|&(start, _, _)| start > horizon);
-                let (fast_burn, fast_n) = Self::burn_over(&cfg, class, now, cfg.fast_window_s);
-                let (slow_burn, _) = Self::burn_over(&cfg, class, now, cfg.slow_window_s);
+                let (fast_burn, fast_n) = Self::burn_over(cfg, class, now, cfg.fast_window_s);
+                let (slow_burn, _) = Self::burn_over(cfg, class, now, cfg.slow_window_s);
                 class.peak_fast = class.peak_fast.max(fast_burn);
                 class.peak_slow = class.peak_slow.max(slow_burn);
                 let level = if fast_n < cfg.min_requests {
@@ -341,17 +292,17 @@ impl BurnTracker {
     /// End-of-run per-class accounting of the end-to-end latency
     /// signal, high priority first.
     pub fn summaries(&self) -> [BurnSummary; 2] {
-        let mk = |priority, class: &ClassBurn| BurnSummary {
-            priority,
-            total: class.total,
-            bad: class.bad,
-            peak_fast_burn: class.peak_fast,
-            peak_slow_burn: class.peak_slow,
-        };
-        [
-            mk(Priority::High, &self.latency.high),
-            mk(Priority::Low, &self.latency.low),
-        ]
+        let latency = &self.classes[BurnSignal::Latency as usize];
+        CLASSES.map(|priority| {
+            let class = &latency[class_index(priority)];
+            BurnSummary {
+                priority,
+                total: class.total,
+                bad: class.bad,
+                peak_fast_burn: class.peak_fast,
+                peak_slow_burn: class.peak_slow,
+            }
+        })
     }
 
     /// The tracker's configuration.

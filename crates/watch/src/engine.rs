@@ -12,6 +12,15 @@
 //!   began, so each incident can report its detection lag. Truth never
 //!   asserts, clears, or otherwise influences an alert.
 //!
+//! Every rule — threshold, rate, absence, count and both carbon rules —
+//! keeps one latch: fire on the rising edge of its condition on the
+//! delayed feed, clear on the falling edge past its hysteresis. The
+//! latch also carries the rule's ground-truth shadow, which threshold
+//! and rate rules move on the same edges from the truth feed. The
+//! shadow may only stamp the `truth_t` of the alert its rule fires
+//! next: a delayed-feed clear ends a truth episode only once truth has
+//! left too, and the shadow itself never fires or clears anything.
+//!
 //! Everything is a pure function of the feed contents, so a fixed-seed
 //! simulation produces byte-identical alert and incident logs.
 
@@ -21,9 +30,10 @@ use std::sync::Arc;
 use polca_cluster::Priority;
 use polca_obs::{CarbonSignal, Event};
 
-use crate::burn::{BurnConfig, BurnSignal, BurnTracker, BurnTransition};
+use crate::burn::{BurnSignal, BurnTracker};
 use crate::incident::IncidentLog;
-use crate::rules::{Rule, RuleKind, RuleSet, Severity};
+use crate::rules::{Rule, RuleKind, Severity};
+use crate::WatchConfig;
 
 /// Configuration for the built-in carbon rules. Like every other rule,
 /// they run on the *delayed* observed power feed: the watch plane sees
@@ -78,8 +88,8 @@ struct EnergyRt {
     token_times: VecDeque<(f64, u64)>,
     /// Running sum of `token_times` counts.
     tokens_window: u64,
-    burn_asserted: bool,
-    per_token_asserted: bool,
+    budget: Latch,
+    per_token: Latch,
 }
 
 impl EnergyRt {
@@ -91,8 +101,8 @@ impl EnergyRt {
             window: VecDeque::new(),
             token_times: VecDeque::new(),
             tokens_window: 0,
-            burn_asserted: false,
-            per_token_asserted: false,
+            budget: Latch::new(CARBON_BUDGET_RULE, Severity::Critical),
+            per_token: Latch::new(CARBON_PER_TOKEN_RULE, Severity::Warning),
         }
     }
 }
@@ -121,38 +131,126 @@ pub struct Alert {
     pub detail: String,
 }
 
-/// Per-rule runtime state.
+/// Where a condition stands against its hysteresis: `Some(true)` at or
+/// above `set`, `Some(false)` below `reset`, `None` in the band between.
+fn level(x: f64, set: f64, reset: f64) -> Option<bool> {
+    if x >= set {
+        Some(true)
+    } else if x < reset {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// The fired alerts and the incident log they feed.
 #[derive(Debug, Clone)]
-enum RuleRt {
-    Threshold {
-        /// Alert currently asserted.
-        asserted: bool,
-        /// Observed feed first went ≥ `over` at this time (hold timer).
-        above_since: Option<f64>,
-        /// Ground-truth shadow: currently ≥ `over`.
-        truth_above: bool,
-        /// Ground-truth shadow: first crossing of the current episode.
-        truth_crossed_at: Option<f64>,
-    },
-    Rate {
-        /// `(t, fraction)` observed samples within the window, kept as
-        /// a monotonic min-deque: the front is always the window
-        /// minimum (sliding-window-minimum, amortized O(1) per sample).
-        window: VecDeque<(f64, f64)>,
-        asserted: bool,
-        /// Ground-truth shadow window (same min-deque discipline).
-        truth_window: VecDeque<(f64, f64)>,
-        truth_risen: bool,
-        truth_crossed_at: Option<f64>,
-    },
-    Absence {
-        asserted: bool,
-    },
-    Count {
-        /// Firing-event timestamps within the window.
-        times: VecDeque<f64>,
-        asserted: bool,
-    },
+struct Outbox {
+    alerts: Vec<Alert>,
+    incidents: IncidentLog,
+}
+
+impl Outbox {
+    /// The one edge reporter. A rise (`Some(severity)`) fires `rule`'s
+    /// alert at `t`, taking its value and detail from `alert`, which
+    /// runs only then; a fall (`None`) clears `rule`'s incident.
+    fn report(
+        &mut self,
+        rule: &str,
+        t: f64,
+        rise: Option<Severity>,
+        truth_t: Option<f64>,
+        alert: impl FnOnce() -> (f64, String),
+    ) {
+        let Some(severity) = rise else {
+            return self.incidents.on_clear(rule, t);
+        };
+        let (value, detail) = alert();
+        let alert = Alert {
+            t,
+            rule: rule.to_string(),
+            severity,
+            value,
+            truth_t,
+            detail,
+        };
+        self.incidents.on_alert(&alert);
+        self.alerts.push(alert);
+    }
+}
+
+/// One rule's alert state: whether it is asserted on the delayed feed,
+/// and its ground-truth shadow.
+#[derive(Debug, Clone)]
+struct Latch {
+    /// The rule the latch reports as, and its alerts' severity.
+    rule: String,
+    severity: Severity,
+    /// Asserted on the delayed feed.
+    on: bool,
+    /// The condition holds in ground truth.
+    truth_on: bool,
+    /// When the current episode first held in ground truth.
+    truth_since: Option<f64>,
+}
+
+impl Latch {
+    fn new(rule: &str, severity: Severity) -> Self {
+        Latch {
+            rule: rule.to_string(),
+            severity,
+            on: false,
+            truth_on: false,
+            truth_since: None,
+        }
+    }
+
+    /// Moves the latch on the delayed feed: `Some(true)` asserts,
+    /// `Some(false)` clears, `None` holds. A rise fires the rule's alert
+    /// with `truth_t`, a fall clears its incident, and a clear ends the
+    /// truth episode only if truth has left too.
+    fn drive(
+        &mut self,
+        now: f64,
+        state: Option<bool>,
+        truth_t: Option<f64>,
+        out: &mut Outbox,
+        alert: impl FnOnce() -> (f64, String),
+    ) {
+        match state {
+            Some(true) if !self.on => {
+                self.on = true;
+                out.report(&self.rule, now, Some(self.severity), truth_t, alert);
+            }
+            Some(false) => {
+                if !self.truth_on {
+                    self.truth_since = None;
+                }
+                if std::mem::take(&mut self.on) {
+                    out.report(&self.rule, now, None, truth_t, alert);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Moves the ground-truth shadow on the same edges: a rise opens an
+    /// episode, a fall ends it unless the delayed feed still asserts.
+    fn shadow(&mut self, now: f64, state: Option<bool>) {
+        match state {
+            Some(true) => {
+                self.truth_on = true;
+                self.truth_since.get_or_insert(now);
+            }
+            Some(false) => {
+                self.truth_on = false;
+                if !self.on {
+                    self.truth_since = None;
+                }
+            }
+            None => {}
+        }
+    }
 }
 
 /// Pushes `(now, frac)` onto a sliding-window min-deque and expires
@@ -171,28 +269,53 @@ fn window_min(window: &mut VecDeque<(f64, f64)>, now: f64, frac: f64, window_s: 
     window.front().map_or(frac, |&(_, f)| f)
 }
 
+/// One rule at run time: its condition, its latch, and what its kind
+/// keeps (the other kinds leave those fields empty).
+#[derive(Debug, Clone)]
+struct RuleRt {
+    kind: RuleKind,
+    latch: Latch,
+    /// Threshold: when the delayed feed entered the firing zone (the
+    /// hold timer).
+    above_since: Option<f64>,
+    /// Rate: `(t, fraction)` samples within the window of the delayed
+    /// feed and of truth, each kept as a monotonic min-deque.
+    window: VecDeque<(f64, f64)>,
+    truth_window: VecDeque<(f64, f64)>,
+    /// Count: matching event timestamps within the window.
+    times: VecDeque<f64>,
+}
+
 impl RuleRt {
     fn new(rule: &Rule) -> RuleRt {
-        match &rule.kind {
-            RuleKind::Threshold { .. } => RuleRt::Threshold {
-                asserted: false,
-                above_since: None,
-                truth_above: false,
-                truth_crossed_at: None,
-            },
-            RuleKind::Rate { .. } => RuleRt::Rate {
-                window: VecDeque::new(),
-                asserted: false,
-                truth_window: VecDeque::new(),
-                truth_risen: false,
-                truth_crossed_at: None,
-            },
-            RuleKind::Absence { .. } => RuleRt::Absence { asserted: false },
-            RuleKind::Count { .. } => RuleRt::Count {
-                times: VecDeque::new(),
-                asserted: false,
-            },
+        RuleRt {
+            kind: rule.kind.clone(),
+            latch: Latch::new(&rule.name, rule.severity),
+            above_since: None,
+            window: VecDeque::new(),
+            truth_window: VecDeque::new(),
+            times: VecDeque::new(),
         }
+    }
+
+    /// Expires a count rule's window at `now` and moves its latch. An
+    /// event is detected the instant it arrives, so its time is the
+    /// ground truth.
+    fn expire_count(&mut self, now: f64, out: &mut Outbox) {
+        let RuleKind::Count { event, k, window_s } = &self.kind else {
+            return;
+        };
+        while self.times.front().is_some_and(|&t| now - t > *window_s) {
+            self.times.pop_front();
+        }
+        let n = self.times.len();
+        self.latch
+            .drive(now, Some(n as u64 >= *k), Some(now), out, || {
+                (
+                    n as f64,
+                    format!("{n} x '{event}' within {window_s:.0}s (limit {k})"),
+                )
+            });
     }
 }
 
@@ -200,15 +323,13 @@ impl RuleRt {
 #[derive(Debug, Clone)]
 pub struct WatchEngine {
     provisioned_watts: f64,
-    rules: Vec<Rule>,
-    rt: Vec<RuleRt>,
+    rules: Vec<RuleRt>,
     /// Indices of `count` rules — the only ones the (high-volume) event
     /// feed drives, precomputed so `event()` skips the rest.
     count_idx: Vec<usize>,
     burn: BurnTracker,
     energy: Option<EnergyRt>,
-    incidents: IncidentLog,
-    alerts: Vec<Alert>,
+    out: Outbox,
     /// Time of the last observed (non-gap) sample.
     last_observed_t: Option<f64>,
     /// Next time burn levels are worth re-deriving. The tracker buckets
@@ -220,16 +341,11 @@ pub struct WatchEngine {
 }
 
 impl WatchEngine {
-    /// An engine for a row provisioned at `provisioned_watts`.
-    pub fn new(
-        provisioned_watts: f64,
-        rules: &RuleSet,
-        burn: BurnConfig,
-        escalate_after_alerts: u64,
-        resolve_after_s: f64,
-    ) -> Self {
-        let rules: Vec<Rule> = rules.rules().to_vec();
-        let rt = rules.iter().map(RuleRt::new).collect();
+    /// An engine over `config`'s rules, burn windows and incident
+    /// policy, with the built-in carbon rules when it carries an energy
+    /// config.
+    pub fn new(config: &WatchConfig) -> Self {
+        let rules: Vec<RuleRt> = config.rules.rules().iter().map(RuleRt::new).collect();
         let count_idx = rules
             .iter()
             .enumerate()
@@ -237,34 +353,33 @@ impl WatchEngine {
             .map(|(i, _)| i)
             .collect();
         WatchEngine {
-            provisioned_watts,
+            provisioned_watts: config.provisioned_watts,
             rules,
-            rt,
             count_idx,
-            burn: BurnTracker::new(burn),
-            energy: None,
-            incidents: IncidentLog::new(escalate_after_alerts, resolve_after_s),
-            alerts: Vec::new(),
+            burn: BurnTracker::new(config.burn.clone()),
+            energy: config.energy.clone().map(EnergyRt::new),
+            out: Outbox {
+                alerts: Vec::new(),
+                incidents: IncidentLog::new(config.escalate_after_alerts, config.resolve_after_s),
+            },
             last_observed_t: None,
             next_burn_eval_t: 0.0,
         }
     }
 
-    fn fire(alerts: &mut Vec<Alert>, incidents: &mut IncidentLog, alert: Alert) {
-        incidents.on_alert(&alert);
-        alerts.push(alert);
-    }
-
-    /// Enables the built-in carbon rules ([`CARBON_BUDGET_RULE`] and
-    /// [`CARBON_PER_TOKEN_RULE`]). They are constructed here rather
-    /// than in the default rule set because they need a grid signal
-    /// and budgets that have no meaningful universal default.
-    pub fn attach_energy(&mut self, cfg: WatchEnergyConfig) {
-        self.energy = Some(EnergyRt::new(cfg));
+    /// `watts` as a fraction of provisioned row power.
+    fn fraction(&self, watts: f64) -> f64 {
+        if self.provisioned_watts > 0.0 {
+            watts / self.provisioned_watts
+        } else {
+            0.0
+        }
     }
 
     /// Carbon bookkeeping for one observed sample: integrate delayed
-    /// power into emissions and evaluate both carbon rules.
+    /// power into emissions and evaluate both carbon rules. Emissions
+    /// are only knowable through the delayed feed, so their alerts
+    /// carry no ground-truth time.
     fn energy_observe(&mut self, now: f64, watts: f64) {
         let Some(e) = self.energy.as_mut() else {
             return;
@@ -304,63 +419,30 @@ impl WatchEngine {
         }
         let window_g = e.co2e_cum - c0;
         let rate_g_per_h = window_g / span * 3600.0;
-        if rate_g_per_h >= e.cfg.budget_g_per_h {
-            if !e.burn_asserted {
-                e.burn_asserted = true;
-                Self::fire(
-                    &mut self.alerts,
-                    &mut self.incidents,
-                    Alert {
-                        t: now,
-                        rule: CARBON_BUDGET_RULE.to_string(),
-                        severity: Severity::Critical,
-                        value: rate_g_per_h,
-                        // Emissions are only knowable through the
-                        // delayed feed; there is no truth shadow.
-                        truth_t: None,
-                        detail: format!(
-                            "observed emissions at {rate_g_per_h:.1} gCO2e/h over {span:.0}s \
-                             (budget {:.1} gCO2e/h)",
-                            e.cfg.budget_g_per_h
-                        ),
-                    },
-                );
-            }
-        } else if rate_g_per_h < 0.9 * e.cfg.budget_g_per_h && e.burn_asserted {
-            e.burn_asserted = false;
-            self.incidents.on_clear(CARBON_BUDGET_RULE, now);
-        }
+        let budget = e.cfg.budget_g_per_h;
+        let state = level(rate_g_per_h, budget, 0.9 * budget);
+        e.budget.drive(now, state, None, &mut self.out, || {
+            let detail = format!(
+                "observed emissions at {rate_g_per_h:.1} gCO2e/h over {span:.0}s \
+                 (budget {budget:.1} gCO2e/h)"
+            );
+            (rate_g_per_h, detail)
+        });
         if e.tokens_window > 0 {
             let per_token = window_g / e.tokens_window as f64;
-            if per_token >= e.cfg.co2e_per_token_g {
-                if !e.per_token_asserted {
-                    e.per_token_asserted = true;
-                    Self::fire(
-                        &mut self.alerts,
-                        &mut self.incidents,
-                        Alert {
-                            t: now,
-                            rule: CARBON_PER_TOKEN_RULE.to_string(),
-                            severity: Severity::Warning,
-                            value: per_token,
-                            truth_t: None,
-                            detail: format!(
-                                "observed {per_token:.4} gCO2e/token over {span:.0}s \
-                                 (limit {:.4})",
-                                e.cfg.co2e_per_token_g
-                            ),
-                        },
-                    );
-                }
-            } else if per_token < 0.9 * e.cfg.co2e_per_token_g && e.per_token_asserted {
-                e.per_token_asserted = false;
-                self.incidents.on_clear(CARBON_PER_TOKEN_RULE, now);
-            }
+            let limit = e.cfg.co2e_per_token_g;
+            let state = level(per_token, limit, 0.9 * limit);
+            e.per_token.drive(now, state, None, &mut self.out, || {
+                let detail = format!(
+                    "observed {per_token:.4} gCO2e/token over {span:.0}s (limit {limit:.4})"
+                );
+                (per_token, detail)
+            });
         }
     }
 
     /// Feeds output-token completions into the carbon per-token window.
-    /// No-op unless [`attach_energy`](Self::attach_energy) was called.
+    /// No-op unless the config carries the carbon rules.
     pub fn request_tokens(&mut self, t: f64, tokens: u64) {
         if let Some(e) = self.energy.as_mut() {
             e.token_times.push_back((t, tokens));
@@ -370,212 +452,107 @@ impl WatchEngine {
 
     /// Feeds one *delayed* observed row-power reading.
     pub fn observe(&mut self, now: f64, watts: f64) {
-        let frac = if self.provisioned_watts > 0.0 {
-            watts / self.provisioned_watts
-        } else {
-            0.0
-        };
-        self.last_observed_t = Some(now);
         self.energy_observe(now, watts);
-        for (rule, rt) in self.rules.iter().zip(self.rt.iter_mut()) {
-            match (&rule.kind, rt) {
+        self.sample(now, Some(watts));
+    }
+
+    /// Feeds one telemetry tick on which the delayed read had no data
+    /// (start-up or a silent telemetry failure).
+    pub fn gap(&mut self, now: f64) {
+        if let Some(e) = self.energy.as_mut() {
+            // A silent telemetry failure: never invent emissions
+            // across the hole.
+            e.prev = None;
+        }
+        self.sample(now, None);
+    }
+
+    /// Runs the power rules on one delayed-feed tick (`None` for a gap),
+    /// in document order, then the shared tick.
+    fn sample(&mut self, now: f64, watts: Option<f64>) {
+        let frac = watts.map(|w| self.fraction(w));
+        let last = self.last_observed_t;
+        if watts.is_some() {
+            self.last_observed_t = Some(now);
+        }
+        let out = &mut self.out;
+        for rt in &mut self.rules {
+            match (&rt.kind, frac) {
                 (
                     RuleKind::Threshold {
                         over,
                         clear,
                         hold_s,
                     },
-                    RuleRt::Threshold {
-                        asserted,
-                        above_since,
-                        truth_above,
-                        truth_crossed_at,
-                    },
+                    Some(frac),
                 ) => {
-                    if frac >= *over {
-                        let since = *above_since.get_or_insert(now);
-                        if !*asserted && now - since >= *hold_s {
-                            *asserted = true;
-                            Self::fire(
-                                &mut self.alerts,
-                                &mut self.incidents,
-                                Alert {
-                                    t: now,
-                                    rule: rule.name.clone(),
-                                    severity: rule.severity,
-                                    value: frac,
-                                    truth_t: *truth_crossed_at,
-                                    detail: format!(
-                                        "row power at {:.1}% of provisioned (≥{:.0}% for {:.0}s)",
-                                        frac * 100.0,
-                                        over * 100.0,
-                                        now - since
-                                    ),
-                                },
-                            );
-                        }
-                    } else if frac < *clear {
-                        *above_since = None;
-                        if *asserted {
-                            *asserted = false;
-                            self.incidents.on_clear(&rule.name, now);
-                        }
-                        if !*truth_above {
-                            // Both views quiet: the episode is over.
-                            *truth_crossed_at = None;
-                        }
+                    // The hold timer runs only inside the firing zone
+                    // and restarts on re-entry.
+                    let state = level(frac, *over, *clear);
+                    let held = if state == Some(true) {
+                        now - *rt.above_since.get_or_insert(now)
                     } else {
-                        // Hysteresis band: not firing, not clearing;
-                        // the hold timer restarts on re-crossing.
-                        *above_since = None;
-                    }
+                        rt.above_since = None;
+                        0.0
+                    };
+                    let state = state.filter(|&on| !on || held >= *hold_s);
+                    rt.latch.drive(now, state, rt.latch.truth_since, out, || {
+                        let detail = format!(
+                            "row power at {:.1}% of provisioned (≥{:.0}% for {held:.0}s)",
+                            frac * 100.0,
+                            over * 100.0,
+                        );
+                        (frac, detail)
+                    });
                 }
-                (
-                    RuleKind::Rate { rise, window_s },
-                    RuleRt::Rate {
-                        window,
-                        asserted,
-                        truth_risen,
-                        truth_crossed_at,
-                        ..
-                    },
-                ) => {
-                    let low = window_min(window, now, frac, *window_s);
-                    let delta = frac - low;
-                    if delta >= *rise {
-                        if !*asserted {
-                            *asserted = true;
-                            Self::fire(
-                                &mut self.alerts,
-                                &mut self.incidents,
-                                Alert {
-                                    t: now,
-                                    rule: rule.name.clone(),
-                                    severity: rule.severity,
-                                    value: delta,
-                                    truth_t: *truth_crossed_at,
-                                    detail: format!(
-                                        "row power rose {:.1} points of provisioned within {:.0}s",
-                                        delta * 100.0,
-                                        window_s
-                                    ),
-                                },
-                            );
-                        }
-                    } else if delta < rise * 0.5 {
-                        if *asserted {
-                            *asserted = false;
-                            self.incidents.on_clear(&rule.name, now);
-                        }
-                        if !*truth_risen {
-                            *truth_crossed_at = None;
-                        }
-                    }
+                (RuleKind::Rate { rise, window_s }, Some(frac)) => {
+                    let delta = frac - window_min(&mut rt.window, now, frac, *window_s);
+                    let state = level(delta, *rise, rise * 0.5);
+                    rt.latch.drive(now, state, rt.latch.truth_since, out, || {
+                        let detail = format!(
+                            "row power rose {:.1} points of provisioned within {window_s:.0}s",
+                            delta * 100.0,
+                        );
+                        (delta, detail)
+                    });
                 }
-                // A sample arrived: staleness over.
-                (RuleKind::Absence { .. }, RuleRt::Absence { asserted }) if *asserted => {
-                    *asserted = false;
-                    self.incidents.on_clear(&rule.name, now);
+                // A sample ends staleness; a gap asserts it once samples
+                // have been missing for longer than `gap_s`, which began
+                // when they stopped arriving.
+                (RuleKind::Absence { gap_s }, _) => {
+                    let gap = now - last.unwrap_or(0.0);
+                    let state = match frac {
+                        Some(_) => Some(false),
+                        None => (gap > *gap_s).then_some(true),
+                    };
+                    rt.latch.drive(now, state, last, out, || {
+                        (
+                            gap,
+                            format!("no row telemetry for {gap:.0}s (limit {gap_s:.0}s)"),
+                        )
+                    });
                 }
                 _ => {}
             }
         }
-        self.tick(now);
+        self.tick(now, false);
     }
 
-    /// Feeds one telemetry tick on which the delayed read had no data
-    /// (start-up or a silent telemetry failure).
-    pub fn gap(&mut self, now: f64) {
-        let last = self.last_observed_t;
-        if let Some(e) = self.energy.as_mut() {
-            // A silent telemetry failure: never invent emissions
-            // across the hole.
-            e.prev = None;
-        }
-        for (rule, rt) in self.rules.iter().zip(self.rt.iter_mut()) {
-            if let (RuleKind::Absence { gap_s }, RuleRt::Absence { asserted }) = (&rule.kind, rt) {
-                let gap = now - last.unwrap_or(0.0);
-                if gap > *gap_s && !*asserted {
-                    *asserted = true;
-                    Self::fire(
-                        &mut self.alerts,
-                        &mut self.incidents,
-                        Alert {
-                            t: now,
-                            rule: rule.name.clone(),
-                            severity: rule.severity,
-                            value: gap,
-                            // Staleness is detected from the absence
-                            // itself; the condition began when samples
-                            // stopped arriving.
-                            truth_t: last,
-                            detail: format!("no row telemetry for {gap:.0}s (limit {gap_s:.0}s)"),
-                        },
-                    );
-                }
-            }
-        }
-        self.tick(now);
-    }
-
-    /// Feeds one *ground-truth* row-power reading. Shadow bookkeeping
-    /// only: records when conditions actually began so alerts can be
-    /// annotated with their detection lag. Never fires or clears.
+    /// Feeds one *ground-truth* row-power reading into the threshold and
+    /// rate rules' shadows, so alerts can be annotated with their
+    /// detection lag. Never fires or clears.
     pub fn truth(&mut self, now: f64, watts: f64) {
-        let frac = if self.provisioned_watts > 0.0 {
-            watts / self.provisioned_watts
-        } else {
-            0.0
-        };
-        for (rule, rt) in self.rules.iter().zip(self.rt.iter_mut()) {
-            match (&rule.kind, rt) {
-                (
-                    RuleKind::Threshold { over, clear, .. },
-                    RuleRt::Threshold {
-                        asserted,
-                        truth_above,
-                        truth_crossed_at,
-                        ..
-                    },
-                ) => {
-                    if frac >= *over {
-                        if !*truth_above {
-                            *truth_above = true;
-                            truth_crossed_at.get_or_insert(now);
-                        }
-                    } else if frac < *clear {
-                        *truth_above = false;
-                        if !*asserted {
-                            *truth_crossed_at = None;
-                        }
-                    }
+        let frac = self.fraction(watts);
+        for rt in &mut self.rules {
+            let state = match &rt.kind {
+                RuleKind::Threshold { over, clear, .. } => level(frac, *over, *clear),
+                RuleKind::Rate { rise, window_s } => {
+                    let delta = frac - window_min(&mut rt.truth_window, now, frac, *window_s);
+                    level(delta, *rise, rise * 0.5)
                 }
-                (
-                    RuleKind::Rate { rise, window_s },
-                    RuleRt::Rate {
-                        truth_window,
-                        truth_risen,
-                        truth_crossed_at,
-                        asserted,
-                        ..
-                    },
-                ) => {
-                    let low = window_min(truth_window, now, frac, *window_s);
-                    let delta = frac - low;
-                    if delta >= *rise {
-                        if !*truth_risen {
-                            *truth_risen = true;
-                            truth_crossed_at.get_or_insert(now);
-                        }
-                    } else if delta < rise * 0.5 {
-                        *truth_risen = false;
-                        if !*asserted {
-                            *truth_crossed_at = None;
-                        }
-                    }
-                }
-                _ => {}
-            }
+                _ => continue,
+            };
+            rt.latch.shadow(now, state);
         }
     }
 
@@ -610,48 +587,13 @@ impl WatchEngine {
             self.burn.record(t, priority, *latency_s);
         }
         for &i in &self.count_idx {
-            let (rule, rt) = (&self.rules[i], &mut self.rt[i]);
-            if let (RuleKind::Count { event, k, window_s }, RuleRt::Count { times, asserted }) =
-                (&rule.kind, rt)
-            {
-                if event != tag {
-                    continue;
-                }
-                times.push_back(t);
-                while times.front().is_some_and(|&ft| t - ft > *window_s) {
-                    times.pop_front();
-                }
-                let below_k = (times.len() as u64) < *k;
-                if *asserted && below_k {
-                    // Expiry alone can drop the window below `k`
-                    // between telemetry ticks; clear on the event that
-                    // revealed it rather than waiting for the grid.
-                    *asserted = false;
-                    self.incidents.on_clear(&rule.name, t);
-                } else if !below_k && !*asserted {
-                    *asserted = true;
-                    Self::fire(
-                        &mut self.alerts,
-                        &mut self.incidents,
-                        Alert {
-                            t,
-                            rule: rule.name.clone(),
-                            severity: rule.severity,
-                            value: times.len() as f64,
-                            // Events carry their own exact timestamps,
-                            // so a count condition is detected the
-                            // instant it becomes true: zero lag.
-                            truth_t: Some(t),
-                            detail: format!(
-                                "{} x '{}' within {:.0}s (limit {})",
-                                times.len(),
-                                event,
-                                window_s,
-                                k
-                            ),
-                        },
-                    );
-                }
+            let rt = &mut self.rules[i];
+            if matches!(&rt.kind, RuleKind::Count { event, .. } if event == tag) {
+                // Expiry alone can drop the window below `k` between
+                // telemetry ticks; clear on the event that revealed it
+                // rather than waiting for the grid.
+                rt.times.push_back(t);
+                rt.expire_count(t, &mut self.out);
             }
         }
         // No shared tick here: events are by far the busiest feed, and
@@ -668,88 +610,58 @@ impl WatchEngine {
     }
 
     /// Shared per-feed housekeeping: expire count windows, re-evaluate
-    /// burn levels, advance incident resolution timers.
-    fn tick(&mut self, now: f64) {
-        self.tick_inner(now, false);
-    }
-
-    fn tick_inner(&mut self, now: f64, force_burn: bool) {
+    /// burn levels (every `bucket_s`, or now if `force_burn`), advance
+    /// incident resolution timers.
+    fn tick(&mut self, now: f64, force_burn: bool) {
         for &i in &self.count_idx {
-            let (rule, rt) = (&self.rules[i], &mut self.rt[i]);
-            if let (RuleKind::Count { k, window_s, .. }, RuleRt::Count { times, asserted }) =
-                (&rule.kind, rt)
-            {
-                while times.front().is_some_and(|&ft| now - ft > *window_s) {
-                    times.pop_front();
-                }
-                if *asserted && (times.len() as u64) < *k {
-                    *asserted = false;
-                    self.incidents.on_clear(&rule.name, now);
-                }
-            }
+            self.rules[i].expire_count(now, &mut self.out);
         }
         if force_burn || now >= self.next_burn_eval_t {
-            self.next_burn_eval_t = now + self.burn.config().bucket_s;
+            let cfg = self.burn.config();
+            self.next_burn_eval_t = now + cfg.bucket_s;
+            let (fast_s, slow_s) = (cfg.fast_window_s, cfg.slow_window_s);
             for tr in self.burn.evaluate(now) {
-                self.apply_burn_transition(now, tr);
-            }
-        }
-        self.incidents.on_tick(now);
-    }
-
-    fn apply_burn_transition(&mut self, now: f64, tr: BurnTransition) {
-        let class = match tr.priority {
-            Priority::Low => "low",
-            Priority::High => "high",
-        };
-        // Rule names: slo-burn-{class} for end-to-end latency,
-        // ttft-burn-{class} / tbt-burn-{class} for the polca-req
-        // signals.
-        let rule = format!("{}-burn-{class}", tr.signal.tag());
-        match tr.to {
-            Some(severity) => {
-                let cfg = self.burn.config();
-                let signal = match tr.signal {
-                    BurnSignal::Latency => "latency",
-                    BurnSignal::Ttft => "TTFT",
-                    BurnSignal::Tbt => "TBT",
+                let class = match tr.priority {
+                    Priority::Low => "low",
+                    Priority::High => "high",
                 };
-                Self::fire(
-                    &mut self.alerts,
-                    &mut self.incidents,
-                    Alert {
-                        t: now,
-                        rule,
-                        severity,
-                        value: tr.fast_burn,
-                        // Burn is computed from completion events,
-                        // which are exact: detected as soon as knowable.
-                        truth_t: Some(now),
-                        detail: format!(
-                            "{class}-priority {signal} burn-rate: {:.1}x over {:.0}s and {:.1}x over {:.0}s",
-                            tr.fast_burn, cfg.fast_window_s, tr.slow_burn, cfg.slow_window_s
-                        ),
-                    },
-                );
+                // Rule names: slo-burn-{class} for end-to-end latency,
+                // ttft-burn-{class} / tbt-burn-{class} for the polca-req
+                // signals. Burn is computed from completion events,
+                // which are exact: detected as soon as knowable.
+                let rule = format!("{}-burn-{class}", tr.signal.tag());
+                self.out.report(&rule, now, tr.to, Some(now), || {
+                    let signal = match tr.signal {
+                        BurnSignal::Latency => "latency",
+                        BurnSignal::Ttft => "TTFT",
+                        BurnSignal::Tbt => "TBT",
+                    };
+                    let detail = format!(
+                        "{class}-priority {signal} burn-rate: {:.1}x over {fast_s:.0}s and \
+                         {:.1}x over {slow_s:.0}s",
+                        tr.fast_burn, tr.slow_burn
+                    );
+                    (tr.fast_burn, detail)
+                });
             }
-            None => self.incidents.on_clear(&rule, now),
         }
+        self.out.incidents.on_tick(now);
     }
 
     /// Final pass at the end of the run.
     pub fn finalize(&mut self, t_end: f64) {
-        self.tick_inner(t_end, true);
-        self.incidents.finalize(t_end);
+        self.tick(t_end, true);
+        self.out.incidents.finalize(t_end);
     }
 
     /// All fired alerts, in firing order.
     pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
+        &self.out.alerts
     }
 
     /// The incident log.
     pub fn incidents(&self) -> &IncidentLog {
-        &self.incidents
+        &self.out.incidents
     }
 
     /// The burn tracker (for end-of-run summaries).
@@ -762,15 +674,19 @@ impl WatchEngine {
 mod tests {
     use super::*;
     use crate::incident::IncidentState;
+    use crate::rules::RuleSet;
+
+    /// An engine for a 1 kW row with `rules`, and the carbon rules if
+    /// `energy` is given.
+    fn engine_with(rules: &str, energy: Option<WatchEnergyConfig>) -> WatchEngine {
+        let mut config = WatchConfig::new(1000.0);
+        config.rules = RuleSet::parse(rules).unwrap();
+        config.energy = energy;
+        WatchEngine::new(&config)
+    }
 
     fn engine(rules: &str) -> WatchEngine {
-        WatchEngine::new(
-            1000.0,
-            &RuleSet::parse(rules).unwrap(),
-            BurnConfig::default(),
-            3,
-            300.0,
-        )
+        engine_with(rules, None)
     }
 
     #[test]
@@ -919,9 +835,9 @@ mod tests {
 
     #[test]
     fn carbon_budget_rule_fires_on_sustained_emissions() {
-        let mut e = engine("hot threshold over=0.99 hold=0s\n");
         // 800 W × 1.25 PUE × 500 g/kWh = 500 g/h: over a 400 g/h budget.
-        e.attach_energy(energy_cfg(400.0, f64::INFINITY));
+        let energy = energy_cfg(400.0, f64::INFINITY);
+        let mut e = engine_with("hot threshold over=0.99 hold=0s\n", Some(energy));
         for i in 0..40 {
             e.observe(i as f64 * 2.0, 800.0);
         }
@@ -951,10 +867,10 @@ mod tests {
 
     #[test]
     fn carbon_per_token_rule_judges_efficiency() {
-        let mut e = engine("hot threshold over=0.99 hold=0s\n");
         // 500 g/h ≈ 0.278 g per 2s tick; one token per tick ⇒ ~0.28
         // g/token, over a 0.1 g/token limit.
-        e.attach_energy(energy_cfg(f64::INFINITY, 0.1));
+        let energy = energy_cfg(f64::INFINITY, 0.1);
+        let mut e = engine_with("hot threshold over=0.99 hold=0s\n", Some(energy));
         for i in 0..40 {
             let t = i as f64 * 2.0;
             e.request_tokens(t, 1);
@@ -988,8 +904,8 @@ mod tests {
         // The gapped run integrates strictly less energy — the hole is
         // skipped, not bridged — so silent telemetry failures can only
         // delay carbon detection, never inflate it.
-        let mut gapped = engine("hot threshold over=0.99 hold=0s\n");
-        gapped.attach_energy(energy_cfg(400.0, f64::INFINITY));
+        let energy = energy_cfg(400.0, f64::INFINITY);
+        let mut gapped = engine_with("hot threshold over=0.99 hold=0s\n", Some(energy));
         let mut solid = gapped.clone();
         for i in 0..40 {
             let t = i as f64 * 2.0;
@@ -1114,14 +1030,8 @@ mod tests {
 
     /// An engine with the built-in rules and both carbon rules.
     fn seeded_engine() -> WatchEngine {
-        let mut e = engine(crate::rules::DEFAULT_RULES);
-        e.attach_energy(WatchEnergyConfig::new(
-            CarbonSignal::Constant(400.0),
-            1.25,
-            400.0,
-            0.01,
-        ));
-        e
+        let energy = WatchEnergyConfig::new(CarbonSignal::Constant(400.0), 1.25, 400.0, 0.01);
+        engine_with(crate::rules::DEFAULT_RULES, Some(energy))
     }
 
     /// Runs `feed` through a fresh engine, with or without its truth
@@ -1242,12 +1152,12 @@ mod tests {
                 }
             }
             e.finalize(1000.0);
-            (e.alerts().to_vec(), e.incidents().to_jsonl())
+            (e.alerts().to_vec(), e.incidents().incidents().to_vec())
         };
-        let (alerts_a, jsonl_a) = run();
-        let (alerts_b, jsonl_b) = run();
+        let (alerts_a, incidents_a) = run();
+        let (alerts_b, incidents_b) = run();
         assert_eq!(alerts_a, alerts_b);
-        assert_eq!(jsonl_a, jsonl_b);
+        assert_eq!(incidents_a, incidents_b);
         assert!(!alerts_a.is_empty(), "the synthetic feed should alert");
     }
 }

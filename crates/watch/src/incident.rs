@@ -242,16 +242,6 @@ impl IncidentLog {
     pub fn incidents(&self) -> &[Incident] {
         &self.incidents
     }
-
-    /// The full log as JSON Lines (one incident per line).
-    pub fn to_jsonl(&self) -> String {
-        let mut s = String::new();
-        for inc in &self.incidents {
-            s.push_str(&inc.to_json());
-            s.push('\n');
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -336,14 +326,14 @@ mod tests {
     fn jsonl_is_stable_and_null_safe() {
         let mut log = IncidentLog::new(3, 300.0);
         log.on_alert(&alert(10.0, "hot", Severity::Critical, Some(8.0)));
-        let line = log.to_jsonl();
+        let line = log.incidents()[0].to_json();
         assert_eq!(
             line,
             "{\"id\":0,\"rule\":\"hot\",\"severity\":\"critical\",\"state\":\"open\",\
              \"opened_t\":10,\"truth_t\":8,\"detection_lag_s\":2,\
              \"escalated_t\":null,\"mitigated_t\":null,\"resolved_t\":null,\
-             \"alerts\":1,\"peak_value\":0.1,\"detail\":\"hot fired\"}\n"
+             \"alerts\":1,\"peak_value\":0.1,\"detail\":\"hot fired\"}"
         );
-        assert_eq!(log.to_jsonl(), line);
+        assert_eq!(log.incidents()[0].to_json(), line);
     }
 }

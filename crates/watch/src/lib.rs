@@ -171,19 +171,9 @@ pub struct WatchPlane {
 impl WatchPlane {
     /// A fresh plane with no observations yet.
     pub fn new(config: WatchConfig) -> Self {
-        let mut engine = WatchEngine::new(
-            config.provisioned_watts,
-            &config.rules,
-            config.burn,
-            config.escalate_after_alerts,
-            config.resolve_after_s,
-        );
-        if let Some(energy) = config.energy {
-            engine.attach_energy(energy);
-        }
         WatchPlane {
             shared: Arc::new(WatchShared {
-                engine: Mutex::new(engine),
+                engine: Mutex::new(WatchEngine::new(&config)),
             }),
         }
     }

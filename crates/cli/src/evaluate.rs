@@ -165,6 +165,14 @@ impl RunSpec {
         let req = parse_req_trace(inv)?;
         let energy = parse_energy(inv)?;
         let watch = if has("watch") {
+            // The per-token rule counts output tokens from polca-req
+            // records, and only a row's plane receives them: a site's
+            // planes replay each datacenter's power ticks alone.
+            if site {
+                inv.refuse("carbon-per-token", "requires a single row")?;
+            } else if req.is_none() {
+                inv.refuse("carbon-per-token", "requires --req-trace")?;
+            }
             Some(watch_config(inv, watch_watts, energy.as_ref())?)
         } else {
             let watch_only = "watch-rules carbon-budget carbon-per-token";

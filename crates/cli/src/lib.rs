@@ -422,7 +422,9 @@ COMMANDS
                 [--carbon-budget G_PER_H] / [--carbon-per-token G]
                 with --watch and an energy plan, arm the built-in
                 carbon-budget-burn / co2e-per-token-high rules on the
-                delayed OOB feed
+                delayed OOB feed; the per-token rule counts output
+                tokens from polca-req records, so it needs a single
+                row with --req-trace
                 [--watch] run the online alerting/incident plane on the
                 delayed OOB telemetry (forces obs level >= events; with
                 --obs-out also writes incidents.jsonl, report.md, and
@@ -465,7 +467,8 @@ COMMANDS
                     --rows-per-pdu --enforce-budgets --fleet-threads
                     --site-budget-mw --oversub-dc --oversub-site
                   --watch: --watch-rules, and with an energy plan
-                    --carbon-budget --carbon-per-token
+                    --carbon-budget, plus --carbon-per-token on a
+                    single row with --req-trace
                   every run: every other evaluate flag above
   plan          find the SLO-safe oversubscription maximum
                 [--days 2] (longer than 60 s) [--seed 17] [--servers 40]
@@ -1104,6 +1107,14 @@ mod tests {
             ("--carbon-diurnal --carbon-per-token 1", "carbon-per-token"),
             ("--watch --carbon-budget 1", "carbon-budget"),
             ("--watch --carbon-per-token 1", "carbon-per-token"),
+            (
+                "--watch --carbon-diurnal --carbon-per-token 1",
+                "carbon-per-token",
+            ),
+            (
+                "--rows 2 --watch --req-trace --carbon-diurnal --carbon-per-token 1",
+                "carbon-per-token",
+            ),
         ];
         for (flags, flag) in cases {
             let argv = format!("evaluate {}", flags.replace("CSV", csv));

@@ -166,6 +166,19 @@ if [[ -s "$watch_out/incidents.jsonl" ]]; then
     grep -q '"detection_lag_s"' "$watch_out/incidents.jsonl"
 fi
 
+echo "== polca-cli carbon-rule smoke test =="
+# Both built-in carbon rules judge the delayed feed of a synthesized row
+# whose requests are traced (the per-token rule counts their output
+# tokens); at seed 17 each opens at least one incident.
+carbon_out="$(scratch)"
+cargo run -q --locked --offline --release -p polca-cli -- \
+    evaluate --days 0.5 --watch --req-trace --carbon-diurnal \
+    --carbon-budget 50000 --carbon-per-token 0.05 --obs-out "$carbon_out" > /dev/null
+for rule in carbon-budget-burn co2e-per-token-high; do
+    grep -q "\"rule\":\"$rule\"" "$carbon_out/incidents.jsonl" \
+        || { echo "no $rule incident in the carbon smoke's incidents.jsonl"; exit 1; }
+done
+
 echo "== polca-cli serve smoke test =="
 serve_out="$(scratch)"
 cargo run -q --locked --offline --release -p polca-cli -- \

@@ -12,38 +12,13 @@ use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
+use polca_obs::export::split_csv_line;
 use polca_obs::{Label, Phase, Recorder};
 
 use crate::error::IngestError;
 use crate::schema::{
     parse_priority, parse_timestamp, week_phase_s, TimestampKind, TraceRecord, TraceSchema,
 };
-
-/// Splits one CSV line, honoring RFC-4180 double-quote escaping (the
-/// polca-obs CSV writer quotes cells containing commas or quotes).
-fn split_csv_line(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut field = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    field.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' => in_quotes = true,
-            ',' if !in_quotes => fields.push(std::mem::take(&mut field)),
-            _ => field.push(c),
-        }
-    }
-    fields.push(field);
-    fields
-}
 
 /// A streaming reader over an Azure-2024-style request log.
 ///

@@ -31,6 +31,7 @@
 //! exported artifacts obey the repo's determinism contract.
 
 use crate::chrome::{begin_event, push_us};
+use crate::export::split_csv_line;
 use crate::json::{esc, num, push_num};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -164,35 +165,6 @@ impl CarbonTrace {
             n => self.points[n - 1].1,
         }
     }
-}
-
-/// Minimal RFC-4180 field splitter (quotes, escaped quotes, commas
-/// inside quotes), mirroring the ingest reader's behaviour.
-fn split_csv_line(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut in_quotes = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            match c {
-                '"' if chars.peek() == Some(&'"') => {
-                    chars.next();
-                    cur.push('"');
-                }
-                '"' => in_quotes = false,
-                _ => cur.push(c),
-            }
-        } else {
-            match c {
-                '"' => in_quotes = true,
-                ',' => fields.push(std::mem::take(&mut cur)),
-                _ => cur.push(c),
-            }
-        }
-    }
-    fields.push(cur);
-    fields
 }
 
 /// A grid carbon-intensity signal in gCO2e per kWh.

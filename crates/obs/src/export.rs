@@ -80,6 +80,41 @@ pub fn csv_table(columns: &[&str], rows: &[Vec<String>]) -> String {
     s
 }
 
+/// Splits one CSV line into its fields, undoing [`csv_table`]'s
+/// RFC-4180 quoting: a quoted field may hold commas, and `""` inside
+/// quotes is one quote. The trace ingester and the carbon-trace reader
+/// share it.
+///
+/// # Examples
+///
+/// ```
+/// let fields = polca_obs::export::split_csv_line(r#"a,"b,c","say ""hi""""#);
+/// assert_eq!(fields, ["a", "b,c", "say \"hi\""]);
+/// ```
+pub fn split_csv_line(line: &str) -> Vec<String> {
+    let mut fields = Vec::new();
+    let mut field = String::new();
+    let mut chars = line.chars().peekable();
+    let mut in_quotes = false;
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if in_quotes => {
+                if chars.peek() == Some(&'"') {
+                    chars.next();
+                    field.push('"');
+                } else {
+                    in_quotes = false;
+                }
+            }
+            '"' => in_quotes = true,
+            ',' if !in_quotes => fields.push(std::mem::take(&mut field)),
+            _ => field.push(c),
+        }
+    }
+    fields.push(field);
+    fields
+}
+
 /// A snapshot of one run's observability output.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunArtifacts {

@@ -165,15 +165,16 @@ impl RunSpec {
         let req = parse_req_trace(inv)?;
         let energy = parse_energy(inv)?;
         let watch = if has("watch") {
+            let cfg = watch_config(inv, watch_watts, energy.as_ref())?;
             // The per-token rule counts output tokens from polca-req
             // records, and only a row's plane receives them: a site's
             // planes replay each datacenter's power ticks alone.
-            let no_tokens = if site {
-                Some("requires a single row")
-            } else {
-                req.is_none().then_some("requires --req-trace")
-            };
-            Some(watch_config(inv, watch_watts, energy.as_ref(), no_tokens)?)
+            if site {
+                inv.refuse("carbon-per-token", "requires a single row")?;
+            } else if req.is_none() {
+                inv.refuse("carbon-per-token", "requires --req-trace")?;
+            }
+            Some(cfg)
         } else {
             let watch_only = "watch-rules carbon-budget carbon-per-token";
             inv.refuse(watch_only, "requires --watch")?;
@@ -573,13 +574,11 @@ fn parse_energy(inv: &Invocation) -> Result<Option<EnergyPlan>, CliError> {
 /// `provisioned_watts`, with `--watch-rules` if given. A carbon
 /// threshold (`--carbon-budget` gCO2e/h or `--carbon-per-token` gCO2e)
 /// arms the built-in carbon rules on the same delayed OOB feed, and
-/// needs the energy plan's grid signal; `no_tokens` says why the plane
-/// will see no output tokens, if it will not.
+/// needs the energy plan's grid signal.
 fn watch_config(
     inv: &Invocation,
     provisioned_watts: f64,
     energy: Option<&EnergyPlan>,
-    no_tokens: Option<&str>,
 ) -> Result<WatchConfig, CliError> {
     let mut cfg = WatchConfig::new(provisioned_watts);
     if let Some(path) = inv.options.get("watch-rules") {
@@ -595,9 +594,6 @@ fn watch_config(
         )?;
         return Ok(cfg);
     };
-    if let Some(why) = no_tokens {
-        inv.refuse("carbon-per-token", why)?;
-    }
     if budget.is_none() && per_token.is_none() {
         return Ok(cfg);
     }

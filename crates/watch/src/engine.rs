@@ -269,6 +269,26 @@ fn window_min(window: &mut VecDeque<(f64, f64)>, now: f64, frac: f64, window_s: 
     window.front().map_or(frac, |&(_, f)| f)
 }
 
+/// A threshold or rate rule's condition on one reading `frac` of one
+/// feed: where it stands against the rule's hysteresis, and the value
+/// judged (the fraction, or its rise over the minimum kept in that
+/// feed's `window`). `None` for the other kinds.
+fn power_level(
+    kind: &RuleKind,
+    window: &mut VecDeque<(f64, f64)>,
+    now: f64,
+    frac: f64,
+) -> Option<(Option<bool>, f64)> {
+    match *kind {
+        RuleKind::Threshold { over, clear, .. } => Some((level(frac, over, clear), frac)),
+        RuleKind::Rate { rise, window_s } => {
+            let delta = frac - window_min(window, now, frac, window_s);
+            Some((level(delta, rise, rise * 0.5), delta))
+        }
+        _ => None,
+    }
+}
+
 /// One rule at run time: its condition, its latch, and what its kind
 /// keeps (the other kinds leave those fields empty).
 #[derive(Debug, Clone)]
@@ -477,18 +497,11 @@ impl WatchEngine {
         }
         let out = &mut self.out;
         for rt in &mut self.rules {
-            match (&rt.kind, frac) {
-                (
-                    RuleKind::Threshold {
-                        over,
-                        clear,
-                        hold_s,
-                    },
-                    Some(frac),
-                ) => {
+            let reading = frac.and_then(|frac| power_level(&rt.kind, &mut rt.window, now, frac));
+            match (&rt.kind, reading) {
+                (RuleKind::Threshold { over, hold_s, .. }, Some((state, frac))) => {
                     // The hold timer runs only inside the firing zone
                     // and restarts on re-entry.
-                    let state = level(frac, *over, *clear);
                     let held = if state == Some(true) {
                         now - *rt.above_since.get_or_insert(now)
                     } else {
@@ -505,9 +518,7 @@ impl WatchEngine {
                         (frac, detail)
                     });
                 }
-                (RuleKind::Rate { rise, window_s }, Some(frac)) => {
-                    let delta = frac - window_min(&mut rt.window, now, frac, *window_s);
-                    let state = level(delta, *rise, rise * 0.5);
+                (RuleKind::Rate { window_s, .. }, Some((state, delta))) => {
                     rt.latch.drive(now, state, rt.latch.truth_since, out, || {
                         let detail = format!(
                             "row power rose {:.1} points of provisioned within {window_s:.0}s",
@@ -544,15 +555,9 @@ impl WatchEngine {
     pub fn truth(&mut self, now: f64, watts: f64) {
         let frac = self.fraction(watts);
         for rt in &mut self.rules {
-            let state = match &rt.kind {
-                RuleKind::Threshold { over, clear, .. } => level(frac, *over, *clear),
-                RuleKind::Rate { rise, window_s } => {
-                    let delta = frac - window_min(&mut rt.truth_window, now, frac, *window_s);
-                    level(delta, *rise, rise * 0.5)
-                }
-                _ => continue,
-            };
-            rt.latch.shadow(now, state);
+            if let Some((state, _)) = power_level(&rt.kind, &mut rt.truth_window, now, frac) {
+                rt.latch.shadow(now, state);
+            }
         }
     }
 
